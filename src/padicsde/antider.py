@@ -62,10 +62,6 @@ def cell_pow(a: Cell, k: int) -> Cell:
     return (a[0] ** k, a[1] * k)
 
 
-def cell_is_zero(a: Cell) -> bool:
-    return a[0] == 0
-
-
 def cell_round(p: int, n: int, a: Cell) -> PAdicValue:
     return PAdicValue._from_cell(p, n, a[0], a[1])
 
@@ -130,16 +126,6 @@ class GridFunction:
         """p-exponent of the digit step at a chain level."""
         return level - self.ball.radius_exp
 
-    def chain(self, k: int) -> list[int]:
-        """Grid indices of the digit-truncation chain of grid index k,
-        from the center (index 0) up to k itself."""
-        out = [0]
-        p = self.p
-        for level in range(self.levels):
-            nxt = k % _pow(p, level + 1)
-            out.append(nxt)
-        return out
-
     def chain_steps(self, k: int):
         """Yield (level, j, j_next, step_cell) along the chain of index k;
         trivial (digit zero) steps are skipped."""
@@ -149,6 +135,32 @@ class GridFunction:
             d = (k // _pow(p, level)) % p
             if d:
                 yield level, j, j + d * _pow(p, level), (d, self.step_exponent(level))
+
+
+def _as_grid(w) -> GridFunction:
+    """The grid of a sampled path, or the argument itself if it is a grid."""
+    return w.values if hasattr(w, "sampler") else w
+
+
+def _tree_scan(p: int, levels: int, root, children) -> list:
+    """One level-order pass over the digit tree of a grid of ``p**levels``
+    points, in place.
+
+    At chain level l the nonzero-digit children of node j (j < p**l) are
+    the indices ``kids = j + d * p**l``, d = 1 .. p-1; the digit-0 child is
+    j itself and keeps its value.  ``children(level, j, value, kids)``
+    returns the values at ``kids`` in digit order.  Every node is final
+    before its children are built, so a chain recursion that reads only
+    proper prefixes is solved by this single pass.
+    """
+    vals = [root] * _pow(p, levels)
+    for level in range(levels):
+        width = _pow(p, level)
+        stop = width * p
+        for j in range(width):
+            kids = range(j + width, stop, width)
+            vals[j + width:stop:width] = children(level, j, vals[j], kids)
+    return vals
 
 
 def _index_for(f: GridFunction, t) -> int:
@@ -187,7 +199,7 @@ def antider_w_cell(e: GridFunction, w: GridFunction, k: int) -> Cell:
 def antider_w(e: GridFunction, w, t) -> PAdicValue:
     """Path antiderivation: chain sum of the integrand times the increments
     of w; the constant integrand 1 telescopes to w(t) - w(center)."""
-    wg = w.values if hasattr(w, "sampler") else w
+    wg = _as_grid(w)
     _check_same_grid(e, wg)
     k = _index_for(e, t)
     return cell_round(e.p, e.n, antider_w_cell(e, wg, k))
@@ -236,7 +248,7 @@ def antider_mixed(deriv: GridFunction, a, e, w, b: int, m: int, l: int,
         raise ValueError("index")
     if b < 0 or m < 0 or l < 0:
         raise ValueError("index")
-    wg = w.values if hasattr(w, "sampler") else w
+    wg = _as_grid(w)
     if m - l and a is None:
         raise ValueError("coefficient grid required for the a powers")
     if l and (e is None or wg is None):
@@ -265,7 +277,7 @@ def covariation_cell(x: GridFunction, y: GridFunction, k: int) -> Cell:
 def covariation(x: GridFunction, y, t) -> PAdicValue:
     """Discrete covariation: the chain sum of products of increments.
     Symmetric and bilinear; constant arguments give zero."""
-    yg = y.values if hasattr(y, "sampler") else y
+    yg = _as_grid(y)
     _check_same_grid(x, yg)
     k = _index_for(x, t)
     return cell_round(x.p, x.n, covariation_cell(x, yg, k))
@@ -290,7 +302,7 @@ def by_parts_residual(x: GridFunction, y, t) -> PAdicValue:
     evaluated at a grid point.  The identity telescopes term by term, so
     the residual is the exact zero at every precision.
     """
-    yg = y.values if hasattr(y, "sampler") else y
+    yg = _as_grid(y)
     _check_same_grid(x, yg)
     p = x.p
     k = _index_for(x, t)
@@ -306,7 +318,7 @@ def by_parts_residual(x: GridFunction, y, t) -> PAdicValue:
 def square_decomposition_residual(w, t) -> PAdicValue:
     """Exact residual of the square decomposition at a grid point:
     C(w, w) - [w_t**2 - w_0**2 - 2 * sum w(t_j) dw_j]."""
-    wg = w.values if hasattr(w, "sampler") else w
+    wg = _as_grid(w)
     p = wg.p
     k = _index_for(wg, t)
     quad = covariation_cell(wg, wg, k)
@@ -322,49 +334,35 @@ def square_decomposition_residual(w, t) -> PAdicValue:
 
 def antider_u_grid(f: GridFunction) -> GridFunction:
     """The time antiderivation evaluated at every grid point, by a single
-    breadth-first pass over the digit tree (prefix sums are shared)."""
+    level-order pass over the digit tree (prefix sums are shared)."""
     p, n = f.p, f.n
-    acc: list[Cell] = [ZERO_CELL]
-    for level in range(f.levels):
-        width = _pow(p, level)
+
+    def children(level, j, base, kids):
+        fj = cell_of(f.values[j])
+        if not fj[0]:
+            return [base] * (p - 1)
         exp = f.step_exponent(level)
-        nxt: list[Cell] = [ZERO_CELL] * (width * p)
-        for j in range(width):
-            base = acc[j]
-            nxt[j] = base
-            fj = cell_of(f.values[j])
-            if fj[0]:
-                for d in range(1, p):
-                    nxt[j + d * width] = cell_add(p, base, cell_mul(fj, (d, exp)))
-            else:
-                for d in range(1, p):
-                    nxt[j + d * width] = base
-        acc = nxt
+        return [cell_add(p, base, cell_mul(fj, (d, exp))) for d in range(1, p)]
+
+    acc = _tree_scan(p, f.levels, ZERO_CELL, children)
     return GridFunction(f.ball, f.depth,
                         tuple(cell_round(p, n, c) for c in acc))
 
 
 def antider_w_grid(e: GridFunction, w) -> GridFunction:
-    """The path antiderivation at every grid point (breadth-first pass)."""
-    wg = w.values if hasattr(w, "sampler") else w
+    """The path antiderivation at every grid point (level-order pass)."""
+    wg = _as_grid(w)
     _check_same_grid(e, wg)
     p, n = e.p, e.n
-    acc: list[Cell] = [ZERO_CELL]
-    for level in range(e.levels):
-        width = _pow(p, level)
-        nxt: list[Cell] = [ZERO_CELL] * (width * p)
-        for j in range(width):
-            base = acc[j]
-            nxt[j] = base
-            ej = cell_of(e.values[j])
-            wj = cell_of(wg.values[j])
-            for d in range(1, p):
-                jn = j + d * width
-                if ej[0]:
-                    dw = cell_sub(p, cell_of(wg.values[jn]), wj)
-                    nxt[jn] = cell_add(p, base, cell_mul(ej, dw))
-                else:
-                    nxt[jn] = base
-        acc = nxt
+    wc = [cell_of(v) for v in wg.values]
+
+    def children(level, j, base, kids):
+        ej = cell_of(e.values[j])
+        if not ej[0]:
+            return [base] * (p - 1)
+        return [cell_add(p, base, cell_mul(ej, cell_sub(p, wc[jn], wc[j])))
+                for jn in kids]
+
+    acc = _tree_scan(p, e.levels, ZERO_CELL, children)
     return GridFunction(e.ball, e.depth,
                         tuple(cell_round(p, n, c) for c in acc))

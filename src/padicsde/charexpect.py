@@ -28,7 +28,7 @@ from .measure import (
     mahler_coefficient_draws,
     standard_zetas,
 )
-from .padic import BallSpec, PAdicValue, frac_part, mahler_poly, _pow
+from .padic import BallSpec, PAdicValue, mahler_poly
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                     sampler_j.draw(stream)   # keep the stream layout fixed
                     continue
                 acc = acc + c * sampler_j.draw(stream)
-            fr = frac_part(acc)
-            k = 0
-            den = fr.denominator
-            while den > 1:
-                den //= p
-                k += 1
-            tally.add_raw(fr.numerator * _pow(p, k) // fr.denominator, k)
+            tally.add_raw(acc.m, -acc.v)
         asserted = True
     elif sampler == "mahler":
         if zetas is None:
@@ -132,13 +126,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                 for coefficient, d in zip(coeffs, diffs):
                     if not d.is_zero and not coefficient.is_zero:
                         acc = acc + coefficient * d
-            fr = frac_part(acc)
-            k = 0
-            den = fr.denominator
-            while den > 1:
-                den //= p
-                k += 1
-            tally.add_raw(fr.numerator * _pow(p, k) // fr.denominator, k)
+            tally.add_raw(acc.m, -acc.v)
         asserted = False
     else:
         raise ValueError(f"unknown sampler kind: {sampler}")

@@ -88,14 +88,20 @@ def _need(cfg: dict, path: str, key: str, kind, check=None, default=None):
             return default
         raise ConfigError(f"{path}.{key}: required key missing")
     val = cfg[key]
-    if kind is float and isinstance(val, int):
+    if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, kind):
+    if isinstance(val, bool) or not isinstance(val, kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, "
                           f"got {type(val).__name__}")
     if check is not None and not check(val):
         raise ConfigError(f"{path}.{key}: value {val!r} out of range")
     return val
+
+
+def _seed_override(source: str, seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"{source}: value {seed} out of range")
+    return seed
 
 
 class RunConfig:
@@ -131,14 +137,18 @@ class RunConfig:
         return BallSpec(center, self.radius_exp)
 
     def value(self, text_or_int, path: str) -> PAdicValue:
-        if isinstance(text_or_int, int):
+        if isinstance(text_or_int, int) and not isinstance(text_or_int, bool):
             return PAdicValue.from_int(text_or_int, self.prime,
                                        self.precision)
         if isinstance(text_or_int, str):
             try:
-                return PAdicValue.parse(text_or_int, self.precision)
+                value = PAdicValue.parse(text_or_int, self.precision)
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
+            if value.p != self.prime:
+                raise ConfigError(f"{path}: prime {value.p} does not match "
+                                  f"config.prime {self.prime}")
+            return value
         raise ConfigError(f"{path}: expected integer or QP(...) string")
 
 
@@ -557,12 +567,13 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(raw, args.command)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _seed_override("--seed", args.seed)
         elif "PADICSDE_SEED" in os.environ:
             try:
-                cfg.seed = int(os.environ["PADICSDE_SEED"])
+                seed = int(os.environ["PADICSDE_SEED"])
             except ValueError:
                 raise ConfigError("PADICSDE_SEED: expected an integer")
+            cfg.seed = _seed_override("PADICSDE_SEED", seed)
         if args.out is not None:
             cfg.out = args.out
     except ConfigError as exc:

@@ -1,10 +1,10 @@
 """Evolution operators and multiplicative operator functionals.
 
 The operator equation ``U(t, s) = I + P_u[A(u) U(u, s)]`` between the chain
-sums at t and at s is solved on the grid by Picard iteration, which is
-finite here: chain sums only read strictly shallower prefixes, so the
-center-anchored iteration fixes one chain level per sweep and terminates
-exactly.  The solved family is the ordered digit-chain product
+sums at t and at s is triangular on the grid: the chain sum at t reads the
+solution only at strictly shallower prefixes, so one level-order pass over
+the digit tree from ``W(center) = I`` solves it exactly.  The solved family
+is the ordered digit-chain product
 ``W(t) = prod (I + A(t_j) dt_j)`` composed as ``U(t, s) = W(t) W(s)^{-1}``;
 entries are kept as exact rationals internally so the defining equation,
 the two-sided cocycle law and the perturbation identity all check to
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .antider import GridFunction
+from .antider import GridFunction, _as_grid, _tree_scan
 from .measure import WienerPath
-from .padic import BallSpec, PAdicValue, _pow
+from .padic import BallSpec, PAdicValue, _pow, _vp
 from .sde import Program, SDEProblem, solve_picard
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -94,15 +94,7 @@ def mat_is_zero(a: Matrix) -> bool:
 def _frac_norm(x: Fraction, p: int) -> float:
     if x == 0:
         return 0.0
-    num, den = abs(x.numerator), x.denominator
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return float(p) ** (-v)
+    return float(p) ** (_vp(x.denominator, p) - _vp(x.numerator, p))
 
 
 def mat_norm(a: Matrix, p: int) -> float:
@@ -191,8 +183,7 @@ class EvolutionOperator:
         grid = _grid_points(self.ball, self.depth)
         acc = mat_identity(self.dim)
         for k, sign in ((ti, 1), (si, -1)):
-            chain = _chain_cells(self.ball, self.depth, k)
-            for j, step in chain:
+            for j, _jn, step in _chain_edges(self.ball, self.depth, k):
                 term = mat_scale(mat_mul(a(grid[j]), self.exact(j, si)), step)
                 acc = mat_add(acc, term) if sign > 0 else mat_sub(acc, term)
         return mat_sub(self.exact(ti, si), acc)
@@ -223,52 +214,30 @@ def _chain_edges(ball: BallSpec, depth: int, k: int):
         j = k % _pow(p, level)
         d = (k // _pow(p, level)) % p
         if d:
-            e = level - r
-            step = Fraction(d * _pow(p, e)) if e >= 0 else Fraction(d, _pow(p, -e))
-            yield j, j + d * _pow(p, level), step
+            yield j, j + d * _pow(p, level), d * Fraction(p) ** (level - r)
 
 
-def _chain_cells(ball: BallSpec, depth: int, k: int):
-    for j, _jn, step in _chain_edges(ball, depth, k):
-        yield j, step
+def solve_evolution(a: GeneratorSpec, ball: BallSpec,
+                    depth: int) -> EvolutionOperator:
+    """Solve the operator equation in one forward pass over the digit tree.
 
-
-def solve_evolution(a: GeneratorSpec, ball: BallSpec, depth: int,
-                    max_iter: int | None = None) -> EvolutionOperator:
-    """Solve the operator equation by center-anchored Picard iteration.
-
-    Each sweep recomputes every chain sum from the previous iterate; the
-    iteration is nilpotent (level j is exact after j sweeps) and stops when
-    two sweeps agree exactly, at most levels + 1 of them.  No contraction
-    hypothesis is needed at fixed precision.
+    The chain sum at t reads W only at proper prefixes of t, so the
+    equation is the recursion ``W(j + d p**l) = W(j) + d p**(l-r) A(t_j)
+    W(j)`` from ``W(center) = I``: one level-order pass computes every
+    transfer exactly, with one generator call per interior node.  No
+    contraction hypothesis is needed at fixed precision.
     """
-    size = ball.grid_size(depth)
+    p, r = ball.p, ball.radius_exp
     grid = _grid_points(ball, depth)
-    levels = ball.radius_exp + depth
-    ident = mat_identity(a.dim)
-    cur = [ident] * size
-    limit = max_iter if max_iter is not None else levels + 2
-    for _ in range(limit):
-        nxt = [ident] * size
-        acc: list[Matrix] = [mat_zero(a.dim)] * size
-        for level in range(levels):
-            width = _pow(ball.p, level)
-            e = level - ball.radius_exp
-            step_unit = Fraction(_pow(ball.p, e)) if e >= 0 \
-                else Fraction(1, _pow(ball.p, -e))
-            for j in range(width):
-                base = acc[j]
-                aw = mat_mul(a(grid[j]), cur[j])
-                for d in range(1, ball.p):
-                    jn = j + d * width
-                    acc[jn] = mat_add(base, mat_scale(aw, step_unit * d))
-                    nxt[jn] = mat_add(ident, acc[jn])
-        if nxt == cur:
-            break
-        cur = nxt
-    else:
-        raise ValueError("evolution iteration did not stabilize")
-    return EvolutionOperator(ball, depth, a.dim, cur, provenance="solved")
+
+    def children(level, j, wj, kids):
+        aw = mat_mul(a(grid[j]), wj)
+        unit = Fraction(p) ** (level - r)
+        return [mat_add(wj, mat_scale(aw, unit * d)) for d in range(1, p)]
+
+    transfers = _tree_scan(p, r + depth, mat_identity(a.dim), children)
+    return EvolutionOperator(ball, depth, a.dim, transfers,
+                             provenance="solved")
 
 
 class ExpEvolution:
@@ -442,10 +411,6 @@ def path_derivative(w: GridFunction, ti: int, guard: int = 1) -> PAdicValue:
     raise ValueError("path not C1 at precision")
 
 
-def _binom(a: int, b: int) -> int:
-    return math.comb(a, b)
-
-
 def generator_series(f_derivs, a_prog: Program, e_prog: Program,
                      w, xi: GridFunction, ti: int, m_max: int) -> PAdicValue:
     """The displayed generator series of the transformed process
@@ -459,7 +424,7 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
     """
     from .antider import antider_powers_cell, cell_round
 
-    wg = w.values if hasattr(w, "sampler") else w
+    wg = _as_grid(w)
     ball, depth = xi.ball, xi.depth
     p, n = xi.p, xi.n
     pts = _grid_points(ball, depth)
@@ -497,7 +462,7 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
         dgrid = deriv_grid(b, m)
         inv_fact = PAdicValue.from_rational(1, math.factorial(order), p, n)
         for l in range(m + 1):
-            comb = _binom(order, m) * _binom(m, l)
+            comb = math.comb(order, m) * math.comb(m, l)
             du = b + m - l
             if du:
                 cell = antider_powers_cell(dgrid, a_grid, e_grid, wg,
@@ -536,16 +501,14 @@ def scalar_flow(alpha: PAdicValue, beta: PAdicValue, w: WienerPath) -> tuple[Fra
     grid = w.values
     p = grid.p
     af, bf = alpha.as_fraction(), beta.as_fraction()
-    out = [Fraction(1)] * grid.size
-    for k in range(grid.size):
-        acc = Fraction(1)
-        for _lev, j, jn, step in grid.chain_steps(k):
-            dt = Fraction(step[0] * _pow(p, step[1])) if step[1] >= 0 \
-                else Fraction(step[0], _pow(p, -step[1]))
-            dw = grid.values[jn].as_fraction() - grid.values[j].as_fraction()
-            acc = acc * (1 + af * dt + bf * dw)
-        out[k] = acc
-    return tuple(out)
+    wf = [v.as_fraction() for v in grid.values]
+
+    def children(level, j, acc, kids):
+        unit = Fraction(p) ** grid.step_exponent(level)
+        return [acc * (1 + af * d * unit + bf * (wf[jn] - wf[j]))
+                for d, jn in enumerate(kids, 1)]
+
+    return tuple(_tree_scan(p, grid.levels, Fraction(1), children))
 
 
 def mof_check(alpha: PAdicValue, beta: PAdicValue, paths, q: float,

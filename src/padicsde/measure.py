@@ -22,7 +22,7 @@ import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .antider import GridFunction
+from .antider import GridFunction, _tree_scan
 from .charfun import GaussianSpec, shell_distribution
 from .padic import BallSpec, PAdicValue, _pow
 
@@ -154,7 +154,6 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     integer fast path; a nonzero shift falls back to value arithmetic.
     """
     from .charfun import AngleTally
-    from .padic import frac_part
 
     sampler = cached_sampler(spec)
     p, n = spec.p, spec.n
@@ -182,13 +181,8 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
                 else:
                     tally.add_raw((hd[1] * mant) % _pow(p, k), k)
                 continue
-            fr = frac_part(h * (PAdicValue(p, n, v, mant) + gamma))
-            kk = 0
-            den = fr.denominator
-            while den > 1:
-                den //= p
-                kk += 1
-            tally.add_raw(fr.numerator * _pow(p, kk) // fr.denominator, kk)
+            y = h * (PAdicValue(p, n, v, mant) + gamma)
+            tally.add_raw(y.m, -y.v)
     return {h: tally.mean() for h, tally in zip(hs, tallies)}
 
 
@@ -261,10 +255,7 @@ def sample_wiener_mahler(zetas, q: float, ball: BallSpec, depth: int,
     for a, b in zip(norms, norms[1:]):
         if b > 0.75 * a + 1e-15:
             raise ValueError("not L_q")
-    coeffs = []
-    for z in zetas:
-        spec = GaussianSpec.one_dimensional(p, n, beta=z.norm() ** q, q=q)
-        coeffs.append(cached_sampler(spec).draw(stream))
+    coeffs = mahler_coefficient_draws(zetas, q, p, n, stream)
     size = ball.grid_size(depth)
     zero = PAdicValue.zero(p, n)
     values = []
@@ -310,18 +301,13 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     p, n = ball.p, ball.n
     samplers = [cached_sampler(
         GaussianSpec.one_dimensional(p, n, beta=b, q=q)) for b in betas]
-    zero = PAdicValue.zero(p, n)
-    acc = [zero]
-    for level in range(levels):
-        width = _pow(p, level)
-        nxt = [zero] * (width * p)
-        for j in range(width):
-            base = acc[j]
-            nxt[j] = base
-            for d in range(1, p):
-                nxt[j + d * width] = base + samplers[level].draw(stream)
-        acc = nxt
-    grid = GridFunction(ball, depth, tuple(acc))
+
+    def children(level, j, base, kids):
+        draw = samplers[level].draw
+        return [base + draw(stream) for _ in kids]
+
+    values = _tree_scan(p, levels, PAdicValue.zero(p, n), children)
+    grid = GridFunction(ball, depth, tuple(values))
     return WienerPath(values=grid, sampler="tree", seed=seed)
 
 

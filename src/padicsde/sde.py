@@ -3,15 +3,16 @@ with moment and stability diagnostics.
 
 The state equation is ``xi(t) = xi0 + P_u a(u, xi) + P_w e(u, xi)`` over the
 digit grid of a ball; the generalized form replaces the two terms by a
-finite family of mixed-power terms.  Each Picard sweep evaluates the chain
-sums in exact integer cells, reading only the previous iterate, and rounds
-once per grid point; iteration stops when two successive iterates are
-bit-identical, which the ultrametric contraction forces after finitely many
-sweeps.  When the measured sweep defect stops shrinking the solver splits
-the ball into its p leading-digit children and solves them independently,
-seeding each child with the parent equation's exact value at the child
-root; chain sums of deeper points only ever pass through ancestor prefixes,
-so the patched solution satisfies the full equation bit-exactly.
+finite family of mixed-power terms, and the drift/diffusion form is solved
+as its two-term family.  The equation is triangular on the digit tree: the
+chain sum at t reads the solution only at proper prefixes of t.  A sweep
+is therefore one level-order pass in which every node's value is final
+before its children are built, evaluated in exact integer cells and
+rounded once per grid point.  For pointwise coefficients the first sweep
+delivers the unique fixed point and a second one, the Picard map applied
+to the delivered solution, changes nothing: that zero defect is the
+reported residual.  Functional coefficients read the previous sweep's
+whole iterate, so for them sweeps repeat until one changes no value.
 
 States are scalars (H = K).  Diagonal systems over K^d can be solved one
 coordinate at a time; coupled operator-valued systems live in the evolution
@@ -27,6 +28,7 @@ from .antider import (
     Cell,
     ZERO_CELL,
     GridFunction,
+    _tree_scan,
     cell_add,
     cell_mul,
     cell_of,
@@ -35,7 +37,7 @@ from .antider import (
     cell_sub,
 )
 from .measure import MonteCarloEnsemble, WienerPath, wiener_path
-from .padic import BallSpec, PAdicValue, _pow
+from .padic import BallSpec, PAdicValue
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,7 @@ class Program:
     """A named coefficient program over (grid point, state value).
 
     ``lipschitz`` is the user-declared local Lipschitz constant in the
-    state; ``time_c1``/``time_c2``/``time_b`` declare the time-variation
-    bound |f(t,x) - f(v,x)| <= |t - v| (C1 + C2 |x|**b) used by the moment
-    and stability diagnostics.  Declared constants are spot-validated by
-    sampling, never inferred.
+    state; it is spot-validated by sampling, never inferred.
 
     A ``functional`` program receives the whole previous iterate (the
     state as an element of the continuous-function space) as a third
@@ -56,9 +55,6 @@ class Program:
     name: str
     fn: Callable
     lipschitz: float = 0.0
-    time_c1: float = 0.0
-    time_c2: float = 0.0
-    time_b: int = 0
     functional: bool = False
 
     def __call__(self, t: PAdicValue, x: PAdicValue, state=None) -> PAdicValue:
@@ -92,8 +88,7 @@ def linear_state_program(alpha: PAdicValue, const: PAdicValue | None = None) -> 
 
 
 def linear_time_program(kappa: PAdicValue) -> Program:
-    return Program(f"drift_t({kappa.qp_str()})", lambda t, x: kappa * t,
-                   time_c1=kappa.norm())
+    return Program(f"drift_t({kappa.qp_str()})", lambda t, x: kappa * t)
 
 
 def polynomial_program(coeffs: tuple[PAdicValue, ...], lipschitz: float) -> Program:
@@ -156,7 +151,6 @@ class SDEProblem:
     drift: Program
     diffusion: Program
     family: tuple[FamilyTerm, ...] = ()
-    lipschitz: float = 0.0
 
     def __post_init__(self):
         if self.family:
@@ -194,7 +188,11 @@ class SDEProblem:
 
 @dataclass(frozen=True)
 class SDESolution:
-    """A solved path equation: the solution grid plus convergence data."""
+    """A solved path equation: the solution grid plus convergence data.
+
+    ``iterations`` counts every sweep, the final unchanged one included;
+    ``subdivisions`` is always empty and is kept for report readers.
+    """
 
     values: GridFunction
     iterations: int
@@ -207,184 +205,36 @@ class SDESolution:
         return self.values[t]
 
 
-class _RegionSolver:
-    """Recursive Picard solver over digit subtrees of one ball grid."""
+def _node_terms(family, drift: Program, diffusion: Program, t: PAdicValue,
+                x: PAdicValue, state) -> list:
+    """Evaluate the coefficient programs once at a node: the exponents
+    (dt, a-slot, e*dw) and the program, a-slot and e-slot cells of every
+    family term with a nonzero program value."""
+    pieces = []
+    for ft in family:
+        pv = cell_of(ft.prog(t, x, state))
+        av = cell_of((ft.a_slot or drift)(t, x, state)) \
+            if ft.m - ft.l else None
+        ev = cell_of((ft.e_slot or diffusion)(t, x, state)) \
+            if ft.l else None
+        if pv[0]:
+            pieces.append((ft.b + ft.m - ft.l, ft.m - ft.l, ft.l, pv, av, ev))
+    return pieces
 
-    def __init__(self, problem: SDEProblem, w: WienerPath,
-                 max_iter: int | None, initial: tuple | None):
-        ball, depth = problem.ball, problem.depth
-        wg = w.values
-        if wg.ball != ball or wg.depth != depth:
-            raise ValueError("grid mismatch")
-        self.p = ball.p
-        self.n = ball.n
-        self.r = ball.radius_exp
-        self.levels = ball.radius_exp + depth
-        self.size = ball.grid_size(depth)
-        self.points = tuple(ball.point(k, depth) for k in range(self.size))
-        self.wcells = tuple(cell_of(v) for v in wg.values)
-        self.x0cell = cell_of(problem.x0)
-        self.problem = problem
-        self.max_iter = max_iter if max_iter is not None else self.n * self.p
-        self.cur = list(initial) if initial is not None \
-            else [problem.x0] * self.size
-        self.iterations = 0
-        self.contraction: dict = {}
-        self.subdivisions: list[str] = []
-        self.top_trace: tuple[float, ...] = ()
 
-    # -- edge terms -------------------------------------------------------
-
-    def _node_terms(self, j: int):
-        """Evaluate the coefficient programs once per node; returns a
-        closure producing the exact edge cell for a child."""
-        t = self.points[j]
-        x = self.cur[j]
-        prob = self.problem
-        if not prob.family:
-            acell = cell_of(prob.drift(t, x, self.cur))
-            ecell = cell_of(prob.diffusion(t, x, self.cur))
-
-            def edge(jn: int, step: Cell) -> Cell:
-                term = cell_mul(acell, step)
-                if ecell[0]:
-                    dw = cell_sub(self.p, self.wcells[jn], self.wcells[j])
-                    term = cell_add(self.p, term, cell_mul(ecell, dw))
-                return term
-
-            return edge
-
-        pieces = []
-        for ft in prob.family:
-            pv = cell_of(ft.prog(t, x, self.cur))
-            av = cell_of((ft.a_slot or prob.drift)(t, x, self.cur)) \
-                if ft.m - ft.l else None
-            ev = cell_of((ft.e_slot or prob.diffusion)(t, x, self.cur)) \
-                if ft.l else None
-            pieces.append((ft, pv, av, ev))
-
-        def edge(jn: int, step: Cell) -> Cell:
-            total = ZERO_CELL
-            dw = None
-            for ft, pv, av, ev in pieces:
-                if pv[0] == 0:
-                    continue
-                term = pv
-                du = ft.b + ft.m - ft.l
-                if du:
-                    term = cell_mul(term, cell_pow(step, du))
-                if av is not None:
-                    term = cell_mul(term, cell_pow(av, ft.m - ft.l))
-                if ft.l:
-                    if dw is None:
-                        dw = cell_sub(self.p, self.wcells[jn], self.wcells[j])
-                    term = cell_mul(term, cell_pow(cell_mul(ev, dw), ft.l))
-                total = cell_add(self.p, total, term)
-            return total
-
-        return edge
-
-    # -- sweeps ------------------------------------------------------------
-
-    def _sweep(self, level0: int, j0: int, acc0: Cell) -> float:
-        """One Picard sweep over the subtree rooted at (level0, j0); writes
-        the delivered values into ``cur`` and returns the sweep defect."""
-        p, n = self.p, self.n
-        prob = self.problem
-        plain = not prob.family
-        drift, diff = prob.drift, prob.diffusion
-        points, cur, wc, x0c = self.points, self.cur, self.wcells, self.x0cell
-        acc: dict[int, Cell] = {j0: acc0}
-        newvals: dict[int, PAdicValue] = {}
-        defect = 0.0
-        stride = _pow(p, level0)
-        for level in range(level0, self.levels):
-            width = _pow(p, level)
-            exp = level - self.r
-            for j in range(j0, width, stride):
-                base = acc[j]
-                if plain:
-                    t, x = points[j], cur[j]
-                    acell = cell_of(drift(t, x, cur))
-                    ecell = cell_of(diff(t, x, cur))
-                    wj = wc[j]
-                    for d in range(1, p):
-                        jn = j + d * width
-                        term = cell_mul(acell, (d, exp))
-                        if ecell[0]:
-                            dw = cell_sub(p, wc[jn], wj)
-                            term = cell_add(p, term, cell_mul(ecell, dw))
-                        cell = cell_add(p, base, term)
-                        acc[jn] = cell
-                        val = cell_round(p, n, cell_add(p, x0c, cell))
-                        newvals[jn] = val
-                        if val != cur[jn]:
-                            defect = max(defect, (val - cur[jn]).norm())
-                else:
-                    edge = self._node_terms(j)
-                    for d in range(1, p):
-                        jn = j + d * width
-                        cell = cell_add(p, base, edge(jn, (d, exp)))
-                        acc[jn] = cell
-                        val = cell_round(p, n, cell_add(p, x0c, cell))
-                        newvals[jn] = val
-                        if val != cur[jn]:
-                            defect = max(defect, (val - cur[jn]).norm())
-        for k, v in newvals.items():
-            self.cur[k] = v
-        return defect
-
-    def _region_id(self, level0: int, j0: int) -> str:
-        return f"ball[level={level0},index={j0}]"
-
-    def solve_region(self, level0: int, j0: int, acc0: Cell) -> None:
-        p = self.p
-        self.cur[j0] = cell_round(p, self.n, cell_add(p, self.x0cell, acc0))
-        if level0 >= self.levels:
-            return
-        trace: list[float] = []
-        prev = None
-        stalled = False
-        for _ in range(self.max_iter):
-            self.iterations += 1
-            defect = self._sweep(level0, j0, acc0)
-            trace.append(defect)
-            if defect == 0.0:
-                break
-            if prev is not None and defect >= prev:
-                stalled = True
-                break
-            prev = defect
-        else:
-            stalled = True
-        if level0 == 0:
-            self.top_trace = tuple(trace)
-        if not stalled:
-            ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 0]
-            self.contraction[self._region_id(level0, j0)] = max(ratios, default=0.0)
-            return
-        if level0 + 1 > self.levels:
-            raise ValueError("no contraction on ball")
-        self.subdivisions.append(self._region_id(level0, j0))
-        width = _pow(p, level0)
-        exp = level0 - self.r
-        edge = self._node_terms(j0)
-        for d in range(p):
-            jd = j0 + d * width
-            acc_child = acc0 if d == 0 else \
-                cell_add(p, acc0, edge(jd, (d, exp)))
-            self.solve_region(level0 + 1, jd, acc_child)
-
-    def residual(self) -> float:
-        """Sup-norm residual of the delivered equation at the fixed point."""
-        before = list(self.cur)
-        defect = self._sweep(0, 0, ZERO_CELL)
-        worst = defect
-        for k in range(self.size):
-            if self.cur[k] != before[k]:
-                worst = max(worst, (self.cur[k] - before[k]).norm())
-                self.cur[k] = before[k]
-        return worst
+def _edge_cell(p: int, pieces: list, step: Cell, dw: Cell) -> Cell:
+    """Exact sum of the family terms over one digit step."""
+    total = ZERO_CELL
+    for du, ma, l, pv, av, ev in pieces:
+        term = pv
+        if du:
+            term = cell_mul(term, cell_pow(step, du))
+        if ma:
+            term = cell_mul(term, cell_pow(av, ma))
+        if l:
+            term = cell_mul(term, cell_pow(cell_mul(ev, dw), l))
+        total = cell_add(p, total, term)
+    return total
 
 
 def solve_picard(problem: SDEProblem, w: WienerPath,
@@ -392,20 +242,58 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
                  initial: tuple | None = None) -> SDESolution:
     """Solve the drift/diffusion equation along one sampled path.
 
-    Iterates the Picard map from the constant initial guess (or a supplied
-    one) until two successive iterates agree bit-exactly; the fixed point
-    does not depend on the starting iterate.  The residual reported is the
-    sup-norm mismatch of one extra delivery sweep, exactly zero on success.
+    Each sweep is one level-order pass over the digit tree; sweeps repeat
+    from the constant initial guess (or a supplied one) until a sweep
+    changes no value, at most ``max_iter`` of them (default n * p).  The
+    last sweep is the Picard map applied to the delivered solution, so its
+    defect, exactly zero, is the reported residual.  Pointwise programs
+    take two sweeps whatever the start; functional programs receive the
+    previous sweep's iterate as their state and may take more.
     """
-    solver = _RegionSolver(problem, w, max_iter, initial)
-    solver.solve_region(0, 0, ZERO_CELL)
-    res = solver.residual()
-    grid = GridFunction(problem.ball, problem.depth, tuple(solver.cur))
-    return SDESolution(values=grid, iterations=solver.iterations,
-                       defect_trace=solver.top_trace,
-                       contraction=dict(solver.contraction),
-                       residual=res,
-                       subdivisions=tuple(solver.subdivisions))
+    ball, depth = problem.ball, problem.depth
+    wg = w.values
+    if wg.ball != ball or wg.depth != depth:
+        raise ValueError("grid mismatch")
+    p, n, r = ball.p, ball.n, ball.radius_exp
+    size = ball.grid_size(depth)
+    points = tuple(ball.point(k, depth) for k in range(size))
+    wcells = tuple(cell_of(v) for v in wg.values)
+    x0cell = cell_of(problem.x0)
+    family = problem.family or picard_as_family(problem).family
+    root = cell_round(p, n, x0cell)
+    cur = list(initial) if initial is not None else [problem.x0] * size
+    cur[0] = root
+    drift, diffusion = problem.drift, problem.diffusion
+
+    def children(level, j, node, kids):
+        acc, x = node
+        pieces = _node_terms(family, drift, diffusion, points[j], x, state)
+        exp = level - r
+        out = []
+        for d, jn in enumerate(kids, 1):
+            dw = cell_sub(p, wcells[jn], wcells[j])
+            cell = cell_add(p, acc, _edge_cell(p, pieces, (d, exp), dw))
+            out.append((cell, cell_round(p, n, cell_add(p, x0cell, cell))))
+        return out
+
+    trace: list[float] = []
+    for _ in range(max_iter if max_iter is not None else n * p):
+        state = cur     # functional programs read the previous iterate
+        cur = [x for _, x in _tree_scan(p, r + depth, (ZERO_CELL, root),
+                                        children)]
+        trace.append(max(((a - b).norm() for a, b in zip(cur, state)
+                          if a != b), default=0.0))
+        if trace[-1] == 0.0:
+            break
+    else:
+        raise ValueError("Picard iteration did not stabilize")
+    ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 0]
+    grid = GridFunction(ball, depth, tuple(cur))
+    return SDESolution(values=grid, iterations=len(trace),
+                       defect_trace=tuple(trace),
+                       contraction={"ball[level=0,index=0]":
+                                    max(ratios, default=0.0)},
+                       residual=trace[-1], subdivisions=())
 
 
 def solve_general(problem: SDEProblem, w: WienerPath,
@@ -430,7 +318,7 @@ def picard_as_family(problem: SDEProblem) -> SDEProblem:
     )
     return SDEProblem(ball=problem.ball, depth=problem.depth, x0=problem.x0,
                       drift=problem.drift, diffusion=problem.diffusion,
-                      family=fam, lipschitz=problem.lipschitz)
+                      family=fam)
 
 
 # -- ensemble diagnostics --------------------------------------------------------
@@ -505,10 +393,10 @@ def stability_diagnostic(problem: SDEProblem, x0_a: PAdicValue,
     """
     prob_a = SDEProblem(ball=problem.ball, depth=problem.depth, x0=x0_a,
                         drift=problem.drift, diffusion=problem.diffusion,
-                        family=problem.family, lipschitz=problem.lipschitz)
+                        family=problem.family)
     prob_b = SDEProblem(ball=problem.ball, depth=problem.depth, x0=x0_b,
                         drift=problem.drift, diffusion=problem.diffusion,
-                        family=problem.family, lipschitz=problem.lipschitz)
+                        family=problem.family)
     gaps = []
     for w in paths:
         sa = solve_picard(prob_a, w)

@@ -148,3 +148,38 @@ def test_depth_beyond_precision_rejected(tmp_path, capsys):
     assert main(["charfun", "--config", str(cfgfile),
                  "--out", str(tmp_path / "z")]) == 2
     assert "depth" in capsys.readouterr().err
+
+
+def test_negative_seed_override_rejected(tmp_path, capsys, monkeypatch):
+    cfgfile = write_config(tmp_path, {
+        **BASE, "sample": {"kind": "gaussian1d", "count": 2},
+    })
+    out = tmp_path / "neg"
+    assert main(["sample", "--config", str(cfgfile), "--out", str(out),
+                 "--seed", "-5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    monkeypatch.setenv("PADICSDE_SEED", "-3")
+    assert main(["sample", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "PADICSDE_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_true_is_not_an_integer(tmp_path, capsys):
+    cfgfile = write_config(tmp_path, {**BASE, "depth": True,
+                                      "charfun": {"beta": 1.0}})
+    out = tmp_path / "bool"
+    assert main(["charfun", "--config", str(cfgfile),
+                 "--out", str(out)]) == 2
+    assert "config.depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_constant_with_foreign_prime_rejected(tmp_path, capsys):
+    cfgfile = write_config(tmp_path, {
+        "prime": 5, "precision": 6, "depth": 2,
+        "solve": {"problem": "linear", "alpha": "QP(p=7,v=0,d=1 2 3)"},
+    })
+    out = tmp_path / "prime"
+    assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "config.solve.alpha" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

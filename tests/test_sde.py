@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from padicsde.measure import MonteCarloEnsemble, wiener_path
@@ -76,16 +78,63 @@ def test_linear_drift_contracts_without_subdivision():
     assert all(c < 1.0 for c in sol.contraction.values())
 
 
-def test_steep_drift_triggers_subdivision():
-    # Lipschitz constant p stalls the unit-ball iteration and forces the
-    # leading-digit split; the patched solution still satisfies the equation
+def _chain_sum_reference(prob, w, sol):
+    """Every point's equation recomputed from the delivered values: the
+    exact chain sum of drift * dt + diffusion * dw over the digit steps,
+    in rationals, rounded once."""
+    grid = sol.values
+    x0 = prob.x0.as_fraction()
+    out = []
+    for k in range(grid.size):
+        acc = x0
+        for _level, j, jn, (d, e) in grid.chain_steps(k):
+            t, x = grid.point(j), grid.values[j]
+            dt = d * Fraction(prob.ball.p) ** e
+            dw = w.at_index(jn).as_fraction() - w.at_index(j).as_fraction()
+            acc += prob.drift(t, x).as_fraction() * dt
+            acc += prob.diffusion(t, x).as_fraction() * dw
+        out.append(PAdicValue.from_fraction(acc, prob.ball.p, N))
+    return tuple(out)
+
+
+def test_steep_drift_solved_in_one_pass():
+    # Lipschitz constant p: the equation is still triangular on the digit
+    # tree, so one sweep solves it and a second verifies it
     p = 3
     alpha = PAdicValue.from_rational(1, p, p, N)  # norm p
     prob = make_problem(p, 4, x0_int=1, drift=linear_state_program(alpha))
-    sol = solve_picard(prob, path_for(prob, 5))
-    assert sol.subdivisions
+    w = path_for(prob, 5)
+    sol = solve_picard(prob, w)
+    assert sol.iterations == 2
+    assert sol.subdivisions == ()
     assert sol.residual == 0.0
-    assert all(c < 1.0 for c in sol.contraction.values())
+    assert sol.values.values == _chain_sum_reference(prob, w, sol)
+
+
+def test_linear_noise_matches_chain_sum_reference():
+    p = 5
+    prob = make_problem(p, 3, x0_int=2,
+                        drift=linear_state_program(PAdicValue.from_int(3, p, N)),
+                        diffusion=linear_state_program(
+                            PAdicValue.from_int(p, p, N)))
+    w = path_for(prob, 12)
+    sol = solve_picard(prob, w)
+    assert sol.iterations == 2 and sol.residual == 0.0
+    assert sol.values.values == _chain_sum_reference(prob, w, sol)
+
+
+def test_max_iter_exhausted_raises():
+    # a functional drift reading the last grid value needs several sweeps
+    from padicsde.sde import functional_program
+
+    p = 3
+    pp = PAdicValue.from_int(p, p, N)
+    prob = make_problem(p, 3, x0_int=1, drift=functional_program(
+        "last", lambda t, x, state: pp * state[-1]))
+    w = path_for(prob, 13)
+    assert solve_picard(prob, w).iterations > 2
+    with pytest.raises(ValueError, match="stabilize"):
+        solve_picard(prob, w, max_iter=2)
 
 
 def test_unique_fixed_point_from_perturbed_start():
