@@ -172,19 +172,12 @@ def _index_for(f: GridFunction, t) -> int:
 # -- single-point antiderivations (exact sum, one rounding) --------------------
 
 
-def antider_u_cell(f: GridFunction, k: int) -> Cell:
-    p = f.p
-    acc = ZERO_CELL
-    for _level, j, _jn, step in f.chain_steps(k):
-        acc = cell_add(p, acc, cell_mul(cell_of(f.values[j]), step))
-    return acc
-
-
 def antider_u(f: GridFunction, t) -> PAdicValue:
     """Time antiderivation of f at a grid point: the chain sum of f times
     the digit steps.  Exact sum, rounded once; empty chain gives zero."""
     k = _index_for(f, t)
-    return cell_round(f.p, f.n, antider_u_cell(f, k))
+    return cell_round(f.p, f.n,
+                      antider_powers_cell(f, None, None, None, 1, 0, 0, k))
 
 
 def antider_w_cell(e: GridFunction, w: GridFunction, k: int) -> Cell:
@@ -210,6 +203,23 @@ def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
         raise ValueError("grid mismatch")
 
 
+def _edge_cell(p: int, pieces, step: Cell, dw: Cell) -> Cell:
+    """Exact sum over one digit step of mixed-power terms
+    ``pv * step**du * av**ma * (ev * dw)**l``, one per
+    ``(du, ma, l, pv, av, ev)`` piece."""
+    total = ZERO_CELL
+    for du, ma, l, pv, av, ev in pieces:
+        term = pv
+        if du:
+            term = cell_mul(term, cell_pow(step, du))
+        if ma:
+            term = cell_mul(term, cell_pow(av, ma))
+        if l:
+            term = cell_mul(term, cell_pow(cell_mul(ev, dw), l))
+        total = cell_add(p, total, term)
+    return total
+
+
 def antider_powers_cell(deriv: GridFunction, a: GridFunction | None,
                         e: GridFunction | None, w: GridFunction | None,
                         du_pow: int, a_pow: int, ew_pow: int, k: int) -> Cell:
@@ -217,23 +227,13 @@ def antider_powers_cell(deriv: GridFunction, a: GridFunction | None,
     p = deriv.p
     acc = ZERO_CELL
     for _level, j, jn, step in deriv.chain_steps(k):
-        term = cell_of(deriv.values[j])
-        if du_pow:
-            term = cell_mul(term, cell_pow(step, du_pow))
-        if a_pow:
-            term = cell_mul(term, cell_pow(cell_of(a.values[j]), a_pow))
-        if ew_pow:
-            dw = cell_sub(p, cell_of(w.values[jn]), cell_of(w.values[j]))
-            ew = cell_mul(cell_of(e.values[j]), dw)
-            term = cell_mul(term, cell_pow(ew, ew_pow))
-        acc = cell_add(p, acc, term)
+        av = cell_of(a.values[j]) if a_pow else None
+        ev = cell_of(e.values[j]) if ew_pow else None
+        dw = cell_sub(p, cell_of(w.values[jn]), cell_of(w.values[j])) \
+            if ew_pow else None
+        piece = (du_pow, a_pow, ew_pow, cell_of(deriv.values[j]), av, ev)
+        acc = cell_add(p, acc, _edge_cell(p, (piece,), step, dw))
     return acc
-
-
-def antider_mixed_cell(deriv: GridFunction, a: GridFunction | None,
-                       e: GridFunction | None, w: GridFunction | None,
-                       b: int, m: int, l: int, k: int) -> Cell:
-    return antider_powers_cell(deriv, a, e, w, b + m - l, m - l, l, k)
 
 
 def antider_mixed(deriv: GridFunction, a, e, w, b: int, m: int, l: int,
@@ -258,7 +258,8 @@ def antider_mixed(deriv: GridFunction, a, e, w, b: int, m: int, l: int,
             _check_same_grid(deriv, g)
     k = _index_for(deriv, t)
     return cell_round(deriv.p, deriv.n,
-                      antider_mixed_cell(deriv, a, e, wg, b, m, l, k))
+                      antider_powers_cell(deriv, a, e, wg, b + m - l, m - l,
+                                          l, k))
 
 
 # -- covariation and integration by parts ---------------------------------------
@@ -283,17 +284,6 @@ def covariation(x: GridFunction, y, t) -> PAdicValue:
     return cell_round(x.p, x.n, covariation_cell(x, yg, k))
 
 
-def pair_antider_cell(x: GridFunction, y: GridFunction, k: int) -> Cell:
-    """Sum of y(t_j) * (x(t_{j+1}) - x(t_j)): the antiderivation of y
-    against the increments of x."""
-    p = x.p
-    acc = ZERO_CELL
-    for _level, j, jn, _step in x.chain_steps(k):
-        dx = cell_sub(p, cell_of(x.values[jn]), cell_of(x.values[j]))
-        acc = cell_add(p, acc, cell_mul(cell_of(y.values[j]), dx))
-    return acc
-
-
 def by_parts_residual(x: GridFunction, y, t) -> PAdicValue:
     """Exact residual of the integration-by-parts identity
 
@@ -306,11 +296,11 @@ def by_parts_residual(x: GridFunction, y, t) -> PAdicValue:
     _check_same_grid(x, yg)
     p = x.p
     k = _index_for(x, t)
-    lhs = pair_antider_cell(x, yg, k)
+    lhs = antider_w_cell(yg, x, k)
     xt, yt = cell_of(x.values[k]), cell_of(yg.values[k])
     x0, y0 = cell_of(x.values[0]), cell_of(yg.values[0])
     rhs = cell_sub(p, cell_mul(xt, yt), cell_mul(x0, y0))
-    rhs = cell_sub(p, rhs, pair_antider_cell(yg, x, k))
+    rhs = cell_sub(p, rhs, antider_w_cell(x, yg, k))
     rhs = cell_sub(p, rhs, covariation_cell(x, yg, k))
     return cell_round(p, x.n, cell_sub(p, lhs, rhs))
 
@@ -324,7 +314,7 @@ def square_decomposition_residual(w, t) -> PAdicValue:
     quad = covariation_cell(wg, wg, k)
     wt2 = cell_mul(cell_of(wg.values[k]), cell_of(wg.values[k]))
     w02 = cell_mul(cell_of(wg.values[0]), cell_of(wg.values[0]))
-    cross = pair_antider_cell(wg, wg, k)
+    cross = antider_w_cell(wg, wg, k)
     rhs = cell_sub(p, cell_sub(p, wt2, w02), cell_mul((2, 0), cross))
     return cell_round(p, wg.n, cell_sub(p, quad, rhs))
 

@@ -80,10 +80,8 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     if betas is None:
         betas = level_betas(ball, depth, q)
     consts = _chain_constants(psi, gamma, g, t_index)
-
-    analytic = 1.0
-    for level, c, _j, _jn in consts:
-        analytic *= math.exp(-betas[level] * c.norm() ** q)
+    analytic = (product_telescoping_moduli(psi, gamma, g, t_index, q, betas)
+                or [1.0])[-1]
 
     tally = AngleTally(p)
     ens = MonteCarloEnsemble(seed, samples)

@@ -47,7 +47,7 @@ from .evolution import (
 )
 from .measure import MonteCarloEnsemble, derive_seed, sample_gaussian, \
     wiener_path
-from .padic import BallSpec, PAdicValue
+from .padic import BallSpec, PAdicValue, _is_prime
 from .sde import (
     SDEProblem,
     constant_program,
@@ -62,24 +62,12 @@ SUBCOMMANDS = ("sample", "solve", "evolve", "verify", "charfun")
 
 DEFAULT_TOLERANCES = {
     "shell_mass": 1e-9,
-    "mc_sigma_factor": 4.0,
     "tail_tol": 1e-12,
 }
 
 
 class ConfigError(Exception):
     pass
-
-
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _need(cfg: dict, path: str, key: str, kind, check=None, default=None):
@@ -127,6 +115,10 @@ class RunConfig:
         tol = raw.get("tolerances", {})
         if not isinstance(tol, dict):
             raise ConfigError("config.tolerances: expected object")
+        for key in tol:
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"config.tolerances.{key}: unknown key")
+            _need(tol, "config.tolerances", key, float, lambda v: v >= 0)
         self.tolerances = {**DEFAULT_TOLERANCES, **tol}
         self.section = raw.get(command, {})
         if not isinstance(self.section, dict):
@@ -156,14 +148,18 @@ class RunConfig:
 
 
 class Artifacts:
-    """Collects run outputs; the manifest is always written last."""
+    """Collects run outputs; the manifest is always written last.
+
+    The output directory is created by the first write, so a run rejected
+    before it writes anything leaves no directory behind.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.names: list[str] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
     def write_csv(self, name: str, header, rows) -> Path:
@@ -198,7 +194,7 @@ class Artifacts:
             "checks": checks,
             "status": status,
         }
-        target = self.out_dir / "manifest.json"
+        target = self.path("manifest.json")
         with open(target, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -242,7 +238,8 @@ def build_problem(cfg: RunConfig) -> tuple[SDEProblem, dict]:
         drift, diffusion = linear_state_program(kappa), zero
     elif name == "polynomial":
         coeffs = tuple(cfg.value(c, "config.solve.coeffs")
-                       for c in sec.get("coeffs", [1, 0, p]))
+                       for c in _need(sec, "config.solve", "coeffs", list,
+                                      default=[1, 0, p]))
         drift = polynomial_program(coeffs, lipschitz=1.0)
         diffusion = zero
     else:  # locally_constant
@@ -265,9 +262,15 @@ def run_charfun(cfg: RunConfig, art: Artifacts):
                  default=1.0)
     q = _need(sec, "config.charfun", "q", float, lambda v: v >= 1,
               default=1.0)
+    m_lo, m_hi = (_need(sec, "config.charfun", key, int)
+                  if sec.get(key) is not None else None
+                  for key in ("m_lo", "m_hi"))
     spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta, q)
-    table = shell_distribution(spec, sec.get("m_lo"), sec.get("m_hi"),
+    table = shell_distribution(spec, m_lo, m_hi,
                                tail_tol=cfg.tolerances["tail_tol"])
+    if not table.weights:
+        raise ConfigError(f"config.charfun.m_lo: value {table.m_lo} is above "
+                          f"m_hi {table.m_hi}")
     rows = [(m, repr(w)) for m, w in table.rows()]
     art.write_csv("shells.csv", ["m", "prob"], rows)
     for m, w in table.rows():

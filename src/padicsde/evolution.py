@@ -137,14 +137,15 @@ class EvolutionOperator:
     """A two-parameter family U(t, s) of d x d operator matrices on the
     grid of a ball, with U(t, t) = I exactly.
 
-    ``matrix(ti, si)`` returns working-precision entries; the exact
-    rational entries drive the identity checks.
+    ``grid`` is the coordinate function of the grid (its values are the
+    grid points); ``matrix(ti, si)`` returns working-precision entries;
+    the exact rational entries drive the identity checks.
     """
 
-    def __init__(self, ball: BallSpec, depth: int, dim: int,
+    def __init__(self, grid: GridFunction, dim: int,
                  transfers: Sequence[Matrix], provenance: str):
-        self.ball = ball
-        self.depth = depth
+        self.grid = grid
+        self.ball, self.depth = grid.ball, grid.depth
         self.dim = dim
         self.transfers = tuple(transfers)   # W(t) per grid index
         self._inverses: dict[int, Matrix] = {}
@@ -160,7 +161,7 @@ class EvolutionOperator:
 
     @property
     def size(self) -> int:
-        return self.ball.grid_size(self.depth)
+        return self.grid.size
 
     def _inv(self, k: int) -> Matrix:
         got = self._inverses.get(k)
@@ -180,41 +181,34 @@ class EvolutionOperator:
     def equation_residual(self, ti: int, si: int, a: GeneratorSpec) -> Matrix:
         """Exact residual of the defining equation
         U(t,s) - I - [P_u(A U(., s))(t) - P_u(A U(., s))(s)]."""
-        grid = _grid_points(self.ball, self.depth)
-        acc = mat_identity(self.dim)
-        for k, sign in ((ti, 1), (si, -1)):
-            for j, _jn, step in _chain_edges(self.ball, self.depth, k):
-                term = mat_scale(mat_mul(a(grid[j]), self.exact(j, si)), step)
-                acc = mat_add(acc, term) if sign > 0 else mat_sub(acc, term)
-        return mat_sub(self.exact(ti, si), acc)
+        delta = _chain_delta(self.grid, self.dim, ti, si,
+                             lambda j, jn: mat_mul(a(self.grid.values[j]),
+                                                   self.exact(j, si)))
+        return mat_sub(self.exact(ti, si),
+                       mat_add(mat_identity(self.dim), delta))
 
     def dual_residual(self, ti: int, si: int, a: GeneratorSpec) -> Matrix:
         """Exact residual of the backward equation with its far-endpoint
         convention: V(t, s_{j+1}) = V(t, s_j) - V(t, s_{j+1}) A(s_j) ds_j
         telescoped along the chain of s (V = U then holds exactly)."""
-        grid = _grid_points(self.ball, self.depth)
-        acc = mat_identity(self.dim)
-        for k, sign in ((ti, 1), (si, -1)):
-            for j, jn, step in _chain_edges(self.ball, self.depth, k):
-                term = mat_scale(mat_mul(self.exact(ti, jn), a(grid[j])), step)
-                acc = mat_add(acc, term) if sign > 0 else mat_sub(acc, term)
-        return mat_sub(self.exact(ti, si), acc)
+        delta = _chain_delta(self.grid, self.dim, ti, si,
+                             lambda j, jn: mat_mul(self.exact(ti, jn),
+                                                   a(self.grid.values[j])))
+        return mat_sub(self.exact(ti, si),
+                       mat_add(mat_identity(self.dim), delta))
 
 
-def _grid_points(ball: BallSpec, depth: int) -> tuple[PAdicValue, ...]:
-    return tuple(ball.point(k, depth) for k in range(ball.grid_size(depth)))
-
-
-def _chain_edges(ball: BallSpec, depth: int, k: int):
-    """(prefix, next-prefix, exact step fraction) along the chain of k."""
-    p = ball.p
-    r = ball.radius_exp
-    levels = r + depth
-    for level in range(levels):
-        j = k % _pow(p, level)
-        d = (k // _pow(p, level)) % p
-        if d:
-            yield j, j + d * _pow(p, level), d * Fraction(p) ** (level - r)
+def _chain_delta(grid: GridFunction, dim: int, ti: int, si: int,
+                 term) -> Matrix:
+    """Exact sum of ``term(j, jn) * step`` over the digit steps of the
+    chain of ti, minus the same sum over the chain of si."""
+    p = grid.p
+    acc = mat_zero(dim)
+    for k, sign in ((ti, 1), (si, -1)):
+        for _level, j, jn, (d, e) in grid.chain_steps(k):
+            step = mat_scale(term(j, jn), d * Fraction(p) ** e)
+            acc = mat_add(acc, step) if sign > 0 else mat_sub(acc, step)
+    return acc
 
 
 def solve_evolution(a: GeneratorSpec, ball: BallSpec,
@@ -228,16 +222,15 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
     contraction hypothesis is needed at fixed precision.
     """
     p, r = ball.p, ball.radius_exp
-    grid = _grid_points(ball, depth)
+    grid = GridFunction.coordinate(ball, depth)
 
     def children(level, j, wj, kids):
-        aw = mat_mul(a(grid[j]), wj)
+        aw = mat_mul(a(grid.values[j]), wj)
         unit = Fraction(p) ** (level - r)
         return [mat_add(wj, mat_scale(aw, unit * d)) for d in range(1, p)]
 
     transfers = _tree_scan(p, r + depth, mat_identity(a.dim), children)
-    return EvolutionOperator(ball, depth, a.dim, transfers,
-                             provenance="solved")
+    return EvolutionOperator(grid, a.dim, transfers, provenance="solved")
 
 
 class ExpEvolution:
@@ -357,7 +350,7 @@ def perturbation_check(a: GeneratorSpec, b: GeneratorSpec, ball: BallSpec,
                        sup_norm=max(a.sup_norm + b.sup_norm, a.sup_norm))
     ut = solve_evolution(ab, ball, depth)
     ut.provenance = "perturbed"
-    grid = _grid_points(ball, depth)
+    grid = u.grid.values
 
     sup_u = max(mat_norm(u.exact(ti, si), p) for ti, si in pairs)
     sup_ut = max(mat_norm(ut.exact(ti, si), p) for ti, si in pairs)
@@ -371,13 +364,11 @@ def perturbation_check(a: GeneratorSpec, b: GeneratorSpec, ball: BallSpec,
 
     residual = 0.0
     for ti, si in pairs:
-        acc = mat_sub(ut.exact(ti, si), u.exact(ti, si))
-        for k, sign in ((ti, 1), (si, -1)):
-            for j, jn, step in _chain_edges(ball, depth, k):
-                term = mat_mul(u.exact(ti, jn),
-                               mat_mul(b(grid[j]), ut.exact(j, si)))
-                term = mat_scale(term, step)
-                acc = mat_sub(acc, term) if sign > 0 else mat_add(acc, term)
+        delta = _chain_delta(u.grid, a.dim, ti, si,
+                             lambda j, jn: mat_mul(u.exact(ti, jn),
+                                                   mat_mul(b(grid[j]),
+                                                           ut.exact(j, si))))
+        acc = mat_sub(mat_sub(ut.exact(ti, si), u.exact(ti, si)), delta)
         residual = max(residual, mat_norm(acc, p))
 
     mcr = m_const * sup_b * radius
@@ -427,7 +418,7 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
     wg = _as_grid(w)
     ball, depth = xi.ball, xi.depth
     p, n = xi.p, xi.n
-    pts = _grid_points(ball, depth)
+    pts = GridFunction.coordinate(ball, depth).values
 
     def deriv_grid(b: int, m: int) -> GridFunction:
         prog = f_derivs[(b, m)]

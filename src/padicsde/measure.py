@@ -105,12 +105,7 @@ class Gaussian1DSampler:
         self.spec = spec
         table = shell_distribution(spec, tail_tol=tail_tol)
         self.shells = [m for m, _ in table.rows()]
-        cum = []
-        acc = table.lower_tail
-        for _, w in table.rows():
-            acc += w
-            cum.append(acc)
-        self.cumulative = cum
+        self.cumulative = table.cdf()
 
     def draw_raw(self, stream: RandomStream) -> tuple[int, int]:
         """Fast path: (valuation, mantissa) of an unshifted draw."""

@@ -35,6 +35,17 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _is_prime(k: int) -> bool:
+    if k < 2:
+        return False
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            return False
+        d += 1
+    return True
+
+
 @dataclass(frozen=True, slots=True)
 class PAdicValue:
     """An element of Q_p at working precision ``n``.
@@ -104,11 +115,6 @@ class PAdicValue:
     def is_zero(self) -> bool:
         return self.m == 0
 
-    @property
-    def valuation(self) -> int | None:
-        """Valuation of a nonzero value; None for the exact zero."""
-        return None if self.m == 0 else self.v
-
     def norm(self) -> float:
         """Ultrametric absolute value p**(-v), 0.0 for zero."""
         if self.m == 0:
@@ -135,10 +141,6 @@ class PAdicValue:
             return Fraction(self.m * _pow(self.p, self.v))
         return Fraction(self.m, _pow(self.p, -self.v))
 
-    def _cell(self) -> tuple[int, int]:
-        """Exact (numerator, p-exponent) pair for internal exact sums."""
-        return (self.m, self.v)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "PAdicValue") -> int:
@@ -149,9 +151,11 @@ class PAdicValue:
     def __add__(self, other: "PAdicValue") -> "PAdicValue":
         n = self._check(other)
         if self.m == 0:
-            return other if other.n == n else PAdicValue(self.p, n, other.v, other.m)
+            return other if other.n == n else \
+                PAdicValue._from_cell(self.p, n, other.m, other.v)
         if other.m == 0:
-            return self if self.n == n else PAdicValue(self.p, n, self.v, self.m)
+            return self if self.n == n else \
+                PAdicValue._from_cell(self.p, n, self.m, self.v)
         v0 = min(self.v, other.v)
         num = self.m * _pow(self.p, self.v - v0) + other.m * _pow(self.p, other.v - v0)
         return PAdicValue._from_cell(self.p, n, num, v0)
@@ -164,10 +168,12 @@ class PAdicValue:
     def __sub__(self, other: "PAdicValue") -> "PAdicValue":
         n = self._check(other)
         if other.m == 0:
-            return self if self.n == n else PAdicValue(self.p, n, self.v, self.m)
+            return self if self.n == n else \
+                PAdicValue._from_cell(self.p, n, self.m, self.v)
         if self.m == 0:
             neg = -other
-            return neg if neg.n == n else PAdicValue(self.p, n, neg.v, neg.m)
+            return neg if neg.n == n else \
+                PAdicValue._from_cell(self.p, n, neg.m, neg.v)
         v0 = min(self.v, other.v)
         num = self.m * _pow(self.p, self.v - v0) - other.m * _pow(self.p, other.v - v0)
         return PAdicValue._from_cell(self.p, n, num, v0)
@@ -213,16 +219,6 @@ class PAdicValue:
         d = self - other
         return d.m == 0 or d.v >= k
 
-    def agrees_to(self, other: "PAdicValue", digits: int) -> bool:
-        """Relative agreement: equal to ``digits`` significant digits."""
-        if self.m == 0 and other.m == 0:
-            return True
-        if self.m == 0 or other.m == 0:
-            # difference equals the nonzero operand, one full norm away
-            return digits <= 0
-        vref = min(self.v, other.v)
-        return self.agrees_abs(other, vref + digits)
-
     # -- serialization -------------------------------------------------------
 
     def qp_str(self) -> str:
@@ -235,16 +231,28 @@ class PAdicValue:
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "PAdicValue":
-        """Parse the canonical text form; exact round-trip of qp_str."""
+        """Parse the canonical text form; exact round-trip of qp_str.
+
+        Refuses any text that does not denote one value at precision n:
+        fields other than p, v and d, a p that is not prime, and more
+        digits than n.
+        """
         body = text.strip()
         if not (body.startswith("QP(") and body.endswith(")")):
             raise ValueError(f"bad serialization: {text!r}")
-        fields = dict(part.split("=", 1) for part in body[3:-1].split(","))
+        parts = [part.split("=", 1) for part in body[3:-1].split(",")]
+        fields = dict(part for part in parts if len(part) == 2)
+        if len(parts) != 3 or sorted(fields) != ["d", "p", "v"]:
+            raise ValueError(f"fields must be p, v and d: {text!r}")
         p = int(fields["p"])
         v = int(fields["v"])
         digs = [int(d) for d in fields["d"].split()]
+        if not _is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         if n is None:
             n = len(digs)
+        if not 0 < len(digs) <= n:
+            raise ValueError(f"{len(digs)} digits for precision {n}")
         m = 0
         for i, d in enumerate(digs):
             if not 0 <= d < p:

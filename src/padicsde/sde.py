@@ -21,18 +21,16 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .antider import (
-    Cell,
     ZERO_CELL,
     GridFunction,
+    _edge_cell,
     _tree_scan,
     cell_add,
-    cell_mul,
     cell_of,
-    cell_pow,
     cell_round,
     cell_sub,
 )
@@ -222,21 +220,6 @@ def _node_terms(family, drift: Program, diffusion: Program, t: PAdicValue,
     return pieces
 
 
-def _edge_cell(p: int, pieces: list, step: Cell, dw: Cell) -> Cell:
-    """Exact sum of the family terms over one digit step."""
-    total = ZERO_CELL
-    for du, ma, l, pv, av, ev in pieces:
-        term = pv
-        if du:
-            term = cell_mul(term, cell_pow(step, du))
-        if ma:
-            term = cell_mul(term, cell_pow(av, ma))
-        if l:
-            term = cell_mul(term, cell_pow(cell_mul(ev, dw), l))
-        total = cell_add(p, total, term)
-    return total
-
-
 def solve_picard(problem: SDEProblem, w: WienerPath,
                  max_iter: int | None = None,
                  initial: tuple | None = None) -> SDESolution:
@@ -256,7 +239,7 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
         raise ValueError("grid mismatch")
     p, n, r = ball.p, ball.n, ball.radius_exp
     size = ball.grid_size(depth)
-    points = tuple(ball.point(k, depth) for k in range(size))
+    points = GridFunction.coordinate(ball, depth).values
     wcells = tuple(cell_of(v) for v in wg.values)
     x0cell = cell_of(problem.x0)
     family = problem.family or picard_as_family(problem).family
@@ -357,6 +340,19 @@ def _level_profile(values_per_path, points, center, s: float):
     return means
 
 
+def _level_rows(means: dict, base: float, p: int, c1: float,
+                c2: float) -> list[LevelRow]:
+    """One row per radius level, innermost first: the sup of the level
+    means at or inside that radius against max(base, radius (C1 + C2 stat))."""
+    rows = []
+    for lev in sorted(means, reverse=True):
+        stat = max(means[lev2] for lev2 in means if lev2 >= lev)
+        radius = float(p) ** (-lev)
+        bound = max(base, radius * (c1 + c2 * stat))
+        rows.append(LevelRow(lev, stat, bound, stat <= bound + 1e-12))
+    return rows
+
+
 def moment_diagnostic(problem: SDEProblem, paths, s: int,
                       c1: float, c2: float) -> list[LevelRow]:
     """Empirical moment inequality report.
@@ -368,18 +364,10 @@ def moment_diagnostic(problem: SDEProblem, paths, s: int,
     """
     sols = [solve_picard(problem, w) for w in paths]
     ball = problem.ball
-    pts = tuple(ball.point(k, problem.depth)
-                for k in range(ball.grid_size(problem.depth)))
+    pts = GridFunction.coordinate(ball, problem.depth).values
     means = _level_profile([sol.values.values for sol in sols], pts,
                            ball.center, s)
-    rows = []
-    base = problem.x0.norm() ** s
-    for lev in sorted(means, reverse=True):
-        stat = max(means[lev2] for lev2 in means if lev2 >= lev)
-        radius = float(ball.p) ** (-lev)
-        bound = max(base, radius * (c1 + c2 * stat))
-        rows.append(LevelRow(lev, stat, bound, stat <= bound + 1e-12))
-    return rows
+    return _level_rows(means, problem.x0.norm() ** s, ball.p, c1, c2)
 
 
 def stability_diagnostic(problem: SDEProblem, x0_a: PAdicValue,
@@ -391,12 +379,8 @@ def stability_diagnostic(problem: SDEProblem, x0_a: PAdicValue,
     path by path); otherwise the gap statistic is checked against
     max(|xi0_a - xi0_b|**s, |t - t0| (C1 + C2 stat)).
     """
-    prob_a = SDEProblem(ball=problem.ball, depth=problem.depth, x0=x0_a,
-                        drift=problem.drift, diffusion=problem.diffusion,
-                        family=problem.family)
-    prob_b = SDEProblem(ball=problem.ball, depth=problem.depth, x0=x0_b,
-                        drift=problem.drift, diffusion=problem.diffusion,
-                        family=problem.family)
+    prob_a = replace(problem, x0=x0_a)
+    prob_b = replace(problem, x0=x0_b)
     gaps = []
     for w in paths:
         sa = solve_picard(prob_a, w)
@@ -404,14 +388,6 @@ def stability_diagnostic(problem: SDEProblem, x0_a: PAdicValue,
         gaps.append(tuple(a - b for a, b in
                           zip(sa.values.values, sb.values.values)))
     ball = problem.ball
-    pts = tuple(ball.point(k, problem.depth)
-                for k in range(ball.grid_size(problem.depth)))
+    pts = GridFunction.coordinate(ball, problem.depth).values
     means = _level_profile(gaps, pts, ball.center, s)
-    base = (x0_a - x0_b).norm() ** s
-    rows = []
-    for lev in sorted(means, reverse=True):
-        stat = max(means[lev2] for lev2 in means if lev2 >= lev)
-        radius = float(ball.p) ** (-lev)
-        bound = max(base, radius * (c1 + c2 * stat))
-        rows.append(LevelRow(lev, stat, bound, stat <= bound + 1e-12))
-    return rows
+    return _level_rows(means, (x0_a - x0_b).norm() ** s, ball.p, c1, c2)

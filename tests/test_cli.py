@@ -183,3 +183,31 @@ def test_constant_with_foreign_prime_rejected(tmp_path, capsys):
     assert main(["solve", "--config", str(cfgfile), "--out", str(out)]) == 2
     assert "config.solve.alpha" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, key", [
+    ("charfun", {"charfun": {"m_lo": "a"}}, "config.charfun.m_lo"),
+    ("charfun", {"charfun": {"m_lo": 1.5}}, "config.charfun.m_lo"),
+    ("charfun", {"charfun": {"m_lo": 3, "m_hi": 1}}, "config.charfun.m_lo"),
+    ("charfun", {"tolerances": {"shell_mass": "x"}},
+     "config.tolerances.shell_mass"),
+    ("charfun", {"tolerances": {"tail_tol": -1e-12}},
+     "config.tolerances.tail_tol"),
+    ("charfun", {"tolerances": {"mc_sigma_factor": 4.0}},
+     "config.tolerances.mc_sigma_factor"),
+    ("solve", {"solve": {"problem": "polynomial", "coeffs": 5}},
+     "config.solve.coeffs"),
+    ("solve", {"solve": {"problem": "linear",
+                         "alpha": "QP(p=3,v=0,d=1 2 1 1 1 1 1)"}},
+     "config.solve.alpha"),
+    ("solve", {"solve": {"problem": "linear",
+                         "alpha": "QP(p=3,v=0,d=1 2,x=3)"}},
+     "config.solve.alpha"),
+])
+def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
+    cfgfile = write_config(tmp_path, {**BASE, **extra})
+    out = tmp_path / "bad"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()

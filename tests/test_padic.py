@@ -70,6 +70,12 @@ def test_add_zero_identity():
         x = PAdicValue(p, N, -2, 1 + p)
         assert x + PAdicValue.zero(p, N) == x
         assert PAdicValue.zero(p, N) + x == x
+    # at mixed precision the zero fast paths truncate to the lower one
+    x = PAdicValue(5, 4, 0, 123)
+    assert PAdicValue.zero(5, 2) + x == PAdicValue(5, 2, 0, 23)
+    assert x + PAdicValue.zero(5, 2) == PAdicValue(5, 2, 0, 23)
+    assert PAdicValue.zero(5, 2) - x == PAdicValue(5, 2, 0, 2)
+    assert x - PAdicValue.zero(5, 2) == PAdicValue(5, 2, 0, 23)
 
 
 def test_prime_mismatch():
@@ -249,6 +255,70 @@ def test_serialization_round_trip():
     assert PAdicValue.parse(x.qp_str()) == x
     z = PAdicValue.zero(3, N)
     assert PAdicValue.parse(z.qp_str()) == z
+
+
+@pytest.mark.parametrize("text, n", [
+    ("QP(p=5,v=0,d=1 2 3)", 2),       # more digits than the precision
+    ("QP(p=4,v=0,d=1 2 3)", None),    # p not prime
+    ("QP(p=5,v=0,d=1 2 3,x=3)", None),  # unknown field
+    ("QP(p=5,d=1 2 3)", None),        # missing field
+    ("QP(p=5,v=0,v=1,d=1 2 3)", None),  # repeated field
+    ("QP(p=5,v=0,d=)", None),         # no digits
+])
+def test_parse_refuses_what_it_cannot_round_trip(text, n):
+    with pytest.raises(ValueError):
+        PAdicValue.parse(text, n)
+
+
+def assert_invariant(x, p, n):
+    assert (x.p, x.n) == (p, n)
+    assert 0 <= x.m < p**n
+    if x.m == 0:
+        assert x.v == 0
+    else:
+        assert x.m % p != 0
+
+
+@st.composite
+def built_values(draw, p, n):
+    """A value at precision n from one of the public constructors."""
+    kind = draw(st.sampled_from(["zero", "one", "int", "rational",
+                                 "fraction", "parse"]))
+    k = draw(st.integers(-10**9, 10**9))
+    den = draw(st.integers(1, 10**4))
+    if kind == "zero":
+        return PAdicValue.zero(p, n)
+    if kind == "one":
+        return PAdicValue.one(p, n)
+    if kind == "int":
+        return PAdicValue.from_int(k, p, n)
+    if kind == "rational":
+        return PAdicValue.from_rational(k, den, p, n)
+    if kind == "fraction":
+        return PAdicValue.from_fraction(Fraction(k, den), p, n)
+    low = PAdicValue.from_rational(k, den, p, draw(st.integers(1, n)))
+    return PAdicValue.parse(low.qp_str(), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_invariant_kept_by_constructors_and_operators(data):
+    # 0 <= m < p**n, lowest digit nonzero, zero stored as (v=0, m=0),
+    # whatever built the value, with operands at mixed precision
+    p = data.draw(st.sampled_from(PRIMES))
+    n1, n2 = data.draw(st.integers(1, N)), data.draw(st.integers(1, N))
+    x, y = data.draw(built_values(p, n1)), data.draw(built_values(p, n2))
+    n = min(n1, n2)
+    assert_invariant(x, p, n1)
+    assert_invariant(y, p, n2)
+    for z in (x + y, y + x, x - y, y - x, x * y, y * x):
+        assert_invariant(z, p, n)
+    for z in (-x, x**3, x.scale_pow(2), digit_prefix(x, n1 // 2)):
+        assert_invariant(z, p, n1)
+    if not y.is_zero:
+        assert_invariant(x / y, p, n)
+        assert_invariant(y.inv(), p, n2)
+        assert_invariant(y**-2, p, n2)
 
 
 def test_ball_membership_and_grid():

@@ -1,5 +1,6 @@
-"""Artifact bytes pinned by sha256: solver, evolution and tree-sampler
-outputs must not move when their implementation is refactored."""
+"""Artifact bytes pinned by sha256: solver, evolution, identity-check and
+tree-sampler outputs must not move when their implementation is
+refactored."""
 
 import hashlib
 import json
@@ -22,6 +23,15 @@ SOLUTIONS = {
 }
 
 OPERATOR = "614e40203d0c7ba8e7a304976f0b98bdd08648abba2a5a501670ad9b0da0889a"
+
+# perturbation identity residual, gap and bounds of the same evolve run
+EVOLVE_REPORT = \
+    "46426ed9cdf83214620ec1719a93889b7ed3133b73afd80f1a5f493a9b3b0d66"
+
+# by-parts, square-decomposition and covariation residuals plus the
+# character-product reports
+VERIFY_REPORT = \
+    "c62e371b50f46e6a8c299c37f328f84b0bc421b3521e50303cf50ecf3d99e372"
 
 TREE_PATHS = {
     "path_0000.csv": "5f2858475a199904d7fc9e181be309e29ff60a84aeb489794288e8f26015b09b",
@@ -51,6 +61,19 @@ def test_operator_digest(tmp_path):
                                            "evolve": {"dim": 2,
                                                       "triples": 12}})
     assert got["operator.csv"] == OPERATOR
+
+
+def test_evolve_report_digest(tmp_path):
+    got = run_digests(tmp_path, "evolve", {**BASE, "depth": 3,
+                                           "evolve": {"dim": 2,
+                                                      "triples": 12}})
+    assert got["evolve.json"] == EVOLVE_REPORT
+
+
+def test_verify_report_digest(tmp_path):
+    got = run_digests(tmp_path, "verify", {**BASE, "depth": 3, "verify": {
+        "trials": 40, "char_samples": 400, "points": 2}})
+    assert got["verify.json"] == VERIFY_REPORT
 
 
 def test_tree_path_digests(tmp_path):
