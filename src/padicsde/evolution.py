@@ -206,8 +206,8 @@ def _chain_delta(grid: GridFunction, dim: int, ti: int, si: int,
     acc = mat_zero(dim)
     for k, sign in ((ti, 1), (si, -1)):
         for _level, j, jn, (d, e) in grid.chain_steps(k):
-            step = mat_scale(term(j, jn), d * Fraction(p) ** e)
-            acc = mat_add(acc, step) if sign > 0 else mat_sub(acc, step)
+            part = mat_scale(term(j, jn), d * Fraction(p) ** e)
+            acc = mat_add(acc, part) if sign > 0 else mat_sub(acc, part)
     return acc
 
 
