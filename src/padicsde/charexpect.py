@@ -28,7 +28,7 @@ from .measure import (
     mahler_coefficient_draws,
     standard_zetas,
 )
-from .padic import BallSpec, PAdicValue, mahler_poly
+from .padic import PAdicValue, _pow, _vp, mahler_poly
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,42 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     tally = AngleTally(p)
     ens = MonteCarloEnsemble(seed, samples)
     if sampler == "tree":
-        specs = [GaussianSpec.one_dimensional(p, n, beta=betas[level], q=q)
-                 for level, *_ in consts]
-        draws = [cached_sampler(spec) for spec in specs]
-        zero = PAdicValue.zero(p, n)
+        # Integer mirror of ``acc = acc + c * draw`` in PAdicValue arithmetic:
+        # the accumulator is the pair (v, m), the product c * draw keeps
+        # min(c.n, n) digits and the sum keeps the running minimum precision
+        # of its terms.  A zero c still draws, so the stream layout is fixed.
+        steps = []
+        n_run = n
+        for level, c, _j, _jn in consts:
+            draw_raw = cached_sampler(GaussianSpec.one_dimensional(
+                p, n, beta=betas[level], q=q)).draw_raw
+            if c.is_zero:
+                steps.append((draw_raw, 0, 0, 1, 1))
+                continue
+            n_c = min(c.n, n)
+            n_run = min(n_run, n_c)
+            steps.append((draw_raw, c.v, c.m, _pow(p, n_c), _pow(p, n_run)))
         for stream in ens.streams():
-            acc = zero
-            for (level, c, _j, _jn), sampler_j in zip(consts, draws):
-                if c.is_zero:
-                    sampler_j.draw(stream)   # keep the stream layout fixed
+            v = m = 0
+            for draw_raw, cv, cm, mod_c, mod_run in steps:
+                dv, dm = draw_raw(stream)
+                if not cm:
                     continue
-                acc = acc + c * sampler_j.draw(stream)
-            tally.add_raw(acc.m, -acc.v)
+                tv, tm = cv + dv, cm * dm % mod_c
+                if not m:   # the first term; n_run is still min(c.n, n)
+                    v, m = tv, tm
+                    continue
+                # both mantissas are units, so only an equal-valuation sum
+                # can carry factors of p to strip
+                if v < tv:
+                    m = (m + tm * p ** (tv - v)) % mod_run
+                elif v > tv:
+                    v, m = tv, (tm + m * p ** (v - tv)) % mod_run
+                else:
+                    num = m + tm
+                    s = _vp(num, p)
+                    v, m = v + s, num // p ** s % mod_run
+            tally.add_raw(m, -v)
         asserted = True
     elif sampler == "mahler":
         if zetas is None:

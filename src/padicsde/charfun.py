@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -239,6 +240,26 @@ def gaussian_char(spec: GaussianSpec, g, h: PAdicValue) -> complex:
 # -- shell distribution ---------------------------------------------------------
 
 
+def shell_bounds(p: int, tail_tol: float) -> tuple[int, int]:
+    """Lowest and highest shell m whose weight stays inside the float range.
+
+    ``ball_probability`` at m computes ``p**(-m)`` and ``p**m``, and stops
+    its series once a term falls below ``tail_tol`` times a partial sum
+    near ``p**(-m)``; a shell table also evaluates the ball just below its
+    lowest shell.  So ``p**(1 - lowest)`` and ``p**highest`` must be finite
+    floats, and ``tail_tol * p**(-highest - 1)`` at least the least
+    positive float ``2**-1074`` (tail_tol > 0).
+    """
+    big = int(sys.float_info.max)
+    top = int(math.log(big, p))     # float estimate, made exact below
+    while p ** (top + 1) <= big:
+        top += 1
+    while p ** top > big:
+        top -= 1
+    tail = int((math.log(tail_tol) + 1074 * math.log(2)) / math.log(p)) - 1
+    return 1 - top, min(top, tail)
+
+
 def ball_probability(spec: GaussianSpec, m: int, tail_tol: float = 1e-12) -> float:
     """P(|x - gamma| <= p**m) by Fourier inversion over the ball:
     ``p**m (1 - 1/p) * sum_{j <= -m} exp(-beta p**(j q)) p**j``.
@@ -301,17 +322,26 @@ def shell_distribution(spec: GaussianSpec, m_lo: int | None = None,
     """Exact-inversion shell weights of a one-dimensional q-Gaussian.
 
     When m_lo / m_hi are omitted the range is widened until the declared
-    tails fall below tail_tol.
+    tails fall below tail_tol.  Every shell must lie within
+    ``shell_bounds(p, tail_tol)``; otherwise ValueError.
     """
     if spec.is_product:
         raise ValueError("shell distribution is one-dimensional")
+    lowest, highest = shell_bounds(spec.p, tail_tol)
+
+    def inside(lo, hi):
+        if lo < lowest or hi > highest:
+            raise ValueError(f"shells {lo}..{hi} leave the float range "
+                             f"{lowest}..{highest}")
+        return lo, hi
+
     center = math.log(max(spec.beta, 1e-300)) / (spec.q * math.log(spec.p))
-    lo = m_lo if m_lo is not None else int(math.floor(center)) - 4
-    hi = m_hi if m_hi is not None else int(math.ceil(center)) + 4
+    lo, hi = inside(m_lo if m_lo is not None else int(math.floor(center)) - 4,
+                    m_hi if m_hi is not None else int(math.ceil(center)) + 4)
     while m_lo is None and ball_probability(spec, lo - 1, tail_tol) > tail_tol:
-        lo -= 1
+        lo, hi = inside(lo - 1, hi)
     while m_hi is None and 1.0 - ball_probability(spec, hi, tail_tol) > tail_tol:
-        hi += 1
+        lo, hi = inside(lo, hi + 1)
     cdf_prev = ball_probability(spec, lo - 1, tail_tol)
     lower = cdf_prev
     weights = []

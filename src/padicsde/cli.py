@@ -37,7 +37,7 @@ from pathlib import Path
 from .antider import GridFunction, by_parts_residual, covariation, \
     square_decomposition_residual
 from .charexpect import character_product_check
-from .charfun import GaussianSpec, shell_distribution
+from .charfun import GaussianSpec, shell_bounds, shell_distribution
 from .evolution import (
     ExpEvolution,
     GeneratorSpec,
@@ -45,7 +45,7 @@ from .evolution import (
     perturbation_check,
     solve_evolution,
 )
-from .measure import MonteCarloEnsemble, derive_seed, sample_gaussian, \
+from .measure import MonteCarloEnsemble, cached_sampler, derive_seed, \
     wiener_path
 from .padic import BallSpec, PAdicValue, _is_prime
 from .sde import (
@@ -118,7 +118,11 @@ class RunConfig:
         for key in tol:
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"config.tolerances.{key}: unknown key")
-            _need(tol, "config.tolerances", key, float, lambda v: v >= 0)
+            # the shell series is cut at tail_tol relative to its sum, so
+            # a tail_tol of 0 never ends it
+            _need(tol, "config.tolerances", key, float,
+                  (lambda v: v > 0) if key == "tail_tol" else
+                  (lambda v: v >= 0))
         self.tolerances = {**DEFAULT_TOLERANCES, **tol}
         self.section = raw.get(command, {})
         if not isinstance(self.section, dict):
@@ -262,12 +266,17 @@ def run_charfun(cfg: RunConfig, art: Artifacts):
                  default=1.0)
     q = _need(sec, "config.charfun", "q", float, lambda v: v >= 1,
               default=1.0)
-    m_lo, m_hi = (_need(sec, "config.charfun", key, int)
+    tail_tol = cfg.tolerances["tail_tol"]
+    lowest, highest = shell_bounds(cfg.prime, tail_tol)
+    m_lo, m_hi = (_need(sec, "config.charfun", key, int,
+                        lambda v: lowest <= v <= highest)
                   if sec.get(key) is not None else None
                   for key in ("m_lo", "m_hi"))
     spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta, q)
-    table = shell_distribution(spec, m_lo, m_hi,
-                               tail_tol=cfg.tolerances["tail_tol"])
+    try:
+        table = shell_distribution(spec, m_lo, m_hi, tail_tol=tail_tol)
+    except ValueError as exc:   # m_lo/m_hi are in bounds: beta is extreme
+        raise ConfigError(f"config.charfun.beta: value {beta!r}: {exc}")
     if not table.weights:
         raise ConfigError(f"config.charfun.m_lo: value {table.m_lo} is above "
                           f"m_hi {table.m_hi}")
@@ -310,8 +319,12 @@ def run_sample(cfg: RunConfig, art: Artifacts):
         gamma = cfg.value(sec.get("gamma", 0), "config.sample.gamma")
         spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta,
                                             q, gamma=gamma)
+        try:
+            sampler = cached_sampler(spec)
+        except ValueError as exc:   # beta puts the shells beyond floats
+            raise ConfigError(f"config.sample.beta: value {beta!r}: {exc}")
         ens = MonteCarloEnsemble(cfg.seed, count)
-        rows = [(i, sample_gaussian(spec, ens.stream(i)).qp_str())
+        rows = [(i, sampler.draw(ens.stream(i)).qp_str())
                 for i in range(count)]
         art.write_csv("samples.csv", ["index", "value"], rows)
         manifest = {"seed": cfg.seed, "S": count, "sampler": kind,

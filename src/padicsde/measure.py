@@ -30,6 +30,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_ULP53 = 1.0 / (1 << 53)
 
 
 def mix64(z: int) -> int:
@@ -56,10 +57,6 @@ class RandomStream:
     def u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK
         return mix64(self.state)
-
-    def float53(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.u64() >> 11) * (1.0 / (1 << 53))
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) as u64 % bound."""
@@ -106,18 +103,23 @@ class Gaussian1DSampler:
         table = shell_distribution(spec, tail_tol=tail_tol)
         self.shells = [m for m, _ in table.rows()]
         self.cumulative = table.cdf()
+        self._rest = _pow(spec.p, spec.n - 1)
 
     def draw_raw(self, stream: RandomStream) -> tuple[int, int]:
-        """Fast path: (valuation, mantissa) of an unshifted draw."""
-        spec = self.spec
-        i = bisect.bisect_right(self.cumulative, stream.float53())
-        if i >= len(self.shells):
-            i = len(self.shells) - 1
-        m = self.shells[i]
-        p = spec.p
-        lead = 1 + stream.below(p - 1)
-        rest = stream.below(_pow(p, spec.n - 1))
-        return -m, lead + p * rest
+        """Fast path: (valuation, mantissa) of an unshifted draw.
+
+        Consumes three stream outputs u1, u2, u3: the shell is the inverse
+        CDF at (u1 >> 11) / 2**53, the leading digit 1 + u2 % (p-1) and the
+        remaining digits u3 % p**(n-1).
+        """
+        s1 = (stream.state + _GOLDEN) & _MASK
+        s2 = (s1 + _GOLDEN) & _MASK
+        stream.state = s3 = (s2 + _GOLDEN) & _MASK
+        shells = self.shells
+        i = bisect.bisect_right(self.cumulative, (mix64(s1) >> 11) * _ULP53)
+        m = shells[i] if i < len(shells) else shells[-1]
+        p = self.spec.p
+        return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % self._rest)
 
     def draw(self, stream: RandomStream) -> PAdicValue:
         v, mant = self.draw_raw(stream)

@@ -7,6 +7,8 @@ from padicsde.charexpect import (
     character_product_check,
     product_telescoping_moduli,
 )
+from padicsde.charfun import AngleTally, GaussianSpec
+from padicsde.measure import MonteCarloEnsemble, cached_sampler, level_betas
 from padicsde.padic import BallSpec, PAdicValue
 
 N = 6
@@ -100,3 +102,84 @@ def test_partial_products_nonincreasing():
                                       t_index=ball.grid_size(depth) - 1)
     assert all(b <= a + 1e-15 for a, b in zip(mods, mods[1:]))
     assert all(0.0 < m <= 1.0 for m in mods)
+
+
+def _padic_reference(psi, gamma, g, t_index, samples, seed, q=1.0):
+    """The tree estimator in PAdicValue arithmetic, one draw per chain
+    step; also counts the sums whose exact value lost low digits."""
+    p, n = psi.p, psi.n
+    betas = level_betas(psi.ball, psi.depth, q)
+    steps = [(gamma * g * psi.values[j],
+              cached_sampler(GaussianSpec.one_dimensional(
+                  p, n, beta=betas[level], q=q)))
+             for level, j, _jn, _step in psi.chain_steps(t_index)]
+    tally = AngleTally(p)
+    cancelled = 0
+    for stream in MonteCarloEnsemble(seed, samples).streams():
+        acc = PAdicValue.zero(p, n)
+        for c, sampler in steps:
+            x = sampler.draw(stream)
+            if c.is_zero:
+                continue
+            term = c * x
+            new = acc + term
+            cancelled += not acc.is_zero and new.v > min(acc.v, term.v)
+            acc = new
+        tally.add_raw(acc.m, -acc.v)
+    empirical, stderr = tally.mean_stderr()
+    analytic = (product_telescoping_moduli(psi, gamma, g, t_index, q)
+                or [1.0])[-1]
+    tol = 4.0 / math.sqrt(samples)
+    passed = (abs(empirical.real - analytic) <= tol
+              and abs(empirical.imag) <= tol)
+    return empirical, stderr, passed, [c for c, _ in steps], cancelled
+
+
+def _identity(ball):
+    return GridFunction.from_callable(ball, 3, lambda t: t)
+
+
+def _mixed_precision(ball):
+    # values at precisions 1..N with valuations wherever p divides k + 1
+    p = ball.p
+    return GridFunction(ball, 3, tuple(
+        PAdicValue.from_int(k + 1, p, 1 + k % N)
+        for k in range(ball.grid_size(3))))
+
+
+@pytest.mark.parametrize("p, make_psi, gamma, g, t_digits, feature", [
+    (2, _identity, (0, 1), (0, 1), (1, 1, 1), "zero_c"),
+    (3, _identity, (-1, 2), (1, 4), (1, 2, 2), "zero_c"),
+    (5, _mixed_precision, (-3, 7), (-1, 3), (3, 0, 4), "mixed"),
+    (3, lambda b: GridFunction.constant(b, 3, PAdicValue.one(3, N)),
+     (-2, 5), (0, 1), (2, 1, 2), "low_gamma"),
+    (2, lambda b: GridFunction.constant(b, 3, PAdicValue.one(2, N)),
+     (0, 1), (0, 3), (1, 1, 1), "cancel"),
+])
+def test_tree_loop_matches_padic_reference(p, make_psi, gamma, g, t_digits,
+                                           feature):
+    ball = BallSpec.unit(p, N)
+    psi = make_psi(ball)
+    gamma_n = 3 if feature == "low_gamma" else N
+    gamma = PAdicValue(p, gamma_n, *gamma)
+    g = PAdicValue(p, N, *g)
+    t_index = sum(d * p**i for i, d in enumerate(t_digits))
+    samples, seed = 3000, 17 + p
+    empirical, stderr, passed, consts, cancelled = _padic_reference(
+        psi, gamma, g, t_index, samples, seed)
+    rep = character_product_check(psi, gamma, g, t_index, samples, seed)
+    assert (rep.empirical, rep.stderr, rep.passed) == \
+        (empirical, stderr, passed)
+    # the case exercises what it is named for
+    nonzero = [c for c in consts if not c.is_zero]
+    assert len(nonzero) >= 2
+    if feature == "zero_c":
+        assert any(c.is_zero for c in consts)
+    if feature == "mixed":
+        # a later term is more precise than the running sum
+        assert nonzero[-1].n > nonzero[0].n
+        assert any(c.v != 0 for c in nonzero)
+    if feature == "low_gamma":
+        assert all(c.n == 3 for c in nonzero)
+    if feature == "cancel":
+        assert cancelled > 0

@@ -12,6 +12,7 @@ from padicsde.charfun import (
     ball_probability,
     character,
     gaussian_char,
+    shell_bounds,
     shell_distribution,
     shell_nonnegativity_report,
 )
@@ -193,3 +194,20 @@ def test_shell_consistency_with_charfun():
             acc += w * cond
         assert acc == pytest.approx(math.exp(-beta * float(p) ** (-hv * q)),
                                     abs=1e-7)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+@pytest.mark.parametrize("tail_tol", [1e-12, 1e-300])
+def test_shell_bounds_are_the_float_range(p, tail_tol):
+    # the edge shells compute; one shell further is refused, not overflowed
+    lowest, highest = shell_bounds(p, tail_tol)
+    assert lowest < 0 <= highest
+    spec = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1)
+    for lo, hi in ((lowest, lowest + 2), (highest - 2, highest)):
+        table = shell_distribution(spec, lo, hi, tail_tol=tail_tol)
+        assert all(math.isfinite(w) and w >= 0.0 for w in table.weights)
+    for lo, hi in ((lowest - 1, lowest), (highest, highest + 1)):
+        with pytest.raises(ValueError, match="float range"):
+            shell_distribution(spec, lo, hi, tail_tol=tail_tol)
+    with pytest.raises(OverflowError):
+        float(p) ** (2 - lowest)

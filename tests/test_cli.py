@@ -204,6 +204,19 @@ def test_constant_with_foreign_prime_rejected(tmp_path, capsys):
     ("solve", {"solve": {"problem": "linear",
                          "alpha": "QP(p=3,v=0,d=1 2,x=3)"}},
      "config.solve.alpha"),
+    # shells whose weights leave the float range
+    ("charfun", {"charfun": {"m_lo": -2000, "m_hi": 2000}},
+     "config.charfun.m_lo"),
+    ("charfun", {"charfun": {"m_lo": 2000}}, "config.charfun.m_lo"),
+    ("charfun", {"charfun": {"m_lo": 0, "m_hi": 2000}},
+     "config.charfun.m_hi"),
+    ("charfun", {"charfun": {"beta": 1e300}}, "config.charfun.beta"),
+    ("charfun", {"charfun": {"beta": 1e-300}}, "config.charfun.beta"),
+    ("charfun", {"tolerances": {"tail_tol": 0}}, "config.tolerances.tail_tol"),
+    ("sample", {"sample": {"kind": "gaussian1d", "beta": 1e300}},
+     "config.sample.beta"),
+    ("charfun", {"charfun": {"beta": 1e300, "m_lo": 0, "m_hi": 3},
+                 "tolerances": {"tail_tol": 1e-300}}, "config.charfun.beta"),
 ])
 def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     cfgfile = write_config(tmp_path, {**BASE, **extra})

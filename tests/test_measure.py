@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import pytest
@@ -62,6 +63,28 @@ def test_mix64_and_seed_derivation_are_stable():
         *(lambda t: [t.u64() % 1000 for _ in range(3)])(
             (lambda r: (r.u64(), r)[1])(RandomStream(42))),
     ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_draw_raw_stream_layout(p):
+    # a draw is three successive u64 outputs: (u >> 11) / 2**53 picks the
+    # shell by inverse CDF, 1 + u % (p-1) the leading digit and
+    # u % p**(N-1) the remaining digits
+    sampler = Gaussian1DSampler(
+        GaussianSpec.one_dimensional(p, N, beta=1.0, q=1))
+    shells = set()
+    for seed in range(300):
+        stream, ref = RandomStream(seed), RandomStream(seed)
+        u = (ref.u64() >> 11) / 2**53
+        i = bisect.bisect_right(sampler.cumulative, u)
+        shell = sampler.shells[min(i, len(sampler.shells) - 1)]
+        lead = 1 + ref.u64() % (p - 1)
+        rest = ref.u64() % p ** (N - 1)
+        assert sampler.draw_raw(stream) == (-shell, lead + p * rest)
+        assert stream.state == ref.state == \
+            (seed + 3 * 0x9E3779B97F4A7C15) % 2**64
+        shells.add(shell)
+    assert len(shells) > 2
 
 
 def test_ensemble_determinism():
