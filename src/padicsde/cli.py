@@ -46,7 +46,7 @@ from .evolution import (
     solve_evolution,
 )
 from .measure import MonteCarloEnsemble, cached_sampler, derive_seed, \
-    wiener_path
+    level_betas, standard_zetas, wiener_path
 from .padic import BallSpec, PAdicValue, _is_prime
 from .sde import (
     SDEProblem,
@@ -257,6 +257,25 @@ def build_problem(cfg: RunConfig) -> tuple[SDEProblem, dict]:
     return problem, meta
 
 
+def _check_path_q(cfg: RunConfig, kind: str, q: float, key: str):
+    """Build the level samplers of ``wiener_path(kind, cfg.ball(),
+    cfg.depth, q)`` before anything is written, so a q whose spreads
+    underflow to zero or leave the shell range exits 2 at its key."""
+    p, n = cfg.prime, cfg.precision
+    if kind == "tree":
+        spreads = level_betas(cfg.ball(), cfg.depth, q)
+    else:
+        spreads = [z.norm() ** q for z in standard_zetas(p, n, 2 * cfg.depth)]
+    for beta in spreads:
+        if not beta > 0:
+            raise ConfigError(f"{key}: value {q!r}: level spread {beta!r} "
+                              f"is not positive")
+        try:
+            cached_sampler(GaussianSpec.one_dimensional(p, n, beta, q))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: value {q!r}: {exc}")
+
+
 # -- subcommand implementations -------------------------------------------------------
 
 
@@ -331,6 +350,7 @@ def run_sample(cfg: RunConfig, art: Artifacts):
                     "spec": {"beta": beta, "q": q, "gamma": gamma.qp_str()}}
     else:
         sampler = "tree" if kind == "wiener_tree" else "mahler"
+        _check_path_q(cfg, sampler, q, "config.sample.q")
         ball = cfg.ball()
         for i in range(count):
             path = wiener_path(sampler, ball, cfg.depth, q,
@@ -357,6 +377,7 @@ def run_solve(cfg: RunConfig, art: Artifacts):
                   default=1)
     q = _need(sec, "config.solve", "sampler_q", float, lambda v: v >= 1,
               default=2.0)
+    _check_path_q(cfg, "tree", q, "config.solve.sampler_q")
     reports = []
     checks = []
     for i in range(count):

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .antider import GridFunction, _tree_scan
 from .charfun import GaussianSpec, shell_distribution
-from .padic import BallSpec, PAdicValue, _pow
+from .padic import BallSpec, PAdicValue, _pow, _vp
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -298,10 +298,30 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     p, n = ball.p, ball.n
     samplers = [cached_sampler(
         GaussianSpec.one_dimensional(p, n, beta=b, q=q)) for b in betas]
+    mod = _pow(p, n)
 
     def children(level, j, base, kids):
-        draw = samplers[level].draw
-        return [base + draw(stream) for _ in kids]
+        # Integer mirror of ``base + draw(stream)`` in PAdicValue arithmetic;
+        # the unshifted draw and the base are both at precision n.
+        draw_raw = samplers[level].draw_raw
+        bv, bm = base.v, base.m
+        out = []
+        for _ in kids:
+            dv, dm = draw_raw(stream)
+            if not bm:
+                v, m = dv, dm
+            # both mantissas are units, so only an equal-valuation sum
+            # can carry factors of p to strip
+            elif bv < dv:
+                v, m = bv, (bm + dm * p ** (dv - bv)) % mod
+            elif bv > dv:
+                v, m = dv, (dm + bm * p ** (bv - dv)) % mod
+            else:
+                num = bm + dm
+                s = _vp(num, p)
+                v, m = bv + s, num // p ** s % mod
+            out.append(PAdicValue(p, n, v, m))
+        return out
 
     values = _tree_scan(p, levels, PAdicValue.zero(p, n), children)
     grid = GridFunction(ball, depth, tuple(values))

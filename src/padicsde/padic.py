@@ -35,6 +35,39 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+# largest digit-text table qp_str builds for one prime
+_TEXT_TABLE_SIZE = 4096
+
+
+@lru_cache(maxsize=None)
+def _digit_chunks(p: int, n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """How qp_str writes an n-digit mantissa: ``(texts, p**k)`` per chunk
+    of k digits, lowest chunk first.  k is the largest width with
+    ``p**k <= _TEXT_TABLE_SIZE``; the last chunk is shorter when k does
+    not divide n.  Empty for primes above the table size."""
+    k = 0
+    while p ** (k + 1) <= _TEXT_TABLE_SIZE:
+        k += 1
+    if not k:
+        return ()
+    full, rest = divmod(n, k)
+    chunks = [(_digit_texts(p, k), _pow(p, k))] * full
+    if rest:
+        chunks.append((_digit_texts(p, rest), _pow(p, rest)))
+    return tuple(chunks)
+
+
+@lru_cache(maxsize=None)
+def _digit_texts(p: int, k: int) -> tuple[str, ...]:
+    """The digit text of every k-digit mantissa c < p**k, lowest digit
+    first and space separated, indexed by c."""
+    digits = [str(d) for d in range(p)]
+    if k == 1:
+        return tuple(digits)
+    return tuple(f"{d} {tail}" for tail in _digit_texts(p, k - 1)
+                 for d in digits)
+
+
 def _is_prime(k: int) -> bool:
     if k < 2:
         return False
@@ -223,7 +256,15 @@ class PAdicValue:
 
     def qp_str(self) -> str:
         """Canonical text form ``QP(p=...,v=...,d=d0 d1 ... d{n-1})``."""
-        ds = " ".join(str(d) for d in self.digits())
+        chunks = _digit_chunks(self.p, self.n)
+        if chunks:
+            m, parts = self.m, []
+            for texts, mod in chunks:
+                m, c = divmod(m, mod)
+                parts.append(texts[c])
+            ds = " ".join(parts)
+        else:
+            ds = " ".join(str(d) for d in self.digits())
         return f"QP(p={self.p},v={self.v},d={ds})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -301,8 +342,8 @@ class BallSpec:
         """Grid representative number k at the given depth."""
         if not 0 <= k < self.grid_size(depth):
             raise ValueError("grid index out of range")
-        off = PAdicValue.from_int(k, self.p, self.n).scale_pow(-self.radius_exp)
-        return self.center + off
+        off = PAdicValue._from_cell(self.p, self.n, k, -self.radius_exp)
+        return self.center + off if self.center.m else off
 
     def index_of(self, x: PAdicValue, depth: int) -> int:
         """Grid index of an exact representative; raises if x is not one."""

@@ -217,6 +217,15 @@ def test_constant_with_foreign_prime_rejected(tmp_path, capsys):
      "config.sample.beta"),
     ("charfun", {"charfun": {"beta": 1e300, "m_lo": 0, "m_hi": 3},
                  "tolerances": {"tail_tol": 1e-300}}, "config.charfun.beta"),
+    # path-sampler q so large that a level spread underflows to 0.0
+    ("sample", {"prime": 5, "depth": 5,
+                "sample": {"kind": "wiener_tree", "q": 116}},
+     "config.sample.q"),
+    ("sample", {"prime": 5, "sample": {"kind": "wiener_mahler", "q": 100}},
+     "config.sample.q"),
+    ("solve", {"prime": 5, "depth": 5,
+               "solve": {"problem": "zero", "sampler_q": 116}},
+     "config.solve.sampler_q"),
 ])
 def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     cfgfile = write_config(tmp_path, {**BASE, **extra})

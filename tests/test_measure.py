@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from padicsde.antider import _tree_scan
 from padicsde.charfun import AngleTally, GaussianSpec, shell_distribution
 from padicsde.measure import (
     Gaussian1DSampler,
@@ -183,6 +184,40 @@ def test_tree_single_level_reduces_to_gaussian():
     stream2 = RandomStream(11)
     draws = [Gaussian1DSampler(spec).draw(stream2) for _ in range(p - 1)]
     assert list(path.values.values[1:]) == draws
+
+
+@pytest.mark.parametrize("p, depth", [(2, 4), (3, 3), (5, 2), (11, 1)])
+@pytest.mark.parametrize("radius_exp", [0, 2])
+def test_tree_sampler_matches_padic_reference(p, depth, radius_exp):
+    # the integer tree loop against ``base + draw(stream)`` in PAdicValue
+    # arithmetic, node by node over the same tree scan
+    ball = BallSpec(PAdicValue.zero(p, N), radius_exp)
+    levels = radius_exp + depth
+    betas = level_betas(ball, depth, 1.0)
+    samplers = [Gaussian1DSampler(GaussianSpec.one_dimensional(
+        p, N, beta=b, q=1.0)) for b in betas]
+    carries = 0
+    for seed in range(24):
+        stream = RandomStream(seed)
+
+        def children(level, j, base, kids):
+            nonlocal carries
+            out = []
+            for _ in kids:
+                d = samplers[level].draw(stream)
+                s = base + d
+                if not base.is_zero and base.v == d.v and s.v > d.v:
+                    carries += 1
+                out.append(s)
+            return out
+
+        want = _tree_scan(p, levels, PAdicValue.zero(p, N), children)
+        fast = RandomStream(seed)
+        got = sample_wiener_tree(betas, 1.0, ball, depth, fast)
+        assert got.values.values == tuple(want)
+        assert fast.state == stream.state
+    if p == 2:
+        assert carries > 0
 
 
 def test_tree_sibling_subtrees_factorize():

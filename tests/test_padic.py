@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicsde.padic import (
     BallSpec,
@@ -257,6 +257,31 @@ def test_serialization_round_trip():
     assert PAdicValue.parse(z.qp_str()) == z
 
 
+@st.composite
+def text_values(draw):
+    """Values at precision 1..13 for primes with and without a digit-text
+    table (the table stops at p**k <= 4096)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 4099, 2**31 - 1]))
+    n = draw(st.integers(1, 13))
+    if draw(st.integers(0, 9)) == 0:
+        return PAdicValue.zero(p, n)
+    v = draw(st.integers(-20, 20))
+    m = draw(st.integers(1, p**n - 1).filter(lambda k: k % p != 0))
+    return PAdicValue(p, n, v, m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text_values())
+@example(PAdicValue(2, 13, -3, 2**13 - 1))   # 12-digit chunk plus one
+@example(PAdicValue(3, 7, 0, 3**7 - 1))      # exactly one 7-digit chunk
+@example(PAdicValue(11, 4, -1, 1 + 10 * 11**3))  # two-character digits
+@example(PAdicValue.zero(5, 13))
+def test_qp_str_matches_digit_text(x):
+    ds = " ".join(str(d) for d in x.digits())
+    assert x.qp_str() == f"QP(p={x.p},v={x.v},d={ds})"
+    assert PAdicValue.parse(x.qp_str(), x.n) == x
+
+
 @pytest.mark.parametrize("text, n", [
     ("QP(p=5,v=0,d=1 2 3)", 2),       # more digits than the precision
     ("QP(p=4,v=0,d=1 2 3)", None),    # p not prime
@@ -331,3 +356,12 @@ def test_ball_membership_and_grid():
     k = 87
     t = ball.point(k, depth)
     assert ball.index_of(t, depth) == k
+    # a nonzero center with a positive radius: one offset per index
+    center = PAdicValue.from_rational(7, 3, p, N)
+    ball = BallSpec(center, 2)
+    for k in range(ball.grid_size(depth)):
+        want = center + PAdicValue.from_int(k, p, N).scale_pow(-2)
+        assert ball.point(k, depth) == want
+    for k in (-1, ball.grid_size(depth)):
+        with pytest.raises(ValueError):
+            ball.point(k, depth)

@@ -39,6 +39,16 @@ TREE_PATHS = {
     "path_0002.csv": "cf95ca6c93a36a710ac66a972320ee6e008a5f1a230dd60487b68cf248c27989",
 }
 
+# first path at other primes: p=5, N=6, depth 4; and p=11, N=5,
+# radius_exp 1, depth 2 (two-character digits)
+TREE_PATH_P5 = \
+    "e5f145ab69a4ae8cc4fc38f85e6d57f5e6c6d878abfe923e3be150212fc345d4"
+TREE_PATH_P11 = \
+    "f92f7cc6e91ab2983f0e31e05c32cf323fc05fd7e7d6cc18821bc301022885dc"
+
+# steep at p=5, N=6, depth 4
+STEEP_P5 = "9fbde4a2b953b36d930834af739e0f9e99b9311337dd8e74beb79c550bac4f5a"
+
 
 def run_digests(tmp_path, command, cfg):
     config = tmp_path / "config.json"
@@ -80,3 +90,20 @@ def test_tree_path_digests(tmp_path):
     got = run_digests(tmp_path, "sample", {**BASE, "sample": {
         "kind": "wiener_tree", "count": 3, "q": 1}})
     assert {k: got[k] for k in TREE_PATHS} == TREE_PATHS
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ({"prime": 5}, TREE_PATH_P5),
+    ({"prime": 11, "precision": 5, "radius_exp": 1, "depth": 2},
+     TREE_PATH_P11),
+])
+def test_tree_path_digest_beyond_p3(tmp_path, extra, digest):
+    got = run_digests(tmp_path, "sample", {**BASE, **extra, "sample": {
+        "kind": "wiener_tree", "count": 1, "q": 1}})
+    assert got["path_0000.csv"] == digest
+
+
+def test_steep_solution_digest_p5(tmp_path):
+    got = run_digests(tmp_path, "solve", {**BASE, "prime": 5,
+                                          "solve": {"problem": "steep"}})
+    assert got["solution_0000.csv"] == STEEP_P5
