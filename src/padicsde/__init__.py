@@ -68,7 +68,6 @@ from .sde import (
     ensemble_paths,
     functional_program,
     linear_state_program,
-    linear_time_program,
     locally_constant_program,
     moment_diagnostic,
     picard_as_family,

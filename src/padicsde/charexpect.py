@@ -28,7 +28,7 @@ from .measure import (
     mahler_coefficient_draws,
     standard_zetas,
 )
-from .padic import PAdicValue, _pow, _vp, mahler_poly
+from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             zetas = standard_zetas(p, n, 2 * (ball.radius_exp + depth))
         # increment of the series path over a chain step, as a coefficient
         # contraction: sum_m X_m (Q_m(t_{j+1}) - Q_m(t_j))
+        zp = BallSpec.unit(p, n)        # the domain of the basis
         contract = []
         for level, c, j, jn in consts:
             if c.is_zero:
@@ -135,8 +136,11 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                 continue
             tj = ball.point(j, depth) - ball.center
             tn = ball.point(jn, depth) - ball.center
-            diffs = tuple(c * (mahler_poly(m, tn) - mahler_poly(m, tj))
-                          for m in range(1, len(zetas) + 1))
+            if not (zp.contains(tj) and zp.contains(tn)):
+                raise ValueError("domain")
+            diffs = tuple(c * (qn - qj) for qj, qn in zip(
+                mahler_basis(tj, len(zetas))[1:],
+                mahler_basis(tn, len(zetas))[1:]))
             contract.append(diffs)
         zero = PAdicValue.zero(p, n)
         for stream in ens.streams():

@@ -2,25 +2,19 @@
 
 Usage: ``padicsde <subcommand> --config FILE [--seed S] [--out DIR]`` with
 subcommands ``sample``, ``solve``, ``evolve``, ``verify`` and ``charfun``.
-The config is a JSON document validated against the schema below before any
-computation runs; the seed may be overridden by ``--seed`` or the
-``PADICSDE_SEED`` environment variable (seed only; nothing else is read
-from the environment).  Every run writes its artifacts plus a
-``manifest.json`` echoing the config, the tolerances, a SHA-256 content
-hash per artifact and the overall status; a run repeated with the same
-config and seed produces byte-identical artifacts.
+The config is a JSON document checked against the tables ``TOP``,
+``TOLERANCES`` and ``SECTIONS`` below before any computation runs; the
+seed may be overridden by ``--seed`` or the ``PADICSDE_SEED`` environment
+variable (seed only; nothing else is read from the environment).  Every
+run writes its artifacts plus a ``manifest.json`` echoing the config, the
+tolerances, a SHA-256 content hash per artifact and the overall status; a
+run repeated with the same config and seed produces byte-identical
+artifacts.
 
 Exit codes: 0 when all asserted checks pass, 1 on an assertion failure
-(the failing report path is printed), 2 on a schema violation (the message
-carries the config line for parse errors and the key path otherwise).
-
-Schema (keys under the top level):
-    prime      int >= 2, prime            precision  int >= 2
-    radius_exp int (default 0)            depth      int >= 1
-    seed       int >= 0                   out        string (default "run")
-    tolerances object (optional overrides, echoed into the manifest)
-    sample | solve | evolve | verify | charfun: per-subcommand tables,
-    see the builders below for their keys.
+(the failing report path is printed), 2 on a schema violation, unknown
+keys and non-finite numbers included (the message carries the config line
+for parse errors and the key path otherwise).
 """
 
 from __future__ import annotations
@@ -29,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -58,75 +53,144 @@ from .sde import (
     zero_program,
 )
 
-SUBCOMMANDS = ("sample", "solve", "evolve", "verify", "charfun")
-
-DEFAULT_TOLERANCES = {
-    "shell_mass": 1e-9,
-    "tail_tol": 1e-12,
-}
-
 
 class ConfigError(Exception):
     pass
 
 
-def _need(cfg: dict, path: str, key: str, kind, check=None, default=None):
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: required key missing")
-    val = cfg[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if isinstance(val, bool) or not isinstance(val, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, "
-                          f"got {type(val).__name__}")
-    if check is not None and not check(val):
-        raise ConfigError(f"{path}.{key}: value {val!r} out of range")
-    return val
+# -- config schema ------------------------------------------------------------------
 
 
-def _seed_override(source: str, seed: int) -> int:
-    if seed < 0:
-        raise ConfigError(f"{source}: value {seed} out of range")
-    return seed
+def _in_shell_bounds(m: int, cfg: "RunConfig") -> bool:
+    lowest, highest = shell_bounds(cfg.prime, cfg.tolerances["tail_tol"])
+    return lowest <= m <= highest
+
+
+# Each table maps a key to (kind, default, range predicate).  The kind is
+# int, float (finite; an integer is converted), str, PAdicValue (an integer
+# or a QP(...) string) or list (of PAdicValue constants).  A default is a
+# value, or a function of the config and the section's values so far; the
+# default ``...`` makes the key required, and None makes it optional, with
+# null meaning absent.  The predicate gets the converted value and the
+# config, whose top level and tolerances are checked by then.  Runners
+# unpack a section's values in table order.
+TOP = {
+    "prime": (int, ..., lambda v, _: _is_prime(v)),
+    "precision": (int, ..., lambda v, _: v >= 2),
+    "radius_exp": (int, 0, lambda v, _: v >= 0),
+    "depth": (int, ..., lambda v, _: v >= 1),
+    "seed": (int, 0, lambda v, _: v >= 0),
+    "out": (str, "run", None),
+}
+
+TOLERANCES = {
+    "shell_mass": (float, 1e-9, lambda v, _: v >= 0),
+    # the shell series is cut at tail_tol relative to its sum, so a
+    # tail_tol of 0 never ends it
+    "tail_tol": (float, 1e-12, lambda v, _: v > 0),
+}
+
+SECTIONS = {
+    "charfun": {
+        "beta": (float, 1.0, lambda v, _: v > 0),
+        "q": (float, 1.0, lambda v, _: v >= 1),
+        "m_lo": (int, None, _in_shell_bounds),
+        "m_hi": (int, None, _in_shell_bounds),
+    },
+    "sample": {
+        "kind": (str, ..., lambda v, _: v in (
+            "gaussian1d", "wiener_tree", "wiener_mahler")),
+        "count": (int, 16, lambda v, _: v >= 1),
+        "q": (float, 1.0, lambda v, _: v >= 1),
+        "beta": (float, 1.0, lambda v, _: v > 0),
+        "gamma": (PAdicValue, 0, None),
+    },
+    "solve": {
+        "problem": (str, ..., lambda v, _: v in (
+            "zero", "pure_drift", "pure_noise", "linear_drift", "linear",
+            "steep", "polynomial", "locally_constant")),
+        "x0": (PAdicValue, 1, None),
+        "alpha": (PAdicValue, lambda cfg, sec: 1 if sec["problem"] ==
+                  "linear_drift" else cfg.prime, None),
+        "beta": (PAdicValue, lambda cfg, sec: cfg.prime, None),
+        "coeffs": (list, lambda cfg, sec: [1, 0, cfg.prime], None),
+        "samples": (int, 1, lambda v, _: v >= 1),
+        "sampler_q": (float, 2.0, lambda v, _: v >= 1),
+    },
+    "evolve": {
+        "dim": (int, 3, lambda v, _: 1 <= v <= 8),
+        "scale_exp": (int, 3, lambda v, _: v >= 1),
+        "perturb_exp": (int, 4, lambda v, _: v >= 1),
+        "triples": (int, 50, lambda v, _: v >= 1),
+    },
+    "verify": {
+        "trials": (int, 200, lambda v, _: v >= 1),
+        "char_samples": (int, 20000, lambda v, _: v >= 100),
+        "points": (int, 3, lambda v, _: v >= 1),
+    },
+}
 
 
 class RunConfig:
-    """Validated run configuration; fully determines every output byte."""
+    """Validated run configuration; fully determines every output byte.
+    ``section`` holds the checked values of the subcommand's section."""
 
     def __init__(self, raw: dict, command: str):
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be an object")
         self.raw = raw
         self.command = command
-        self.prime = _need(raw, "config", "prime", int, _is_prime)
-        self.precision = _need(raw, "config", "precision", int,
-                               lambda v: v >= 2)
-        self.radius_exp = _need(raw, "config", "radius_exp", int,
-                                lambda v: v >= 0, default=0)
-        self.depth = _need(raw, "config", "depth", int, lambda v: v >= 1)
+        # sets prime, precision, radius_exp, depth, seed and out
+        vars(self).update(self._walk(TOP, {
+            k: v for k, v in raw.items()
+            if k != "tolerances" and k not in SECTIONS}, "config"))
         if self.radius_exp + self.depth > self.precision:
-            raise ConfigError("config.depth: radius_exp + depth exceeds "
-                              "the working precision")
-        self.seed = _need(raw, "config", "seed", int, lambda v: v >= 0,
-                          default=0)
-        self.out = _need(raw, "config", "out", str, default="run")
+            raise ConfigError("config.depth: config.radius_exp + depth "
+                              "exceeds the working precision")
         tol = raw.get("tolerances", {})
-        if not isinstance(tol, dict):
-            raise ConfigError("config.tolerances: expected object")
-        for key in tol:
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"config.tolerances.{key}: unknown key")
-            # the shell series is cut at tail_tol relative to its sum, so
-            # a tail_tol of 0 never ends it
-            _need(tol, "config.tolerances", key, float,
-                  (lambda v: v > 0) if key == "tail_tol" else
-                  (lambda v: v >= 0))
-        self.tolerances = {**DEFAULT_TOLERANCES, **tol}
-        self.section = raw.get(command, {})
-        if not isinstance(self.section, dict):
-            raise ConfigError(f"config.{command}: expected object")
+        # echoed as written, so an integer tolerance stays an integer
+        self.tolerances = {**self._walk(TOLERANCES, tol,
+                                        "config.tolerances"), **tol}
+        sections = {name: self._walk(table, raw.get(name, {}),
+                                     f"config.{name}")
+                    for name, table in SECTIONS.items()
+                    if name in raw or name == command}
+        self.section = sections[command]
+
+    def _walk(self, table: dict, sec, path: str) -> dict:
+        """The checked value of every key of ``table`` in ``sec``."""
+        if not isinstance(sec, dict):
+            raise ConfigError(f"{path}: expected object")
+        out: dict = {}
+        for key, (kind, default, check) in table.items():
+            val, where = sec.get(key), f"{path}.{key}"
+            if val is None and (key not in sec or default is None):
+                if default is ...:
+                    raise ConfigError(f"{where}: required key missing")
+                val = default(self, out) if callable(default) else default
+            if val is not None:
+                val = self._convert(kind, val, where)
+                if check is not None and not check(val, self):
+                    raise ConfigError(f"{where}: value {val!r} out of range")
+            out[key] = val
+        for key in sec:
+            if key not in table:
+                raise ConfigError(f"{path}.{key}: unknown key")
+        return out
+
+    def _convert(self, kind, val, where: str):
+        if kind is PAdicValue:
+            return self.value(val, where)
+        if kind is float and type(val) is int:
+            val = float(val) if abs(val) <= sys.float_info.max else math.inf
+        if isinstance(val, bool) or not isinstance(val, kind):
+            raise ConfigError(f"{where}: expected {kind.__name__}, "
+                              f"got {type(val).__name__}")
+        if kind is list:
+            return tuple(self.value(c, where) for c in val)
+        if kind is float and not math.isfinite(val):
+            raise ConfigError(f"{where}: value {val!r} is not finite")
+        return val
 
     def ball(self) -> BallSpec:
         center = PAdicValue.zero(self.prime, self.precision)
@@ -205,55 +269,29 @@ class Artifacts:
         return target
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 # -- builtin problem registry -------------------------------------------------------
 
 
 def build_problem(cfg: RunConfig) -> tuple[SDEProblem, dict]:
     """Instantiate a builtin coefficient problem from the solve section."""
-    p, n = cfg.prime, cfg.precision
-    sec = cfg.section
-    name = _need(sec, "config.solve", "problem", str,
-                 lambda v: v in ("zero", "pure_drift", "pure_noise",
-                                 "linear_drift", "linear", "steep",
-                                 "polynomial", "locally_constant"))
-    x0 = cfg.value(sec.get("x0", 1), "config.solve.x0")
+    p, n, sec = cfg.prime, cfg.precision, cfg.section
     zero = zero_program(p, n)
     one = constant_program(PAdicValue.one(p, n))
-    if name == "zero":
-        drift, diffusion = zero, zero
-    elif name == "pure_drift":
-        drift, diffusion = one, zero
-    elif name == "pure_noise":
-        drift, diffusion = zero, one
-    elif name == "linear_drift":
-        alpha = cfg.value(sec.get("alpha", 1), "config.solve.alpha")
-        drift, diffusion = linear_state_program(alpha), zero
-    elif name == "linear":
-        alpha = cfg.value(sec.get("alpha", p), "config.solve.alpha")
-        beta = cfg.value(sec.get("beta", p), "config.solve.beta")
-        drift = linear_state_program(alpha)
-        diffusion = linear_state_program(beta)
-    elif name == "steep":
-        kappa = PAdicValue.from_rational(1, p, p, n)
-        drift, diffusion = linear_state_program(kappa), zero
-    elif name == "polynomial":
-        coeffs = tuple(cfg.value(c, "config.solve.coeffs")
-                       for c in _need(sec, "config.solve", "coeffs", list,
-                                      default=[1, 0, p]))
-        drift = polynomial_program(coeffs, lipschitz=1.0)
-        diffusion = zero
-    else:  # locally_constant
-        ball = cfg.ball()
-        table = tuple(PAdicValue.from_int(1 + d, p, n) for d in range(p))
-        drift = locally_constant_program(ball, table)
-        diffusion = zero
-    problem = SDEProblem(ball=cfg.ball(), depth=cfg.depth, x0=x0,
+    linear = linear_state_program
+    drift, diffusion = {
+        "zero": lambda: (zero, zero),
+        "pure_drift": lambda: (one, zero),
+        "pure_noise": lambda: (zero, one),
+        "linear_drift": lambda: (linear(sec["alpha"]), zero),
+        "linear": lambda: (linear(sec["alpha"]), linear(sec["beta"])),
+        "steep": lambda: (linear(PAdicValue.from_rational(1, p, p, n)), zero),
+        "polynomial": lambda: (polynomial_program(sec["coeffs"], 1.0), zero),
+        "locally_constant": lambda: (locally_constant_program(cfg.ball(), tuple(
+            PAdicValue.from_int(1 + d, p, n) for d in range(p))), zero),
+    }[sec["problem"]]()
+    problem = SDEProblem(ball=cfg.ball(), depth=cfg.depth, x0=sec["x0"],
                          drift=drift, diffusion=diffusion)
-    meta = {"problem": name, "x0": x0.qp_str()}
+    meta = {"problem": sec["problem"], "x0": sec["x0"].qp_str()}
     return problem, meta
 
 
@@ -280,17 +318,8 @@ def _check_path_q(cfg: RunConfig, kind: str, q: float, key: str):
 
 
 def run_charfun(cfg: RunConfig, art: Artifacts):
-    sec = cfg.section
-    beta = _need(sec, "config.charfun", "beta", float, lambda v: v > 0,
-                 default=1.0)
-    q = _need(sec, "config.charfun", "q", float, lambda v: v >= 1,
-              default=1.0)
+    beta, q, m_lo, m_hi = cfg.section.values()
     tail_tol = cfg.tolerances["tail_tol"]
-    lowest, highest = shell_bounds(cfg.prime, tail_tol)
-    m_lo, m_hi = (_need(sec, "config.charfun", key, int,
-                        lambda v: lowest <= v <= highest)
-                  if sec.get(key) is not None else None
-                  for key in ("m_lo", "m_hi"))
     spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta, q)
     try:
         table = shell_distribution(spec, m_lo, m_hi, tail_tol=tail_tol)
@@ -323,19 +352,9 @@ def run_charfun(cfg: RunConfig, art: Artifacts):
 
 
 def run_sample(cfg: RunConfig, art: Artifacts):
-    sec = cfg.section
-    kind = _need(sec, "config.sample", "kind", str,
-                 lambda v: v in ("gaussian1d", "wiener_tree",
-                                 "wiener_mahler"))
-    count = _need(sec, "config.sample", "count", int, lambda v: v >= 1,
-                  default=16)
-    q = _need(sec, "config.sample", "q", float, lambda v: v >= 1,
-              default=1.0)
+    kind, count, q, beta, gamma = cfg.section.values()
     checks = []
     if kind == "gaussian1d":
-        beta = _need(sec, "config.sample", "beta", float, lambda v: v > 0,
-                     default=1.0)
-        gamma = cfg.value(sec.get("gamma", 0), "config.sample.gamma")
         spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta,
                                             q, gamma=gamma)
         try:
@@ -371,12 +390,8 @@ def run_sample(cfg: RunConfig, art: Artifacts):
 
 
 def run_solve(cfg: RunConfig, art: Artifacts):
-    sec = cfg.section
     problem, meta = build_problem(cfg)
-    count = _need(sec, "config.solve", "samples", int, lambda v: v >= 1,
-                  default=1)
-    q = _need(sec, "config.solve", "sampler_q", float, lambda v: v >= 1,
-              default=2.0)
+    count, q = cfg.section["samples"], cfg.section["sampler_q"]
     _check_path_q(cfg, "tree", q, "config.solve.sampler_q")
     reports = []
     checks = []
@@ -409,15 +424,7 @@ def run_solve(cfg: RunConfig, art: Artifacts):
 
 
 def run_evolve(cfg: RunConfig, art: Artifacts):
-    sec = cfg.section
-    dim = _need(sec, "config.evolve", "dim", int, lambda v: 1 <= v <= 8,
-                default=3)
-    scale_exp = _need(sec, "config.evolve", "scale_exp", int,
-                      lambda v: v >= 1, default=3)
-    perturb_exp = _need(sec, "config.evolve", "perturb_exp", int,
-                        lambda v: v >= 1, default=4)
-    triples = _need(sec, "config.evolve", "triples", int, lambda v: v >= 1,
-                    default=50)
+    dim, scale_exp, perturb_exp, triples = cfg.section.values()
     p, n = cfg.prime, cfg.precision
     ball = cfg.ball()
 
@@ -454,15 +461,11 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
 
     e = ExpEvolution(base, ball, cfg.depth)
     exp_digits = n - 1
-    exp_ok = True
-    for ti, si in picks[: min(10, len(picks))]:
-        mu, me = u.matrix(ti, si), e.matrix(ti, si)
-        for ru, re in zip(mu, me):
-            for x, y in zip(ru, re):
-                if not x.agrees_abs(y, exp_digits):
-                    exp_ok = False
+    pairs = picks[:10]
+    exp_ok = all(x.agrees_abs(y, exp_digits) for ti, si in pairs
+                 for ru, re in zip(u.matrix(ti, si), e.matrix(ti, si))
+                 for x, y in zip(ru, re))
 
-    pairs = picks[: min(10, len(picks))]
     rep = perturbation_check(gen, gen_b, ball, cfg.depth, pairs)
     gmat = generating_operator(u, 0, start_depth=0)
     gen_ok = all(
@@ -496,13 +499,7 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
 
 
 def run_verify(cfg: RunConfig, art: Artifacts):
-    sec = cfg.section
-    trials = _need(sec, "config.verify", "trials", int, lambda v: v >= 1,
-                   default=200)
-    char_samples = _need(sec, "config.verify", "char_samples", int,
-                         lambda v: v >= 100, default=20000)
-    points = _need(sec, "config.verify", "points", int, lambda v: v >= 1,
-                   default=3)
+    trials, char_samples, points = cfg.section.values()
     p, n = cfg.prime, cfg.precision
     ball = cfg.ball()
     depth = cfg.depth
@@ -549,8 +546,8 @@ def run_verify(cfg: RunConfig, art: Artifacts):
             samples=char_samples, seed=derive_seed(cfg.seed, i))
         char_reports.append({
             "t_index": rep.t_index,
-            "empirical": _complex_pair(rep.empirical),
-            "analytic": _complex_pair(rep.analytic),
+            "empirical": [rep.empirical.real, rep.empirical.imag],
+            "analytic": [rep.analytic.real, rep.analytic.imag],
             "tolerance": rep.tolerance,
             "stderr": rep.stderr,
             "asserted": rep.asserted,
@@ -569,11 +566,11 @@ def run_verify(cfg: RunConfig, art: Artifacts):
 
 
 RUNNERS = {
-    "charfun": run_charfun,
     "sample": run_sample,
     "solve": run_solve,
     "evolve": run_evolve,
     "verify": run_verify,
+    "charfun": run_charfun,
 }
 
 
@@ -581,7 +578,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="padicsde",
         description="p-adic stochastic antiderivational equation toolkit")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -603,14 +600,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig(raw, args.command)
-        if args.seed is not None:
-            cfg.seed = _seed_override("--seed", args.seed)
-        elif "PADICSDE_SEED" in os.environ:
+        source = "--seed" if args.seed is not None else "PADICSDE_SEED"
+        seed = args.seed if args.seed is not None else os.environ.get(source)
+        if seed is not None:
             try:
-                seed = int(os.environ["PADICSDE_SEED"])
+                cfg.seed = int(seed)
             except ValueError:
-                raise ConfigError("PADICSDE_SEED: expected an integer")
-            cfg.seed = _seed_override("PADICSDE_SEED", seed)
+                raise ConfigError(f"{source}: expected an integer")
+            if cfg.seed < 0:
+                raise ConfigError(f"{source}: value {seed} out of range")
         if args.out is not None:
             cfg.out = args.out
     except ConfigError as exc:

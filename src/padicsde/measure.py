@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .antider import GridFunction, _tree_scan
 from .charfun import GaussianSpec, shell_distribution
-from .padic import BallSpec, PAdicValue, _pow, _vp
+from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -259,10 +259,7 @@ def sample_wiener_mahler(zetas, q: float, ball: BallSpec, depth: int,
     for k in range(size):
         x = ball.point(k, depth) - ball.center
         acc = zero
-        qpoly = PAdicValue.one(p, n)
-        for m, coef in enumerate(coeffs, start=1):
-            qpoly = qpoly * (x - PAdicValue.from_int(m - 1, p, n))
-            qpoly = qpoly / PAdicValue.from_int(m, p, n)
+        for coef, qpoly in zip(coeffs, mahler_basis(x, len(coeffs))[1:]):
             if not coef.is_zero and not qpoly.is_zero:
                 acc = acc + coef * qpoly
         values.append(acc)

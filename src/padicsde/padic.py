@@ -384,20 +384,23 @@ def frac_part(y: PAdicValue) -> Fraction:
 # -- Mahler (binomial) basis --------------------------------------------------
 
 
-def mahler_poly(m: int, x: PAdicValue) -> PAdicValue:
-    """The m-th binomial polynomial x(x-1)...(x-m+1)/m! on Z_p.
-
-    Computed by the integer product formula with exact division by m!.
-    Requires x in Z_p (valuation >= 0); sup norm on Z_p is 1 for every m.
-    """
-    if not (x.m == 0 or x.v >= 0):
-        raise ValueError("domain")
+def mahler_basis(x: PAdicValue, count: int) -> list[PAdicValue]:
+    """[Q_0(x), ..., Q_count(x)] of the binomial polynomials
+    Q_m(x) = x(x-1)...(x-m+1)/m!, in one pass of Q_m = Q_{m-1} (x-m+1) / m
+    with exact division.  Any x in Q_p; on Z_p each Q_m has sup norm 1."""
     p, n = x.p, x.n
-    out = PAdicValue.one(p, n)
-    for i in range(1, m + 1):
-        out = out * (x - PAdicValue.from_int(i - 1, p, n))
-        out = out / PAdicValue.from_int(i, p, n)
+    out = [PAdicValue.one(p, n)]
+    for m in range(1, count + 1):
+        q = out[-1] * (x - PAdicValue.from_int(m - 1, p, n))
+        out.append(q / PAdicValue.from_int(m, p, n))
     return out
+
+
+def mahler_poly(m: int, x: PAdicValue) -> PAdicValue:
+    """The m-th binomial polynomial on Z_p; requires x in Z_p."""
+    if not BallSpec.unit(x.p, x.n).contains(x):
+        raise ValueError("domain")
+    return mahler_basis(x, m)[m]
 
 
 # -- p-adic exponential --------------------------------------------------------

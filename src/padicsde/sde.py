@@ -85,10 +85,6 @@ def linear_state_program(alpha: PAdicValue, const: PAdicValue | None = None) -> 
     return Program(f"linear({alpha.qp_str()})", fn, lipschitz=alpha.norm())
 
 
-def linear_time_program(kappa: PAdicValue) -> Program:
-    return Program(f"drift_t({kappa.qp_str()})", lambda t, x: kappa * t)
-
-
 def polynomial_program(coeffs: tuple[PAdicValue, ...], lipschitz: float) -> Program:
     def fn(t, x):
         acc = PAdicValue.zero(x.p, x.n)

@@ -1,9 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from padicsde.cli import main
+from padicsde.cli import SECTIONS, TOLERANCES, TOP, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -186,6 +187,20 @@ def test_constant_with_foreign_prime_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tolerances_echoed_as_written(tmp_path):
+    cfgfile = write_config(tmp_path, {
+        **BASE, "tolerances": {"shell_mass": 0}, "charfun": {"q": 1},
+    })
+    out = tmp_path / "echo"
+    assert main(["charfun", "--config", str(cfgfile),
+                 "--out", str(out)]) == 0
+    manifest = (out / "manifest.json").read_text()
+    assert '"shell_mass": 0,' in manifest
+    assert '"tail_tol": 1e-12' in manifest
+    # float keys are converted from integers
+    assert '"q": 1.0,' in (out / "charfun.json").read_text()
+
+
 @pytest.mark.parametrize("command, extra, key", [
     ("charfun", {"charfun": {"m_lo": "a"}}, "config.charfun.m_lo"),
     ("charfun", {"charfun": {"m_lo": 1.5}}, "config.charfun.m_lo"),
@@ -226,6 +241,22 @@ def test_constant_with_foreign_prime_rejected(tmp_path, capsys):
     ("solve", {"prime": 5, "depth": 5,
                "solve": {"problem": "zero", "sampler_q": 116}},
      "config.solve.sampler_q"),
+    # unknown keys, and keys the run does not read, are still checked
+    ("charfun", {"bogus": 1}, "config.bogus"),
+    ("charfun", {"charfun": {"btea": 2}}, "config.charfun.btea"),
+    ("sample", {"sample": {"kind": "wiener_tree", "gamma": "x"}},
+     "config.sample.gamma"),
+    ("solve", {"solve": {"problem": "steep", "alpha": "x"}},
+     "config.solve.alpha"),
+    # floats must be finite
+    ("charfun", {"tolerances": {"shell_mass": math.inf}},
+     "config.tolerances.shell_mass"),
+    ("charfun", {"tolerances": {"tail_tol": math.inf}},
+     "config.tolerances.tail_tol"),
+    ("charfun", {"charfun": {"beta": math.inf}}, "config.charfun.beta"),
+    ("sample", {"sample": {"kind": "gaussian1d", "beta": math.inf}},
+     "config.sample.beta"),
+    ("charfun", {"charfun": {"q": math.inf}}, "config.charfun.q"),
 ])
 def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     cfgfile = write_config(tmp_path, {**BASE, **extra})
@@ -233,3 +264,59 @@ def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+# One tiny valid config per subcommand.  The boundary test sets each key of
+# the schema tables that the subcommand reads, the section objects
+# themselves and one unknown key per level to every value below: a run
+# either succeeds or exits 2 naming the key, and an exit 2 writes nothing.
+BOUNDARY_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                   "0": 0, "-1": -1, "1e308": 1e308, "true": True, "x": "x",
+                   "[]": [], "{}": {}, "2**64": 2**64}
+# a 2**64 size allocates p**(2**64) points or never ends
+UNBOUNDED_SIZES = {"precision", "count", "samples", "trials", "char_samples",
+                   "points", "triples", "scale_exp", "perturb_exp"}
+BOUNDARY_BASES = {
+    "charfun": ("charfun", {"charfun": {"beta": 1.0}}),
+    "gaussian1d": ("sample", {"sample": {"kind": "gaussian1d", "count": 2}}),
+    "wiener_tree": ("sample", {"sample": {"kind": "wiener_tree",
+                                          "count": 1}}),
+    "linear": ("solve", {"solve": {"problem": "linear"}}),
+    "polynomial": ("solve", {"solve": {"problem": "polynomial"}}),
+    "evolve": ("evolve", {"evolve": {"dim": 1, "triples": 1}}),
+    "verify": ("verify", {"verify": {"trials": 1, "char_samples": 100,
+                                     "points": 1}}),
+}
+
+
+def _boundary_cases():
+    for base, (command, _) in BOUNDARY_BASES.items():
+        paths = [*TOP, "bogus", "tolerances", "tolerances.bogus",
+                 *(f"tolerances.{k}" for k in TOLERANCES), command,
+                 f"{command}.bogus",
+                 *(f"{command}.{k}" for k in SECTIONS[command])]
+        for path in paths:
+            for name in BOUNDARY_VALUES:
+                if name == "2**64" and path.split(".")[-1] in UNBOUNDED_SIZES:
+                    continue
+                yield pytest.param(base, path, name,
+                                   id=f"{base}-{path}={name}")
+
+
+@pytest.mark.parametrize("base, path, value", _boundary_cases())
+def test_schema_boundary(tmp_path, capsys, base, path, value):
+    command, section = BOUNDARY_BASES[base]
+    cfg = json.loads(json.dumps({"prime": 3, "precision": 4, "depth": 2,
+                                 **section}))
+    *parents, key = path.split(".")
+    node = cfg
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = BOUNDARY_VALUES[value]
+    out = tmp_path / "out"
+    code = main([command, "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert f"config.{path}" in capsys.readouterr().err
+        assert not out.exists()

@@ -9,6 +9,7 @@ from padicsde.padic import (
     PAdicValue,
     digit_prefix,
     frac_part,
+    mahler_basis,
     mahler_poly,
     padic_exp,
 )
@@ -185,11 +186,16 @@ def test_mahler_basics():
     q = mahler_poly(2, PAdicValue.from_int(7, p, N))
     assert q.as_fraction() == 21
     assert q.norm() == pytest.approx(1 / 7)
+    # the one-pass basis lists the same polynomials
+    assert mahler_basis(x, 4) == [mahler_poly(m, x) for m in range(5)]
 
 
 def test_mahler_domain():
+    y = PAdicValue.from_rational(1, 5, 5, N)
     with pytest.raises(ValueError, match="domain"):
-        mahler_poly(2, PAdicValue.from_rational(1, 5, 5, N))
+        mahler_poly(2, y)
+    # the basis itself is defined off Z_p: Q_2(1/5) = -2/25
+    assert mahler_basis(y, 2)[2] == PAdicValue.from_rational(-2, 25, 5, N)
 
 
 def test_mahler_sup_norm_on_grid():

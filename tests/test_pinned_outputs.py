@@ -46,6 +46,13 @@ TREE_PATH_P5 = \
 TREE_PATH_P11 = \
     "f92f7cc6e91ab2983f0e31e05c32cf323fc05fd7e7d6cc18821bc301022885dc"
 
+# series (mahler) sampler at p=3, N=6, depth 4, radius_exp 0 and 1; at
+# radius_exp 1 the grid points leave Z_p
+MAHLER_PATHS = {
+    0: "02e1dbb51d888a053b416c1544c30b4b80237802ee5dc94cc2374bdc2ca75b66",
+    1: "a042472e4a38416619a8886eb33c299684957fcc6fbf2acc42d128fa9dd1334d",
+}
+
 # steep at p=5, N=6, depth 4
 STEEP_P5 = "9fbde4a2b953b36d930834af739e0f9e99b9311337dd8e74beb79c550bac4f5a"
 
@@ -107,3 +114,11 @@ def test_steep_solution_digest_p5(tmp_path):
     got = run_digests(tmp_path, "solve", {**BASE, "prime": 5,
                                           "solve": {"problem": "steep"}})
     assert got["solution_0000.csv"] == STEEP_P5
+
+
+@pytest.mark.parametrize("radius_exp", sorted(MAHLER_PATHS))
+def test_mahler_path_digest(tmp_path, radius_exp):
+    got = run_digests(tmp_path, "sample", {**BASE, "radius_exp": radius_exp,
+                                           "sample": {"kind": "wiener_mahler",
+                                                      "count": 1, "q": 1}})
+    assert got["path_0000.csv"] == MAHLER_PATHS[radius_exp]
