@@ -54,8 +54,17 @@ from .sde import (
 )
 
 
+SUBCOMMANDS = ("sample", "solve", "evolve", "verify", "charfun")
+
+
 class ConfigError(Exception):
     pass
+
+
+def _seed_override(source: str, seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"{source}: value {seed} out of range")
+    return seed
 
 
 # -- config schema ------------------------------------------------------------------
@@ -72,8 +81,7 @@ def _in_shell_bounds(m: int, cfg: "RunConfig") -> bool:
 # value, or a function of the config and the section's values so far; the
 # default ``...`` makes the key required, and None makes it optional, with
 # null meaning absent.  The predicate gets the converted value and the
-# config, whose top level and tolerances are checked by then.  Runners
-# unpack a section's values in table order.
+# config, whose top level and tolerances are checked by then.
 TOP = {
     "prime": (int, ..., lambda v, _: _is_prime(v)),
     "precision": (int, ..., lambda v, _: v >= 2),
@@ -164,14 +172,16 @@ class RunConfig:
         out: dict = {}
         for key, (kind, default, check) in table.items():
             val, where = sec.get(key), f"{path}.{key}"
-            if val is None and (key not in sec or default is None):
+            if val is None and default is None:  # optional: null is absent
+                out[key] = None
+                continue
+            if key not in sec:
                 if default is ...:
                     raise ConfigError(f"{where}: required key missing")
                 val = default(self, out) if callable(default) else default
-            if val is not None:
-                val = self._convert(kind, val, where)
-                if check is not None and not check(val, self):
-                    raise ConfigError(f"{where}: value {val!r} out of range")
+            val = self._convert(kind, val, where)
+            if check is not None and not check(val, self):
+                raise ConfigError(f"{where}: value {val!r} out of range")
             out[key] = val
         for key in sec:
             if key not in table:
@@ -269,29 +279,45 @@ class Artifacts:
         return target
 
 
+def _complex_pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
 # -- builtin problem registry -------------------------------------------------------
 
 
 def build_problem(cfg: RunConfig) -> tuple[SDEProblem, dict]:
     """Instantiate a builtin coefficient problem from the solve section."""
-    p, n, sec = cfg.prime, cfg.precision, cfg.section
+    p, n = cfg.prime, cfg.precision
+    sec = cfg.section
+    name, x0 = sec["problem"], sec["x0"]
     zero = zero_program(p, n)
     one = constant_program(PAdicValue.one(p, n))
-    linear = linear_state_program
-    drift, diffusion = {
-        "zero": lambda: (zero, zero),
-        "pure_drift": lambda: (one, zero),
-        "pure_noise": lambda: (zero, one),
-        "linear_drift": lambda: (linear(sec["alpha"]), zero),
-        "linear": lambda: (linear(sec["alpha"]), linear(sec["beta"])),
-        "steep": lambda: (linear(PAdicValue.from_rational(1, p, p, n)), zero),
-        "polynomial": lambda: (polynomial_program(sec["coeffs"], 1.0), zero),
-        "locally_constant": lambda: (locally_constant_program(cfg.ball(), tuple(
-            PAdicValue.from_int(1 + d, p, n) for d in range(p))), zero),
-    }[sec["problem"]]()
-    problem = SDEProblem(ball=cfg.ball(), depth=cfg.depth, x0=sec["x0"],
+    if name == "zero":
+        drift, diffusion = zero, zero
+    elif name == "pure_drift":
+        drift, diffusion = one, zero
+    elif name == "pure_noise":
+        drift, diffusion = zero, one
+    elif name == "linear_drift":
+        drift, diffusion = linear_state_program(sec["alpha"]), zero
+    elif name == "linear":
+        drift = linear_state_program(sec["alpha"])
+        diffusion = linear_state_program(sec["beta"])
+    elif name == "steep":
+        kappa = PAdicValue.from_rational(1, p, p, n)
+        drift, diffusion = linear_state_program(kappa), zero
+    elif name == "polynomial":
+        drift = polynomial_program(sec["coeffs"], lipschitz=1.0)
+        diffusion = zero
+    else:  # locally_constant
+        ball = cfg.ball()
+        table = tuple(PAdicValue.from_int(1 + d, p, n) for d in range(p))
+        drift = locally_constant_program(ball, table)
+        diffusion = zero
+    problem = SDEProblem(ball=cfg.ball(), depth=cfg.depth, x0=x0,
                          drift=drift, diffusion=diffusion)
-    meta = {"problem": sec["problem"], "x0": sec["x0"].qp_str()}
+    meta = {"problem": name, "x0": x0.qp_str()}
     return problem, meta
 
 
@@ -318,7 +344,8 @@ def _check_path_q(cfg: RunConfig, kind: str, q: float, key: str):
 
 
 def run_charfun(cfg: RunConfig, art: Artifacts):
-    beta, q, m_lo, m_hi = cfg.section.values()
+    sec = cfg.section
+    beta, q, m_lo, m_hi = sec["beta"], sec["q"], sec["m_lo"], sec["m_hi"]
     tail_tol = cfg.tolerances["tail_tol"]
     spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta, q)
     try:
@@ -352,9 +379,11 @@ def run_charfun(cfg: RunConfig, art: Artifacts):
 
 
 def run_sample(cfg: RunConfig, art: Artifacts):
-    kind, count, q, beta, gamma = cfg.section.values()
+    sec = cfg.section
+    kind, count, q = sec["kind"], sec["count"], sec["q"]
     checks = []
     if kind == "gaussian1d":
+        beta, gamma = sec["beta"], sec["gamma"]
         spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta,
                                             q, gamma=gamma)
         try:
@@ -424,7 +453,9 @@ def run_solve(cfg: RunConfig, art: Artifacts):
 
 
 def run_evolve(cfg: RunConfig, art: Artifacts):
-    dim, scale_exp, perturb_exp, triples = cfg.section.values()
+    sec = cfg.section
+    dim, scale_exp = sec["dim"], sec["scale_exp"]
+    perturb_exp, triples = sec["perturb_exp"], sec["triples"]
     p, n = cfg.prime, cfg.precision
     ball = cfg.ball()
 
@@ -461,11 +492,15 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
 
     e = ExpEvolution(base, ball, cfg.depth)
     exp_digits = n - 1
-    pairs = picks[:10]
-    exp_ok = all(x.agrees_abs(y, exp_digits) for ti, si in pairs
-                 for ru, re in zip(u.matrix(ti, si), e.matrix(ti, si))
-                 for x, y in zip(ru, re))
+    exp_ok = True
+    for ti, si in picks[: min(10, len(picks))]:
+        mu, me = u.matrix(ti, si), e.matrix(ti, si)
+        for ru, re in zip(mu, me):
+            for x, y in zip(ru, re):
+                if not x.agrees_abs(y, exp_digits):
+                    exp_ok = False
 
+    pairs = picks[: min(10, len(picks))]
     rep = perturbation_check(gen, gen_b, ball, cfg.depth, pairs)
     gmat = generating_operator(u, 0, start_depth=0)
     gen_ok = all(
@@ -499,7 +534,9 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
 
 
 def run_verify(cfg: RunConfig, art: Artifacts):
-    trials, char_samples, points = cfg.section.values()
+    sec = cfg.section
+    trials, char_samples = sec["trials"], sec["char_samples"]
+    points = sec["points"]
     p, n = cfg.prime, cfg.precision
     ball = cfg.ball()
     depth = cfg.depth
@@ -546,8 +583,8 @@ def run_verify(cfg: RunConfig, art: Artifacts):
             samples=char_samples, seed=derive_seed(cfg.seed, i))
         char_reports.append({
             "t_index": rep.t_index,
-            "empirical": [rep.empirical.real, rep.empirical.imag],
-            "analytic": [rep.analytic.real, rep.analytic.imag],
+            "empirical": _complex_pair(rep.empirical),
+            "analytic": _complex_pair(rep.analytic),
             "tolerance": rep.tolerance,
             "stderr": rep.stderr,
             "asserted": rep.asserted,
@@ -566,11 +603,11 @@ def run_verify(cfg: RunConfig, art: Artifacts):
 
 
 RUNNERS = {
+    "charfun": run_charfun,
     "sample": run_sample,
     "solve": run_solve,
     "evolve": run_evolve,
     "verify": run_verify,
-    "charfun": run_charfun,
 }
 
 
@@ -578,7 +615,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="padicsde",
         description="p-adic stochastic antiderivational equation toolkit")
-    parser.add_argument("command", choices=RUNNERS)
+    parser.add_argument("command", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -600,15 +637,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig(raw, args.command)
-        source = "--seed" if args.seed is not None else "PADICSDE_SEED"
-        seed = args.seed if args.seed is not None else os.environ.get(source)
-        if seed is not None:
+        if args.seed is not None:
+            cfg.seed = _seed_override("--seed", args.seed)
+        elif "PADICSDE_SEED" in os.environ:
             try:
-                cfg.seed = int(seed)
+                seed = int(os.environ["PADICSDE_SEED"])
             except ValueError:
-                raise ConfigError(f"{source}: expected an integer")
-            if cfg.seed < 0:
-                raise ConfigError(f"{source}: value {seed} out of range")
+                raise ConfigError("PADICSDE_SEED: expected an integer")
+            cfg.seed = _seed_override("PADICSDE_SEED", seed)
         if args.out is not None:
             cfg.out = args.out
     except ConfigError as exc:
