@@ -20,6 +20,7 @@ the near end of a digit step, and in the by-parts identity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .padic import BallSpec, PAdicValue, _pow
 
@@ -118,8 +119,10 @@ class GridFunction:
         return cls(ball, depth, tuple([value] * ball.grid_size(depth)))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def coordinate(cls, ball: BallSpec, depth: int) -> "GridFunction":
-        """The identity function t -> t on the grid."""
+        """The identity function t -> t on the grid, built once per
+        (ball, depth) and shared: a grid is frozen and holds a tuple."""
         return cls.from_callable(ball, depth, lambda t: t)
 
     def step_exponent(self, level: int) -> int:

@@ -155,6 +155,10 @@ class RunConfig:
         if self.radius_exp + self.depth > self.precision:
             raise ConfigError("config.depth: config.radius_exp + depth "
                               "exceeds the working precision")
+        if command == "evolve" and self.depth < 2:
+            # generator_recovery reads the radial steps k = 0 and 1 < depth
+            raise ConfigError(f"config.depth: value {self.depth} out of "
+                              f"range: evolve needs depth >= 2")
         tol = raw.get("tolerances", {})
         # echoed as written, so an integer tolerance stays an integer
         self.tolerances = {**self._walk(TOLERANCES, tol,
@@ -180,7 +184,11 @@ class RunConfig:
                     raise ConfigError(f"{where}: required key missing")
                 val = default(self, out) if callable(default) else default
             val = self._convert(kind, val, where)
-            if check is not None and not check(val, self):
+            try:
+                ok = check is None or check(val, self)
+            except ValueError as exc:   # a check that cannot decide
+                raise ConfigError(f"{where}: value {val!r}: {exc}")
+            if not ok:
                 raise ConfigError(f"{where}: value {val!r} out of range")
             out[key] = val
         for key in sec:
@@ -422,15 +430,15 @@ def run_solve(cfg: RunConfig, art: Artifacts):
     problem, meta = build_problem(cfg)
     count, q = cfg.section["samples"], cfg.section["sampler_q"]
     _check_path_q(cfg, "tree", q, "config.solve.sampler_q")
+    t_texts = [t.qp_str() for t in
+               GridFunction.coordinate(problem.ball, problem.depth).values]
     reports = []
     checks = []
     for i in range(count):
         w = wiener_path("tree", problem.ball, problem.depth, q,
                         seed=derive_seed(cfg.seed, i))
         sol = solve_picard(problem, w)
-        rows = [(sol.values.point(k).qp_str(),
-                 sol.values.values[k].qp_str())
-                for k in range(sol.values.size)]
+        rows = [(t, xi.qp_str()) for t, xi in zip(t_texts, sol.values.values)]
         art.write_csv(f"solution_{i:04d}.csv", ["t", "xi"], rows)
         reports.append({
             "sample": i,

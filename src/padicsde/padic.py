@@ -68,14 +68,39 @@ def _digit_texts(p: int, k: int) -> tuple[str, ...]:
                  for d in digits)
 
 
+# Miller-Rabin over the first 13 prime bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017); the
+# first 12 bases alone admit 318665857834031151167461.
+PRIME_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(k: int) -> bool:
+    """Deterministic Miller-Rabin primality test; raises ValueError for
+    k >= PRIME_LIMIT, where the bases no longer decide."""
+    if k >= PRIME_LIMIT:
+        raise ValueError(f"p={k} is not below the primality limit "
+                         f"{PRIME_LIMIT}")
     if k < 2:
         return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
+    for b in _PRIME_BASES:
+        if k % b == 0:
+            return k == b
+    d, s = k - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -275,8 +300,8 @@ class PAdicValue:
         """Parse the canonical text form; exact round-trip of qp_str.
 
         Refuses any text that does not denote one value at precision n:
-        fields other than p, v and d, a p that is not prime, and more
-        digits than n.
+        fields other than p, v and d, a p that is not prime or not below
+        PRIME_LIMIT, and more digits than n.
         """
         body = text.strip()
         if not (body.startswith("QP(") and body.endswith(")")):

@@ -35,7 +35,7 @@ from .antider import (
     cell_sub,
 )
 from .measure import MonteCarloEnsemble, WienerPath, wiener_path
-from .padic import BallSpec, PAdicValue
+from .padic import BallSpec, PAdicValue, _vp
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,30 @@ def _node_terms(family, drift: Program, diffusion: Program, t: PAdicValue,
     return pieces
 
 
+def _defect(p: int, new, old) -> float:
+    """The largest ``(a - b).norm()`` over the pairs of new and old values,
+    0.0 when no pair differs, read off the (v, m) integers: the norm of
+    the difference with the lowest valuation."""
+    low = None
+    for a, b in zip(new, old):
+        am, bm = a.m, b.m
+        if not bm:
+            if not am:
+                continue
+            v = a.v
+        elif not am:
+            v = b.v
+        elif a.v != b.v:
+            v = min(a.v, b.v)
+        elif am != bm:
+            v = a.v + _vp(am - bm, p)
+        else:
+            continue
+        if low is None or v < low:
+            low = v
+    return 0.0 if low is None else PAdicValue(p, 1, low, 1).norm()
+
+
 def solve_picard(problem: SDEProblem, w: WienerPath,
                  max_iter: int | None = None,
                  initial: tuple | None = None) -> SDESolution:
@@ -260,8 +284,7 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
         state = cur     # functional programs read the previous iterate
         cur = [x for _, x in _tree_scan(p, r + depth, (ZERO_CELL, root),
                                         children)]
-        trace.append(max(((a - b).norm() for a, b in zip(cur, state)
-                          if a != b), default=0.0))
+        trace.append(_defect(p, cur, state))
         if trace[-1] == 0.0:
             break
     else:

@@ -21,6 +21,20 @@ def unit_ball(p, n=N):
     return BallSpec.unit(p, n)
 
 
+def test_coordinate_grid_built_once_per_ball_and_depth():
+    p = 3
+    center = PAdicValue(p, N, -1, 5)
+    ball = BallSpec(center, 2)
+    grid = GridFunction.coordinate(ball, 2)
+    assert GridFunction.coordinate(ball, 2) is grid
+    assert grid == GridFunction.from_callable(ball, 2, lambda t: t)
+    assert grid.values[1] == center + PAdicValue(p, N, -2, 1)
+    # balls that differ only in center or in precision
+    for other in (BallSpec(PAdicValue(p, N, -1, 7), 2),
+                  BallSpec(PAdicValue(p, N - 1, -1, 5), 2)):
+        assert GridFunction.coordinate(other, 2).values != grid.values
+
+
 def random_grid(p, depth, rng, n=N, vmin=0, vmax=2):
     """Grid function with pseudo-random p-adic integer values."""
     import random

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from padicsde.cli import SECTIONS, TOLERANCES, TOP, main
+from padicsde.cli import SECTIONS, TOLERANCES, TOP, RunConfig, main
+from padicsde.padic import PRIME_LIMIT
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -257,6 +258,13 @@ def test_tolerances_echoed_as_written(tmp_path):
     ("sample", {"sample": {"kind": "gaussian1d", "beta": math.inf}},
      "config.sample.beta"),
     ("charfun", {"charfun": {"q": math.inf}}, "config.charfun.q"),
+    # the generator check needs the radial steps k = 0 and 1 below depth
+    ("evolve", {"depth": 1, "evolve": {"dim": 1, "triples": 1}},
+     "config.depth"),
+    ("evolve", {"radius_exp": 1, "depth": 1,
+                "evolve": {"dim": 1, "triples": 1}}, "config.depth"),
+    # primality is exact only below PRIME_LIMIT
+    ("charfun", {"prime": PRIME_LIMIT}, "config.prime"),
 ])
 def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     cfgfile = write_config(tmp_path, {**BASE, **extra})
@@ -264,6 +272,12 @@ def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_large_prime_validates_quickly():
+    cfg = RunConfig({"prime": 2**61 - 1, "precision": 2, "depth": 1},
+                    "charfun")
+    assert cfg.prime == 2**61 - 1
 
 
 # One tiny valid config per subcommand.  The boundary test sets each key of

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padicsde.padic import (
+    PRIME_LIMIT,
     BallSpec,
     PAdicValue,
+    _is_prime,
     digit_prefix,
     frac_part,
     mahler_basis,
@@ -371,3 +373,33 @@ def test_ball_membership_and_grid():
     for k in (-1, ball.grid_size(depth)):
         with pytest.raises(ValueError):
             ball.point(k, depth)
+
+
+def _trial_division(k):
+    return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(_is_prime(k) == _trial_division(k) for k in range(10**5))
+
+
+@pytest.mark.parametrize("k", [
+    2047, 1373653, 3215031751, 3825123056546413051,  # strong pseudoprimes
+    561,                                              # Carmichael number
+    318665857834031151167461,     # strong pseudoprime to bases 2 .. 37
+])
+def test_is_prime_rejects_pseudoprimes(k):
+    assert not _is_prime(k)
+
+
+def test_is_prime_accepts_large_primes():
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(2**13 - 1) and not _is_prime((2**13 - 1) * (2**61 - 1))
+
+
+def test_prime_limit_is_refused():
+    with pytest.raises(ValueError, match="limit"):
+        _is_prime(PRIME_LIMIT)
+    with pytest.raises(ValueError, match="limit"):
+        PAdicValue.parse(f"QP(p={PRIME_LIMIT},v=0,d=1)")
+    assert PAdicValue.parse(f"QP(p={2**61 - 1},v=0,d=1)").p == 2**61 - 1

@@ -56,6 +56,15 @@ MAHLER_PATHS = {
 # steep at p=5, N=6, depth 4
 STEEP_P5 = "9fbde4a2b953b36d930834af739e0f9e99b9311337dd8e74beb79c550bac4f5a"
 
+# steep at p=5, N=6, depth 6, seed 1, two samples: the picard_steep bench
+# config
+STEEP_BENCH = {
+    "convergence.json":
+        "3def549252bf7e2d18b627c8777cc2b2d3d4a71f66ebe9a16f09a5a62e65a4de",
+    "solution_0000.csv":
+        "d2edee10fc32ad8a29aa7a6d41ced98415a6b5812bc7c23ac46dea9a9aa78cba",
+}
+
 
 def run_digests(tmp_path, command, cfg):
     config = tmp_path / "config.json"
@@ -114,6 +123,13 @@ def test_steep_solution_digest_p5(tmp_path):
     got = run_digests(tmp_path, "solve", {**BASE, "prime": 5,
                                           "solve": {"problem": "steep"}})
     assert got["solution_0000.csv"] == STEEP_P5
+
+
+def test_steep_bench_config_digest(tmp_path):
+    got = run_digests(tmp_path, "solve", {
+        "prime": 5, "precision": 6, "depth": 6, "seed": 1,
+        "solve": {"problem": "steep", "samples": 2}})
+    assert {k: got[k] for k in STEEP_BENCH} == STEEP_BENCH
 
 
 @pytest.mark.parametrize("radius_exp", sorted(MAHLER_PATHS))

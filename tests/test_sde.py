@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from padicsde import sde
 from padicsde.measure import MonteCarloEnsemble, wiener_path
 from padicsde.padic import BallSpec, PAdicValue
 from padicsde.sde import (
@@ -14,6 +16,7 @@ from padicsde.sde import (
     picard_as_family,
     polynomial_program,
     solve_general,
+    functional_program,
     solve_picard,
     stability_diagnostic,
     zero_program,
@@ -339,3 +342,70 @@ def test_solver_accepts_series_paths():
     assert sol.residual == 0.0
     for k in range(sol.values.size):
         assert sol.values.values[k] == prob.x0 + w.at_index(k)
+
+
+def _defect_reference(new, old):
+    """The sweep defect as a difference of values: the largest norm of
+    new - old over the pairs that differ."""
+    return max(((a - b).norm() for a, b in zip(new, old) if a != b),
+               default=0.0)
+
+
+@st.composite
+def defect_lists(draw):
+    """Two equally long value lists at one prime and mixed precisions:
+    zeros on either side, equal valuations (which carry at p=2), values
+    equal up to precision, and identical entries."""
+    p = draw(st.sampled_from([2, 3, 5]))
+
+    def value(n, v=None):
+        if v is None and draw(st.integers(0, 4)) == 0:
+            return PAdicValue.zero(p, n)
+        m = draw(st.integers(1, p**n - 1).filter(lambda k: k % p))
+        return PAdicValue(p, n, draw(st.integers(-3, 3)) if v is None else v,
+                          m)
+
+    new, old = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        a = value(draw(st.integers(1, N)))
+        kind = draw(st.sampled_from(["any", "same", "same_v", "truncated"]))
+        n = draw(st.integers(1, N))
+        if kind == "same":
+            b = a
+        elif kind == "same_v" and a.m:
+            b = value(n, a.v)
+        elif kind == "truncated" and a.m:
+            b = PAdicValue(p, n, a.v, a.m % p**n)
+        else:
+            b = value(n)
+        pair = (a, b) if draw(st.booleans()) else (b, a)
+        new.append(pair[0])
+        old.append(pair[1])
+    return p, new, old
+
+
+@settings(max_examples=300, deadline=None)
+@given(defect_lists())
+@example((2, [PAdicValue(2, N, 0, 1)], [PAdicValue(2, N, 0, 33)]))
+@example((2, [PAdicValue(2, N, 1, 3)], [PAdicValue(2, 3, 1, 3)]))
+@example((3, [PAdicValue.zero(3, N)], [PAdicValue(3, N, -2, 5)]))
+@example((3, [PAdicValue(3, N, 4, 5)], [PAdicValue.zero(3, 2)]))
+@example((5, [PAdicValue(5, N, 1, 7)] * 3, [PAdicValue(5, N, 1, 7)] * 3))
+@example((5, [], []))
+def test_defect_matches_value_difference(case):
+    p, new, old = case
+    assert sde._defect(p, new, old) == _defect_reference(new, old)
+
+
+@pytest.mark.parametrize("p, seed", [(2, 5), (3, 13)])
+def test_functional_defect_trace_matches_reference(monkeypatch, p, seed):
+    # reading the last grid value, the drift changes from sweep to sweep
+    pp = PAdicValue.from_int(p, p, N)
+    prob = make_problem(p, 3, x0_int=1, drift=functional_program(
+        "last", lambda t, x, state: pp * state[-1]))
+    w = path_for(prob, seed)
+    sol = solve_picard(prob, w)
+    assert sol.iterations > 2 and sol.defect_trace[-2] > 0.0
+    monkeypatch.setattr(sde, "_defect",
+                        lambda p, new, old: _defect_reference(new, old))
+    assert solve_picard(prob, w).defect_trace == sol.defect_trace
