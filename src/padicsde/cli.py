@@ -75,6 +75,15 @@ def _in_shell_bounds(m: int, cfg: "RunConfig") -> bool:
     return lowest <= m <= highest
 
 
+def _exp_scale_floor(cfg: "RunConfig") -> int:
+    """Least ``evolve.scale_exp`` at which the solved flow agrees with
+    ``EXP((t - s) A)`` at N - 1 digits.  The two differ from second order
+    on, by terms of norm at most ``|(t - s) A|**2`` (times ``|1/2| = 2`` at
+    p = 2), and ``|t - s| <= p**radius_exp``.  The floor also keeps
+    ``|(t - s) A| < 1``, without which the exponential series never ends."""
+    return cfg.radius_exp + (cfg.precision + (cfg.prime == 2)) // 2
+
+
 # Each table maps a key to (kind, default, range predicate).  The kind is
 # int, float (finite; an integer is converted), str, PAdicValue (an integer
 # or a QP(...) string) or list (of PAdicValue constants).  A default is a
@@ -127,7 +136,8 @@ SECTIONS = {
     },
     "evolve": {
         "dim": (int, 3, lambda v, _: 1 <= v <= 8),
-        "scale_exp": (int, 3, lambda v, _: v >= 1),
+        "scale_exp": (int, lambda cfg, _: max(3, _exp_scale_floor(cfg)),
+                      lambda v, cfg: v >= _exp_scale_floor(cfg)),
         "perturb_exp": (int, 4, lambda v, _: v >= 1),
         "triples": (int, 50, lambda v, _: v >= 1),
     },

@@ -9,7 +9,10 @@ is the ordered digit-chain product
 entries are kept as exact rationals internally so the defining equation,
 the two-sided cocycle law and the perturbation identity all check to
 literal zeros, and are rounded to working precision at the accessor and
-serialization boundary.
+serialization boundary.  A ``Matrix`` is a tuple of ``Fraction`` rows, but
+its products, inverses and tree steps are computed as integer rows over
+one common denominator and converted back once, so no ``Fraction`` is
+renormalized inside the arithmetic and the results stay canonical.
 
 Discrete endpoint conventions, fixed here and in the docs: the dual
 (backward) equation evaluates its one-step factor at the far end of each
@@ -24,6 +27,7 @@ would negate it).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -61,30 +65,59 @@ def mat_scale(a: Matrix, c: Fraction) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    d = len(a)
+# The integer form of a matrix is (rows of int, den > 0): the matrix is
+# rows / den.  Matrix arithmetic runs on it, so no Fraction renormalizes
+# after each + and *; one Fraction(x, den) per entry converts back.
+IntRows = list[list[int]]
+
+
+def _int_form(a: Matrix) -> tuple[IntRows, int]:
+    """Integer rows of ``a`` over the lcm of its entries' denominators."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in a], den
+
+
+def _from_int_form(rows: IntRows, den: int) -> Matrix:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def _int_mul(a: IntRows, b: IntRows) -> IntRows:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    (an, ad), (bn, bd) = _int_form(a), _int_form(b)
+    return _from_int_form(_int_mul(an, bn), ad * bd)
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse over the rationals."""
-    d = len(a)
-    work = [list(row) + list(ident_row)
-            for row, ident_row in zip(a, mat_identity(d))]
+    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination on
+    the integer rows.  Every division is exact; the left block ends as
+    ``delta I`` and the right block as ``delta rows**-1``, where delta is
+    the last pivot (+-det of the rows), so ``a**-1 = den right / delta``."""
+    rows, den = _int_form(a)
+    d = len(rows)
+    work = [row + [int(i == j) for j in range(d)]
+            for i, row in enumerate(rows)]
+    prev = 1
     for col in range(d):
-        pivot = next((r for r in range(col, d) if work[r][col] != 0), None)
+        pivot = next((r for r in range(col, d) if work[r][col]), None)
         if pivot is None:
             raise ZeroDivisionError("singular operator matrix")
         work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
+        prow = work[col]
+        pv = prow[col]
         for r in range(d):
-            if r != col and work[r][col] != 0:
+            if r != col:
                 f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[d:]) for row in work)
+                work[r] = [(pv * x - f * y) // prev
+                           for x, y in zip(work[r], prow)]
+        prev = pv
+    if prev < 0:
+        den, prev = -den, -prev
+    return _from_int_form([[den * x for x in row[d:]] for row in work], prev)
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -149,6 +182,7 @@ class EvolutionOperator:
         self.dim = dim
         self.transfers = tuple(transfers)   # W(t) per grid index
         self._inverses: dict[int, Matrix] = {}
+        self._identity = mat_identity(dim)
         self.provenance = provenance
 
     @property
@@ -172,7 +206,7 @@ class EvolutionOperator:
     def exact(self, ti: int, si: int) -> Matrix:
         """Exact U(t, s) = W(t) W(s)^{-1}."""
         if ti == si:
-            return mat_identity(self.dim)
+            return self._identity
         return mat_mul(self.transfers[ti], self._inv(si))
 
     def matrix(self, ti: int, si: int):
@@ -220,16 +254,33 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
     W(j)`` from ``W(center) = I``: one level-order pass computes every
     transfer exactly, with one generator call per interior node.  No
     contraction hypothesis is needed at fixed precision.
+
+    Each node carries W in integer form ``(wn, wd)``.  With ``A = an / ad``
+    and the step ``p**(level - r) = un / ud``, the child of digit d is
+    ``(wn ad ud + d un (an wn)) / (wd ad ud)``; every transfer is turned
+    into ``Fraction`` entries once, at the end.
     """
     p, r = ball.p, ball.radius_exp
     grid = GridFunction.coordinate(ball, depth)
 
-    def children(level, j, wj, kids):
-        aw = mat_mul(a(grid.values[j]), wj)
-        unit = Fraction(p) ** (level - r)
-        return [mat_add(wj, mat_scale(aw, unit * d)) for d in range(1, p)]
+    def children(level, j, w, kids):
+        wn, wd = w
+        an, ad = _int_form(a(grid.values[j]))
+        un, ud = ((_pow(p, level - r), 1) if level >= r
+                  else (1, _pow(p, r - level)))
+        keep = ad * ud
+        base = [[keep * x for x in row] for row in wn]
+        aw = _int_mul(an, wn)
+        return [([[x + d * un * y for x, y in zip(rb, ra)]
+                  for rb, ra in zip(base, aw)], wd * keep)
+                for d in range(1, p)]
 
-    transfers = _tree_scan(p, r + depth, mat_identity(a.dim), children)
+    ident = [[int(i == j) for j in range(a.dim)] for i in range(a.dim)]
+    transfers = _tree_scan(p, r + depth, (ident, 1), children)
+    # converted in place, so each int form is freed as its Fractions are
+    # made: a second list would hold all of them at the peak
+    for k, (rows, den) in enumerate(transfers):
+        transfers[k] = _from_int_form(rows, den)
     return EvolutionOperator(grid, a.dim, transfers, provenance="solved")
 
 

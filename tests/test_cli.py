@@ -265,6 +265,20 @@ def test_tolerances_echoed_as_written(tmp_path):
                 "evolve": {"dim": 1, "triples": 1}}, "config.depth"),
     # primality is exact only below PRIME_LIMIT
     ("charfun", {"prime": PRIME_LIMIT}, "config.prime"),
+    # scale_exp below radius_exp + (N + (p == 2)) // 2: the exponential
+    # check fails, or its series never ends once |(t - s) A| >= 1
+    ("evolve", {"precision": 8, "depth": 2,
+                "evolve": {"dim": 1, "triples": 1, "scale_exp": 3}},
+     "config.evolve.scale_exp"),
+    ("evolve", {"prime": 3, "precision": 4, "radius_exp": 1, "depth": 2,
+                "evolve": {"dim": 1, "triples": 1, "scale_exp": 1}},
+     "config.evolve.scale_exp"),
+    ("evolve", {"radius_exp": 1, "evolve": {"dim": 1, "triples": 1,
+                                            "scale_exp": 3}},
+     "config.evolve.scale_exp"),
+    ("evolve", {"prime": 2, "precision": 5, "depth": 2,
+                "evolve": {"dim": 1, "triples": 1, "scale_exp": 2}},
+     "config.evolve.scale_exp"),
 ])
 def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     cfgfile = write_config(tmp_path, {**BASE, **extra})
@@ -272,6 +286,24 @@ def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, scale_exp", [
+    ({"precision": 8, "depth": 2}, 4),
+    ({"radius_exp": 1}, 4),
+    ({"prime": 2, "precision": 5, "depth": 2}, 3),
+    ({"prime": 2, "precision": 7, "radius_exp": 1, "depth": 2}, 5),
+    ({}, 3),
+])
+def test_evolve_default_scale_exp_passes(tmp_path, extra, scale_exp):
+    cfgfile = write_config(tmp_path, {**BASE, **extra,
+                                      "evolve": {"dim": 1, "triples": 2}})
+    out = tmp_path / "ev"
+    assert main(["evolve", "--config", str(cfgfile),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "evolve.json").read_text())
+    assert report["scale_exp"] == scale_exp
+    assert all(c["passed"] for c in report["checks"])
 
 
 def test_large_prime_validates_quickly():

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from padicsde.evolution import (
     EvolutionOperator,
@@ -9,9 +10,12 @@ from padicsde.evolution import (
     GeneratorSpec,
     MofReport,
     generating_operator,
+    mat_add,
     mat_identity,
+    mat_inv,
     mat_is_zero,
     mat_mul,
+    mat_scale,
     mat_norm,
     mat_sub,
     mof_check,
@@ -300,3 +304,146 @@ def test_generator_series_square_matches_difference_quotient():
                        tuple(v * v for v in sol.values.values))
     dq = path_derivative(eta, ti)
     assert formula.agrees_abs(dq, 2 * aval.v)
+
+
+# -- integer layer against Fraction references ------------------------------------
+#
+# The references below are the all-Fraction forms of mat_mul, mat_inv and
+# the solve_evolution tree step; the integer layer must give equal,
+# canonical Fractions.
+
+
+def _ref_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                 for row in a)
+
+
+def _ref_inv(a):
+    d = len(a)
+    work = [list(row) + list(ident_row)
+            for row, ident_row in zip(a, mat_identity(d))]
+    for col in range(d):
+        pivot = next((r for r in range(col, d) if work[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular operator matrix")
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(d):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[d:]) for row in work)
+
+
+def _ref_transfers(a, ball, depth):
+    from padicsde.antider import GridFunction, _tree_scan
+    p, r = ball.p, ball.radius_exp
+    grid = GridFunction.coordinate(ball, depth)
+
+    def children(level, j, wj, kids):
+        aw = _ref_mul(a(grid.values[j]), wj)
+        unit = Fraction(p) ** (level - r)
+        return [mat_add(wj, mat_scale(aw, unit * d)) for d in range(1, p)]
+
+    return tuple(_tree_scan(p, r + depth, mat_identity(a.dim), children))
+
+
+def _canonical(m):
+    return all(type(x) is Fraction and x.denominator > 0
+               for row in m for x in row)
+
+
+# denominators with and without factors of p = 3
+_fractions = st.builds(Fraction, st.integers(-12, 12),
+                       st.sampled_from([1, 2, 3, 4, 7, 9, 10, 27, 63]))
+
+
+@st.composite
+def _square(draw, dim=None):
+    d = dim if dim is not None else draw(st.integers(1, 5))
+    return tuple(tuple(draw(_fractions) for _ in range(d)) for _ in range(d))
+
+
+@st.composite
+def _square_pair(draw):
+    d = draw(st.integers(1, 5))
+    return draw(_square(d)), draw(_square(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_pair())
+def test_mat_mul_matches_fraction_reference(pair):
+    a, b = pair
+    got = mat_mul(a, b)
+    assert got == _ref_mul(a, b)
+    assert _canonical(got)
+
+
+_SWAP = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square())
+@example(_SWAP)                                         # det -1
+@example(((Fraction(-2, 9),),))                         # 1x1, det < 0
+@example(((Fraction(1, 3), Fraction(2, 7)),
+          (Fraction(5, 2), Fraction(-1, 9))))           # det < 0
+@example(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))))
+def test_mat_inv_matches_fraction_reference(a):
+    try:
+        want = _ref_inv(a)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            mat_inv(a)
+        return
+    got = mat_inv(a)
+    assert got == want
+    assert _canonical(got)
+    assert mat_mul(a, got) == mat_identity(len(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square(), st.data())
+def test_mat_inv_rejects_singular_input(a, data):
+    # one row is a rational multiple of another (or zero when d = 1)
+    d = len(a)
+    rows = [list(row) for row in a]
+    src = data.draw(st.integers(0, d - 1))
+    dst = data.draw(st.integers(0, d - 1))
+    c = data.draw(_fractions)
+    rows[dst] = ([c * x for x in rows[src]] if src != dst
+                 else [Fraction(0)] * d)
+    singular = tuple(tuple(row) for row in rows)
+    for inv in (_ref_inv, mat_inv):
+        with pytest.raises(ZeroDivisionError):
+            inv(singular)
+
+
+def _t_generator(c, dim=2):
+    """A t-dependent generator whose entries carry the non-p denominators
+    of c (and the p-power denominators of t off the unit ball)."""
+    def fn(t):
+        tf = t.as_fraction()
+        return tuple(tuple(c[i][j] * P + (tf * P ** 3 / 7 if i == j else 0)
+                           for j in range(dim)) for i in range(dim))
+    return GeneratorSpec(dim=dim, fn=fn, sup_norm=1.0)
+
+
+@pytest.mark.parametrize("radius_exp", [0, 2])
+@settings(max_examples=8, deadline=None)
+@given(c=_square(2))
+def test_solve_evolution_matches_fraction_recursion(radius_exp, c):
+    ball = BallSpec(PAdicValue.zero(P, N), radius_exp)
+    a = _t_generator(c)
+    u = solve_evolution(a, ball, 2)
+    want = _ref_transfers(a, ball, 2)
+    assert u.transfers == want
+    assert all(_canonical(w) for w in u.transfers)
+
+
+def test_exact_identity_is_built_once():
+    u = solve_evolution(const_generator(2), unit_ball(), DEPTH)
+    assert u.exact(3, 3) is u.exact(5, 5)
+    assert u.exact(3, 3) == mat_identity(D)

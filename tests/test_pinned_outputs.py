@@ -28,6 +28,29 @@ OPERATOR = "614e40203d0c7ba8e7a304976f0b98bdd08648abba2a5a501670ad9b0da0889a"
 EVOLVE_REPORT = \
     "46426ed9cdf83214620ec1719a93889b7ed3133b73afd80f1a5f493a9b3b0d66"
 
+# the evolve_ops bench config (p=5, N=6, depth 4, dim 3, triples 200) at
+# seeds 1 and 2, whose perturb_exp is 5 and 4; the operator rows do not
+# depend on perturb_exp
+EVOLVE_BENCH = {
+    1: {"operator.csv":
+        "5f6ecb9894e9cbb200a1eea4c6b91c99c7f4d698a4ab750165fceffa58e725e1",
+        "evolve.json":
+        "58cef2d328e980d230b1413ffeeb333ea3f9ae4c7121b998ca09fe8916dd3e44"},
+    2: {"operator.csv":
+        "5f6ecb9894e9cbb200a1eea4c6b91c99c7f4d698a4ab750165fceffa58e725e1",
+        "evolve.json":
+        "7b03d6078a16820c92fb59f6e796bd87526403f664a2301da28a3362adc97595"},
+}
+
+# evolve at p=3, N=6, depth 3, radius_exp 1, scale_exp 4, dim 2: the
+# first chain level's step p**-1 has a denominator
+EVOLVE_RADIUS1 = {
+    "operator.csv":
+        "1969dd5d19c5a2a16402ed518b89b379d5f70978e29c770783f43074ba375822",
+    "evolve.json":
+        "140e67ba3c123ca5d888eb6aff7e806282df00b102da3db41ab373eca7c04763",
+}
+
 # by-parts, square-decomposition and covariation residuals plus the
 # character-product reports
 VERIFY_REPORT = \
@@ -94,6 +117,22 @@ def test_evolve_report_digest(tmp_path):
                                            "evolve": {"dim": 2,
                                                       "triples": 12}})
     assert got["evolve.json"] == EVOLVE_REPORT
+
+
+@pytest.mark.parametrize("seed", sorted(EVOLVE_BENCH))
+def test_evolve_bench_config_digests(tmp_path, seed):
+    got = run_digests(tmp_path, "evolve", {
+        "prime": 5, "precision": 6, "depth": 4, "seed": seed,
+        "evolve": {"dim": 3, "scale_exp": 3, "triples": 200,
+                   "perturb_exp": 4 + seed % 2}})
+    assert {k: got[k] for k in EVOLVE_BENCH[seed]} == EVOLVE_BENCH[seed]
+
+
+def test_evolve_radius1_digests(tmp_path):
+    got = run_digests(tmp_path, "evolve", {
+        **BASE, "depth": 3, "radius_exp": 1,
+        "evolve": {"dim": 2, "scale_exp": 4, "triples": 12}})
+    assert {k: got[k] for k in EVOLVE_RADIUS1} == EVOLVE_RADIUS1
 
 
 def test_verify_report_digest(tmp_path):
