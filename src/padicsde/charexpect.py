@@ -90,21 +90,26 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
         # the accumulator is the pair (v, m), the product c * draw keeps
         # min(c.n, n) digits and the sum keeps the running minimum precision
         # of its terms.  A zero c still draws, so the stream layout is fixed.
+        # The tally reads the sum below valuation 0, and no carry or
+        # truncation moves a digit down, so a draw is read below the cut
+        # -c.v (its digits from there on land at valuations >= 0); a term
+        # of valuation >= 0 still moves the (v, m) window.
         steps = []
         n_run = n
         for level, c, _j, _jn in consts:
-            draw_raw = cached_sampler(GaussianSpec.one_dimensional(
-                p, n, beta=betas[level], q=q)).draw_raw
+            law = cached_sampler(GaussianSpec.one_dimensional(
+                p, n, beta=betas[level], q=q))
             if c.is_zero:
-                steps.append((draw_raw, 0, 0, 1, 1))
+                steps.append((law.draw_raw, law.shell_only, 0, 0, 1, 1))
                 continue
             n_c = min(c.n, n)
             n_run = min(n_run, n_c)
-            steps.append((draw_raw, c.v, c.m, _pow(p, n_c), _pow(p, n_run)))
+            steps.append((law.draw_raw, -c.v, c.v, c.m, _pow(p, n_c),
+                          _pow(p, n_run)))
         for stream in ens.streams():
             v = m = 0
-            for draw_raw, cv, cm, mod_c, mod_run in steps:
-                dv, dm = draw_raw(stream)
+            for draw_raw, cut, cv, cm, mod_c, mod_run in steps:
+                dv, dm = draw_raw(stream, cut)
                 if not cm:
                     continue
                 tv, tm = cv + dv, cm * dm % mod_c

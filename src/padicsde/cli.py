@@ -84,6 +84,14 @@ def _exp_scale_floor(cfg: "RunConfig") -> int:
     return cfg.radius_exp + (cfg.precision + (cfg.prime == 2)) // 2
 
 
+# The largest grid, p**(radius_exp + depth) points, that sample (path
+# kinds), solve, evolve and verify may build.  Peak RSS grows by about
+# 0.3 kB per grid point in sample, 0.4 kB in verify, 0.7 kB in solve and
+# 21 kB in evolve at dim 8 (CPython 3.11 on x86-64), so no run at the cap
+# needs much more than 2 GB.
+MAX_GRID_POINTS = 100_000
+
+
 # Each table maps a key to (kind, default, range predicate).  The kind is
 # int, float (finite; an integer is converted), str, PAdicValue (an integer
 # or a QP(...) string) or list (of PAdicValue constants).  A default is a
@@ -178,6 +186,14 @@ class RunConfig:
                     for name, table in SECTIONS.items()
                     if name in raw or name == command}
         self.section = sections[command]
+        levels = self.radius_exp + self.depth
+        if (command != "charfun" and self.section.get("kind") != "gaussian1d"
+                and (levels >= MAX_GRID_POINTS.bit_length()
+                     or self.prime ** levels > MAX_GRID_POINTS)):
+            raise ConfigError(f"config.depth: value {self.depth} out of "
+                              f"range: the grid has {self.prime}**{levels} "
+                              f"points, above MAX_GRID_POINTS = "
+                              f"{MAX_GRID_POINTS}")
 
     def _walk(self, table: dict, sec, path: str) -> dict:
         """The checked value of every key of ``table`` in ``sec``."""

@@ -287,7 +287,9 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
 class ExpEvolution:
     """The family EXP((t - s) A) for a constant generator, computed by the
     working-precision exponential series; provenance "exp".  Valid on the
-    convergence domain |(t - s) A| < p**(-1/(p-1))."""
+    convergence domain |(t - s) A| < p**(-1/(p-1)); outside it ``matrix``
+    raises ValueError unless the series ends within dim terms, as for a
+    nilpotent A."""
 
     def __init__(self, a_const: Matrix, ball: BallSpec, depth: int):
         self.a = a_const
@@ -310,6 +312,13 @@ class ExpEvolution:
                             for j in range(self.dim)) for i in range(self.dim))
         if z.is_zero:
             return ident
+        # In the domain, (p - 1) v((t - s) A) > 1, the k-th term has
+        # valuation at least k v((t - s) A) - (k - 1)/(p - 1), so the series
+        # leaves the precision.  Outside it the series is summed only if it
+        # ends within dim terms, as it does for a nilpotent A.
+        va = min((x.v for row in a_p for x in row if not x.is_zero),
+                 default=None)
+        in_domain = va is None or (p - 1) * (z.v + va) > 1
         total = ident
         term = ident
         k = 0
@@ -331,6 +340,12 @@ class ExpEvolution:
                         default=None)
             if worst is None or worst > n:
                 break
+            if not in_domain and k == self.dim:
+                raise ValueError(
+                    f"|(t - s) A| = {p}**{-(z.v + va)} is outside the "
+                    f"convergence domain |(t - s) A| < p**(-1/(p-1)) of "
+                    f"EXP((t - s) A), and the series does not end within "
+                    f"dim = {self.dim} terms")
             total = tuple(tuple(x + y for x, y in zip(ra, rb))
                           for ra, rb in zip(total, term))
         return total

@@ -104,13 +104,21 @@ class Gaussian1DSampler:
         self.shells = [m for m, _ in table.rows()]
         self.cumulative = table.cdf()
         self._rest = _pow(spec.p, spec.n - 1)
+        # the largest cut at which ``draw_raw`` reads no digit on any shell
+        self.shell_only = -max(self.shells)
 
-    def draw_raw(self, stream: RandomStream) -> tuple[int, int]:
+    def draw_raw(self, stream: RandomStream,
+                 cut: int | None = None) -> tuple[int, int]:
         """Fast path: (valuation, mantissa) of an unshifted draw.
 
         Consumes three stream outputs u1, u2, u3: the shell is the inverse
         CDF at (u1 >> 11) / 2**53, the leading digit 1 + u2 % (p-1) and the
-        remaining digits u3 % p**(n-1).
+        remaining digits u3 % p**(n-1).  That layout does not depend on
+        ``cut``, but outputs the caller does not read are not computed.  A
+        caller that reads only the digits at valuations below ``cut``
+        reads ``cut + m`` digits on shell m: u2 is mixed only if that is at
+        least 1 and u3 only if it is at least 2; with no digit read the
+        mantissa is the unit 1.  The digits read are those of the full draw.
         """
         s1 = (stream.state + _GOLDEN) & _MASK
         s2 = (s1 + _GOLDEN) & _MASK
@@ -119,6 +127,8 @@ class Gaussian1DSampler:
         i = bisect.bisect_right(self.cumulative, (mix64(s1) >> 11) * _ULP53)
         m = shells[i] if i < len(shells) else shells[-1]
         p = self.spec.p
+        if cut is not None and cut + m < 2:
+            return -m, 1 if cut + m < 1 else 1 + mix64(s2) % (p - 1)
         return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % self._rest)
 
     def draw(self, stream: RandomStream) -> PAdicValue:
@@ -156,39 +166,52 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     p, n = spec.p, spec.n
     hs = list(h_values)
     tallies = [AngleTally(p) for _ in hs]
-    ens = MonteCarloEnsemble(seed, size)
     gamma = spec.gamma
     shifted = gamma is not None and not gamma.is_zero
     hdata = [(None if h.is_zero else (h.v, h.m)) for h in hs]
-    for stream in ens.streams():
-        v, mant = sampler.draw_raw(stream)
+    # Every tally depends on a draw only through a key (v, mant), so each
+    # key is tallied once with its count, in first-occurrence order: every
+    # tally then gets its angles in the same first-insertion order as
+    # sample by sample.  Unshifted, h * x reads the mantissa digits below
+    # valuation -h.v, so a draw is read below the largest such cut and its
+    # mantissa reduced mod p**(cut - v); a shifted draw is read in full.
+    cut = None if shifted else max(
+        (-hd[0] for hd in hdata if hd is not None), default=sampler.shell_only)
+    pows = [_pow(p, k) for k in range(n + 1)]
+    counts: dict[tuple[int, int], int] = {}
+    draw_raw = sampler.draw_raw
+    for stream in MonteCarloEnsemble(seed, size).streams():
+        v, mant = draw_raw(stream, cut)
+        if cut is not None and 1 < cut - v < n:
+            mant %= pows[cut - v]
+        key = (v, mant)
+        counts[key] = counts.get(key, 0) + 1
+    for (v, mant), count in counts.items():
+        if shifted:
+            x = PAdicValue(p, n, v, mant) + gamma
         for h, hd, tally in zip(hs, hdata, tallies):
-            if hd is None:
-                tally.add_raw(0, 0)
-                continue
-            k = -(hd[0] + v)
+            k = 0 if hd is None else -(hd[0] + v)
             if k > n:
                 # the angle window leaves the mantissa; the conditional
                 # character over the unsampled digits is exactly zero
-                tally.add_zero()
-                continue
-            if not shifted:
-                if k <= 0:
-                    tally.add_raw(0, 0)
-                else:
-                    tally.add_raw((hd[1] * mant) % _pow(p, k), k)
-                continue
-            y = h * (PAdicValue(p, n, v, mant) + gamma)
-            tally.add_raw(y.m, -y.v)
+                tally.add_zero(count)
+            elif shifted and hd is not None:
+                y = h * x
+                tally.add_raw(y.m, -y.v, count)
+            elif k <= 0:
+                tally.add_raw(0, 0, count)
+            else:
+                tally.add_raw((hd[1] * mant) % pows[k], k, count)
     return {h: tally.mean() for h, tally in zip(hs, tallies)}
 
 
 def norm_histogram(spec: GaussianSpec, size: int, seed: int) -> dict[int, int]:
     """Counts of the sampled norm exponents m (|x| = p**m) per shell."""
     sampler = cached_sampler(spec)
+    draw_raw, cut = sampler.draw_raw, sampler.shell_only
     counts: dict[int, int] = {}
     for stream in MonteCarloEnsemble(seed, size).streams():
-        v, _ = sampler.draw_raw(stream)
+        v, _ = draw_raw(stream, cut)
         counts[-v] = counts.get(-v, 0) + 1
     return counts
 

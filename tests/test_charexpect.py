@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -183,3 +184,44 @@ def test_tree_loop_matches_padic_reference(p, make_psi, gamma, g, t_digits,
         assert all(c.n == 3 for c in nonzero)
     if feature == "cancel":
         assert cancelled > 0
+
+
+def _random_case(rng):
+    """A random integrand on a random ball: zeros, precisions below N and
+    valuations of both signs, at p = 2 (where every equal-valuation sum
+    carries), 3 and 5."""
+    p = rng.choice((2, 3, 5))
+    ball = BallSpec(PAdicValue.zero(p, N), rng.choice((0, 1)))
+
+    def value(zero_weight):
+        if rng.random() < zero_weight:
+            return PAdicValue.zero(p, N)
+        n = rng.randint(1, N)
+        m = rng.randrange(1, p**n)
+        while m % p == 0:
+            m = rng.randrange(1, p**n)
+        return PAdicValue(p, n, rng.randint(-3, 3), m)
+
+    size = ball.grid_size(3)
+    psi = GridFunction(ball, 3, tuple(value(0.2) for _ in range(size)))
+    return psi, value(0.05), value(0.0), rng.randrange(1, size)
+
+
+def test_lazy_tree_loop_matches_eager_reference():
+    rng = random.Random(2024)
+    seen = {"zero_c": 0, "short_c": 0, "negative_v": 0, "positive_v": 0,
+            "p2_carry": 0}
+    for case in range(120):
+        psi, gamma, g, t_index = _random_case(rng)
+        empirical, stderr, passed, consts, cancelled = _padic_reference(
+            psi, gamma, g, t_index, 150, case)
+        rep = character_product_check(psi, gamma, g, t_index, 150, case)
+        assert (rep.empirical, rep.stderr, rep.passed) == \
+            (empirical, stderr, passed), case
+        nonzero = [c for c in consts if not c.is_zero]
+        seen["zero_c"] += len(nonzero) < len(consts)
+        seen["short_c"] += any(c.n < N for c in nonzero)
+        seen["negative_v"] += any(c.v < 0 for c in nonzero)
+        seen["positive_v"] += any(c.v > 0 for c in nonzero)
+        seen["p2_carry"] += psi.p == 2 and cancelled > 0
+    assert all(count >= 5 for count in seen.values()), seen

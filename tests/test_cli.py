@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from padicsde.cli import SECTIONS, TOLERANCES, TOP, RunConfig, main
+from padicsde.cli import SECTIONS, TOLERANCES, TOP, ConfigError, \
+    RunConfig, main
 from padicsde.padic import PRIME_LIMIT
 
 
@@ -310,6 +311,39 @@ def test_large_prime_validates_quickly():
     cfg = RunConfig({"prime": 2**61 - 1, "precision": 2, "depth": 1},
                     "charfun")
     assert cfg.prime == 2**61 - 1
+
+
+# Grids above the cap are only validated here, never run.
+@pytest.mark.parametrize("command, raw", [
+    ("solve", {"prime": 2, "precision": 40, "depth": 40,
+               "solve": {"problem": "zero"}}),
+    ("sample", {"prime": 2, "precision": 17, "depth": 17,
+                "sample": {"kind": "wiener_tree"}}),
+    ("sample", {"prime": 3, "precision": 12, "radius_exp": 2, "depth": 9,
+                "sample": {"kind": "wiener_mahler"}}),
+    ("evolve", {"prime": 317, "precision": 2, "depth": 2}),
+    ("verify", {"prime": 100003, "precision": 2, "depth": 1}),
+    # the check must not compute 5**(10**9)
+    ("verify", {"prime": 5, "precision": 10**9, "depth": 10**9}),
+])
+def test_grid_cap_rejects_at_depth(command, raw):
+    with pytest.raises(ConfigError, match=r"^config\.depth: .* points, "
+                                          r"above MAX_GRID_POINTS"):
+        RunConfig(raw, command)
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("verify", {"prime": 2, "precision": 16, "depth": 16}),
+    ("solve", {"prime": 5, "precision": 7, "depth": 7,
+               "solve": {"problem": "zero"}}),
+    ("evolve", {"prime": 313, "precision": 2, "depth": 2}),
+    # gaussian1d samples and charfun build no grid
+    ("sample", {"prime": 2, "precision": 40, "depth": 40,
+                "sample": {"kind": "gaussian1d"}}),
+    ("charfun", {"prime": 2, "precision": 40, "depth": 40}),
+])
+def test_grid_cap_admits_grids_up_to_it(command, raw):
+    RunConfig(raw, command)
 
 
 # One tiny valid config per subcommand.  The boundary test sets each key of

@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,78 @@ def test_exp_identity_at_equal_times():
         for j in range(D):
             want = PAdicValue.from_int(1 if i == j else 0, P, N)
             assert m[i][j] == want
+
+
+def _within(seconds, fn):
+    """fn() under a SIGALRM deadline, so a loop that never ends fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _exp_series(a, ball, depth, ti, si):
+    """EXP((t - s) A) summed until a term leaves the precision, with no
+    domain check; it ends only inside the convergence domain."""
+    p, n, dim = ball.p, ball.n, len(a)
+    z = ball.point(ti, depth) - ball.point(si, depth)
+    a_p = [[PAdicValue.from_fraction(x, p, n) for x in row] for row in a]
+    one, zero = PAdicValue.one(p, n), PAdicValue.zero(p, n)
+    total = [[one if i == j else zero for j in range(dim)]
+             for i in range(dim)]
+    term, k = total, 0
+    while not z.is_zero:
+        k += 1
+        zk = z / PAdicValue.from_int(k, p, n)
+        term = [[sum((term[i][l] * a_p[l][j] for l in range(dim)),
+                     zero) * zk for j in range(dim)] for i in range(dim)]
+        if all(x.is_zero or x.v > n for row in term for x in row):
+            break
+        total = [[x + y for x, y in zip(ra, rb)]
+                 for ra, rb in zip(total, term)]
+    return tuple(tuple(row) for row in total)
+
+
+@pytest.mark.parametrize("p, radius_exp, a", [
+    # |(t - s) A| = 3**0 and 3**-1 at p = 3, 2**-1 at p = 2 (the boundary)
+    (3, 1, ((Fraction(3),),)),
+    (3, 0, ((Fraction(1), Fraction(2)), (Fraction(1, 3), Fraction(3)))),
+    (2, 0, ((Fraction(2),),)),
+])
+def test_exp_outside_domain_raises(p, radius_exp, a):
+    e = ExpEvolution(a, BallSpec(PAdicValue.zero(p, 4), radius_exp), 2)
+    with pytest.raises(ValueError, match="convergence domain"):
+        _within(10, lambda: e.matrix(1, 0))
+
+
+def test_exp_nilpotent_outside_domain_ends():
+    # A**3 = 0: the series ends at the square term whatever |(t - s) A|
+    a = ((Fraction(0), Fraction(1), Fraction(1, 3)),
+         (Fraction(0), Fraction(0), Fraction(2)),
+         (Fraction(0), Fraction(0), Fraction(0)))
+    ball = BallSpec(PAdicValue.zero(3, 4), 1)
+    for ti, si in ((1, 0), (5, 2), (8, 8)):
+        got = _within(10, lambda: ExpEvolution(a, ball, 2).matrix(ti, si))
+        assert got == _exp_series(a, ball, 2, ti, si)
+
+
+@pytest.mark.parametrize("p, scale_exp", [(2, 2), (2, 3), (3, 1), (3, 2),
+                                          (5, 1), (5, 3)])
+def test_exp_inside_domain_unchanged(p, scale_exp):
+    ball = BallSpec.unit(p, N)
+    # |A| = p**-scale_exp: the (0, 0) entry has a unit numerator
+    a = tuple(tuple(Fraction(p**scale_exp * (1 + i + 2 * j),
+                             1 + p * (i == j))
+                    for j in range(D)) for i in range(D))
+    e = ExpEvolution(a, ball, DEPTH)
+    for ti, si in ((1, 0), (p + 1, 2), (p**DEPTH - 1, 0)):
+        assert _within(10, lambda: e.matrix(ti, si)) == \
+            _exp_series(a, ball, DEPTH, ti, si)
 
 
 def test_generator_recovery_constant():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from padicsde import measure
 from padicsde.antider import _tree_scan
 from padicsde.charfun import AngleTally, GaussianSpec, shell_distribution
 from padicsde.measure import (
@@ -86,6 +87,90 @@ def test_draw_raw_stream_layout(p):
             (seed + 3 * 0x9E3779B97F4A7C15) % 2**64
         shells.add(shell)
     assert len(shells) > 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_draw_raw_cut_reads_the_full_draw(p):
+    # a cut changes only which outputs are mixed: the shell, the digits
+    # below the cut and the stream state are those of the full draw, and
+    # with no digit read the mantissa is the unit 1
+    sampler = Gaussian1DSampler(
+        GaussianSpec.one_dimensional(p, N, beta=3.0, q=1))
+    # shell_only is the largest cut that reads no digit on any shell
+    assert max(sampler.shells) + sampler.shell_only == 0
+    shells = set()
+    for seed in range(200):
+        full = RandomStream(seed)
+        v, mant = sampler.draw_raw(full)
+        shells.add(v)
+        for need in range(-2, N + 2):
+            stream = RandomStream(seed)
+            got_v, got_mant = sampler.draw_raw(stream, v + need)
+            assert (got_v, stream.state) == (v, full.state)
+            if need <= 0:
+                assert got_mant == 1
+            else:
+                assert got_mant % p**need == mant % p**need, (seed, need)
+        stream = RandomStream(seed)
+        assert sampler.draw_raw(stream, sampler.shell_only) == (v, 1)
+        assert stream.state == full.state
+    assert len(shells) > 3
+
+
+def _eager_empirical_char(spec, hs, size, seed):
+    """The estimator sample by sample with full draws: one tally update
+    per sample and h."""
+    sampler = Gaussian1DSampler(spec)
+    p, n = spec.p, spec.n
+    tallies = [AngleTally(p) for _ in hs]
+    shifted = not spec.gamma.is_zero
+    for stream in MonteCarloEnsemble(seed, size).streams():
+        v, mant = sampler.draw_raw(stream)
+        for h, tally in zip(hs, tallies):
+            k = -(h.v + v)
+            if h.is_zero:
+                tally.add_raw(0, 0)
+            elif k > n:
+                tally.add_zero()
+            elif shifted:
+                y = h * (PAdicValue(p, n, v, mant) + spec.gamma)
+                tally.add_raw(y.m, -y.v)
+            elif k <= 0:
+                tally.add_raw(0, 0)
+            else:
+                tally.add_raw((h.m * mant) % p**k, k)
+    return {h: tally.mean() for h, tally in zip(hs, tallies)}
+
+
+def _eager_norm_histogram(spec, size, seed):
+    sampler = Gaussian1DSampler(spec)
+    counts = {}
+    for stream in MonteCarloEnsemble(seed, size).streams():
+        v, _ = sampler.draw_raw(stream)
+        counts[-v] = counts.get(-v, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("p, beta, q", [
+    (p, b, q) for p in (2, 3, 5) for b in (0.1, 1.0, 10.0) for q in (1, 2)])
+def test_lazy_estimators_match_eager(p, beta, q):
+    # criterion 2's grid: the h of the criterion (no digit, the lead digit
+    # only, several digits), a window beyond the mantissa, a non-unit-one
+    # mantissa and h = 0, plus a shifted law
+    hs = [PAdicValue(p, N, v, 1) for v in (0, 1, 2, -1, -2)] + [
+        PAdicValue(p, N, -4, 1 + p), PAdicValue(p, N, -3, p**N - 1),
+        PAdicValue.zero(p, N)]
+    size, seed = 2000, 20_000 + p
+    gamma = PAdicValue.from_rational(1, p**2, p, N)
+    for spec in (GaussianSpec.one_dimensional(p, N, beta=beta, q=q),
+                 GaussianSpec.one_dimensional(p, N, beta=beta, q=q,
+                                              gamma=gamma)):
+        got = measure.empirical_char(spec, hs, size, seed)
+        want = _eager_empirical_char(spec, hs, size, seed)
+        assert [repr(got[h]) for h in hs] == [repr(want[h]) for h in hs]
+    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    assert list(measure.norm_histogram(spec, size, seed + 1).items()) == \
+        list(_eager_norm_histogram(spec, size, seed + 1).items())
 
 
 def test_ensemble_determinism():

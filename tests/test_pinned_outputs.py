@@ -56,6 +56,12 @@ EVOLVE_RADIUS1 = {
 VERIFY_REPORT = \
     "c62e371b50f46e6a8c299c37f328f84b0bc421b3521e50303cf50ecf3d99e372"
 
+# verify at p=3, N=6, depth 6, 3 x 20000 character samples: the
+# mc_charprod bench config at bench seed 1, whose probe picks config seed
+# 64 (12 chain steps)
+VERIFY_BENCH = \
+    "9f543e95099f3293c8aaccff58cde1d00b2813efa5ad01e9f0fc17f5d39b12dd"
+
 TREE_PATHS = {
     "path_0000.csv": "5f2858475a199904d7fc9e181be309e29ff60a84aeb489794288e8f26015b09b",
     "path_0001.csv": "21b82ea1848830fb2e8b75f5aaf5c190f1a40546083fc311d47ef7111e3b165c",
@@ -139,6 +145,13 @@ def test_verify_report_digest(tmp_path):
     got = run_digests(tmp_path, "verify", {**BASE, "depth": 3, "verify": {
         "trials": 40, "char_samples": 400, "points": 2}})
     assert got["verify.json"] == VERIFY_REPORT
+
+
+def test_verify_bench_config_digest(tmp_path):
+    got = run_digests(tmp_path, "verify", {
+        "prime": 3, "precision": 6, "depth": 6, "seed": 64,
+        "verify": {"trials": 20, "char_samples": 20000, "points": 3}})
+    assert got["verify.json"] == VERIFY_BENCH
 
 
 def test_tree_path_digests(tmp_path):
