@@ -80,8 +80,10 @@ def _exp_scale_floor(cfg: "RunConfig") -> int:
     ``EXP((t - s) A)`` at N - 1 digits.  The two differ from second order
     on, by terms of norm at most ``|(t - s) A|**2`` (times ``|1/2| = 2`` at
     p = 2), and ``|t - s| <= p**radius_exp``.  The floor also keeps
-    ``|(t - s) A| < 1``, without which the exponential series never ends."""
-    return cfg.radius_exp + (cfg.precision + (cfg.prime == 2)) // 2
+    ``(t - s) A`` in the convergence domain ``|x| < p**(-1/(p-1))`` of the
+    exponential series, that is v >= 1, or v >= 2 at p = 2."""
+    two = cfg.prime == 2
+    return cfg.radius_exp + max((cfg.precision + two) // 2, 1 + two)
 
 
 # The largest grid, p**(radius_exp + depth) points, that sample (path

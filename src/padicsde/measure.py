@@ -103,7 +103,9 @@ class Gaussian1DSampler:
         table = shell_distribution(spec, tail_tol=tail_tol)
         self.shells = [m for m, _ in table.rows()]
         self.cumulative = table.cdf()
-        self._rest = _pow(spec.p, spec.n - 1)
+        # rests[k - 1] = p**(k - 1), the modulus of u3 when k digits are read
+        self._rests = [_pow(spec.p, k) for k in range(spec.n)]
+        self._rest = self._rests[-1]
         # the largest cut at which ``draw_raw`` reads no digit on any shell
         self.shell_only = -max(self.shells)
 
@@ -116,9 +118,10 @@ class Gaussian1DSampler:
         remaining digits u3 % p**(n-1).  That layout does not depend on
         ``cut``, but outputs the caller does not read are not computed.  A
         caller that reads only the digits at valuations below ``cut``
-        reads ``cut + m`` digits on shell m: u2 is mixed only if that is at
-        least 1 and u3 only if it is at least 2; with no digit read the
-        mantissa is the unit 1.  The digits read are those of the full draw.
+        reads ``k = cut + m`` digits on shell m: u2 is mixed only if k is at
+        least 1 and u3 only if it is at least 2.  The mantissa returned
+        then holds only the digits read: that of the full draw mod p**k, or
+        the unit 1 when no digit is read.
         """
         s1 = (stream.state + _GOLDEN) & _MASK
         s2 = (s1 + _GOLDEN) & _MASK
@@ -127,9 +130,13 @@ class Gaussian1DSampler:
         i = bisect.bisect_right(self.cumulative, (mix64(s1) >> 11) * _ULP53)
         m = shells[i] if i < len(shells) else shells[-1]
         p = self.spec.p
-        if cut is not None and cut + m < 2:
-            return -m, 1 if cut + m < 1 else 1 + mix64(s2) % (p - 1)
-        return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % self._rest)
+        if cut is None:
+            return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % self._rest)
+        k = cut + m
+        if k < 2:
+            return -m, 1 if k < 1 else 1 + mix64(s2) % (p - 1)
+        rest = self._rests[k - 1] if k < len(self._rests) else self._rest
+        return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % rest)
 
     def draw(self, stream: RandomStream) -> PAdicValue:
         v, mant = self.draw_raw(stream)
@@ -173,18 +180,14 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     # key is tallied once with its count, in first-occurrence order: every
     # tally then gets its angles in the same first-insertion order as
     # sample by sample.  Unshifted, h * x reads the mantissa digits below
-    # valuation -h.v, so a draw is read below the largest such cut and its
-    # mantissa reduced mod p**(cut - v); a shifted draw is read in full.
+    # valuation -h.v, so a draw is read below the largest such cut, and
+    # ``draw_raw`` keeps only those digits; a shifted draw is read in full.
     cut = None if shifted else max(
         (-hd[0] for hd in hdata if hd is not None), default=sampler.shell_only)
-    pows = [_pow(p, k) for k in range(n + 1)]
     counts: dict[tuple[int, int], int] = {}
     draw_raw = sampler.draw_raw
     for stream in MonteCarloEnsemble(seed, size).streams():
-        v, mant = draw_raw(stream, cut)
-        if cut is not None and 1 < cut - v < n:
-            mant %= pows[cut - v]
-        key = (v, mant)
+        key = draw_raw(stream, cut)
         counts[key] = counts.get(key, 0) + 1
     for (v, mant), count in counts.items():
         if shifted:
@@ -201,7 +204,7 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
             elif k <= 0:
                 tally.add_raw(0, 0, count)
             else:
-                tally.add_raw((hd[1] * mant) % pows[k], k, count)
+                tally.add_raw((hd[1] * mant) % _pow(p, k), k, count)
     return {h: tally.mean() for h, tally in zip(hs, tallies)}
 
 

@@ -266,8 +266,9 @@ def test_tolerances_echoed_as_written(tmp_path):
                 "evolve": {"dim": 1, "triples": 1}}, "config.depth"),
     # primality is exact only below PRIME_LIMIT
     ("charfun", {"prime": PRIME_LIMIT}, "config.prime"),
-    # scale_exp below radius_exp + (N + (p == 2)) // 2: the exponential
-    # check fails, or its series never ends once |(t - s) A| >= 1
+    # scale_exp below radius_exp + max((N + (p == 2)) // 2, 1 + (p == 2)):
+    # the exponential check fails, or (t - s) A leaves the convergence
+    # domain of its series
     ("evolve", {"precision": 8, "depth": 2,
                 "evolve": {"dim": 1, "triples": 1, "scale_exp": 3}},
      "config.evolve.scale_exp"),
@@ -279,6 +280,10 @@ def test_tolerances_echoed_as_written(tmp_path):
      "config.evolve.scale_exp"),
     ("evolve", {"prime": 2, "precision": 5, "depth": 2,
                 "evolve": {"dim": 1, "triples": 1, "scale_exp": 2}},
+     "config.evolve.scale_exp"),
+    # |(t - s) A| = 2**-1, on the boundary of the domain at p = 2
+    ("evolve", {"prime": 2, "precision": 2, "depth": 2,
+                "evolve": {"dim": 1, "triples": 1, "scale_exp": 1}},
      "config.evolve.scale_exp"),
 ])
 def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):

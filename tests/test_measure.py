@@ -91,9 +91,10 @@ def test_draw_raw_stream_layout(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_draw_raw_cut_reads_the_full_draw(p):
-    # a cut changes only which outputs are mixed: the shell, the digits
-    # below the cut and the stream state are those of the full draw, and
-    # with no digit read the mantissa is the unit 1
+    # a cut changes only which outputs are mixed and which digits are
+    # kept: the shell and the stream state are those of the full draw, the
+    # mantissa is the full one mod p**need, and with no digit read it is
+    # the unit 1
     sampler = Gaussian1DSampler(
         GaussianSpec.one_dimensional(p, N, beta=3.0, q=1))
     # shell_only is the largest cut that reads no digit on any shell
@@ -110,7 +111,7 @@ def test_draw_raw_cut_reads_the_full_draw(p):
             if need <= 0:
                 assert got_mant == 1
             else:
-                assert got_mant % p**need == mant % p**need, (seed, need)
+                assert got_mant == mant % p**need, (seed, need)
         stream = RandomStream(seed)
         assert sampler.draw_raw(stream, sampler.shell_only) == (v, 1)
         assert stream.state == full.state
