@@ -89,8 +89,8 @@ def _exp_scale_floor(cfg: "RunConfig") -> int:
 # The largest grid, p**(radius_exp + depth) points, that sample (path
 # kinds), solve, evolve and verify may build.  Peak RSS grows by about
 # 0.3 kB per grid point in sample, 0.4 kB in verify, 0.7 kB in solve and
-# 21 kB in evolve at dim 8 (CPython 3.11 on x86-64), so no run at the cap
-# needs much more than 2 GB.
+# 13 kB in evolve at dim 8 (CPython 3.11 on x86-64), so no run at the cap
+# needs much more than 1.3 GB.
 MAX_GRID_POINTS = 100_000
 
 

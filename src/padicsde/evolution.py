@@ -92,12 +92,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _from_int_form(_int_mul(an, bn), ad * bd)
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination on
-    the integer rows.  Every division is exact; the left block ends as
-    ``delta I`` and the right block as ``delta rows**-1``, where delta is
-    the last pivot (+-det of the rows), so ``a**-1 = den right / delta``."""
-    rows, den = _int_form(a)
+def _int_inv(rows: IntRows, den: int) -> tuple[IntRows, int]:
+    """Integer form of ``(rows / den)**-1`` by fraction-free (Bareiss)
+    Gauss-Jordan elimination.  Every division is exact; the left block ends
+    as ``delta I`` and the right block as ``delta rows**-1``, where delta is
+    the last pivot (+-det of the rows), so the inverse is
+    ``den right / delta``, returned with ``delta > 0``."""
     d = len(rows)
     work = [row + [int(i == j) for j in range(d)]
             for i, row in enumerate(rows)]
@@ -117,7 +117,12 @@ def mat_inv(a: Matrix) -> Matrix:
         prev = pv
     if prev < 0:
         den, prev = -den, -prev
-    return _from_int_form([[den * x for x in row[d:]] for row in work], prev)
+    return [[den * x for x in row[d:]] for row in work], prev
+
+
+def mat_inv(a: Matrix) -> Matrix:
+    """Exact inverse; raises ZeroDivisionError on a singular matrix."""
+    return _from_int_form(*_int_inv(*_int_form(a)))
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -172,16 +177,19 @@ class EvolutionOperator:
 
     ``grid`` is the coordinate function of the grid (its values are the
     grid points); ``matrix(ti, si)`` returns working-precision entries;
-    the exact rational entries drive the identity checks.
+    the exact rational entries drive the identity checks.  Each transfer
+    W(t) and each cached inverse W(s)**-1 is kept in integer form
+    ``(rows, den)``, so ``exact`` makes one integer product and one
+    ``Fraction`` per entry of its result.
     """
 
     def __init__(self, grid: GridFunction, dim: int,
-                 transfers: Sequence[Matrix], provenance: str):
+                 transfers: Sequence[tuple[IntRows, int]], provenance: str):
         self.grid = grid
         self.ball, self.depth = grid.ball, grid.depth
         self.dim = dim
-        self.transfers = tuple(transfers)   # W(t) per grid index
-        self._inverses: dict[int, Matrix] = {}
+        self._transfers = transfers     # W(t) per grid index, integer form
+        self._inverses: dict[int, tuple[IntRows, int]] = {}
         self._identity = mat_identity(dim)
         self.provenance = provenance
 
@@ -197,17 +205,25 @@ class EvolutionOperator:
     def size(self) -> int:
         return self.grid.size
 
-    def _inv(self, k: int) -> Matrix:
+    @property
+    def transfers(self) -> tuple[Matrix, ...]:
+        """W(t) per grid index as ``Fraction`` matrices, built on demand."""
+        return tuple(_from_int_form(rows, den)
+                     for rows, den in self._transfers)
+
+    def _inv(self, k: int) -> tuple[IntRows, int]:
         got = self._inverses.get(k)
         if got is None:
-            got = self._inverses[k] = mat_inv(self.transfers[k])
+            got = self._inverses[k] = _int_inv(*self._transfers[k])
         return got
 
     def exact(self, ti: int, si: int) -> Matrix:
         """Exact U(t, s) = W(t) W(s)^{-1}."""
         if ti == si:
             return self._identity
-        return mat_mul(self.transfers[ti], self._inv(si))
+        wn, wd = self._transfers[ti]
+        vn, vd = self._inv(si)
+        return _from_int_form(_int_mul(wn, vn), wd * vd)
 
     def matrix(self, ti: int, si: int):
         return mat_round(self.exact(ti, si), self.p, self.n)
@@ -257,8 +273,8 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
 
     Each node carries W in integer form ``(wn, wd)``.  With ``A = an / ad``
     and the step ``p**(level - r) = un / ud``, the child of digit d is
-    ``(wn ad ud + d un (an wn)) / (wd ad ud)``; every transfer is turned
-    into ``Fraction`` entries once, at the end.
+    ``(wn ad ud + d un (an wn)) / (wd ad ud)``; the operator keeps every
+    transfer in that form.
     """
     p, r = ball.p, ball.radius_exp
     grid = GridFunction.coordinate(ball, depth)
@@ -277,10 +293,6 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
 
     ident = [[int(i == j) for j in range(a.dim)] for i in range(a.dim)]
     transfers = _tree_scan(p, r + depth, (ident, 1), children)
-    # converted in place, so each int form is freed as its Fractions are
-    # made: a second list would hold all of them at the peak
-    for k, (rows, den) in enumerate(transfers):
-        transfers[k] = _from_int_form(rows, den)
     return EvolutionOperator(grid, a.dim, transfers, provenance="solved")
 
 

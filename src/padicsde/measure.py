@@ -76,8 +76,13 @@ class MonteCarloEnsemble:
         return RandomStream(derive_seed(self.master_seed, index))
 
     def streams(self):
-        for i in range(self.size):
-            yield RandomStream(derive_seed(self.master_seed, i))
+        """The streams of samples 0, 1, ... in order.  The seed of sample i
+        is ``derive_seed(master_seed, i)``: one SplitMix64 counter, stepped
+        from the master, reaches each seed in turn."""
+        z = self.master_seed
+        for _ in range(self.size):
+            z = (z + _GOLDEN) & _MASK
+            yield RandomStream(mix64(z))
 
     def collect(self, fn):
         """Deterministic map ordered by sample index."""

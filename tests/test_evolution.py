@@ -10,6 +10,8 @@ from padicsde.evolution import (
     ExpEvolution,
     GeneratorSpec,
     MofReport,
+    _int_form,
+    _int_inv,
     generating_operator,
     mat_add,
     mat_identity,
@@ -18,6 +20,7 @@ from padicsde.evolution import (
     mat_mul,
     mat_scale,
     mat_norm,
+    mat_round,
     mat_sub,
     mof_check,
     perturbation_check,
@@ -475,6 +478,10 @@ def test_mat_inv_matches_fraction_reference(a):
     assert got == want
     assert _canonical(got)
     assert mat_mul(a, got) == mat_identity(len(a))
+    # the integer form keeps a positive denominator, also for det < 0
+    rows, den = _int_inv(*_int_form(a))
+    assert den > 0
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -520,3 +527,48 @@ def test_exact_identity_is_built_once():
     u = solve_evolution(const_generator(2), unit_ball(), DEPTH)
     assert u.exact(3, 3) is u.exact(5, 5)
     assert u.exact(3, 3) == mat_identity(D)
+
+
+# -- the operator's integer-form transfers against the Fraction operator ------
+#
+# The reference keeps every transfer and inverse as Fraction matrices:
+# exact(ti, si) = W(ti) W(si)**-1 by the Fraction product and inverse.
+
+
+def _scaled_generator(p, r, dim, varying):
+    """Entries of norm <= p**-(r+1), so every step I + d p**(l-r) A(t) is
+    invertible; the diagonal has the non-p denominator 7, and carries t
+    when varying."""
+    def fn(t):
+        tf = t.as_fraction() * p ** (r + 1) if varying else Fraction(0)
+        return tuple(tuple(Fraction(p ** (r + 1) * (1 + (i + 2 * j) % 3),
+                                    1 + 6 * (i == j))
+                           + (tf / 7 if i == j else 0)
+                           for j in range(dim)) for i in range(dim))
+    return GeneratorSpec(dim=dim, fn=fn, sup_norm=float(p) ** -(r + 1))
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["const", "t"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("radius_exp", [0, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_operator_matches_fraction_reference(p, radius_exp, dim, varying):
+    depth = 3 if p == 2 else 2
+    ball = BallSpec(PAdicValue.zero(p, N), radius_exp)
+    a = _scaled_generator(p, radius_exp, dim, varying)
+    u = solve_evolution(a, ball, depth)
+    want = _ref_transfers(a, ball, depth)
+    assert u.transfers == want
+    assert all(_canonical(w) for w in u.transfers)
+    size = u.size
+    # each si is asked for several ti, so later calls read the cached inverse
+    # of that si; ti == si is among them
+    sis = (0, 1, size // 2, size - 1)
+    for si in sis + sis:
+        inv = _ref_inv(want[si])
+        for ti in (size - 1, si, 1, size // 3):
+            got = u.exact(ti, si)
+            ref = _ref_mul(want[ti], inv)
+            assert got == ref
+            assert _canonical(got)
+            assert u.matrix(ti, si) == mat_round(ref, p, N)

@@ -185,6 +185,15 @@ def test_ensemble_determinism():
     assert list(reversed(c)) == a
 
 
+@pytest.mark.parametrize("master", [0, 123, 2**63 + 5, 2**64 - 1])
+def test_streams_step_the_derived_seeds(master):
+    # the counter wraps modulo 2**64 within the first two samples
+    size = 50
+    states = [stream.state
+              for stream in MonteCarloEnsemble(master, size).streams()]
+    assert states == [derive_seed(master, i) for i in range(size)]
+
+
 def test_sampler_norm_histogram_matches_shells():
     p, beta, q, size = 3, 1.0, 1, 20000
     spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
