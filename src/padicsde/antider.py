@@ -55,14 +55,6 @@ def cell_mul(a: Cell, b: Cell) -> Cell:
     return (a[0] * b[0], a[1] + b[1])
 
 
-def cell_pow(a: Cell, k: int) -> Cell:
-    if k == 0:
-        return (1, 0)
-    if a[0] == 0:
-        return ZERO_CELL
-    return (a[0] ** k, a[1] * k)
-
-
 def cell_round(p: int, n: int, a: Cell) -> PAdicValue:
     return PAdicValue._from_cell(p, n, a[0], a[1])
 
@@ -206,21 +198,43 @@ def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
         raise ValueError("grid mismatch")
 
 
-def _edge_cell(p: int, pieces, step: Cell, dw: Cell) -> Cell:
-    """Exact sum over one digit step of mixed-power terms
-    ``pv * step**du * av**ma * (ev * dw)**l``, one per
-    ``(du, ma, l, pv, av, ev)`` piece."""
-    total = ZERO_CELL
+def _edge_sums(p: int, acc: Cell, pieces, exp: int, digits, dws) -> list:
+    """The cells acc + sum of ``pv * (d p**exp)**du * av**ma * (ev*dw)**l``
+    over the node's ``(du, ma, l, pv, av, ev)`` value pieces, one per digit
+    d with path increment ``dws[i]``.  A piece folds once into the cell
+    ``K = pv av**ma ev**l p**(exp du)``; an edge term is ``K d**du dw**l``."""
+    terms = []
     for du, ma, l, pv, av, ev in pieces:
-        term = pv
-        if du:
-            term = cell_mul(term, cell_pow(step, du))
+        kn, ke = pv.m, pv.v + exp * du
         if ma:
-            term = cell_mul(term, cell_pow(av, ma))
+            kn *= av.m ** ma
+            ke += av.v * ma
         if l:
-            term = cell_mul(term, cell_pow(cell_mul(ev, dw), l))
-        total = cell_add(p, total, term)
-    return total
+            kn *= ev.m ** l
+            ke += ev.v * l
+        if kn:
+            terms.append((du, l, kn, ke))
+    an, ae = acc
+    out = []
+    for i, d in enumerate(digits):
+        sn, se = an, ae
+        for du, l, tn, te in terms:
+            if du:
+                tn *= d ** du
+            if l:
+                wn, we = dws[i]
+                if not wn:
+                    continue
+                tn *= wn ** l
+                te += we * l
+            if not sn:
+                sn, se = tn, te
+            elif se <= te:
+                sn += tn * _pow(p, te - se)
+            else:
+                sn, se = tn + sn * _pow(p, se - te), te
+        out.append((sn, se))
+    return out
 
 
 def antider_powers_cell(deriv: GridFunction, a: GridFunction | None,
@@ -229,13 +243,13 @@ def antider_powers_cell(deriv: GridFunction, a: GridFunction | None,
     """Chain sum of deriv * dt**du_pow * a**a_pow * (e*dw)**ew_pow."""
     p = deriv.p
     acc = ZERO_CELL
-    for _level, j, jn, step in deriv.chain_steps(k):
-        av = cell_of(a.values[j]) if a_pow else None
-        ev = cell_of(e.values[j]) if ew_pow else None
+    for _level, j, jn, (d, exp) in deriv.chain_steps(k):
+        av = a.values[j] if a_pow else None
+        ev = e.values[j] if ew_pow else None
         dw = cell_sub(p, cell_of(w.values[jn]), cell_of(w.values[j])) \
             if ew_pow else None
-        piece = (du_pow, a_pow, ew_pow, cell_of(deriv.values[j]), av, ev)
-        acc = cell_add(p, acc, _edge_cell(p, (piece,), step, dw))
+        piece = (du_pow, a_pow, ew_pow, deriv.values[j], av, ev)
+        acc, = _edge_sums(p, acc, (piece,), exp, (d,), (dw,))
     return acc
 
 
@@ -331,11 +345,8 @@ def antider_u_grid(f: GridFunction) -> GridFunction:
     p, n = f.p, f.n
 
     def children(level, j, base, kids):
-        fj = cell_of(f.values[j])
-        if not fj[0]:
-            return [base] * (p - 1)
-        exp = f.step_exponent(level)
-        return [cell_add(p, base, cell_mul(fj, (d, exp))) for d in range(1, p)]
+        return _edge_sums(p, base, ((1, 0, 0, f.values[j], None, None),),
+                          f.step_exponent(level), range(1, p), None)
 
     acc = _tree_scan(p, f.levels, ZERO_CELL, children)
     return GridFunction(f.ball, f.depth,
@@ -348,13 +359,12 @@ def antider_w_grid(e: GridFunction, w) -> GridFunction:
     _check_same_grid(e, wg)
     p, n = e.p, e.n
     wc = [cell_of(v) for v in wg.values]
+    one = PAdicValue.one(p, n)
 
     def children(level, j, base, kids):
-        ej = cell_of(e.values[j])
-        if not ej[0]:
-            return [base] * (p - 1)
-        return [cell_add(p, base, cell_mul(ej, cell_sub(p, wc[jn], wc[j])))
-                for jn in kids]
+        return _edge_sums(p, base, ((0, 0, 1, e.values[j], None, one),), 0,
+                          range(1, p),
+                          [cell_sub(p, wc[jn], wc[j]) for jn in kids])
 
     acc = _tree_scan(p, e.levels, ZERO_CELL, children)
     return GridFunction(e.ball, e.depth,

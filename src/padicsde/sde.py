@@ -7,12 +7,14 @@ finite family of mixed-power terms, and the drift/diffusion form is solved
 as its two-term family.  The equation is triangular on the digit tree: the
 chain sum at t reads the solution only at proper prefixes of t.  A sweep
 is therefore one level-order pass in which every node's value is final
-before its children are built, evaluated in exact integer cells and
-rounded once per grid point.  For pointwise coefficients the first sweep
-delivers the unique fixed point and a second one, the Picard map applied
-to the delivered solution, changes nothing: that zero defect is the
-reported residual.  Functional coefficients read the previous sweep's
-whole iterate, so for them sweeps repeat until one changes no value.
+before its children are built, run in integers: a child adds its edge
+terms to its parent's exact sum and rounds once, and keeps the previous
+iterate's value object when the rounding equals it.  For pointwise
+coefficients the first sweep delivers the unique fixed point and a
+second one, the Picard map applied to the delivered solution, changes
+nothing (and builds no value): that zero defect is the reported
+residual.  Functional coefficients read the previous sweep's whole
+iterate, so for them sweeps repeat until one changes no value.
 
 States are scalars (H = K).  Diagonal systems over K^d can be solved one
 coordinate at a time; coupled operator-valued systems live in the evolution
@@ -27,15 +29,14 @@ from typing import Callable
 from .antider import (
     ZERO_CELL,
     GridFunction,
-    _edge_cell,
+    _edge_sums,
     _tree_scan,
-    cell_add,
     cell_of,
     cell_round,
     cell_sub,
 )
 from .measure import MonteCarloEnsemble, WienerPath, wiener_path
-from .padic import BallSpec, PAdicValue, _vp
+from .padic import BallSpec, PAdicValue, _pow, _vp
 
 
 @dataclass(frozen=True)
@@ -202,16 +203,14 @@ class SDESolution:
 def _node_terms(family, drift: Program, diffusion: Program, t: PAdicValue,
                 x: PAdicValue, state) -> list:
     """Evaluate the coefficient programs once at a node: the exponents
-    (dt, a-slot, e*dw) and the program, a-slot and e-slot cells of every
+    (dt, a-slot, e*dw) and the program, a-slot and e-slot values of every
     family term with a nonzero program value."""
     pieces = []
     for ft in family:
-        pv = cell_of(ft.prog(t, x, state))
-        av = cell_of((ft.a_slot or drift)(t, x, state)) \
-            if ft.m - ft.l else None
-        ev = cell_of((ft.e_slot or diffusion)(t, x, state)) \
-            if ft.l else None
-        if pv[0]:
+        pv = ft.prog(t, x, state)
+        av = (ft.a_slot or drift)(t, x, state) if ft.m - ft.l else None
+        ev = (ft.e_slot or diffusion)(t, x, state) if ft.l else None
+        if pv.m:
             pieces.append((ft.b + ft.m - ft.l, ft.m - ft.l, ft.l, pv, av, ev))
     return pieces
 
@@ -219,9 +218,12 @@ def _node_terms(family, drift: Program, diffusion: Program, t: PAdicValue,
 def _defect(p: int, new, old) -> float:
     """The largest ``(a - b).norm()`` over the pairs of new and old values,
     0.0 when no pair differs, read off the (v, m) integers: the norm of
-    the difference with the lowest valuation."""
+    the difference with the lowest valuation.  A kept value (a is b) is
+    skipped unread."""
     low = None
     for a, b in zip(new, old):
+        if a is b:
+            continue
         am, bm = a.m, b.m
         if not bm:
             if not am:
@@ -246,12 +248,14 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
     """Solve the drift/diffusion equation along one sampled path.
 
     Each sweep is one level-order pass over the digit tree; sweeps repeat
-    from the constant initial guess (or a supplied one) until a sweep
-    changes no value, at most ``max_iter`` of them (default n * p).  The
-    last sweep is the Picard map applied to the delivered solution, so its
-    defect, exactly zero, is the reported residual.  Pointwise programs
-    take two sweeps whatever the start; functional programs receive the
-    previous sweep's iterate as their state and may take more.
+    from the constant initial guess (or one supplied value per grid point)
+    until a sweep changes no value, at most ``max_iter`` of them (default
+    n * p).  The last sweep is the Picard map applied to the delivered
+    solution, so its defect, exactly zero, is the reported residual.
+    Pointwise programs take two sweeps whatever the start; functional
+    programs receive the previous sweep's iterate as their state and may
+    take more.  A node carries the exact cell of x0 plus its chain sum.
+    The path increments are built once per solve, when a term reads them.
     """
     ball, depth = problem.ball, problem.depth
     wg = w.values
@@ -259,30 +263,50 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
         raise ValueError("grid mismatch")
     p, n, r = ball.p, ball.n, ball.radius_exp
     size = ball.grid_size(depth)
+    if initial is not None and (len(initial) != size or
+                                any(x.p != p for x in initial)):
+        raise ValueError(f"initial must hold {size} values at p={p}")
     points = GridFunction.coordinate(ball, depth).values
-    wcells = tuple(cell_of(v) for v in wg.values)
     x0cell = cell_of(problem.x0)
     family = problem.family or picard_as_family(problem).family
     root = cell_round(p, n, x0cell)
     cur = list(initial) if initial is not None else [problem.x0] * size
     cur[0] = root
     drift, diffusion = problem.drift, problem.diffusion
+    digits, pn = range(1, p), _pow(p, n)
+    dws = None
 
     def children(level, j, node, kids):
-        acc, x = node
-        pieces = _node_terms(family, drift, diffusion, points[j], x, state)
-        exp = level - r
+        nonlocal dws
+        pieces = _node_terms(family, drift, diffusion, points[j], node[1],
+                             state)
+        if dws is None and any(piece[2] for piece in pieces):
+            # w[jn] - w[j], indexed by the child jn
+            wc = [cell_of(v) for v in wg.values]
+            dws = _tree_scan(p, r + depth, ZERO_CELL, lambda _l, i, _v, ks:
+                             [cell_sub(p, wc[k], wc[i]) for k in ks])
+        sums = _edge_sums(p, node[0], pieces, level - r, digits,
+                          dws and dws[kids.start:kids.stop:kids.step])
         out = []
-        for d, jn in enumerate(kids, 1):
-            dw = cell_sub(p, wcells[jn], wcells[j])
-            cell = cell_add(p, acc, _edge_cell(p, pieces, (d, exp), dw))
-            out.append((cell, cell_round(p, n, cell_add(p, x0cell, cell))))
+        for jn, cell in zip(kids, sums):
+            m, v = cell     # rounded straight to (v, m)
+            if m:
+                while not m % p:
+                    m //= p
+                    v += 1
+                m %= pn
+            else:
+                v = 0
+            old = state[jn]
+            if old.m != m or old.v != v or old.n != n:
+                old = PAdicValue(p, n, v, m)
+            out.append((cell, old))
         return out
 
     trace: list[float] = []
     for _ in range(max_iter if max_iter is not None else n * p):
         state = cur     # functional programs read the previous iterate
-        cur = [x for _, x in _tree_scan(p, r + depth, (ZERO_CELL, root),
+        cur = [x for _, x in _tree_scan(p, r + depth, (x0cell, root),
                                         children)]
         trace.append(_defect(p, cur, state))
         if trace[-1] == 0.0:

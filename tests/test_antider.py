@@ -298,3 +298,33 @@ def test_shifted_ball_with_positive_radius():
     grid = antider_u_grid(one)
     for k in range(grid.size):
         assert grid.values[k] == antider_u(one, k)
+
+
+@pytest.mark.parametrize("p, radius_exp", [(2, 0), (3, 1), (5, 0)])
+def test_mixed_matches_rational_chain_sum(p, radius_exp):
+    # every (b, m, l) shape up to m = 2 against the chain sum of
+    # deriv * step**(b+m-l) * a**(m-l) * (e dw)**l in rationals, rounded
+    # once; the step is d * p**(level - radius_exp)
+    from fractions import Fraction
+
+    depth = 3
+    ball = BallSpec(PAdicValue.from_int(2, p, N), radius_exp)
+
+    def grid(rng):
+        vals = random_grid(p, radius_exp + depth, rng=rng).values
+        return GridFunction(ball, depth, vals)
+
+    deriv, a, e = grid(1), grid(2), grid(3)
+    w = wiener_path("tree", ball, depth, 1.0, seed=p + radius_exp)
+    fr = PAdicValue.as_fraction
+    for b, m, l in [(1, 0, 0), (3, 0, 0), (0, 1, 1), (2, 1, 0), (0, 2, 2),
+                    (1, 2, 1), (0, 2, 0)]:
+        for k in (1, p + 1, ball.grid_size(depth) - 1):
+            acc = Fraction(0)
+            for _lev, j, jn, (d, exp) in deriv.chain_steps(k):
+                dw = fr(w.at_index(jn)) - fr(w.at_index(j))
+                acc += (fr(deriv.values[j]) * (d * Fraction(p) ** exp)
+                        ** (b + m - l) * fr(a.values[j]) ** (m - l)
+                        * (fr(e.values[j]) * dw) ** l)
+            assert antider_mixed(deriv, a, e, w, b, m, l, k) == \
+                PAdicValue.from_fraction(acc, p, N), (b, m, l, k)

@@ -95,6 +95,23 @@ STEEP_BENCH = {
 }
 
 
+# linear (nonzero drift and diffusion, so every edge reads a path
+# increment) at p=5, N=6, depth 4, and at p=2 with radius_exp 1
+LINEAR_DW = {
+    "p5": ({"prime": 5}, {
+        "solution_0000.csv":
+            "d106d21edf1b6cfcb592635c719ab8c8cfbc3b37602d97f6865a1e85f997193f",
+        "convergence.json":
+            "ae03ec0983dff8a018ff8995ceb49af12f9c978873a864a69512ae4466bb7152",
+    }),
+    "p2_radius1": ({"prime": 2, "radius_exp": 1}, {
+        "solution_0000.csv":
+            "3d159aec9a13508ccb00b7ca8e5e5039ce4d4b5de47edfc250f85a623587394e",
+        "convergence.json":
+            "0ea7dc3cedf220c62b9002778ca60b8cc2061522143e7dfa95336e35278ed8da",
+    }),
+}
+
 def run_digests(tmp_path, command, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
@@ -190,3 +207,11 @@ def test_mahler_path_digest(tmp_path, radius_exp):
                                            "sample": {"kind": "wiener_mahler",
                                                       "count": 1, "q": 1}})
     assert got["path_0000.csv"] == MAHLER_PATHS[radius_exp]
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_DW))
+def test_linear_path_increment_digests(tmp_path, case):
+    extra, digests = LINEAR_DW[case]
+    got = run_digests(tmp_path, "solve", {**BASE, **extra,
+                                          "solve": {"problem": "linear"}})
+    assert {k: got[k] for k in digests} == digests

@@ -4,6 +4,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padicsde import sde
+from padicsde.antider import (
+    ZERO_CELL,
+    GridFunction,
+    _tree_scan,
+    cell_add,
+    cell_mul,
+    cell_of,
+    cell_round,
+    cell_sub,
+)
+from padicsde.cli import RunConfig, build_problem
 from padicsde.measure import MonteCarloEnsemble, wiener_path
 from padicsde.padic import BallSpec, PAdicValue
 from padicsde.sde import (
@@ -384,8 +395,19 @@ def defect_lists(draw):
     return p, new, old
 
 
+# objects held by both lists, as a sweep that keeps unchanged values
+# leaves them: beside a differing pair, as the only pairs, and a zero
+_SHARED = PAdicValue(3, N, -1, 4)
+_SHARED_ZERO = PAdicValue.zero(2, N)
+
+
 @settings(max_examples=300, deadline=None)
 @given(defect_lists())
+@example((3, [_SHARED, PAdicValue(3, N, 2, 1), _SHARED],
+          [_SHARED, PAdicValue(3, N, 2, 4), _SHARED]))
+@example((3, [_SHARED] * 4, [_SHARED] * 4))
+@example((2, [_SHARED_ZERO, PAdicValue(2, N, 0, 1)],
+          [_SHARED_ZERO, PAdicValue(2, N, 0, 3)]))
 @example((2, [PAdicValue(2, N, 0, 1)], [PAdicValue(2, N, 0, 33)]))
 @example((2, [PAdicValue(2, N, 1, 3)], [PAdicValue(2, 3, 1, 3)]))
 @example((3, [PAdicValue.zero(3, N)], [PAdicValue(3, N, -2, 5)]))
@@ -409,3 +431,188 @@ def test_functional_defect_trace_matches_reference(monkeypatch, p, seed):
     monkeypatch.setattr(sde, "_defect",
                         lambda p, new, old: _defect_reference(new, old))
     assert solve_picard(prob, w).defect_trace == sol.defect_trace
+
+
+# -- parity with the cell-by-cell sweep ------------------------------------------
+
+
+def _cell_pow(a, k):
+    return (1, 0) if k == 0 else (a[0] ** k, a[1] * k) if a[0] else ZERO_CELL
+
+
+def _edge_cell_reference(p, pieces, step, dw):
+    """One digit step's mixed-power terms, one cell operation at a time."""
+    total = ZERO_CELL
+    for du, ma, l, pv, av, ev in pieces:
+        term = pv
+        if du:
+            term = cell_mul(term, _cell_pow(step, du))
+        if ma:
+            term = cell_mul(term, _cell_pow(av, ma))
+        if l:
+            term = cell_mul(term, _cell_pow(cell_mul(ev, dw), l))
+        total = cell_add(p, total, term)
+    return total
+
+
+def _solve_picard_reference(problem, w, initial=None):
+    """The sweep as cells: every edge recomputes its path increment, sums
+    its terms into a fresh cell and rounds a new value."""
+    ball, depth = problem.ball, problem.depth
+    p, n, r = ball.p, ball.n, ball.radius_exp
+    size = ball.grid_size(depth)
+    points = GridFunction.coordinate(ball, depth).values
+    wcells = tuple(cell_of(v) for v in w.values.values)
+    x0cell = cell_of(problem.x0)
+    family = problem.family or picard_as_family(problem).family
+    root = cell_round(p, n, x0cell)
+    cur = list(initial) if initial is not None else [problem.x0] * size
+    cur[0] = root
+    drift, diffusion = problem.drift, problem.diffusion
+    state = cur
+
+    def children(level, j, node, kids):
+        acc, x = node
+        t = points[j]
+        pieces = []
+        for ft in family:
+            pv = cell_of(ft.prog(t, x, state))
+            av = cell_of((ft.a_slot or drift)(t, x, state)) \
+                if ft.m - ft.l else None
+            ev = cell_of((ft.e_slot or diffusion)(t, x, state)) \
+                if ft.l else None
+            if pv[0]:
+                pieces.append((ft.b + ft.m - ft.l, ft.m - ft.l, ft.l,
+                               pv, av, ev))
+        out = []
+        for d, jn in enumerate(kids, 1):
+            dw = cell_sub(p, wcells[jn], wcells[j])
+            cell = cell_add(p, acc, _edge_cell_reference(
+                p, pieces, (d, level - r), dw))
+            out.append((cell, cell_round(p, n, cell_add(p, x0cell, cell))))
+        return out
+
+    trace = []
+    for _ in range(n * p):
+        state = cur
+        cur = [x for _, x in _tree_scan(p, r + depth, (ZERO_CELL, root),
+                                        children)]
+        trace.append(_defect_reference(cur, state))
+        if trace[-1] == 0.0:
+            break
+    ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 0]
+    return sde.SDESolution(
+        values=GridFunction(ball, depth, tuple(cur)),
+        iterations=len(trace), defect_trace=tuple(trace),
+        contraction={"ball[level=0,index=0]": max(ratios, default=0.0)},
+        residual=trace[-1], subdivisions=())
+
+
+def _starts(prob, sol):
+    """Perturbed starts: a constant shift, and the solution with every
+    other value bumped, shifted in valuation or raised in precision, so
+    that some start values equal the solution only in v and m, or only
+    in m and n."""
+    p, n = prob.ball.p, prob.ball.n
+    bump = PAdicValue.from_int(2, p, n)
+    vals = sol.values.values
+    yield tuple(prob.x0 + bump for _ in vals)
+    yield tuple(x + bump if k % 2 else x for k, x in enumerate(vals))
+    yield tuple(PAdicValue(p, n, x.v + 1, x.m) if k % 2 and x.m else x
+                for k, x in enumerate(vals))
+    yield tuple(PAdicValue(p, n + 1, x.v, x.m) if k % 3 else x
+                for k, x in enumerate(vals))
+
+
+def _assert_parity(prob, w):
+    ref = _solve_picard_reference(prob, w)
+    assert solve_picard(prob, w) == ref
+    for start in _starts(prob, ref):
+        assert solve_picard(prob, w, initial=start) == \
+            _solve_picard_reference(prob, w, initial=start)
+
+
+@pytest.mark.parametrize("name", ["zero", "pure_drift", "pure_noise",
+                                  "linear_drift", "linear", "steep",
+                                  "polynomial", "locally_constant"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("radius_exp", [0, 1])
+def test_sweep_matches_cell_reference(name, p, radius_exp):
+    cfg = RunConfig({"prime": p, "precision": N, "depth": 3,
+                     "radius_exp": radius_exp, "solve": {"problem": name}},
+                    "solve")
+    prob, _ = build_problem(cfg)
+    w = wiener_path("tree", prob.ball, prob.depth, 2.0,
+                    seed=100 * p + 10 * radius_exp + len(name))
+    _assert_parity(prob, w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_functional_sweep_matches_cell_reference(p):
+    pp = PAdicValue.from_int(p, p, N)
+    prob = make_problem(p, 3, x0_int=1,
+                        diffusion=linear_state_program(pp),
+                        drift=functional_program(
+                            "last", lambda t, x, state: pp * state[-1] + x))
+    w = path_for(prob, 40 + p)
+    assert solve_picard(prob, w).iterations > 2
+    _assert_parity(prob, w)
+
+
+@pytest.mark.parametrize("p, radius_exp", [(2, 0), (3, 1), (5, 0), (5, 1)])
+def test_four_term_family_matches_cell_reference(p, radius_exp):
+    # every (du, ma, l) shape the fold handles: du up to 3, a-slot and
+    # e-slot powers up to 2
+    ball = BallSpec(PAdicValue.from_int(1, p, N), radius_exp)
+    drift = linear_state_program(PAdicValue.from_int(2, p, N))
+    diffusion = linear_state_program(PAdicValue.from_int(p, p, N),
+                                     PAdicValue.one(p, N))
+    slot = linear_state_program(PAdicValue.from_int(3, p, N),
+                                PAdicValue.from_rational(1, p, p, N))
+    family = (FamilyTerm(1, 0, 0, drift),
+              FamilyTerm(0, 2, 2, constant_program(
+                  PAdicValue.from_int(p, p, N)), e_slot=slot),
+              FamilyTerm(2, 1, 0, linear_state_program(
+                  PAdicValue.from_int(p + 1, p, N))),
+              FamilyTerm(1, 2, 1, constant_program(
+                  PAdicValue.from_int(2, p, N)), a_slot=slot))
+    prob = SDEProblem(ball=ball, depth=3, x0=PAdicValue.from_int(3, p, N),
+                      drift=drift, diffusion=diffusion, family=family)
+    w = wiener_path("tree", ball, 3, 2.0, seed=7 + p)
+    _assert_parity(prob, w)
+    assert solve_general(prob, w) == _solve_picard_reference(prob, w)
+
+
+@pytest.mark.parametrize("extra", [-(3**3 - 1), 1])
+def test_initial_of_wrong_length_rejected(extra):
+    p = 3
+    prob = make_problem(p, 3, x0_int=1,
+                        drift=linear_state_program(PAdicValue.from_int(2, p, N)),
+                        diffusion=linear_state_program(
+                            PAdicValue.from_int(p, p, N)))
+    w = path_for(prob, 14)
+    size = prob.ball.grid_size(3)
+    with pytest.raises(ValueError, match="initial"):
+        solve_picard(prob, w, initial=(prob.x0,) * (size + extra))
+    assert solve_picard(prob, w, initial=(prob.x0,) * size).iterations == 2
+
+
+def test_initial_at_another_prime_rejected():
+    prob = make_problem(3, 2, x0_int=1)
+    start = (PAdicValue.one(5, N),) * prob.ball.grid_size(2)
+    with pytest.raises(ValueError, match="initial"):
+        solve_picard(prob, path_for(prob, 15), initial=start)
+
+
+def test_verifying_sweep_builds_no_value():
+    p = 5
+    prob = make_problem(p, 3, x0_int=1,
+                        drift=linear_state_program(PAdicValue.from_int(2, p, N)),
+                        diffusion=linear_state_program(
+                            PAdicValue.from_int(p, p, N)))
+    w = path_for(prob, 16)
+    sol = solve_picard(prob, w)
+    again = solve_picard(prob, w, initial=sol.values.values)
+    assert again.iterations == 1
+    assert all(a is b for a, b in zip(again.values.values[1:],
+                                      sol.values.values[1:]))
