@@ -23,9 +23,10 @@ from .antider import GridFunction
 from .charfun import AngleTally, GaussianSpec
 from .measure import (
     MonteCarloEnsemble,
+    RandomStream,
+    _coefficient_samplers,
     cached_sampler,
     level_betas,
-    mahler_coefficient_draws,
     standard_zetas,
 )
 from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
@@ -83,8 +84,12 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     analytic = (product_telescoping_moduli(psi, gamma, g, t_index, q, betas)
                 or [1.0])[-1]
 
-    tally = AngleTally(p)
-    ens = MonteCarloEnsemble(seed, samples)
+    # Each sum is counted under its key (m, v) and the counts are tallied
+    # once per key in first-occurrence order, which leaves the tally as
+    # sample-by-sample adds would.  One stream is set to each sample's seed.
+    seeds = MonteCarloEnsemble(seed, samples)._seeds()
+    stream = RandomStream(0)
+    counts: dict[tuple[int, int], int] = {}
     if sampler == "tree":
         # Integer mirror of ``acc = acc + c * draw`` in PAdicValue arithmetic:
         # the accumulator is the pair (v, m), the product c * draw keeps
@@ -106,7 +111,8 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             n_run = min(n_run, n_c)
             steps.append((law.draw_raw, -c.v, c.v, c.m, _pow(p, n_c),
                           _pow(p, n_run)))
-        for stream in ens.streams():
+        for state in seeds:
+            stream.state = state
             v = m = 0
             for draw_raw, cut, cv, cm, mod_c, mod_run in steps:
                 dv, dm = draw_raw(stream, cut)
@@ -126,41 +132,68 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                     num = m + tm
                     s = _vp(num, p)
                     v, m = v + s, num // p ** s % mod_run
-            tally.add_raw(m, -v)
+            key = (m, v)
+            counts[key] = counts.get(key, 0) + 1
         asserted = True
     elif sampler == "mahler":
         if zetas is None:
             zetas = standard_zetas(p, n, 2 * (ball.radius_exp + depth))
         # increment of the series path over a chain step, as a coefficient
-        # contraction: sum_m X_m (Q_m(t_{j+1}) - Q_m(t_j))
+        # contraction: sum_m X_m (Q_m(t_{j+1}) - Q_m(t_j)).  A sample draws
+        # every coefficient first, then adds the terms X_m * d in step
+        # order under the tree loop's integer rule; a coefficient is read
+        # below the largest -d.v of the terms it enters.
         zp = BallSpec.unit(p, n)        # the domain of the basis
-        contract = []
+        terms = []
         for level, c, j, jn in consts:
             if c.is_zero:
-                contract.append(None)
                 continue
             tj = ball.point(j, depth) - ball.center
             tn = ball.point(jn, depth) - ball.center
             if not (zp.contains(tj) and zp.contains(tn)):
                 raise ValueError("domain")
-            diffs = tuple(c * (qn - qj) for qj, qn in zip(
+            terms += enumerate(c * (qn - qj) for qj, qn in zip(
                 mahler_basis(tj, len(zetas))[1:],
                 mahler_basis(tn, len(zetas))[1:]))
-            contract.append(diffs)
-        zero = PAdicValue.zero(p, n)
-        for stream in ens.streams():
-            coeffs = mahler_coefficient_draws(zetas, q, p, n, stream)
-            acc = zero
-            for diffs in contract:
-                if diffs is None:
+        laws = _coefficient_samplers(tuple(zetas), q, p, n)
+        cuts = [law.shell_only for law in laws]
+        rows = []
+        n_run = n
+        for i, d in terms:
+            if d.is_zero:
+                continue
+            cuts[i] = max(cuts[i], -d.v)
+            n_d = min(d.n, n)
+            n_run = min(n_run, n_d)
+            rows.append((i, d.v, d.m, _pow(p, n_d), _pow(p, n_run)))
+        draws = [(law.draw_raw, cut) for law, cut in zip(laws, cuts)]
+        for state in seeds:
+            stream.state = state
+            coeffs = [draw_raw(stream, cut) for draw_raw, cut in draws]
+            v = m = 0
+            for i, cv, cm, mod_c, mod_run in rows:
+                dv, dm = coeffs[i]
+                tv, tm = cv + dv, cm * dm % mod_c
+                if not m:
+                    v, m = tv, tm
                     continue
-                for coefficient, d in zip(coeffs, diffs):
-                    if not d.is_zero and not coefficient.is_zero:
-                        acc = acc + coefficient * d
-            tally.add_raw(acc.m, -acc.v)
+                if v < tv:
+                    m = (m + tm * p ** (tv - v)) % mod_run
+                elif v > tv:
+                    v, m = tv, (tm + m * p ** (v - tv)) % mod_run
+                else:
+                    num = m + tm
+                    s = _vp(num, p)
+                    v, m = v + s, num // p ** s % mod_run
+            key = (m, v)
+            counts[key] = counts.get(key, 0) + 1
         asserted = False
     else:
         raise ValueError(f"unknown sampler kind: {sampler}")
+
+    tally = AngleTally(p)
+    for (m, v), count in counts.items():
+        tally.add_raw(m, -v, count)
 
     empirical, stderr = tally.mean_stderr()
     tol = 4.0 / math.sqrt(samples)

@@ -5,6 +5,9 @@ Randomness comes from a self-contained 64-bit SplitMix-style generator so
 that every ensemble is bit-reproducible from its master seed: the per-sample
 seed is the (index+1)-th SplitMix64 output of the master state, and each
 sample owns a private stream (see ``mix64`` for the published constants).
+An estimator that reads each sample once keeps a single ``RandomStream``
+and sets its state to each sample's seed (``MonteCarloEnsemble._seeds``);
+``Gaussian1DSampler.draw_raw`` writes the finalizer inline.
 
 Two path samplers are provided.  The series sampler expands the path over
 the binomial polynomial basis with independent q-Gaussian coefficients
@@ -19,6 +22,7 @@ increment over a step of norm p**(-j).
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +34,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_ULP53 = 1.0 / (1 << 53)
+_GOLDEN3 = 3 * _GOLDEN
 
 
 def mix64(z: int) -> int:
@@ -75,14 +79,21 @@ class MonteCarloEnsemble:
             raise ValueError("sample index out of range")
         return RandomStream(derive_seed(self.master_seed, index))
 
-    def streams(self):
-        """The streams of samples 0, 1, ... in order.  The seed of sample i
+    def _seeds(self):
+        """The seeds of samples 0, 1, ... in order.  The seed of sample i
         is ``derive_seed(master_seed, i)``: one SplitMix64 counter, stepped
-        from the master, reaches each seed in turn."""
+        from the master, reaches each seed in turn.  An estimator that
+        reads each sample once keeps one stream and sets its state to each
+        seed."""
         z = self.master_seed
         for _ in range(self.size):
             z = (z + _GOLDEN) & _MASK
-            yield RandomStream(mix64(z))
+            yield mix64(z)
+
+    def streams(self):
+        """The streams of samples 0, 1, ... in order, one object each."""
+        for seed in self._seeds():
+            yield RandomStream(seed)
 
     def collect(self, fn):
         """Deterministic map ordered by sample index."""
@@ -108,11 +119,32 @@ class Gaussian1DSampler:
         table = shell_distribution(spec, tail_tol=tail_tol)
         self.shells = [m for m, _ in table.rows()]
         self.cumulative = table.cdf()
-        # rests[k - 1] = p**(k - 1), the modulus of u3 when k digits are read
-        self._rests = [_pow(spec.p, k) for k in range(spec.n)]
-        self._rest = self._rests[-1]
+        # u1 >> 11 >= ceil(c * 2**53) exactly when (u1 >> 11) / 2**53 >= c,
+        # so the inverse CDF can bisect the raw output u1 itself
+        self._bounds = [math.ceil(c * (1 << 53)) << 11
+                        for c in self.cumulative]
         # the largest cut at which ``draw_raw`` reads no digit on any shell
         self.shell_only = -max(self.shells)
+        self._rows: dict = {}
+
+    def _row(self, cut: int | None) -> list:
+        """The draw table at ``cut``, built once: one entry per index of
+        the bisect into the shell cdf (past the end reads the last shell),
+        ``(v, lead, rest, (v, 1))`` with the moduli of the lead digit and
+        of the remaining digits read, 0 for an output left unmixed.
+
+        This is the one copy of the rule for how many digits a draw reads:
+        all of them for ``cut=None``, else ``k = cut + m`` on shell m, the
+        lead digit if k >= 1 and the next min(k, n) - 1 digits if k >= 2.
+        """
+        p, n = self.spec.p, self.spec.n
+        row = []
+        for m in self.shells + self.shells[-1:]:
+            k = n if cut is None else cut + m
+            row.append((-m, p - 1 if k >= 1 else 0,
+                        _pow(p, min(k, n) - 1) if k >= 2 else 0, (-m, 1)))
+        self._rows[cut] = row
+        return row
 
     def draw_raw(self, stream: RandomStream,
                  cut: int | None = None) -> tuple[int, int]:
@@ -126,22 +158,32 @@ class Gaussian1DSampler:
         reads ``k = cut + m`` digits on shell m: u2 is mixed only if k is at
         least 1 and u3 only if it is at least 2.  The mantissa returned
         then holds only the digits read: that of the full draw mod p**k, or
-        the unit 1 when no digit is read.
+        the unit 1 when no digit is read.  The per-cut table ``_row`` says
+        which outputs a shell reads; each output is mixed by the SplitMix64
+        finalizer of ``mix64``, written inline.
         """
-        s1 = (stream.state + _GOLDEN) & _MASK
-        s2 = (s1 + _GOLDEN) & _MASK
-        stream.state = s3 = (s2 + _GOLDEN) & _MASK
-        shells = self.shells
-        i = bisect.bisect_right(self.cumulative, (mix64(s1) >> 11) * _ULP53)
-        m = shells[i] if i < len(shells) else shells[-1]
-        p = self.spec.p
-        if cut is None:
-            return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % self._rest)
-        k = cut + m
-        if k < 2:
-            return -m, 1 if k < 1 else 1 + mix64(s2) % (p - 1)
-        rest = self._rests[k - 1] if k < len(self._rests) else self._rest
-        return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % rest)
+        try:
+            row = self._rows[cut]
+        except KeyError:
+            row = self._row(cut)
+        z = stream.state
+        stream.state = s3 = (z + _GOLDEN3) & _MASK
+        z = (z + _GOLDEN) & _MASK                   # u1
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        v, lead, rest, unit = row[
+            bisect.bisect_right(self._bounds, z ^ (z >> 31))]
+        if not lead:
+            return unit
+        z = (s3 - _GOLDEN) & _MASK                  # u2
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        mant = 1 + (z ^ (z >> 31)) % lead
+        if not rest:
+            return v, mant
+        z = ((s3 ^ (s3 >> 30)) * _MIX1) & _MASK     # u3
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return v, mant + self.spec.p * ((z ^ (z >> 31)) % rest)
 
     def draw(self, stream: RandomStream) -> PAdicValue:
         v, mant = self.draw_raw(stream)
@@ -190,8 +232,9 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     cut = None if shifted else max(
         (-hd[0] for hd in hdata if hd is not None), default=sampler.shell_only)
     counts: dict[tuple[int, int], int] = {}
-    draw_raw = sampler.draw_raw
-    for stream in MonteCarloEnsemble(seed, size).streams():
+    draw_raw, stream = sampler.draw_raw, RandomStream(0)
+    for state in MonteCarloEnsemble(seed, size)._seeds():
+        stream.state = state
         key = draw_raw(stream, cut)
         counts[key] = counts.get(key, 0) + 1
     for (v, mant), count in counts.items():
@@ -218,7 +261,9 @@ def norm_histogram(spec: GaussianSpec, size: int, seed: int) -> dict[int, int]:
     sampler = cached_sampler(spec)
     draw_raw, cut = sampler.draw_raw, sampler.shell_only
     counts: dict[int, int] = {}
-    for stream in MonteCarloEnsemble(seed, size).streams():
+    stream = RandomStream(0)
+    for state in MonteCarloEnsemble(seed, size)._seeds():
+        stream.state = state
         v, _ = draw_raw(stream, cut)
         counts[-v] = counts.get(-v, 0) + 1
     return counts
@@ -302,11 +347,18 @@ def sample_wiener_mahler(zetas, q: float, ball: BallSpec, depth: int,
 def mahler_coefficient_draws(zetas, q: float, p: int, n: int,
                              stream: RandomStream) -> list[PAdicValue]:
     """The coefficient draws of the series sampler, in stream order."""
-    out = []
-    for z in zetas:
-        spec = GaussianSpec.one_dimensional(p, n, beta=z.norm() ** q, q=q)
-        out.append(cached_sampler(spec).draw(stream))
-    return out
+    return [s.draw(stream)
+            for s in _coefficient_samplers(tuple(zetas), q, p, n)]
+
+
+@lru_cache(maxsize=64)
+def _coefficient_samplers(zetas: tuple, q: float, p: int,
+                          n: int) -> tuple[Gaussian1DSampler, ...]:
+    """The laws of the series sampler's coefficients, spread |zeta|**q,
+    resolved once per zetas so that a caller drawing one sample per call
+    builds no spec per coefficient."""
+    return tuple(cached_sampler(GaussianSpec.one_dimensional(
+        p, n, beta=z.norm() ** q, q=q)) for z in zetas)
 
 
 def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,

@@ -204,14 +204,16 @@ def _node_terms(family, drift: Program, diffusion: Program, t: PAdicValue,
                 x: PAdicValue, state) -> list:
     """Evaluate the coefficient programs once at a node: the exponents
     (dt, a-slot, e*dw) and the program, a-slot and e-slot values of every
-    family term with a nonzero program value."""
+    family term with a nonzero program value.  A term whose program value
+    is zero is dropped before its slot programs are called."""
     pieces = []
     for ft in family:
         pv = ft.prog(t, x, state)
+        if not pv.m:
+            continue
         av = (ft.a_slot or drift)(t, x, state) if ft.m - ft.l else None
         ev = (ft.e_slot or diffusion)(t, x, state) if ft.l else None
-        if pv.m:
-            pieces.append((ft.b + ft.m - ft.l, ft.m - ft.l, ft.l, pv, av, ev))
+        pieces.append((ft.b + ft.m - ft.l, ft.m - ft.l, ft.l, pv, av, ev))
     return pieces
 
 

@@ -3,14 +3,21 @@ import random
 
 import pytest
 
+from padicsde import charexpect
 from padicsde.antider import GridFunction
 from padicsde.charexpect import (
     character_product_check,
     product_telescoping_moduli,
 )
 from padicsde.charfun import AngleTally, GaussianSpec
-from padicsde.measure import MonteCarloEnsemble, cached_sampler, level_betas
-from padicsde.padic import BallSpec, PAdicValue
+from padicsde.measure import (
+    MonteCarloEnsemble,
+    cached_sampler,
+    level_betas,
+    mahler_coefficient_draws,
+    standard_zetas,
+)
+from padicsde.padic import BallSpec, PAdicValue, mahler_basis
 
 N = 6
 
@@ -107,7 +114,8 @@ def test_partial_products_nonincreasing():
 
 def _padic_reference(psi, gamma, g, t_index, samples, seed, q=1.0):
     """The tree estimator in PAdicValue arithmetic, one draw per chain
-    step; also counts the sums whose exact value lost low digits."""
+    step and one tally add per sample; also counts the sums whose exact
+    value lost low digits."""
     p, n = psi.p, psi.n
     betas = level_betas(psi.ball, psi.depth, q)
     steps = [(gamma * g * psi.values[j],
@@ -133,7 +141,7 @@ def _padic_reference(psi, gamma, g, t_index, samples, seed, q=1.0):
     tol = 4.0 / math.sqrt(samples)
     passed = (abs(empirical.real - analytic) <= tol
               and abs(empirical.imag) <= tol)
-    return empirical, stderr, passed, [c for c, _ in steps], cancelled
+    return empirical, stderr, passed, [c for c, _ in steps], cancelled, tally
 
 
 def _identity(ball):
@@ -166,7 +174,7 @@ def test_tree_loop_matches_padic_reference(p, make_psi, gamma, g, t_digits,
     g = PAdicValue(p, N, *g)
     t_index = sum(d * p**i for i, d in enumerate(t_digits))
     samples, seed = 3000, 17 + p
-    empirical, stderr, passed, consts, cancelled = _padic_reference(
+    empirical, stderr, passed, consts, cancelled, _ = _padic_reference(
         psi, gamma, g, t_index, samples, seed)
     rep = character_product_check(psi, gamma, g, t_index, samples, seed)
     assert (rep.empirical, rep.stderr, rep.passed) == \
@@ -213,7 +221,7 @@ def test_lazy_tree_loop_matches_eager_reference():
             "p2_carry": 0}
     for case in range(120):
         psi, gamma, g, t_index = _random_case(rng)
-        empirical, stderr, passed, consts, cancelled = _padic_reference(
+        empirical, stderr, passed, consts, cancelled, _ = _padic_reference(
             psi, gamma, g, t_index, 150, case)
         rep = character_product_check(psi, gamma, g, t_index, 150, case)
         assert (rep.empirical, rep.stderr, rep.passed) == \
@@ -225,3 +233,102 @@ def test_lazy_tree_loop_matches_eager_reference():
         seen["positive_v"] += any(c.v > 0 for c in nonzero)
         seen["p2_carry"] += psi.p == 2 and cancelled > 0
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def _series_reference(psi, gamma, g, t_index, samples, seed, zetas,
+                      q=1.0):
+    """The series branch's tally as one add per sample, in PAdicValue
+    arithmetic with full draws: the coefficient draws contracted with the
+    Mahler increments of every chain step."""
+    p, n = psi.p, psi.n
+    ball, depth = psi.ball, psi.depth
+    tally = AngleTally(p)
+    for stream in MonteCarloEnsemble(seed, samples).streams():
+        coeffs = mahler_coefficient_draws(zetas, q, p, n, stream)
+        acc = PAdicValue.zero(p, n)
+        for _level, j, jn, _step in psi.chain_steps(t_index):
+            c = gamma * g * psi.values[j]
+            if c.is_zero:
+                continue
+            tj = ball.point(j, depth) - ball.center
+            tn = ball.point(jn, depth) - ball.center
+            for x, qj, qn in zip(coeffs, mahler_basis(tj, len(zetas))[1:],
+                                 mahler_basis(tn, len(zetas))[1:]):
+                d = c * (qn - qj)
+                if not d.is_zero:
+                    acc = acc + x * d
+        tally.add_raw(acc.m, -acc.v)
+    return tally
+
+
+@pytest.mark.parametrize("p, make_psi, gamma, t_digits, seed, sampler", [
+    (2, _identity, (0, 6, 1), (1, 1, 1), 2**64 - 1, "tree"),
+    (3, lambda b: GridFunction.constant(b, 3, PAdicValue.one(3, N)),
+     (-1, 3, 2), (2, 0, 1), 31, "tree"),
+    (5, _mixed_precision, (2, 4, 7), (3, 1, 4), 2**64 - 1, "tree"),
+    (3, _identity, (0, 6, 1), (1, 2, 2), 2**64 - 1, "mahler"),
+    (2, lambda b: GridFunction.constant(b, 3, PAdicValue.one(2, N)),
+     (-1, 4, 3), (1, 0, 1), 8, "mahler"),
+])
+def test_per_key_tally_matches_per_sample_adds(monkeypatch, p, make_psi,
+                                               gamma, t_digits, seed,
+                                               sampler):
+    # counting each sum's key and tallying the keys once, with their
+    # counts, leaves the tally exactly as one add per sample would
+    made = []
+
+    class Recording(AngleTally):
+        def __init__(self, prime):
+            super().__init__(prime)
+            made.append(self)
+
+    monkeypatch.setattr(charexpect, "AngleTally", Recording)
+    ball = BallSpec.unit(p, N)
+    psi = make_psi(ball)
+    v, n_gamma, m = gamma
+    gamma = PAdicValue(p, n_gamma, v, m)
+    g = PAdicValue.one(p, N)
+    t_index = sum(d * p**i for i, d in enumerate(t_digits))
+    zetas = standard_zetas(p, N, 6)
+    rep = character_product_check(psi, gamma, g, t_index, 400, seed,
+                                  sampler=sampler, zetas=zetas)
+    if sampler == "tree":
+        want = _padic_reference(psi, gamma, g, t_index, 400, seed)[-1]
+    else:
+        want = _series_reference(psi, gamma, g, t_index, 400, seed, zetas)
+    (got,) = made
+    assert list(got._counts.items()) == list(want._counts.items())
+    assert got.total == want.total == 400
+    assert repr((rep.empirical, rep.stderr)) == repr(want.mean_stderr())
+    # the case holds a zero c, or a nonzero c.v below full precision
+    consts = [gamma * g * psi.values[j]
+              for _l, j, _jn, _s in psi.chain_steps(t_index)]
+    assert any(c.is_zero for c in consts) or \
+        any(c.v != 0 and c.n < N for c in consts)
+    assert len(got._counts) > 1
+
+
+def test_series_loop_matches_per_sample_reference():
+    # the series branch's integer contraction with reduced draws against
+    # value arithmetic with full draws, on random integrands at p = 2, 3, 5
+    rng = random.Random(77)
+    seen = {"short_d": 0, "negative_v": 0, "p2": 0, "p5": 0}
+    for case in range(40):
+        psi, gamma, g, t_index = _random_case(rng)
+        while psi.ball.radius_exp:      # the Mahler basis lives on Z_p
+            psi, gamma, g, t_index = _random_case(rng)
+        p = psi.p
+        zetas = standard_zetas(p, N, rng.randint(2, 6))
+        seed = rng.choice((case, 2**64 - 1 - case))
+        rep = character_product_check(psi, gamma, g, t_index, 120, seed,
+                                      sampler="mahler", zetas=zetas)
+        want = _series_reference(psi, gamma, g, t_index, 120, seed, zetas)
+        assert repr((rep.empirical, rep.stderr)) == \
+            repr(want.mean_stderr()), case
+        consts = [gamma * g * psi.values[j]
+                  for _l, j, _jn, _s in psi.chain_steps(t_index)]
+        seen["short_d"] += any(c.n < N for c in consts if not c.is_zero)
+        seen["negative_v"] += any(c.v < 0 for c in consts if not c.is_zero)
+        seen["p2"] += p == 2
+        seen["p5"] += p == 5
+    assert all(count >= 3 for count in seen.values()), seen

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from padicsde import measure
-from padicsde.antider import _tree_scan
+from padicsde.antider import GridFunction, _tree_scan
+from padicsde.charexpect import character_product_check
 from padicsde.charfun import AngleTally, GaussianSpec, shell_distribution
 from padicsde.measure import (
     Gaussian1DSampler,
@@ -116,6 +117,113 @@ def test_draw_raw_cut_reads_the_full_draw(p):
         assert sampler.draw_raw(stream, sampler.shell_only) == (v, 1)
         assert stream.state == full.state
     assert len(shells) > 3
+
+
+def _reference_draw_raw(sampler, stream, cut=None):
+    """The draw as a sequence of ``mix64`` calls: the float inverse CDF
+    and the digit count ``k = cut + m`` worked out per draw."""
+    p, n = sampler.spec.p, sampler.spec.n
+    golden, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+    s1 = (stream.state + golden) & mask
+    s2 = (s1 + golden) & mask
+    stream.state = s3 = (s2 + golden) & mask
+    shells = sampler.shells
+    i = bisect.bisect_right(sampler.cumulative,
+                            (mix64(s1) >> 11) * (1.0 / (1 << 53)))
+    m = shells[i] if i < len(shells) else shells[-1]
+    if cut is None:
+        return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % p**(n - 1))
+    k = cut + m
+    if k < 2:
+        return -m, 1 if k < 1 else 1 + mix64(s2) % (p - 1)
+    rest = p**(k - 1) if k < n else p**(n - 1)
+    return -m, 1 + mix64(s2) % (p - 1) + p * (mix64(s3) % rest)
+
+
+def _unmix64(u):
+    """The z with mix64(z) == u: each xorshift and odd multiplier of the
+    finalizer undone in reverse order."""
+    mask = 2**64 - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(u, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & mask, 27)
+    return unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask, 30)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_draw_raw_matches_reference_at_every_cut(p):
+    # the per-cut row table and the inline finalizer against the draw
+    # written out with mix64, from stream states on both sides of 2**64
+    # and from states whose shell output sits on either side of a cdf step
+    golden = 0x9E3779B97F4A7C15
+    sampler = Gaussian1DSampler(
+        GaussianSpec.one_dimensional(p, N, beta=2.0, q=1))
+    states = [0, 1, 12345, 2**63, *range(2**64 - 40, 2**64)]
+    states += [(2**64 - j * golden + d) % 2**64
+               for j in (1, 2, 3) for d in range(-20, 20)]
+    states += [mix64(i) for i in range(300)]
+    for c in sampler.cumulative:
+        step = math.ceil(c * 2**53) << 11     # the least u1 at or past c
+        for u1 in (step - 1, step, step + 2**11 - 1, step + 2**11):
+            if 0 <= u1 < 2**64:
+                assert mix64(_unmix64(u1)) == u1
+                states.append((_unmix64(u1) - golden) % 2**64)
+    # every shell sees no digit, the lead digit only and all n digits
+    cuts = [None, *range(sampler.shell_only - 1,
+                         N + 2 - min(sampler.shells))]
+    assert set(range(sampler.shell_only - 1, N + 2)) <= set(cuts)
+    shells = set()
+    for state in states:
+        for cut in cuts:
+            stream, ref = RandomStream(state), RandomStream(state)
+            want = _reference_draw_raw(sampler, ref, cut)
+            assert sampler.draw_raw(stream, cut) == want, (state, cut)
+            assert stream.state == ref.state
+        shells.add(want[0])
+    assert len(shells) > 4
+
+
+def test_estimators_call_draw_raw_once_per_draw(monkeypatch):
+    # the benchmark counts draws as draw_raw calls; an estimator that drew
+    # without calling it would undercount
+    calls = [0]
+    draw_raw = Gaussian1DSampler.draw_raw
+
+    def counting(self, stream, cut=None):
+        calls[0] += 1
+        return draw_raw(self, stream, cut)
+
+    monkeypatch.setattr(Gaussian1DSampler, "draw_raw", counting)
+    p, size = 3, 500
+    spec = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1)
+    measure.empirical_char(spec, [PAdicValue(p, N, v, 1) for v in (-1, 1)],
+                           size, 4)
+    assert calls[0] == size
+    measure.norm_histogram(spec, size, 5)
+    assert calls[0] == 2 * size
+    calls[0] = 0
+    ball, depth = BallSpec.unit(p, N), 3
+    sample_wiener_tree(level_betas(ball, depth, 1.0), 1.0, ball, depth,
+                       RandomStream(6))
+    assert calls[0] == p**depth - 1
+    calls[0] = 0
+    psi = GridFunction.constant(ball, depth, PAdicValue.one(p, N))
+    t_index = 1 + 2 * p**2       # two nonzero digits, two chain steps
+    character_product_check(psi, PAdicValue.one(p, N), PAdicValue.one(p, N),
+                            t_index, size, 7)
+    assert calls[0] == size * 2
+    calls[0] = 0
+    # the series branch draws every coefficient once per sample
+    character_product_check(psi, PAdicValue.one(p, N), PAdicValue.one(p, N),
+                            t_index, size, 8, sampler="mahler",
+                            zetas=standard_zetas(p, N, 4))
+    assert calls[0] == size * 4
 
 
 def _eager_empirical_char(spec, hs, size, seed):

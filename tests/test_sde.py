@@ -616,3 +616,44 @@ def test_verifying_sweep_builds_no_value():
     assert again.iterations == 1
     assert all(a is b for a, b in zip(again.values.values[1:],
                                       sol.values.values[1:]))
+
+
+def test_zero_term_slots_are_never_called():
+    # a term whose program value is zero at a node is dropped before its
+    # a-slot and e-slot programs run; the solution does not change
+    p = 3
+    calls = {"a": 0, "e": 0}
+
+    def counting(key, value):
+        def fn(t, x):
+            calls[key] += 1
+            return value
+        return sde.Program(f"count_{key}", fn)
+
+    drift = linear_state_program(PAdicValue.from_int(2, p, N))
+    diffusion = linear_state_program(PAdicValue.from_int(p, p, N),
+                                     PAdicValue.one(p, N))
+    two = PAdicValue.from_int(2, p, N)
+    dead = FamilyTerm(1, 2, 1, zero_program(p, N),
+                      a_slot=counting("a", two), e_slot=counting("e", two))
+    base = (FamilyTerm(1, 0, 0, drift),
+            FamilyTerm(0, 1, 1, diffusion,
+                       e_slot=constant_program(PAdicValue.one(p, N))))
+    with_dead = make_problem(p, 3, drift=drift, diffusion=diffusion,
+                             family=base + (dead,))
+    without = make_problem(p, 3, drift=drift, diffusion=diffusion,
+                           family=base)
+    w = path_for(with_dead, 17)
+    got = solve_general(with_dead, w)
+    assert calls == {"a": 0, "e": 0}
+    assert got == solve_general(without, w) == solve_picard(without, w)
+    assert got == _solve_picard_reference(with_dead, w)
+    # the same slots on a live term are called at every interior node of
+    # every sweep
+    calls.update(a=0, e=0)
+    live = FamilyTerm(1, 2, 1, constant_program(PAdicValue.from_int(p, p, N)),
+                      a_slot=counting("a", two), e_slot=counting("e", two))
+    sol = solve_general(make_problem(p, 3, drift=drift, diffusion=diffusion,
+                                     family=base + (live,)), w)
+    interior = (p**3 - 1) // (p - 1)
+    assert calls["a"] == calls["e"] == sol.iterations * interior
