@@ -20,7 +20,7 @@ ball = BallSpec.unit(p, n)
 
 print("== tree sampler ==")
 w = wiener_path("tree", ball, depth, q=1.0, seed=42)
-print("w(0) is exactly zero:", w.at_index(0).is_zero)
+print("w(0) is exactly zero:", w.values[0].is_zero)
 t = PAdicValue.from_int(1 + 2 * 3 + 9, p, n)
 print("a path value:  w(t) =", w[t])
 print("increments along the chain of t:")
@@ -29,17 +29,17 @@ for j in range(1, depth + 1):
     print(f"  level {j - 1}: dw = {dw}")
 
 print("\nsame seed, same path:",
-      wiener_path("tree", ball, depth, q=1.0, seed=42).values.values
-      == w.values.values)
+      wiener_path("tree", ball, depth, q=1.0, seed=42).values
+      == w.values)
 
 print("\n== series (binomial-basis) sampler ==")
 zetas = standard_zetas(p, n, 8)
 wm = wiener_path("mahler", ball, depth, q=1.0, seed=42, zetas=zetas)
-print("w(0) is exactly zero:", wm.at_index(0).is_zero)
+print("w(0) is exactly zero:", wm.values[0].is_zero)
 print("norms along one branch:")
 for k in (1, 4, 13, 40):
-    print(f"  |w(point {k})| = {wm.at_index(k).norm()}")
+    print(f"  |w(point {k})| = {wm.values[k].norm()}")
 wshort = wiener_path("mahler", ball, depth, q=1.0, seed=42, zetas=zetas[:5])
 gap = max((a - b).norm() for a, b in
-          zip(wm.values.values, wshort.values.values))
+          zip(wm.values, wshort.values))
 print("truncating the coefficient tail moves the path by at most", gap)

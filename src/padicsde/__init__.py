@@ -36,12 +36,12 @@ from .measure import (
     Gaussian1DSampler,
     MonteCarloEnsemble,
     RandomStream,
-    WienerPath,
     derive_seed,
     empirical_char,
     level_betas,
     mix64,
     norm_histogram,
+    path_laws,
     sample_gaussian,
     sample_wiener_mahler,
     sample_wiener_tree,

@@ -132,11 +132,6 @@ class GridFunction:
                 yield level, j, j + d * _pow(p, level), (d, self.step_exponent(level))
 
 
-def _as_grid(w) -> GridFunction:
-    """The grid of a sampled path, or the argument itself if it is a grid."""
-    return w.values if hasattr(w, "sampler") else w
-
-
 def _tree_scan(p: int, levels: int, root, children) -> list:
     """One level-order pass over the digit tree of a grid of ``p**levels``
     points, in place.
@@ -184,13 +179,12 @@ def antider_w_cell(e: GridFunction, w: GridFunction, k: int) -> Cell:
     return acc
 
 
-def antider_w(e: GridFunction, w, t) -> PAdicValue:
+def antider_w(e: GridFunction, w: GridFunction, t) -> PAdicValue:
     """Path antiderivation: chain sum of the integrand times the increments
     of w; the constant integrand 1 telescopes to w(t) - w(center)."""
-    wg = _as_grid(w)
-    _check_same_grid(e, wg)
+    _check_same_grid(e, w)
     k = _index_for(e, t)
-    return cell_round(e.p, e.n, antider_w_cell(e, wg, k))
+    return cell_round(e.p, e.n, antider_w_cell(e, w, k))
 
 
 def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
@@ -265,17 +259,16 @@ def antider_mixed(deriv: GridFunction, a, e, w, b: int, m: int, l: int,
         raise ValueError("index")
     if b < 0 or m < 0 or l < 0:
         raise ValueError("index")
-    wg = _as_grid(w)
     if m - l and a is None:
         raise ValueError("coefficient grid required for the a powers")
-    if l and (e is None or wg is None):
+    if l and (e is None or w is None):
         raise ValueError("diffusion grid and path required for the w powers")
-    for g in (a, e, wg):
+    for g in (a, e, w):
         if g is not None:
             _check_same_grid(deriv, g)
     k = _index_for(deriv, t)
     return cell_round(deriv.p, deriv.n,
-                      antider_powers_cell(deriv, a, e, wg, b + m - l, m - l,
+                      antider_powers_cell(deriv, a, e, w, b + m - l, m - l,
                                           l, k))
 
 
@@ -292,16 +285,15 @@ def covariation_cell(x: GridFunction, y: GridFunction, k: int) -> Cell:
     return acc
 
 
-def covariation(x: GridFunction, y, t) -> PAdicValue:
+def covariation(x: GridFunction, y: GridFunction, t) -> PAdicValue:
     """Discrete covariation: the chain sum of products of increments.
     Symmetric and bilinear; constant arguments give zero."""
-    yg = _as_grid(y)
-    _check_same_grid(x, yg)
+    _check_same_grid(x, y)
     k = _index_for(x, t)
-    return cell_round(x.p, x.n, covariation_cell(x, yg, k))
+    return cell_round(x.p, x.n, covariation_cell(x, y, k))
 
 
-def by_parts_residual(x: GridFunction, y, t) -> PAdicValue:
+def by_parts_residual(x: GridFunction, y: GridFunction, t) -> PAdicValue:
     """Exact residual of the integration-by-parts identity
 
         P_X Y - [X_t Y_t - X_0 Y_0 - P_Y X - C(X, Y)]
@@ -309,31 +301,29 @@ def by_parts_residual(x: GridFunction, y, t) -> PAdicValue:
     evaluated at a grid point.  The identity telescopes term by term, so
     the residual is the exact zero at every precision.
     """
-    yg = _as_grid(y)
-    _check_same_grid(x, yg)
+    _check_same_grid(x, y)
     p = x.p
     k = _index_for(x, t)
-    lhs = antider_w_cell(yg, x, k)
-    xt, yt = cell_of(x.values[k]), cell_of(yg.values[k])
-    x0, y0 = cell_of(x.values[0]), cell_of(yg.values[0])
+    lhs = antider_w_cell(y, x, k)
+    xt, yt = cell_of(x.values[k]), cell_of(y.values[k])
+    x0, y0 = cell_of(x.values[0]), cell_of(y.values[0])
     rhs = cell_sub(p, cell_mul(xt, yt), cell_mul(x0, y0))
-    rhs = cell_sub(p, rhs, antider_w_cell(x, yg, k))
-    rhs = cell_sub(p, rhs, covariation_cell(x, yg, k))
+    rhs = cell_sub(p, rhs, antider_w_cell(x, y, k))
+    rhs = cell_sub(p, rhs, covariation_cell(x, y, k))
     return cell_round(p, x.n, cell_sub(p, lhs, rhs))
 
 
-def square_decomposition_residual(w, t) -> PAdicValue:
+def square_decomposition_residual(w: GridFunction, t) -> PAdicValue:
     """Exact residual of the square decomposition at a grid point:
     C(w, w) - [w_t**2 - w_0**2 - 2 * sum w(t_j) dw_j]."""
-    wg = _as_grid(w)
-    p = wg.p
-    k = _index_for(wg, t)
-    quad = covariation_cell(wg, wg, k)
-    wt2 = cell_mul(cell_of(wg.values[k]), cell_of(wg.values[k]))
-    w02 = cell_mul(cell_of(wg.values[0]), cell_of(wg.values[0]))
-    cross = antider_w_cell(wg, wg, k)
+    p = w.p
+    k = _index_for(w, t)
+    quad = covariation_cell(w, w, k)
+    wt2 = cell_mul(cell_of(w.values[k]), cell_of(w.values[k]))
+    w02 = cell_mul(cell_of(w.values[0]), cell_of(w.values[0]))
+    cross = antider_w_cell(w, w, k)
     rhs = cell_sub(p, cell_sub(p, wt2, w02), cell_mul((2, 0), cross))
-    return cell_round(p, wg.n, cell_sub(p, quad, rhs))
+    return cell_round(p, w.n, cell_sub(p, quad, rhs))
 
 
 # -- full-grid transforms --------------------------------------------------------
@@ -353,12 +343,11 @@ def antider_u_grid(f: GridFunction) -> GridFunction:
                         tuple(cell_round(p, n, c) for c in acc))
 
 
-def antider_w_grid(e: GridFunction, w) -> GridFunction:
+def antider_w_grid(e: GridFunction, w: GridFunction) -> GridFunction:
     """The path antiderivation at every grid point (level-order pass)."""
-    wg = _as_grid(w)
-    _check_same_grid(e, wg)
+    _check_same_grid(e, w)
     p, n = e.p, e.n
-    wc = [cell_of(v) for v in wg.values]
+    wc = [cell_of(v) for v in w.values]
     one = PAdicValue.one(p, n)
 
     def children(level, j, base, kids):

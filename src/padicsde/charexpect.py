@@ -20,15 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .antider import GridFunction
-from .charfun import AngleTally, GaussianSpec
-from .measure import (
-    MonteCarloEnsemble,
-    RandomStream,
-    _coefficient_samplers,
-    cached_sampler,
-    level_betas,
-    standard_zetas,
-)
+from .charfun import AngleTally
+from .measure import MonteCarloEnsemble, RandomStream, level_betas, path_laws
 from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
 
 
@@ -74,12 +67,14 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
 
     Only the tree sampler's result is asserted (its increments are
     independent by construction); the series sampler's report is marked
-    diagnostic.  Tolerance is 4 / sqrt(samples) per component.
+    diagnostic.  Tolerance is 4 / sqrt(samples) per component.  The
+    default betas and zetas are those of ``wiener_path``.
     """
     ball, depth = psi.ball, psi.depth
     p, n = psi.p, psi.n
     if betas is None:
         betas = level_betas(ball, depth, q)
+    _, laws = path_laws(sampler, ball, depth, q, betas, zetas)
     consts = _chain_constants(psi, gamma, g, t_index)
     analytic = (product_telescoping_moduli(psi, gamma, g, t_index, q, betas)
                 or [1.0])[-1]
@@ -102,8 +97,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
         steps = []
         n_run = n
         for level, c, _j, _jn in consts:
-            law = cached_sampler(GaussianSpec.one_dimensional(
-                p, n, beta=betas[level], q=q))
+            law = laws[level]
             if c.is_zero:
                 steps.append((law.draw_raw, law.shell_only, 0, 0, 1, 1))
                 continue
@@ -135,9 +129,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             key = (m, v)
             counts[key] = counts.get(key, 0) + 1
         asserted = True
-    elif sampler == "mahler":
-        if zetas is None:
-            zetas = standard_zetas(p, n, 2 * (ball.radius_exp + depth))
+    else:   # the series sampler; path_laws has refused any other kind
         # increment of the series path over a chain step, as a coefficient
         # contraction: sum_m X_m (Q_m(t_{j+1}) - Q_m(t_j)).  A sample draws
         # every coefficient first, then adds the terms X_m * d in step
@@ -153,9 +145,8 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             if not (zp.contains(tj) and zp.contains(tn)):
                 raise ValueError("domain")
             terms += enumerate(c * (qn - qj) for qj, qn in zip(
-                mahler_basis(tj, len(zetas))[1:],
-                mahler_basis(tn, len(zetas))[1:]))
-        laws = _coefficient_samplers(tuple(zetas), q, p, n)
+                mahler_basis(tj, len(laws))[1:],
+                mahler_basis(tn, len(laws))[1:]))
         cuts = [law.shell_only for law in laws]
         rows = []
         n_run = n
@@ -188,8 +179,6 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             key = (m, v)
             counts[key] = counts.get(key, 0) + 1
         asserted = False
-    else:
-        raise ValueError(f"unknown sampler kind: {sampler}")
 
     tally = AngleTally(p)
     for (m, v), count in counts.items():

@@ -41,7 +41,7 @@ from .evolution import (
     solve_evolution,
 )
 from .measure import MonteCarloEnsemble, cached_sampler, derive_seed, \
-    level_betas, standard_zetas, wiener_path
+    path_laws, wiener_path
 from .padic import BallSpec, PAdicValue, _is_prime
 from .sde import (
     SDEProblem,
@@ -358,22 +358,13 @@ def build_problem(cfg: RunConfig) -> tuple[SDEProblem, dict]:
 
 
 def _check_path_q(cfg: RunConfig, kind: str, q: float, key: str):
-    """Build the level samplers of ``wiener_path(kind, cfg.ball(),
-    cfg.depth, q)`` before anything is written, so a q whose spreads
-    underflow to zero or leave the shell range exits 2 at its key."""
-    p, n = cfg.prime, cfg.precision
-    if kind == "tree":
-        spreads = level_betas(cfg.ball(), cfg.depth, q)
-    else:
-        spreads = [z.norm() ** q for z in standard_zetas(p, n, 2 * cfg.depth)]
-    for beta in spreads:
-        if not beta > 0:
-            raise ConfigError(f"{key}: value {q!r}: level spread {beta!r} "
-                              f"is not positive")
-        try:
-            cached_sampler(GaussianSpec.one_dimensional(p, n, beta, q))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: value {q!r}: {exc}")
+    """Build the laws of ``wiener_path(kind, cfg.ball(), cfg.depth, q)``
+    before anything is drawn or written, so a q whose spreads underflow
+    to zero or leave the shell range exits 2 at its key."""
+    try:
+        path_laws(kind, cfg.ball(), cfg.depth, q)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: value {q!r}: {exc}")
 
 
 # -- subcommand implementations -------------------------------------------------------
@@ -439,13 +430,12 @@ def run_sample(cfg: RunConfig, art: Artifacts):
         for i in range(count):
             path = wiener_path(sampler, ball, cfg.depth, q,
                                seed=derive_seed(cfg.seed, i))
-            rows = [(path.values.point(k).qp_str(),
-                     path.at_index(k).qp_str())
-                    for k in range(path.values.size)]
+            rows = [(path.point(k).qp_str(), path.values[k].qp_str())
+                    for k in range(path.size)]
             art.write_csv(f"path_{i:04d}.csv", ["t", "w"], rows)
             checks.append({
                 "name": f"path_{i:04d}_zero_at_center",
-                "passed": path.at_index(0).is_zero,
+                "passed": path.values[0].is_zero,
             })
         manifest = {"seed": cfg.seed, "S": count, "sampler": sampler,
                     "spec": {"q": q, "depth": cfg.depth,
@@ -604,9 +594,10 @@ def run_verify(cfg: RunConfig, art: Artifacts):
                        "trials": ball.grid_size(depth),
                        "max_residual": worst_sq})
 
-    idf = GridFunction.coordinate(ball, depth)
-    cov = covariation(idf, w, 1)
-    cov_res = (cov - w.at_index(1)).norm()
+    # C(t, w)(t) = w(t) at the grid point t = 1, index p**radius_exp
+    one = p ** cfg.radius_exp
+    cov = covariation(GridFunction.coordinate(ball, depth), w, one)
+    cov_res = (cov - w.values[one]).norm()
     identities.append({"identity": "time_path_covariation_at_one",
                        "trials": 1, "max_residual": cov_res})
 

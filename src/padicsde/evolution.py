@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .antider import GridFunction, _as_grid, _tree_scan
-from .measure import WienerPath
+from .antider import GridFunction, _tree_scan
 from .padic import BallSpec, PAdicValue, _pow, _vp
 from .sde import Program, SDEProblem, solve_picard
 
@@ -184,14 +183,13 @@ class EvolutionOperator:
     """
 
     def __init__(self, grid: GridFunction, dim: int,
-                 transfers: Sequence[tuple[IntRows, int]], provenance: str):
+                 transfers: Sequence[tuple[IntRows, int]]):
         self.grid = grid
         self.ball, self.depth = grid.ball, grid.depth
         self.dim = dim
         self._transfers = transfers     # W(t) per grid index, integer form
         self._inverses: dict[int, tuple[IntRows, int]] = {}
         self._identity = mat_identity(dim)
-        self.provenance = provenance
 
     @property
     def p(self) -> int:
@@ -293,14 +291,14 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
 
     ident = [[int(i == j) for j in range(a.dim)] for i in range(a.dim)]
     transfers = _tree_scan(p, r + depth, (ident, 1), children)
-    return EvolutionOperator(grid, a.dim, transfers, provenance="solved")
+    return EvolutionOperator(grid, a.dim, transfers)
 
 
 class ExpEvolution:
     """The family EXP((t - s) A) for a constant generator, computed by the
-    working-precision exponential series; provenance "exp".  Valid on the
-    convergence domain |(t - s) A| < p**(-1/(p-1)); outside it ``matrix``
-    raises ValueError unless the series ends within dim terms, as for a
+    working-precision exponential series.  Valid on the convergence
+    domain |(t - s) A| < p**(-1/(p-1)); outside it ``matrix`` raises
+    ValueError unless the series ends within dim terms, as for a
     nilpotent A."""
 
     def __init__(self, a_const: Matrix, ball: BallSpec, depth: int):
@@ -308,7 +306,6 @@ class ExpEvolution:
         self.ball = ball
         self.depth = depth
         self.dim = len(a_const)
-        self.provenance = "exp"
 
     @property
     def size(self) -> int:
@@ -427,7 +424,6 @@ def perturbation_check(a: GeneratorSpec, b: GeneratorSpec, ball: BallSpec,
                        fn=lambda t: mat_add(a(t), b(t)),
                        sup_norm=max(a.sup_norm + b.sup_norm, a.sup_norm))
     ut = solve_evolution(ab, ball, depth)
-    ut.provenance = "perturbed"
     grid = u.grid.values
 
     sup_u = max(mat_norm(u.exact(ti, si), p) for ti, si in pairs)
@@ -481,7 +477,8 @@ def path_derivative(w: GridFunction, ti: int, guard: int = 1) -> PAdicValue:
 
 
 def generator_series(f_derivs, a_prog: Program, e_prog: Program,
-                     w, xi: GridFunction, ti: int, m_max: int) -> PAdicValue:
+                     w: GridFunction, xi: GridFunction, ti: int,
+                     m_max: int) -> PAdicValue:
     """The displayed generator series of the transformed process
     eta = f(t, xi(t)): first-order terms f_t + f_x a + f_x e w' plus the
     mixed-power corrections up to total order m_max, each evaluated with
@@ -493,7 +490,6 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
     """
     from .antider import antider_powers_cell, cell_round
 
-    wg = _as_grid(w)
     ball, depth = xi.ball, xi.depth
     p, n = xi.p, xi.n
     pts = GridFunction.coordinate(ball, depth).values
@@ -522,7 +518,7 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
         fx_t = fx(t, x)
         total = total + fx_t * a_prog(t, x, xi.values)
         if not e_t.is_zero and not fx_t.is_zero:
-            wprime = path_derivative(wg, ti)
+            wprime = path_derivative(w, ti)
             total = total + fx_t * e_t * wprime
     for (b, m), _prog in sorted(f_derivs.items()):
         order = b + m
@@ -534,19 +530,19 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
             comb = math.comb(order, m) * math.comb(m, l)
             du = b + m - l
             if du:
-                cell = antider_powers_cell(dgrid, a_grid, e_grid, wg,
+                cell = antider_powers_cell(dgrid, a_grid, e_grid, w,
                                            du - 1, m - l, l, ti)
                 piece = cell_round(p, n, cell)
                 coef = PAdicValue.from_int(comb * du, p, n)
                 total = total + inv_fact * coef * piece
             if l and not e_t.is_zero:
-                cell = antider_powers_cell(dgrid, a_grid, e_grid, wg,
+                cell = antider_powers_cell(dgrid, a_grid, e_grid, w,
                                            du, m - l, l - 1, ti)
                 piece = cell_round(p, n, cell)
                 if piece.is_zero:
                     continue
                 if wprime is None:
-                    wprime = path_derivative(wg, ti)
+                    wprime = path_derivative(w, ti)
                 coef = PAdicValue.from_int(comb * l, p, n)
                 total = total + inv_fact * coef * piece * e_t * wprime
     return total
@@ -563,21 +559,21 @@ class MofReport:
     representation_ok: bool | None
 
 
-def scalar_flow(alpha: PAdicValue, beta: PAdicValue, w: WienerPath) -> tuple[Fraction, ...]:
+def scalar_flow(alpha: PAdicValue, beta: PAdicValue,
+                w: GridFunction) -> tuple[Fraction, ...]:
     """Exact multiplicative functional of the scalar linear equation
     d xi = alpha xi du + beta xi dw: the chain product of
     (1 + alpha dt_j + beta dw_j) per grid point."""
-    grid = w.values
-    p = grid.p
+    p = w.p
     af, bf = alpha.as_fraction(), beta.as_fraction()
-    wf = [v.as_fraction() for v in grid.values]
+    wf = [v.as_fraction() for v in w.values]
 
     def children(level, j, acc, kids):
-        unit = Fraction(p) ** grid.step_exponent(level)
+        unit = Fraction(p) ** w.step_exponent(level)
         return [acc * (1 + af * d * unit + bf * (wf[jn] - wf[j]))
                 for d, jn in enumerate(kids, 1)]
 
-    return tuple(_tree_scan(p, grid.levels, Fraction(1), children))
+    return tuple(_tree_scan(p, w.levels, Fraction(1), children))
 
 
 def mof_check(alpha: PAdicValue, beta: PAdicValue, paths, q: float,
@@ -609,8 +605,7 @@ def mof_check(alpha: PAdicValue, beta: PAdicValue, paths, q: float,
     if initial_values:
         from .sde import linear_state_program
         rep_ok = True
-        ball = paths[0].values.ball
-        depth = paths[0].values.depth
+        ball, depth = paths[0].ball, paths[0].depth
         for w in paths:
             flow = scalar_flow(alpha, beta, w)
             for x0 in initial_values:

@@ -9,7 +9,8 @@ An estimator that reads each sample once keeps a single ``RandomStream``
 and sets its state to each sample's seed (``MonteCarloEnsemble._seeds``);
 ``Gaussian1DSampler.draw_raw`` writes the finalizer inline.
 
-Two path samplers are provided.  The series sampler expands the path over
+Two path samplers are provided, and each returns its path as a plain
+``GridFunction``.  The series sampler expands the path over
 the binomial polynomial basis with independent q-Gaussian coefficients
 (spread |zeta_m|**q for coefficient m >= 1, so the path vanishes at the
 marked point).  The tree sampler attaches an independent q-Gaussian
@@ -35,6 +36,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _GOLDEN3 = 3 * _GOLDEN
+
+# a sampler's shell table is cut where its tails fall below this mass
+TAIL_TOL = 1e-15
 
 
 def mix64(z: int) -> int:
@@ -112,11 +116,11 @@ class Gaussian1DSampler:
     treated as zero.  The optional shift gamma is added afterwards.
     """
 
-    def __init__(self, spec: GaussianSpec, tail_tol: float = 1e-15):
+    def __init__(self, spec: GaussianSpec):
         if spec.is_product:
             raise ValueError("one-dimensional spec required")
         self.spec = spec
-        table = shell_distribution(spec, tail_tol=tail_tol)
+        table = shell_distribution(spec, tail_tol=TAIL_TOL)
         self.shells = [m for m, _ in table.rows()]
         self.cumulative = table.cdf()
         # u1 >> 11 >= ceil(c * 2**53) exactly when (u1 >> 11) / 2**53 >= c,
@@ -195,9 +199,9 @@ class Gaussian1DSampler:
 
 
 @lru_cache(maxsize=512)
-def cached_sampler(spec: GaussianSpec, tail_tol: float = 1e-15) -> Gaussian1DSampler:
+def cached_sampler(spec: GaussianSpec) -> Gaussian1DSampler:
     """Shell tables depend only on the measure parameters; share them."""
-    return Gaussian1DSampler(spec, tail_tol=tail_tol)
+    return Gaussian1DSampler(spec)
 
 
 def sample_gaussian(spec: GaussianSpec, stream: RandomStream) -> PAdicValue:
@@ -272,29 +276,6 @@ def norm_histogram(spec: GaussianSpec, size: int, seed: int) -> dict[int, int]:
 # -- Wiener paths ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WienerPath:
-    """A sampled path on the canonical grid of a ball, zero at the center."""
-
-    values: GridFunction
-    sampler: str
-    seed: int
-
-    @property
-    def ball(self) -> BallSpec:
-        return self.values.ball
-
-    @property
-    def depth(self) -> int:
-        return self.values.depth
-
-    def at_index(self, k: int) -> PAdicValue:
-        return self.values.values[k]
-
-    def __getitem__(self, t: PAdicValue) -> PAdicValue:
-        return self.values[t]
-
-
 def standard_zetas(p: int, n: int, count: int) -> tuple[PAdicValue, ...]:
     """Default diagonal coefficients |zeta_m| = p**(-m), m = 1..count."""
     return tuple(PAdicValue.from_int(1, p, n).scale_pow(m)
@@ -311,8 +292,43 @@ def level_betas(ball: BallSpec, depth: int, q: float,
                  for j in range(r + depth))
 
 
+@lru_cache(maxsize=64)
+def _laws(kind: str, params: tuple, q: float, p: int,
+          n: int) -> tuple[Gaussian1DSampler, ...]:
+    """The draw laws of a path sampler: one per tree level of spread beta,
+    or one per series coefficient of spread |zeta|**q.  Built once per
+    parameter tuple, so a caller drawing one sample per call builds no
+    spec per draw; this is the one place that turns spreads into laws."""
+    spreads = params if kind == "tree" else [z.norm() ** q for z in params]
+    if not all(b > 0 for b in spreads):
+        raise ValueError("one positive spread per draw is required")
+    return tuple(cached_sampler(GaussianSpec.one_dimensional(
+        p, n, beta=b, q=q)) for b in spreads)
+
+
+def path_laws(kind: str, ball: BallSpec, depth: int, q: float,
+              betas=None, zetas=None) -> tuple[tuple, tuple]:
+    """The parameters and draw laws of ``wiener_path(kind, ...)``.
+
+    The parameters are the tree sampler's level spreads (default
+    ``level_betas``) or the series sampler's zetas (default the first
+    ``2 * depth`` standard zetas).  Building the laws draws nothing; a
+    spread that is not positive or whose shells leave the float range
+    raises ValueError.
+    """
+    if kind == "tree":
+        params = level_betas(ball, depth, q) if betas is None else betas
+    elif kind == "mahler":
+        params = standard_zetas(ball.p, ball.n, 2 * depth) \
+            if zetas is None else zetas
+    else:
+        raise ValueError(f"unknown sampler kind: {kind}")
+    params = tuple(params)
+    return params, _laws(kind, params, q, ball.p, ball.n)
+
+
 def sample_wiener_mahler(zetas, q: float, ball: BallSpec, depth: int,
-                         stream: RandomStream, seed: int = 0) -> WienerPath:
+                         stream: RandomStream) -> GridFunction:
     """Path w(t) = sum_{m>=1} X_m Q_m(t - center) over the binomial basis,
     with independent coefficients X_m of spread |zeta_m|**q.
 
@@ -340,29 +356,17 @@ def sample_wiener_mahler(zetas, q: float, ball: BallSpec, depth: int,
                 acc = acc + coef * qpoly
         values.append(acc)
     values[0] = zero
-    grid = GridFunction(ball, depth, tuple(values))
-    return WienerPath(values=grid, sampler="mahler", seed=seed)
+    return GridFunction(ball, depth, tuple(values))
 
 
 def mahler_coefficient_draws(zetas, q: float, p: int, n: int,
                              stream: RandomStream) -> list[PAdicValue]:
     """The coefficient draws of the series sampler, in stream order."""
-    return [s.draw(stream)
-            for s in _coefficient_samplers(tuple(zetas), q, p, n)]
-
-
-@lru_cache(maxsize=64)
-def _coefficient_samplers(zetas: tuple, q: float, p: int,
-                          n: int) -> tuple[Gaussian1DSampler, ...]:
-    """The laws of the series sampler's coefficients, spread |zeta|**q,
-    resolved once per zetas so that a caller drawing one sample per call
-    builds no spec per coefficient."""
-    return tuple(cached_sampler(GaussianSpec.one_dimensional(
-        p, n, beta=z.norm() ** q, q=q)) for z in zetas)
+    return [law.draw(stream) for law in _laws("mahler", tuple(zetas), q, p, n)]
 
 
 def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
-                       stream: RandomStream, seed: int = 0) -> WienerPath:
+                       stream: RandomStream) -> GridFunction:
     """Digit-tree path: each nonzero-digit edge of the grid tree carries an
     independent q-Gaussian increment with the level's spread; a point's
     value is the sum of the increments along its prefix chain.
@@ -373,11 +377,10 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     """
     betas = tuple(betas)
     levels = ball.radius_exp + depth
-    if len(betas) != levels or any(b <= 0 for b in betas):
-        raise ValueError("one positive spread per level is required")
+    if len(betas) != levels:
+        raise ValueError("one spread per level is required")
     p, n = ball.p, ball.n
-    samplers = [cached_sampler(
-        GaussianSpec.one_dimensional(p, n, beta=b, q=q)) for b in betas]
+    samplers = _laws("tree", betas, q, p, n)
     mod = _pow(p, n)
 
     def children(level, j, base, kids):
@@ -404,20 +407,12 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
         return out
 
     values = _tree_scan(p, levels, PAdicValue.zero(p, n), children)
-    grid = GridFunction(ball, depth, tuple(values))
-    return WienerPath(values=grid, sampler="tree", seed=seed)
+    return GridFunction(ball, depth, tuple(values))
 
 
 def wiener_path(kind: str, ball: BallSpec, depth: int, q: float, seed: int,
-                zetas=None, betas=None) -> WienerPath:
+                zetas=None, betas=None) -> GridFunction:
     """Seeded convenience wrapper around the two path samplers."""
-    stream = RandomStream(seed)
-    if kind == "tree":
-        if betas is None:
-            betas = level_betas(ball, depth, q)
-        return sample_wiener_tree(betas, q, ball, depth, stream, seed=seed)
-    if kind == "mahler":
-        if zetas is None:
-            zetas = standard_zetas(ball.p, ball.n, 2 * depth)
-        return sample_wiener_mahler(zetas, q, ball, depth, stream, seed=seed)
-    raise ValueError(f"unknown sampler kind: {kind}")
+    params, _ = path_laws(kind, ball, depth, q, betas, zetas)
+    sample = sample_wiener_tree if kind == "tree" else sample_wiener_mahler
+    return sample(params, q, ball, depth, RandomStream(seed))

@@ -35,7 +35,7 @@ from .antider import (
     cell_round,
     cell_sub,
 )
-from .measure import MonteCarloEnsemble, WienerPath, wiener_path
+from .measure import MonteCarloEnsemble, wiener_path
 from .padic import BallSpec, PAdicValue, _pow, _vp
 
 
@@ -244,7 +244,7 @@ def _defect(p: int, new, old) -> float:
     return 0.0 if low is None else PAdicValue(p, 1, low, 1).norm()
 
 
-def solve_picard(problem: SDEProblem, w: WienerPath,
+def solve_picard(problem: SDEProblem, w: GridFunction,
                  max_iter: int | None = None,
                  initial: tuple | None = None) -> SDESolution:
     """Solve the drift/diffusion equation along one sampled path.
@@ -260,8 +260,7 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
     The path increments are built once per solve, when a term reads them.
     """
     ball, depth = problem.ball, problem.depth
-    wg = w.values
-    if wg.ball != ball or wg.depth != depth:
+    if w.ball != ball or w.depth != depth:
         raise ValueError("grid mismatch")
     p, n, r = ball.p, ball.n, ball.radius_exp
     size = ball.grid_size(depth)
@@ -284,7 +283,7 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
                              state)
         if dws is None and any(piece[2] for piece in pieces):
             # w[jn] - w[j], indexed by the child jn
-            wc = [cell_of(v) for v in wg.values]
+            wc = [cell_of(v) for v in w.values]
             dws = _tree_scan(p, r + depth, ZERO_CELL, lambda _l, i, _v, ks:
                              [cell_sub(p, wc[k], wc[i]) for k in ks])
         sums = _edge_sums(p, node[0], pieces, level - r, digits,
@@ -324,7 +323,7 @@ def solve_picard(problem: SDEProblem, w: WienerPath,
                        residual=trace[-1], subdivisions=())
 
 
-def solve_general(problem: SDEProblem, w: WienerPath,
+def solve_general(problem: SDEProblem, w: GridFunction,
                   max_iter: int | None = None,
                   initial: tuple | None = None) -> SDESolution:
     """Solve the generalized finite-family equation; a single-term family

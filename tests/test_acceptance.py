@@ -78,10 +78,10 @@ def test_criterion_1_exact_identity_suite():
             res = by_parts_residual(x, y, k)
             assert res.is_zero, (p, k)
         w = wiener_path("tree", BallSpec.unit(p, N), N, 1.0, seed=p)
-        for k in range(0, w.values.size, max(1, w.values.size // 64)):
+        for k in range(0, w.size, max(1, w.size // 64)):
             assert square_decomposition_residual(w, k).is_zero
         idf = GridFunction.coordinate(BallSpec.unit(p, N), N)
-        assert covariation(idf, w, 1) == w.at_index(1)
+        assert covariation(idf, w, 1) == w.values[1]
     assert time.time() - t0 < 10.0
     _report(1, "integration by parts, square decomposition and "
                "time-path covariation residuals all exactly zero", t0)
@@ -179,7 +179,7 @@ def test_criterion_5_picard_solver():
     p = 5
     problems = _builtin_problems(p)
     w = wiener_path("tree", BallSpec.unit(p, N), N, 2.0, seed=55)
-    assert w.values.size == 15625
+    assert w.size == 15625
     for name, prob in problems.items():
         sol = solve_picard(prob, w)
         assert sol.residual == 0.0, name

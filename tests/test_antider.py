@@ -205,7 +205,7 @@ def test_mixed_quadratic_increment_sum():
     w = wiener_path("tree", ball, 4, 1.0, seed=11)
     for k in (3, 17, 124, 333):
         got = antider_mixed(two, None, one, w, 0, 2, 2, k)
-        quad = covariation(w.values, w, k)
+        quad = covariation(w, w, k)
         assert got == quad + quad
 
 
@@ -224,14 +224,14 @@ def test_covariation_examples():
     one_idx = 1
     # time against path at t = 1: the single unit step picks up w(1)
     got = covariation(idf, w, one_idx)
-    assert got == w.at_index(one_idx)
+    assert got == w.values[one_idx]
     # constant argument kills every increment
     cf = GridFunction.constant(ball, 4, PAdicValue.from_int(9, p, N))
-    assert covariation(cf, w.values, 77).is_zero
+    assert covariation(cf, w, 77).is_zero
     # symmetry
     f = random_grid(p, 4, rng=8)
     for k in (2, 11, 300):
-        assert covariation(f, w.values, k) == covariation(w.values, f, k)
+        assert covariation(f, w, k) == covariation(w, f, k)
 
 
 def test_square_decomposition_exact():
@@ -256,10 +256,10 @@ def test_by_parts_specializations():
     ball = unit_ball(p)
     w = wiener_path("tree", ball, 4, 1.0, seed=19)
     # x = y reduces to the square decomposition
-    assert by_parts_residual(w.values, w.values, 44).is_zero
+    assert by_parts_residual(w, w, 44).is_zero
     # constant x: both sides vanish
     cf = GridFunction.constant(ball, 4, PAdicValue.from_int(5, p, N))
-    assert by_parts_residual(cf, w.values, 44).is_zero
+    assert by_parts_residual(cf, w, 44).is_zero
 
 
 def test_grid_mismatch_errors():
@@ -291,7 +291,7 @@ def test_shifted_ball_with_positive_radius():
         t = ball.point(k, depth)
         assert (antider_u(one, t) - (t - center)).is_zero
     w = wiener_path("tree", ball, depth, 1.0, seed=3)
-    assert w.at_index(0).is_zero
+    assert w.values[0].is_zero
     idf = GridFunction.coordinate(ball, depth)
     for k in (1, 7, 20, 44):
         assert by_parts_residual(idf, w, k).is_zero
@@ -322,7 +322,7 @@ def test_mixed_matches_rational_chain_sum(p, radius_exp):
         for k in (1, p + 1, ball.grid_size(depth) - 1):
             acc = Fraction(0)
             for _lev, j, jn, (d, exp) in deriv.chain_steps(k):
-                dw = fr(w.at_index(jn)) - fr(w.at_index(j))
+                dw = fr(w.values[jn]) - fr(w.values[j])
                 acc += (fr(deriv.values[j]) * (d * Fraction(p) ** exp)
                         ** (b + m - l) * fr(a.values[j]) ** (m - l)
                         * (fr(e.values[j]) * dw) ** l)

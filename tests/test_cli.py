@@ -356,8 +356,9 @@ def test_grid_cap_admits_grids_up_to_it(command, raw):
 # themselves and one unknown key per level to every value below: a run
 # either succeeds or exits 2 naming the key, and an exit 2 writes nothing.
 BOUNDARY_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-                   "0": 0, "-1": -1, "1e308": 1e308, "true": True, "x": "x",
-                   "[]": [], "{}": {}, "2**64": 2**64, "null": None}
+                   "0": 0, "1": 1, "-1": -1, "1e308": 1e308, "true": True,
+                   "x": "x", "[]": [], "{}": {}, "2**64": 2**64,
+                   "null": None}
 # a 2**64 size allocates p**(2**64) points or never ends
 UNBOUNDED_SIZES = {"precision", "count", "samples", "trials", "char_samples",
                    "points", "triples", "scale_exp", "perturb_exp"}

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from padicsde.antider import GridFunction
 from padicsde.evolution import (
     EvolutionOperator,
     ExpEvolution,
@@ -299,12 +300,7 @@ def test_deterministic_generator_reduces_to_semigroup():
     # no noise: the functional of the deterministic linear problem is the
     # one-dimensional evolution family itself
     ball = unit_ball()
-    w_zero = wiener_path("tree", ball, DEPTH, 2.0, seed=1)
-    zero_grid = type(w_zero)(
-        values=w_zero.values.__class__(
-            ball, DEPTH,
-            tuple(PAdicValue.zero(P, N) for _ in range(w_zero.values.size))),
-        sampler="tree", seed=0)
+    zero_grid = GridFunction.constant(ball, DEPTH, PAdicValue.zero(P, N))
     alpha = PAdicValue.from_int(P, P, N)
     beta = PAdicValue.zero(P, N)
     flow = scalar_flow(alpha, beta, zero_grid)
@@ -316,7 +312,6 @@ def test_deterministic_generator_reduces_to_semigroup():
 
 
 def test_path_derivative_linear_path_exact():
-    from padicsde.antider import GridFunction
     from padicsde.evolution import path_derivative
 
     ball = unit_ball()
@@ -330,11 +325,10 @@ def test_path_derivative_rejects_rough_path():
 
     w = wiener_path("tree", unit_ball(), DEPTH, 1.0, seed=5)
     with pytest.raises(ValueError, match="path not C1"):
-        path_derivative(w.values, 2)
+        path_derivative(w, 2)
 
 
 def test_generator_series_trivial_and_drift_cases():
-    from padicsde.antider import GridFunction
     from padicsde.evolution import generator_series
     from padicsde.sde import constant_program, zero_program
 
@@ -356,7 +350,6 @@ def test_generator_series_square_matches_difference_quotient():
     # drift-only problem, f(t, x) = x**2: the series value agrees with the
     # radial quotient of eta = xi**2 once the coefficient norm makes the
     # second-order terms sit below the quotient's resolution
-    from padicsde.antider import GridFunction
     from padicsde.evolution import generator_series, path_derivative
     from padicsde.sde import constant_program, zero_program, solve_picard
 
@@ -374,7 +367,7 @@ def test_generator_series_square_matches_difference_quotient():
         (0, 2): lambda t, x: two,
     }
     ti = 4
-    formula = generator_series(derivs, a, zero, w.values, sol.values, ti,
+    formula = generator_series(derivs, a, zero, w, sol.values, ti,
                                m_max=3)
     eta = GridFunction(ball, DEPTH,
                        tuple(v * v for v in sol.values.values))
@@ -414,7 +407,7 @@ def _ref_inv(a):
 
 
 def _ref_transfers(a, ball, depth):
-    from padicsde.antider import GridFunction, _tree_scan
+    from padicsde.antider import _tree_scan
     p, r = ball.p, ball.radius_exp
     grid = GridFunction.coordinate(ball, depth)
 

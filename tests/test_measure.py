@@ -371,10 +371,10 @@ def test_tree_path_center_zero_and_determinism():
     ball = BallSpec.unit(3, N)
     w1 = wiener_path("tree", ball, 4, 1.0, seed=31)
     w2 = wiener_path("tree", ball, 4, 1.0, seed=31)
-    assert w1.at_index(0).is_zero
-    assert w1.values.values == w2.values.values
+    assert w1.values[0].is_zero
+    assert w1.values == w2.values
     w3 = wiener_path("tree", ball, 4, 1.0, seed=32)
-    assert w1.values.values != w3.values.values
+    assert w1.values != w3.values
 
 
 def test_tree_single_level_reduces_to_gaussian():
@@ -386,7 +386,7 @@ def test_tree_single_level_reduces_to_gaussian():
     spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=1)
     stream2 = RandomStream(11)
     draws = [Gaussian1DSampler(spec).draw(stream2) for _ in range(p - 1)]
-    assert list(path.values.values[1:]) == draws
+    assert list(path.values[1:]) == draws
 
 
 @pytest.mark.parametrize("p, depth", [(2, 4), (3, 3), (5, 2), (11, 1)])
@@ -417,7 +417,7 @@ def test_tree_sampler_matches_padic_reference(p, depth, radius_exp):
         want = _tree_scan(p, levels, PAdicValue.zero(p, N), children)
         fast = RandomStream(seed)
         got = sample_wiener_tree(betas, 1.0, ball, depth, fast)
-        assert got.values.values == tuple(want)
+        assert got.values == tuple(want)
         assert fast.state == stream.state
     if p == 2:
         assert carries > 0
@@ -436,8 +436,8 @@ def test_tree_sibling_subtrees_factorize():
     joint, f1, f2 = AngleTally(p), AngleTally(p), AngleTally(p)
     for stream in MonteCarloEnsemble(77, size).streams():
         path = sample_wiener_tree(betas, 1.0, ball, 2, stream)
-        d1 = path.at_index(1)              # digit-1 subtree increment
-        d2 = path.at_index(2)              # digit-2 subtree increment
+        d1 = path.values[1]                # digit-1 subtree increment
+        d2 = path.values[2]                # digit-2 subtree increment
         a1 = UnitAngle(frac_part(a * d1))
         a2 = UnitAngle(frac_part(b * d2))
         joint.add(a1 * a2)
@@ -456,13 +456,13 @@ def test_mahler_path_center_zero_and_truncation():
     zetas = standard_zetas(p, N, 8)
     w_full = wiener_path("mahler", ball, 3, 1.0, seed=21, zetas=zetas)
     w_short = wiener_path("mahler", ball, 3, 1.0, seed=21, zetas=zetas[:5])
-    assert w_full.at_index(0).is_zero
+    assert w_full.values[0].is_zero
     # same seed: the first draws coincide, so paths differ only by the tail
     stream = RandomStream(21)
     coeffs = mahler_coefficient_draws(zetas, 1.0, p, N, stream)
     tail_norm = max(c.norm() for c in coeffs[5:])
-    for k in range(w_full.values.size):
-        d = w_full.at_index(k) - w_short.at_index(k)
+    for k in range(w_full.size):
+        d = w_full.values[k] - w_short.values[k]
         assert d.norm() <= tail_norm + 1e-12
 
 

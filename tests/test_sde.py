@@ -78,7 +78,7 @@ def test_pure_noise_solution_is_x0_plus_w():
     w = path_for(prob, 3)
     sol = solve_picard(prob, w)
     for k in range(sol.values.size):
-        assert sol.values.values[k] == prob.x0 + w.at_index(k)
+        assert sol.values.values[k] == prob.x0 + w.values[k]
     assert sol.residual == 0.0
 
 
@@ -104,7 +104,7 @@ def _chain_sum_reference(prob, w, sol):
         for _level, j, jn, (d, e) in grid.chain_steps(k):
             t, x = grid.point(j), grid.values[j]
             dt = d * Fraction(prob.ball.p) ** e
-            dw = w.at_index(jn).as_fraction() - w.at_index(j).as_fraction()
+            dw = w.values[jn].as_fraction() - w.values[j].as_fraction()
             acc += prob.drift(t, x).as_fraction() * dt
             acc += prob.diffusion(t, x).as_fraction() * dw
         out.append(PAdicValue.from_fraction(acc, prob.ball.p, N))
@@ -230,7 +230,7 @@ def test_family_two_term_quadratic():
     bound = 0.0
     for k in range(prob1.ball.grid_size(3)):
         for _lev, j, jn, _step in s1.values.chain_steps(k):
-            dw = (w.at_index(jn) - w.at_index(j)).norm()
+            dw = (w.values[jn] - w.values[j]).norm()
             bound = max(bound, (p ** -2.0) * dw * dw)
     gap = max((a - b).norm() for a, b in
               zip(s1.values.values, s2.values.values))
@@ -352,7 +352,7 @@ def test_solver_accepts_series_paths():
     sol = solve_picard(prob, w)
     assert sol.residual == 0.0
     for k in range(sol.values.size):
-        assert sol.values.values[k] == prob.x0 + w.at_index(k)
+        assert sol.values.values[k] == prob.x0 + w.values[k]
 
 
 def _defect_reference(new, old):
@@ -462,7 +462,7 @@ def _solve_picard_reference(problem, w, initial=None):
     p, n, r = ball.p, ball.n, ball.radius_exp
     size = ball.grid_size(depth)
     points = GridFunction.coordinate(ball, depth).values
-    wcells = tuple(cell_of(v) for v in w.values.values)
+    wcells = tuple(cell_of(v) for v in w.values)
     x0cell = cell_of(problem.x0)
     family = problem.family or picard_as_family(problem).family
     root = cell_round(p, n, x0cell)
