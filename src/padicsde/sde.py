@@ -256,8 +256,10 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     solution, so its defect, exactly zero, is the reported residual.
     Pointwise programs take two sweeps whatever the start; functional
     programs receive the previous sweep's iterate as their state and may
-    take more.  A node carries the exact cell of x0 plus its chain sum.
-    The path increments are built once per solve, when a term reads them.
+    take more.  A node's exact sum, the cell of x0 plus its chain sum,
+    lives in two integer lists (numerators and p-exponents) indexed by
+    grid index; the tree scan carries only the rounded values.  The path
+    increments are built once per solve, when a term reads them.
     """
     ball, depth = problem.ball, problem.depth
     if w.ball != ball or w.depth != depth:
@@ -268,29 +270,29 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
                                 any(x.p != p for x in initial)):
         raise ValueError(f"initial must hold {size} values at p={p}")
     points = GridFunction.coordinate(ball, depth).values
-    x0cell = cell_of(problem.x0)
     family = problem.family or picard_as_family(problem).family
-    root = cell_round(p, n, x0cell)
+    root = cell_round(p, n, cell_of(problem.x0))
     cur = list(initial) if initial is not None else [problem.x0] * size
     cur[0] = root
+    nums, exps = [0] * size, [0] * size
+    nums[0], exps[0] = cell_of(problem.x0)
     drift, diffusion = problem.drift, problem.diffusion
     digits, pn = range(1, p), _pow(p, n)
     dws = None
 
     def children(level, j, node, kids):
         nonlocal dws
-        pieces = _node_terms(family, drift, diffusion, points[j], node[1],
-                             state)
+        pieces = _node_terms(family, drift, diffusion, points[j], node, state)
         if dws is None and any(piece[2] for piece in pieces):
             # w[jn] - w[j], indexed by the child jn
             wc = [cell_of(v) for v in w.values]
             dws = _tree_scan(p, r + depth, ZERO_CELL, lambda _l, i, _v, ks:
                              [cell_sub(p, wc[k], wc[i]) for k in ks])
-        sums = _edge_sums(p, node[0], pieces, level - r, digits,
+        sums = _edge_sums(p, (nums[j], exps[j]), pieces, level - r, digits,
                           dws and dws[kids.start:kids.stop:kids.step])
         out = []
-        for jn, cell in zip(kids, sums):
-            m, v = cell     # rounded straight to (v, m)
+        for jn, (m, v) in zip(kids, sums):
+            nums[jn], exps[jn] = m, v  # exact; rounded below to (v, m)
             if m:
                 while not m % p:
                     m //= p
@@ -301,14 +303,13 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
             old = state[jn]
             if old.m != m or old.v != v or old.n != n:
                 old = PAdicValue(p, n, v, m)
-            out.append((cell, old))
+            out.append(old)
         return out
 
     trace: list[float] = []
     for _ in range(max_iter if max_iter is not None else n * p):
         state = cur     # functional programs read the previous iterate
-        cur = [x for _, x in _tree_scan(p, r + depth, (x0cell, root),
-                                        children)]
+        cur = _tree_scan(p, r + depth, root, children)
         trace.append(_defect(p, cur, state))
         if trace[-1] == 0.0:
             break

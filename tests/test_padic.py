@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -373,6 +376,40 @@ def test_ball_membership_and_grid():
     for k in (-1, ball.grid_size(depth)):
         with pytest.raises(ValueError):
             ball.point(k, depth)
+    # every index at every radius, with a zero and a nonzero center: the
+    # center plus the rounded cell k * p**(-radius_exp)
+    for p in (2, 3, 5):
+        for r in (0, 1, 2):
+            for c in (PAdicValue.zero(p, N),
+                      PAdicValue.from_rational(7, 3, p, N)):
+                ball = BallSpec(c, r)
+                size = ball.grid_size(depth)
+                assert size == p ** (r + depth)
+                for k in range(size):
+                    t = ball.point(k, depth)
+                    assert t == c + PAdicValue._from_cell(p, N, k, -r)
+                    assert ball.index_of(t, depth) == k
+                assert ball.point(0, depth) == c
+                for k in (-1, size):
+                    with pytest.raises(ValueError, match="out of range"):
+                        ball.point(k, depth)
+
+
+def test_value_construction_contract():
+    x = PAdicValue(5, N, -2, 7)
+    assert x == PAdicValue(p=5, n=N, v=-2, m=7) == PAdicValue(5, N, v=-2, m=7)
+    assert (x.p, x.n, x.v, x.m) == (5, N, -2, 7)
+    assert not hasattr(x, "__dict__")
+    for name in ("p", "n", "v", "m"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 1)
+    assert (x.p, x.n, x.v, x.m) == (5, N, -2, 7)
+    for y in (dataclasses.replace(x), copy.copy(x),
+              pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x)
+    y, want = dataclasses.replace(x, m=8), PAdicValue(5, N, -2, 8)
+    assert y == want and hash(y) == hash(want)
+    assert repr(x) == x.qp_str() == "QP(p=5,v=-2,d=2 1 0 0 0 0)"
 
 
 def _trial_division(k):

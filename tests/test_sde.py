@@ -36,8 +36,9 @@ from padicsde.sde import (
 N = 6
 
 
-def make_problem(p, depth, x0_int=1, drift=None, diffusion=None, family=()):
-    ball = BallSpec.unit(p, N)
+def make_problem(p, depth, x0_int=1, drift=None, diffusion=None, family=(),
+                 radius_exp=0):
+    ball = BallSpec(PAdicValue.zero(p, N), radius_exp)
     return SDEProblem(
         ball=ball,
         depth=depth,
@@ -547,14 +548,19 @@ def test_sweep_matches_cell_reference(name, p, radius_exp):
     _assert_parity(prob, w)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_functional_sweep_matches_cell_reference(p):
-    pp = PAdicValue.from_int(p, p, N)
-    prob = make_problem(p, 3, x0_int=1,
+@pytest.mark.parametrize("p, radius_exp", [
+    pytest.param(p, r, id=f"{p}-r{r}" if r else f"{p}")
+    for r in (0, 1, 2) for p in (2, 3, 5)])
+def test_functional_sweep_matches_cell_reference(p, radius_exp):
+    # three or more sweeps over one solve's exact-sum lists, also on the
+    # grids whose first steps have |dt| = p**radius_exp > 1; the
+    # functional coefficient p**(1 + radius_exp) keeps the map contracting
+    pp = PAdicValue.from_int(p, p, N).scale_pow(radius_exp)
+    prob = make_problem(p, 3, x0_int=1, radius_exp=radius_exp,
                         diffusion=linear_state_program(pp),
                         drift=functional_program(
                             "last", lambda t, x, state: pp * state[-1] + x))
-    w = path_for(prob, 40 + p)
+    w = path_for(prob, 40 + p + 10 * radius_exp)
     assert solve_picard(prob, w).iterations > 2
     _assert_parity(prob, w)
 
