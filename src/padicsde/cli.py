@@ -505,16 +505,11 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
                            for j in range(dim)]
     art.write_csv("operator.csv", header, rows)
 
-    from .evolution import mat_mul
-    semigroup_ok = True
-    for k in range(triples):
-        ti, si, vi = (k % size, (2 * k + 3) % size, (5 * k + 1) % size)
-        if mat_mul(u.exact(ti, si), u.exact(si, vi)) != u.exact(ti, vi):
-            semigroup_ok = False
-    identity_ok = all(
-        all(u.exact(k, k)[i][j] == (1 if i == j else 0)
-            for i in range(dim) for j in range(dim))
-        for k in range(size))
+    semigroup_ok = all(
+        u.cocycle_holds(k % size, (2 * k + 3) % size, (5 * k + 1) % size)
+        for k in range(triples))
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    identity_ok = all(u.exact(k, k) == ident for k in range(size))
 
     e = ExpEvolution(base, ball, cfg.depth)
     exp_digits = n - 1

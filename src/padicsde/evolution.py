@@ -12,7 +12,9 @@ literal zeros, and are rounded to working precision at the accessor and
 serialization boundary.  A ``Matrix`` is a tuple of ``Fraction`` rows, but
 its products, inverses and tree steps are computed as integer rows over
 one common denominator and converted back once, so no ``Fraction`` is
-renormalized inside the arithmetic and the results stay canonical.
+renormalized inside the arithmetic and the results stay canonical.  The
+cocycle law is checked in integer form (``cocycle_holds``); the residuals
+(``_chain_delta``, ``mat_mul``) and ``matrix`` still use ``Fraction``.
 
 Discrete endpoint conventions, fixed here and in the docs: the dual
 (backward) equation evaluates its one-step factor at the far end of each
@@ -135,8 +137,17 @@ def _frac_norm(x: Fraction, p: int) -> float:
 
 
 def mat_norm(a: Matrix, p: int) -> float:
-    """Operator norm: the max entry norm (sup norm on coordinate space)."""
-    return max((_frac_norm(x, p) for row in a for x in row), default=0.0)
+    """Operator norm: the max entry norm (sup norm on coordinate space),
+    ``p**e`` for the largest ``e = v(den) - v(num)`` over nonzero entries."""
+    top = None
+    for row in a:
+        for x in row:
+            num = x.numerator
+            if num:
+                e = _vp(x.denominator, p) - _vp(num, p)
+                if top is None or e > top:
+                    top = e
+    return 0.0 if top is None else float(p) ** top
 
 
 def mat_round(a: Matrix, p: int, n: int) -> tuple[tuple[PAdicValue, ...], ...]:
@@ -179,7 +190,8 @@ class EvolutionOperator:
     the exact rational entries drive the identity checks.  Each transfer
     W(t) and each cached inverse W(s)**-1 is kept in integer form
     ``(rows, den)``, so ``exact`` makes one integer product and one
-    ``Fraction`` per entry of its result.
+    ``Fraction`` per entry of its result, and ``cocycle_holds`` none.  A
+    grid index outside ``[0, size)`` raises ValueError.
     """
 
     def __init__(self, grid: GridFunction, dim: int,
@@ -187,9 +199,11 @@ class EvolutionOperator:
         self.grid = grid
         self.ball, self.depth = grid.ball, grid.depth
         self.dim = dim
+        self.size = grid.size
         self._transfers = transfers     # W(t) per grid index, integer form
         self._inverses: dict[int, tuple[IntRows, int]] = {}
         self._identity = mat_identity(dim)
+        self._int_identity = _int_form(self._identity)
 
     @property
     def p(self) -> int:
@@ -198,10 +212,6 @@ class EvolutionOperator:
     @property
     def n(self) -> int:
         return self.ball.n
-
-    @property
-    def size(self) -> int:
-        return self.grid.size
 
     @property
     def transfers(self) -> tuple[Matrix, ...]:
@@ -215,13 +225,33 @@ class EvolutionOperator:
             got = self._inverses[k] = _int_inv(*self._transfers[k])
         return got
 
-    def exact(self, ti: int, si: int) -> Matrix:
-        """Exact U(t, s) = W(t) W(s)^{-1}."""
+    def _exact_int(self, ti: int, si: int) -> tuple[IntRows, int]:
+        """Integer form of U(t, s) = W(t) W(s)^{-1}; the shared identity
+        when ti == si."""
+        if not (0 <= ti < self.size and 0 <= si < self.size):
+            raise ValueError("grid index out of range")
         if ti == si:
-            return self._identity
+            return self._int_identity
         wn, wd = self._transfers[ti]
         vn, vd = self._inv(si)
-        return _from_int_form(_int_mul(wn, vn), wd * vd)
+        return _int_mul(wn, vn), wd * vd
+
+    def exact(self, ti: int, si: int) -> Matrix:
+        """Exact U(t, s) = W(t) W(s)^{-1}."""
+        form = self._exact_int(ti, si)
+        return self._identity if ti == si else _from_int_form(*form)
+
+    def cocycle_holds(self, ti: int, si: int, vi: int) -> bool:
+        """Whether U(t, s) U(s, v) == U(t, v) exactly.  With the integer
+        forms A / ad, B / bd and C / cd this is ``A B cd == C ad bd``
+        entry by entry, the same boolean as the ``Fraction`` comparison."""
+        an, ad = self._exact_int(ti, si)
+        bn, bd = self._exact_int(si, vi)
+        cn, cd = self._exact_int(ti, vi)
+        f = ad * bd
+        return all(x * cd == y * f
+                   for rl, rc in zip(_int_mul(an, bn), cn)
+                   for x, y in zip(rl, rc))
 
     def matrix(self, ti: int, si: int):
         return mat_round(self.exact(ti, si), self.p, self.n)
@@ -417,6 +447,8 @@ def perturbation_check(a: GeneratorSpec, b: GeneratorSpec, ball: BallSpec,
     smallness hypothesis M C R < 1 holds, the uniform bound
     ``|U~| <= M / (1 - M C R)``.
     """
+    if not pairs:
+        raise ValueError("pairs: need at least one (ti, si) pair")
     p = ball.p
     radius = float(p) ** ball.radius_exp
     u = solve_evolution(a, ball, depth)

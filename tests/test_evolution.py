@@ -11,6 +11,7 @@ from padicsde.evolution import (
     ExpEvolution,
     GeneratorSpec,
     MofReport,
+    _frac_norm,
     _int_form,
     _int_inv,
     generating_operator,
@@ -23,6 +24,7 @@ from padicsde.evolution import (
     mat_norm,
     mat_round,
     mat_sub,
+    mat_zero,
     mof_check,
     perturbation_check,
     scalar_flow,
@@ -565,3 +567,107 @@ def test_operator_matches_fraction_reference(p, radius_exp, dim, varying):
             assert got == ref
             assert _canonical(got)
             assert u.matrix(ti, si) == mat_round(ref, p, N)
+
+
+# -- the integer-form cocycle check against the Fraction product --------------
+
+
+def _fraction_cocycle(u, ti, si, vi):
+    return mat_mul(u.exact(ti, si), u.exact(si, vi)) == u.exact(ti, vi)
+
+
+@pytest.mark.parametrize("varying", [False, True], ids=["const", "t"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius_exp", [0, 1])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cocycle_holds_matches_fraction_check(p, radius_exp, dim, varying):
+    import random
+    depth = 3 if p == 2 else 2
+    ball = BallSpec(PAdicValue.zero(p, N), radius_exp)
+    u = solve_evolution(_scaled_generator(p, radius_exp, dim, varying),
+                        ball, depth)
+    r = random.Random(p * 100 + radius_exp * 10 + dim)
+    triples = [tuple(r.randrange(u.size) for _ in range(3))
+               for _ in range(24)]
+    # coinciding indices take the identity shortcut in each position
+    triples += [(0, 0, 1), (1, 0, 0), (1, 0, 1), (2, 2, 2)]
+    for ti, si, vi in triples:
+        assert u.cocycle_holds(ti, si, vi)
+        assert _fraction_cocycle(u, ti, si, vi)
+    # a corrupted inverse of W(s) breaks U(t, s) for every t != s, so the
+    # law fails at every triple with t, s, v distinct
+    ti, si, vi = 0, u.size - 1, u.size // 2
+    rows, _den = u._inv(si)
+    rows[0][0] += 1
+    assert not u.cocycle_holds(ti, si, vi)
+    assert not _fraction_cocycle(u, ti, si, vi)
+
+
+def test_operator_rejects_indices_outside_the_grid():
+    u = solve_evolution(const_generator(2), unit_ball(), DEPTH)
+    size = u.size
+    for bad in (-1, -size, size, size + 1):
+        for args in ((bad, 0), (0, bad), (bad, bad)):
+            for call in (u.exact, u.matrix, u._exact_int):
+                with pytest.raises(ValueError, match="grid index out of range"):
+                    call(*args)
+        for args in ((bad, 0, 1), (0, bad, 1), (0, 1, bad)):
+            with pytest.raises(ValueError, match="grid index out of range"):
+                u.cocycle_holds(*args)
+    e = ExpEvolution(const_generator(2)(None), unit_ball(), DEPTH)
+    for args in ((-1, 0), (0, size)):
+        with pytest.raises(ValueError, match="grid index out of range"):
+            e.matrix(*args)
+    # both ends of the grid are still in range
+    assert u.exact(size - 1, 0) == mat_mul(u.exact(size - 1, 1),
+                                           u.exact(1, 0))
+    assert u.cocycle_holds(0, size - 1, 0)
+
+
+def test_perturbation_check_refuses_empty_pairs(monkeypatch):
+    import padicsde.evolution as ev
+
+    def no_solve(*args):
+        raise AssertionError("solved before refusing empty pairs")
+
+    monkeypatch.setattr(ev, "solve_evolution", no_solve)
+    with pytest.raises(ValueError, match="pairs"):
+        perturbation_check(const_generator(1), const_generator(2),
+                           unit_ball(), DEPTH, [])
+
+
+# -- mat_norm against the per-entry Fraction norm -------------------------------
+
+
+def _ref_norm(a, p):
+    return max((_frac_norm(x, p) for row in a for x in row), default=0.0)
+
+
+# zero, negative, p-power and non-p denominators for p in {2, 3, 5}
+_norm_entries = st.builds(Fraction, st.integers(-40, 40),
+                          st.sampled_from([1, 2, 3, 4, 5, 7, 9, 12, 25, 81]))
+
+
+@st.composite
+def _norm_matrix(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return tuple(tuple(draw(_norm_entries) for _ in range(cols))
+                 for _ in range(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]), _norm_matrix())
+@example(2, ((Fraction(0), Fraction(-3, 8)), (Fraction(12), Fraction(0))))
+def test_mat_norm_matches_fraction_reference(p, a):
+    assert mat_norm(a, p) == _ref_norm(a, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mat_norm_edge_cases(p):
+    assert mat_norm((), p) == 0.0
+    assert mat_norm(((),), p) == 0.0
+    assert mat_norm(mat_zero(3), p) == 0.0
+    one = Fraction(1)
+    assert mat_norm(((Fraction(-p ** 3), one / p ** 2),), p) == float(p) ** 2
+    assert mat_norm(((Fraction(7, 11 * p),),), p) == float(p)
+    assert mat_norm(((Fraction(-11 * p ** 2, 7),),), p) == float(p) ** -2
