@@ -55,7 +55,7 @@ print(f"gap {rep.gap_norm:.2e} <= bound {rep.bound:.2e}: {rep.bound_holds}")
 print("interchange identity residual:", rep.identity_residual)
 
 print("\n== generating operator ==")
-gmat = generating_operator(u, 0, start_depth=0)
+gmat = generating_operator(u, 0)
 print("recovered A(0) entry (0,0):", gmat[0][0],
       " target:", PAdicValue.from_fraction(base[0][0], p, n))
 

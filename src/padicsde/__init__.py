@@ -72,7 +72,6 @@ from .sde import (
     moment_diagnostic,
     picard_as_family,
     polynomial_program,
-    solve_general,
     solve_picard,
     stability_diagnostic,
     zero_program,

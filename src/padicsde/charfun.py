@@ -150,6 +150,10 @@ class AngleTally:
 # -- q-Gaussian specifications -------------------------------------------------
 
 
+# product mode needs |zeta_{j+1}| <= _ZETA_DECAY |zeta_j| (an L_q operator)
+_ZETA_DECAY = 0.5
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Parameters of a one-dimensional or product q-Gaussian measure.
@@ -169,7 +173,6 @@ class GaussianSpec:
     gamma: PAdicValue | None = None
     zetas: tuple[PAdicValue, ...] = ()
     gammas: tuple[PAdicValue, ...] = ()
-    decay_ratio: float = 0.5
 
     def __post_init__(self):
         if self.q < 1:
@@ -184,13 +187,13 @@ class GaussianSpec:
         return cls(p=p, n=n, q=q, beta=float(beta), gamma=gamma)
 
     @classmethod
-    def product(cls, p, n, zetas, q, gammas=None, decay_ratio=0.5) -> "GaussianSpec":
+    def product(cls, p, n, zetas, q, gammas=None) -> "GaussianSpec":
         zetas = tuple(zetas)
         if not zetas or any(z.is_zero for z in zetas):
             raise ValueError("zeta coefficients must be nonzero")
         norms = [z.norm() for z in zetas]
         for a, b in zip(norms, norms[1:]):
-            if b > decay_ratio * a + 1e-15:
+            if b > _ZETA_DECAY * a + 1e-15:
                 raise ValueError("not L_q")
         if gammas is None:
             gammas = tuple(PAdicValue.zero(p, n) for _ in zetas)
@@ -199,8 +202,7 @@ class GaussianSpec:
             gn = [g.norm() for g in gammas]
             if gn and gn[-1] > gn[0] + 1e-15:
                 raise ValueError("shift sequence does not decay")
-        return cls(p=p, n=n, q=q, zetas=zetas, gammas=gammas,
-                   decay_ratio=decay_ratio)
+        return cls(p=p, n=n, q=q, zetas=zetas, gammas=gammas)
 
     @property
     def is_product(self) -> bool:

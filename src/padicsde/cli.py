@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +43,7 @@ from .evolution import (
 )
 from .measure import MonteCarloEnsemble, cached_sampler, derive_seed, \
     path_laws, wiener_path
-from .padic import BallSpec, PAdicValue, _is_prime
+from .padic import BallSpec, PAdicValue, _is_prime, exp_domain_valuation
 from .sde import (
     SDEProblem,
     constant_program,
@@ -81,9 +82,10 @@ def _exp_scale_floor(cfg: "RunConfig") -> int:
     on, by terms of norm at most ``|(t - s) A|**2`` (times ``|1/2| = 2`` at
     p = 2), and ``|t - s| <= p**radius_exp``.  The floor also keeps
     ``(t - s) A`` in the convergence domain ``|x| < p**(-1/(p-1))`` of the
-    exponential series, that is v >= 1, or v >= 2 at p = 2."""
+    exponential series, that is v >= ``exp_domain_valuation(p)``."""
     two = cfg.prime == 2
-    return cfg.radius_exp + max((cfg.precision + two) // 2, 1 + two)
+    return cfg.radius_exp + max((cfg.precision + two) // 2,
+                                exp_domain_valuation(cfg.prime))
 
 
 # The largest grid, p**(radius_exp + depth) points, that sample (path
@@ -494,13 +496,13 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
     u = solve_evolution(gen, ball, cfg.depth)
 
     rows = []
-    size = u.size
+    size, pts = u.size, u.grid.values
     picks = [(k % size, (3 * k + 1) % size) for k in range(triples)]
+    pairs = picks[:10]
     for ti, si in picks:
         mat = u.matrix(ti, si)
         flat = [mat[i][j].qp_str() for i in range(dim) for j in range(dim)]
-        rows.append([ball.point(ti, cfg.depth).qp_str(),
-                     ball.point(si, cfg.depth).qp_str(), *flat])
+        rows.append([pts[ti].qp_str(), pts[si].qp_str(), *flat])
     header = ["t", "s"] + [f"u_{i}_{j}" for i in range(dim)
                            for j in range(dim)]
     art.write_csv("operator.csv", header, rows)
@@ -513,17 +515,13 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
 
     e = ExpEvolution(base, ball, cfg.depth)
     exp_digits = n - 1
-    exp_ok = True
-    for ti, si in picks[: min(10, len(picks))]:
-        mu, me = u.matrix(ti, si), e.matrix(ti, si)
-        for ru, re in zip(mu, me):
-            for x, y in zip(ru, re):
-                if not x.agrees_abs(y, exp_digits):
-                    exp_ok = False
+    exp_ok = all(x.agrees_abs(y, exp_digits)
+                 for ti, si in pairs
+                 for ru, re in zip(u.matrix(ti, si), e.matrix(ti, si))
+                 for x, y in zip(ru, re))
 
-    pairs = picks[: min(10, len(picks))]
     rep = perturbation_check(gen, gen_b, ball, cfg.depth, pairs)
-    gmat = generating_operator(u, 0, start_depth=0)
+    gmat = generating_operator(u, 0)
     gen_ok = all(
         gmat[i][j].agrees_abs(PAdicValue.from_fraction(base[i][j], p, n),
                               n - scale_exp - 2)
@@ -561,7 +559,6 @@ def run_verify(cfg: RunConfig, art: Artifacts):
     p, n = cfg.prime, cfg.precision
     ball = cfg.ball()
     depth = cfg.depth
-    import random
     rng = random.Random(cfg.seed)
 
     def random_grid():

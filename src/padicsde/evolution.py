@@ -13,8 +13,9 @@ serialization boundary.  A ``Matrix`` is a tuple of ``Fraction`` rows, but
 its products, inverses and tree steps are computed as integer rows over
 one common denominator and converted back once, so no ``Fraction`` is
 renormalized inside the arithmetic and the results stay canonical.  The
-cocycle law is checked in integer form (``cocycle_holds``); the residuals
-(``_chain_delta``, ``mat_mul``) and ``matrix`` still use ``Fraction``.
+tree pass and ``cocycle_holds`` make no ``Fraction``; generator values,
+``exact``, the residuals (``_chain_delta``), ``mat_norm``, ``matrix``'s
+rounding and ``scalar_flow`` still go through ``Fraction``.
 
 Discrete endpoint conventions, fixed here and in the docs: the dual
 (backward) equation evaluates its one-step factor at the far end of each
@@ -34,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .antider import GridFunction, _tree_scan
-from .padic import BallSpec, PAdicValue, _pow, _vp
-from .sde import Program, SDEProblem, solve_picard
+from .antider import GridFunction, _tree_scan, antider_powers_cell, cell_round
+from .padic import BallSpec, PAdicValue, _pow, _vp, exp_domain_valuation
+from .sde import Program, SDEProblem, linear_state_program, solve_picard
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -155,10 +156,6 @@ def mat_round(a: Matrix, p: int, n: int) -> tuple[tuple[PAdicValue, ...], ...]:
                  for row in a)
 
 
-def padic_matrix_to_fractions(a) -> Matrix:
-    return tuple(tuple(x.as_fraction() for x in row) for row in a)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A bounded, entrywise-continuous generator family t -> A(t)."""
@@ -168,14 +165,9 @@ class GeneratorSpec:
     sup_norm: float
 
     @classmethod
-    def constant(cls, matrix, p: int | None = None) -> "GeneratorSpec":
-        if matrix and isinstance(matrix[0][0], PAdicValue):
-            p = matrix[0][0].p
-            matrix = padic_matrix_to_fractions(matrix)
-        if p is None:
-            raise ValueError("prime required for a rational matrix")
-        sup = mat_norm(matrix, p)
-        return cls(dim=len(matrix), fn=lambda t: matrix, sup_norm=sup)
+    def constant(cls, matrix: Matrix, p: int) -> "GeneratorSpec":
+        return cls(dim=len(matrix), fn=lambda t: matrix,
+                   sup_norm=mat_norm(matrix, p))
 
     def __call__(self, t: PAdicValue) -> Matrix:
         return self.fn(t)
@@ -212,12 +204,6 @@ class EvolutionOperator:
     @property
     def n(self) -> int:
         return self.ball.n
-
-    @property
-    def transfers(self) -> tuple[Matrix, ...]:
-        """W(t) per grid index as ``Fraction`` matrices, built on demand."""
-        return tuple(_from_int_form(rows, den)
-                     for rows, den in self._transfers)
 
     def _inv(self, k: int) -> tuple[IntRows, int]:
         got = self._inverses.get(k)
@@ -259,21 +245,20 @@ class EvolutionOperator:
     def equation_residual(self, ti: int, si: int, a: GeneratorSpec) -> Matrix:
         """Exact residual of the defining equation
         U(t,s) - I - [P_u(A U(., s))(t) - P_u(A U(., s))(s)]."""
-        delta = _chain_delta(self.grid, self.dim, ti, si,
-                             lambda j, jn: mat_mul(a(self.grid.values[j]),
-                                                   self.exact(j, si)))
-        return mat_sub(self.exact(ti, si),
-                       mat_add(mat_identity(self.dim), delta))
+        return self._residual(ti, si, lambda j, jn: mat_mul(
+            a(self.grid.values[j]), self.exact(j, si)))
 
     def dual_residual(self, ti: int, si: int, a: GeneratorSpec) -> Matrix:
         """Exact residual of the backward equation with its far-endpoint
         convention: V(t, s_{j+1}) = V(t, s_j) - V(t, s_{j+1}) A(s_j) ds_j
         telescoped along the chain of s (V = U then holds exactly)."""
-        delta = _chain_delta(self.grid, self.dim, ti, si,
-                             lambda j, jn: mat_mul(self.exact(ti, jn),
-                                                   a(self.grid.values[j])))
-        return mat_sub(self.exact(ti, si),
-                       mat_add(mat_identity(self.dim), delta))
+        return self._residual(ti, si, lambda j, jn: mat_mul(
+            self.exact(ti, jn), a(self.grid.values[j])))
+
+    def _residual(self, ti: int, si: int, term) -> Matrix:
+        """U(t, s) - I - (the chain sum of ``term`` at t minus at s)."""
+        delta = _chain_delta(self.grid, self.dim, ti, si, term)
+        return mat_sub(self.exact(ti, si), mat_add(self._identity, delta))
 
 
 def _chain_delta(grid: GridFunction, dim: int, ti: int, si: int,
@@ -351,13 +336,13 @@ class ExpEvolution:
                             for j in range(self.dim)) for i in range(self.dim))
         if z.is_zero:
             return ident
-        # In the domain, (p - 1) v((t - s) A) > 1, the k-th term has
-        # valuation at least k v((t - s) A) - (k - 1)/(p - 1), so the series
-        # leaves the precision.  Outside it the series is summed only if it
-        # ends within dim terms, as it does for a nilpotent A.
+        # In the domain, v((t - s) A) >= exp_domain_valuation(p), the k-th
+        # term has valuation at least k v((t - s) A) - (k - 1)/(p - 1), so
+        # the series leaves the precision.  Outside it the series is summed
+        # only if it ends within dim terms, as it does for a nilpotent A.
         va = min((x.v for row in a_p for x in row if not x.is_zero),
                  default=None)
-        in_domain = va is None or (p - 1) * (z.v + va) > 1
+        in_domain = va is None or z.v + va >= exp_domain_valuation(p)
         total = ident
         term = ident
         k = 0
@@ -393,34 +378,42 @@ class ExpEvolution:
 # -- generating operator ---------------------------------------------------------
 
 
-def generating_operator(u, ti: int, start_depth: int,
-                        guard: int = 1):
+def _radial_limit(grid: GridFunction, ti: int, quotient, error: str):
+    """The radial quotient ``quotient(k, ti + p**(radius_exp + k))`` at the
+    first depth k >= 1 where it agrees with depth k - 1's to one guard
+    digit, entry by entry (a quotient is a tuple of rows of values); raises
+    ValueError(error) when the grid ends first."""
+    p, n, r = grid.p, grid.n, grid.ball.radius_exp
+    prev = None
+    for k in range(grid.levels):
+        tni = ti + _pow(p, r + k)
+        if tni >= grid.size:
+            break
+        quot = quotient(k, tni)
+        if prev is not None and all(
+                a.agrees_abs(b, n - k - 1)
+                for ra, rb in zip(prev, quot) for a, b in zip(ra, rb)):
+            return quot
+        prev = quot
+    raise ValueError(error)
+
+
+def generating_operator(u: EvolutionOperator, ti: int):
     """Forward radial difference quotient (U(t + p**k, t) - I) / p**k,
     deepened until two successive depths agree to a guard digit.
 
     Recovers the generator of a solved family; raises when the quotients
     fail to stabilize before the precision window closes.
     """
-    ball, depth = u.ball, u.depth
-    p, n = ball.p, ball.n
-    levels = ball.radius_exp + depth
-    prev = None
-    for k in range(start_depth, levels):
-        stride = _pow(p, ball.radius_exp + k)
-        tni = ti + stride
-        if tni >= u.size:
-            break
-        quot = tuple(tuple(((x - (PAdicValue.one(p, n) if i == jj else
+    p, n = u.p, u.n
+
+    def quotient(k, tni):
+        return tuple(tuple(((x - (PAdicValue.one(p, n) if i == jj else
                                   PAdicValue.zero(p, n))).scale_pow(-k))
                            for jj, x in enumerate(row))
                      for i, row in enumerate(u.matrix(tni, ti)))
-        if prev is not None:
-            ok = all(a.agrees_abs(b, n - k - guard)
-                     for ra, rb in zip(prev, quot) for a, b in zip(ra, rb))
-            if ok:
-                return quot
-        prev = quot
-    raise ValueError("no limit at precision")
+
+    return _radial_limit(u.grid, ti, quotient, "no limit at precision")
 
 
 # -- perturbation -----------------------------------------------------------------
@@ -478,34 +471,22 @@ def perturbation_check(a: GeneratorSpec, b: GeneratorSpec, ball: BallSpec,
         residual = max(residual, mat_norm(acc, p))
 
     mcr = m_const * sup_b * radius
-    if mcr < 1.0:
-        ub = m_const / (1.0 - mcr)
-        return PerturbationReport(gap, bound, gap <= bound + 1e-12, residual,
-                                  ub, sup_ut <= ub + 1e-12, True)
+    met = mcr < 1.0
+    ub = m_const / (1.0 - mcr) if met else None
     return PerturbationReport(gap, bound, gap <= bound + 1e-12, residual,
-                              None, None, False)
+                              ub, sup_ut <= ub + 1e-12 if met else None, met)
 
 
 # -- generator series for transformed processes ------------------------------------
 
 
-def path_derivative(w: GridFunction, ti: int, guard: int = 1) -> PAdicValue:
+def path_derivative(w: GridFunction, ti: int) -> PAdicValue:
     """Radial difference quotient (w(t + p**k) - w(t)) / p**k, deepened
     until two successive depths agree to a guard digit; raises when the
     quotients never stabilize (generic sampled paths are not C1)."""
-    ball = w.ball
-    p, n = w.p, w.n
-    prev = None
-    for k in range(0, w.levels):
-        stride = _pow(p, ball.radius_exp + k)
-        tni = ti + stride
-        if tni >= w.size:
-            break
-        quot = (w.values[tni] - w.values[ti]).scale_pow(-k)
-        if prev is not None and quot.agrees_abs(prev, n - k - guard):
-            return quot
-        prev = quot
-    raise ValueError("path not C1 at precision")
+    return _radial_limit(w, ti, lambda k, tni: (
+        ((w.values[tni] - w.values[ti]).scale_pow(-k),),),
+        "path not C1 at precision")[0][0]
 
 
 def generator_series(f_derivs, a_prog: Program, e_prog: Program,
@@ -520,24 +501,16 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
     derivative of f evaluated pointwise at (t, xi(t)).  The path
     derivative w' is the stabilized radial quotient; supply a C1 path.
     """
-    from .antider import antider_powers_cell, cell_round
-
     ball, depth = xi.ball, xi.depth
     p, n = xi.p, xi.n
     pts = GridFunction.coordinate(ball, depth).values
 
-    def deriv_grid(b: int, m: int) -> GridFunction:
-        prog = f_derivs[(b, m)]
-        return GridFunction(ball, depth,
-                            tuple(prog(pts[k], xi.values[k])
-                                  for k in range(len(pts))))
+    def on_grid(value) -> GridFunction:
+        """The grid function of ``value(t, xi(t))``."""
+        return GridFunction(ball, depth, tuple(map(value, pts, xi.values)))
 
-    a_grid = GridFunction(ball, depth,
-                          tuple(a_prog(pts[k], xi.values[k], xi.values)
-                                for k in range(len(pts))))
-    e_grid = GridFunction(ball, depth,
-                          tuple(e_prog(pts[k], xi.values[k], xi.values)
-                                for k in range(len(pts))))
+    a_grid = on_grid(lambda t, x: a_prog(t, x, xi.values))
+    e_grid = on_grid(lambda t, x: e_prog(t, x, xi.values))
     t = pts[ti]
     x = xi.values[ti]
     total = PAdicValue.zero(p, n)
@@ -556,7 +529,7 @@ def generator_series(f_derivs, a_prog: Program, e_prog: Program,
         order = b + m
         if order < 2 or order > m_max:
             continue
-        dgrid = deriv_grid(b, m)
+        dgrid = on_grid(f_derivs[(b, m)])
         inv_fact = PAdicValue.from_rational(1, math.factorial(order), p, n)
         for l in range(m + 1):
             comb = math.comb(order, m) * math.comb(m, l)
@@ -609,10 +582,12 @@ def scalar_flow(alpha: PAdicValue, beta: PAdicValue,
 
 
 def mof_check(alpha: PAdicValue, beta: PAdicValue, paths, q: float,
-              initial_values=(), eta_probe: PAdicValue | None = None) -> MofReport:
+              initial_values=()) -> MofReport:
     """Check the multiplicative-functional axioms for the scalar linear
     problem and, when initial values are supplied, the representation of
-    the Picard solution as the functional applied to the initial value."""
+    the Picard solution as the functional applied to the initial value.
+    The moment constant is the largest grid mean of |flow|**q over the
+    paths: the q-th moment of the functional applied to the value one."""
     p = alpha.p
     n = alpha.n
     identity_ok = True
@@ -627,15 +602,11 @@ def mof_check(alpha: PAdicValue, beta: PAdicValue, paths, q: float,
                              (size - 1, size // 2, 0)):
             lhs = flow[ti] / flow[si] * (flow[si] / flow[vi])
             cocycle_ok &= lhs == flow[ti] / flow[vi]
-        probe = eta_probe if eta_probe is not None else PAdicValue.one(p, n)
-        pf = probe.as_fraction()
         acc = 0.0
         for k in range(size):
-            acc += _frac_norm(flow[k] * pf, p) ** q
-        denom = _frac_norm(pf, p) ** q
-        worst_c = max(worst_c, acc / (size * denom) if denom else 0.0)
+            acc += _frac_norm(flow[k], p) ** q
+        worst_c = max(worst_c, acc / size)
     if initial_values:
-        from .sde import linear_state_program
         rep_ok = True
         ball, depth = paths[0].ball, paths[0].depth
         for w in paths:

@@ -16,8 +16,8 @@ the binomial polynomial basis with independent q-Gaussian coefficients
 marked point).  The tree sampler attaches an independent q-Gaussian
 increment to every nonzero-digit edge of the grid's digit tree, which makes
 increments along disjoint prefix chains independent by construction; the
-level-j spread defaults to beta0 * p**(-j*q), the law of a standard
-increment over a step of norm p**(-j).
+level-j spread defaults to p**(-j*q), the law of a standard increment over
+a step of norm p**(-j).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .antider import GridFunction, _tree_scan
-from .charfun import GaussianSpec, shell_distribution
+from .charfun import AngleTally, GaussianSpec, shell_distribution
 from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
 
 _MASK = (1 << 64) - 1
@@ -218,8 +218,6 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     appear only in the final averaging.  The unshifted case runs on an
     integer fast path; a nonzero shift falls back to value arithmetic.
     """
-    from .charfun import AngleTally
-
     sampler = cached_sampler(spec)
     p, n = spec.p, spec.n
     hs = list(h_values)
@@ -282,13 +280,12 @@ def standard_zetas(p: int, n: int, count: int) -> tuple[PAdicValue, ...]:
                  for m in range(1, count + 1))
 
 
-def level_betas(ball: BallSpec, depth: int, q: float,
-                beta0: float = 1.0) -> tuple[float, ...]:
+def level_betas(ball: BallSpec, depth: int, q: float) -> tuple[float, ...]:
     """Standard tree-sampler spreads: level j's digit step has norm
     p**(-(j - radius_exp)), and the increment over a step dt of a standard
-    process is q-Gaussian with spread beta0 * |dt|**q."""
+    process is q-Gaussian with spread |dt|**q."""
     p, r = ball.p, ball.radius_exp
-    return tuple(beta0 * float(p) ** (-(j - r) * q)
+    return tuple(float(p) ** (-(j - r) * q)
                  for j in range(r + depth))
 
 

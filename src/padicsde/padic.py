@@ -27,7 +27,9 @@ def _pow(p: int, k: int) -> int:
 
 
 def _vp(n: int, p: int) -> int:
-    """Exponent of the largest power of p dividing n (n != 0)."""
+    """Exponent of the largest power of p dividing n; ValueError at 0."""
+    if not n:
+        raise ValueError("p-adic valuation of zero")
     v = 0
     while n % p == 0:
         n //= p

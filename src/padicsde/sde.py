@@ -35,7 +35,8 @@ from .antider import (
     cell_round,
     cell_sub,
 )
-from .measure import MonteCarloEnsemble, wiener_path
+from .measure import MonteCarloEnsemble, RandomStream, derive_seed, \
+    wiener_path
 from .padic import BallSpec, PAdicValue, _pow, _vp
 
 
@@ -161,7 +162,6 @@ class SDEProblem:
     def validate_lipschitz(self, samples: int = 64, seed: int = 0) -> float:
         """Advisory check: largest sampled difference quotient of the
         coefficients against the declared constant."""
-        from .measure import RandomStream
         stream = RandomStream(seed)
         p, n = self.ball.p, self.ball.n
         worst = 0.0
@@ -324,17 +324,6 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
                        residual=trace[-1], subdivisions=())
 
 
-def solve_general(problem: SDEProblem, w: GridFunction,
-                  max_iter: int | None = None,
-                  initial: tuple | None = None) -> SDESolution:
-    """Solve the generalized finite-family equation; a single-term family
-    with (b, m, l) = (1, 0, 0) or (0, 1, 1) reproduces solve_picard
-    bit-exactly."""
-    if not problem.family:
-        raise ValueError("term family required")
-    return solve_picard(problem, w, max_iter=max_iter, initial=initial)
-
-
 def picard_as_family(problem: SDEProblem) -> SDEProblem:
     """The drift/diffusion problem rewritten as a two-term family; the
     diffusion slot is the constant one so the diffusion term reduces to
@@ -355,7 +344,6 @@ def picard_as_family(problem: SDEProblem) -> SDEProblem:
 def ensemble_paths(kind: str, ball: BallSpec, depth: int, q: float,
                    ensemble: MonteCarloEnsemble, betas=None, zetas=None):
     """One path per ensemble sample, derived-seed reproducible."""
-    from .measure import derive_seed
     return [wiener_path(kind, ball, depth, q,
                         seed=derive_seed(ensemble.master_seed, i),
                         betas=betas, zetas=zetas)

@@ -36,7 +36,6 @@ from padicsde.sde import (
     linear_state_program,
     moment_diagnostic,
     picard_as_family,
-    solve_general,
     solve_picard,
     stability_diagnostic,
     zero_program,
@@ -207,7 +206,7 @@ def test_criterion_6_generalized_solver():
                       diffusion=diffusion)
     w = wiener_path("tree", ball, depth, 2.0, seed=66)
     picard = solve_picard(base, w)
-    general = solve_general(picard_as_family(base), w)
+    general = solve_picard(picard_as_family(base), w)
     assert picard.values.values == general.values.values
     one = constant_program(PAdicValue.one(p, N))
     small = constant_program(PAdicValue.from_int(p**2, p, N))
@@ -216,7 +215,7 @@ def test_criterion_6_generalized_solver():
         family=(FamilyTerm(1, 0, 0, drift),
                 FamilyTerm(0, 2, 2, small, e_slot=one,
                            declared_norm=float(p) ** -2)))
-    sol2 = solve_general(two_term, w)
+    sol2 = solve_picard(two_term, w)
     assert sol2.residual == 0.0
     _report(6, "single-term family reductions bit-identical to the plain "
                "solver; two-term family residual exactly zero", t0)
@@ -276,7 +275,7 @@ def test_criterion_8_evolution_suite():
                                            (14, 5), (22, 22)])
     assert rep.identity_residual == 0.0
     assert rep.bound_holds
-    gmat = generating_operator(u, 0, start_depth=0)
+    gmat = generating_operator(u, 0)
     for i in range(dim):
         for j in range(dim):
             want = PAdicValue.from_fraction(base[i][j], p, N)

@@ -1,11 +1,12 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from padicsde.cli import SECTIONS, TOLERANCES, TOP, ConfigError, \
-    RunConfig, main
+    RunConfig, _exp_scale_floor, main
 from padicsde.padic import PRIME_LIMIT
 
 
@@ -266,7 +267,8 @@ def test_tolerances_echoed_as_written(tmp_path):
                 "evolve": {"dim": 1, "triples": 1}}, "config.depth"),
     # primality is exact only below PRIME_LIMIT
     ("charfun", {"prime": PRIME_LIMIT}, "config.prime"),
-    # scale_exp below radius_exp + max((N + (p == 2)) // 2, 1 + (p == 2)):
+    # scale_exp below radius_exp + max((N + (p == 2)) // 2,
+    # exp_domain_valuation(p)):
     # the exponential check fails, or (t - s) A leaves the convergence
     # domain of its series
     ("evolve", {"precision": 8, "depth": 2,
@@ -310,6 +312,22 @@ def test_evolve_default_scale_exp_passes(tmp_path, extra, scale_exp):
     report = json.loads((out / "evolve.json").read_text())
     assert report["scale_exp"] == scale_exp
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("p, floors", [(2, (2, 2, 2)), (3, (1, 1, 2)),
+                                       (5, (1, 1, 2))])
+def test_exp_scale_floor_pinned(p, floors):
+    # radius_exp + max((N + (p == 2)) // 2, exp_domain_valuation(p)) at
+    # N = 2, 3, 4; the domain term decides at p = 2 and at odd p for N < 4
+    for n, floor in zip((2, 3, 4), floors):
+        for r in (0, 1):
+            cfg = SimpleNamespace(prime=p, precision=n, radius_exp=r)
+            assert _exp_scale_floor(cfg) == floor + r, (n, r)
+        raw = {"prime": p, "precision": n, "depth": 2}
+        assert RunConfig({**raw, "evolve": {"scale_exp": floor}},
+                         "evolve").section["scale_exp"] == floor
+        with pytest.raises(ConfigError, match="config.evolve.scale_exp"):
+            RunConfig({**raw, "evolve": {"scale_exp": floor - 1}}, "evolve")
 
 
 def test_large_prime_validates_quickly():

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import signal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from padicsde.padic import (
     BallSpec,
     PAdicValue,
     _is_prime,
+    _vp,
     digit_prefix,
     frac_part,
     mahler_basis,
@@ -236,6 +238,24 @@ def test_exp_examples():
     assert lhs == a * a
     # independent exact-series oracle agrees
     assert lhs.agrees_abs(_exp_oracle(PAdicValue.from_int(10, p, n)), n - 1)
+
+
+def test_vp():
+    assert _vp(2 * 5**3, 5) == 3
+    assert _vp(-7, 7) == 1
+    assert _vp(1, 2) == 0
+    # every power of p divides zero: refuse rather than loop (the alarm
+    # turns a loop into a failure instead of a hang)
+    def expire(signum, frame):
+        raise TimeoutError("_vp(0, p) did not return")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="valuation of zero"):
+            _vp(0, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_exp_domain():

@@ -26,7 +26,6 @@ from padicsde.sde import (
     moment_diagnostic,
     picard_as_family,
     polynomial_program,
-    solve_general,
     functional_program,
     solve_picard,
     stability_diagnostic,
@@ -195,20 +194,20 @@ def test_family_single_term_reductions_bit_identical():
     w = path_for(prob, 9)
     picard = solve_picard(prob, w)
     fam = picard_as_family(prob)
-    general = solve_general(fam, w)
+    general = solve_picard(fam, w)
     assert picard.values.values == general.values.values
     # drift-only and diffusion-only single-term families
     drift_only = make_problem(p, 3, x0_int=1, drift=drift)
     fam_d = make_problem(p, 3, x0_int=1, drift=drift,
                          family=[FamilyTerm(1, 0, 0, drift)])
     assert solve_picard(drift_only, w).values.values == \
-        solve_general(fam_d, w).values.values
+        solve_picard(fam_d, w).values.values
     one = constant_program(PAdicValue.one(p, N))
     diff_only = make_problem(p, 3, x0_int=1, diffusion=diffusion)
     fam_e = make_problem(p, 3, x0_int=1, diffusion=diffusion,
                          family=[FamilyTerm(0, 1, 1, diffusion, e_slot=one)])
     assert solve_picard(diff_only, w).values.values == \
-        solve_general(fam_e, w).values.values
+        solve_picard(fam_e, w).values.values
 
 
 def test_family_two_term_quadratic():
@@ -223,8 +222,8 @@ def test_family_two_term_quadratic():
     prob2 = make_problem(p, 3, x0_int=1, drift=drift,
                          family=base_terms + [quad])
     w = path_for(prob1, 10)
-    s1 = solve_general(prob1, w)
-    s2 = solve_general(prob2, w)
+    s1 = solve_picard(prob1, w)
+    s2 = solve_picard(prob2, w)
     assert s2.residual == 0.0
     # the added term has norm <= p^-2 * max |dw|^2; the solutions differ by
     # at most that sup-norm
@@ -586,7 +585,7 @@ def test_four_term_family_matches_cell_reference(p, radius_exp):
                       drift=drift, diffusion=diffusion, family=family)
     w = wiener_path("tree", ball, 3, 2.0, seed=7 + p)
     _assert_parity(prob, w)
-    assert solve_general(prob, w) == _solve_picard_reference(prob, w)
+    assert solve_picard(prob, w) == _solve_picard_reference(prob, w)
 
 
 @pytest.mark.parametrize("extra", [-(3**3 - 1), 1])
@@ -650,16 +649,16 @@ def test_zero_term_slots_are_never_called():
     without = make_problem(p, 3, drift=drift, diffusion=diffusion,
                            family=base)
     w = path_for(with_dead, 17)
-    got = solve_general(with_dead, w)
+    got = solve_picard(with_dead, w)
     assert calls == {"a": 0, "e": 0}
-    assert got == solve_general(without, w) == solve_picard(without, w)
+    assert got == solve_picard(without, w)
     assert got == _solve_picard_reference(with_dead, w)
     # the same slots on a live term are called at every interior node of
     # every sweep
     calls.update(a=0, e=0)
     live = FamilyTerm(1, 2, 1, constant_program(PAdicValue.from_int(p, p, N)),
                       a_slot=counting("a", two), e_slot=counting("e", two))
-    sol = solve_general(make_problem(p, 3, drift=drift, diffusion=diffusion,
-                                     family=base + (live,)), w)
+    sol = solve_picard(make_problem(p, 3, drift=drift, diffusion=diffusion,
+                                    family=base + (live,)), w)
     interior = (p**3 - 1) // (p - 1)
     assert calls["a"] == calls["e"] == sol.iterations * interior
