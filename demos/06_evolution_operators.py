@@ -65,6 +65,6 @@ alpha = PAdicValue.from_int(p**3, p, n)
 beta = PAdicValue.from_int(2 * p**3, p, n)
 inits = tuple(PAdicValue.from_int(c, p, n) for c in (1, 2, 7))
 report = mof_check(alpha, beta, paths, q=1.0, initial_values=inits)
-print("identity/cocycle/representation:",
-      report.identity_ok, report.cocycle_ok, report.representation_ok)
+print("identity/chain/representation:",
+      report.identity_ok, report.chain_ok, report.representation_ok)
 print("smallest witnessed moment constant:", report.moment_constant)

@@ -106,17 +106,6 @@ class AngleTally:
         self._counts[key] = self._counts.get(key, 0) + count
         self._total += count
 
-    def add(self, angle: UnitAngle, count: int = 1) -> None:
-        t = angle.turns
-        k = 0
-        den = t.denominator
-        while den > 1 and den % self.p == 0:
-            den //= self.p
-            k += 1
-        if den != 1:
-            raise ValueError("angle denominator is not a power of the prime")
-        self.add_raw(t.numerator * self.p**k // t.denominator, k, count)
-
     @property
     def total(self) -> int:
         return self._total
@@ -199,8 +188,10 @@ class GaussianSpec:
             gammas = tuple(PAdicValue.zero(p, n) for _ in zetas)
         else:
             gammas = tuple(gammas)
+            if len(gammas) != len(zetas):
+                raise ValueError("one shift per zeta coefficient")
             gn = [g.norm() for g in gammas]
-            if gn and gn[-1] > gn[0] + 1e-15:
+            if any(b > a + 1e-15 for a, b in zip(gn, gn[1:])):
                 raise ValueError("shift sequence does not decay")
         return cls(p=p, n=n, q=q, zetas=zetas, gammas=gammas)
 

@@ -432,8 +432,8 @@ def run_sample(cfg: RunConfig, art: Artifacts):
         for i in range(count):
             path = wiener_path(sampler, ball, cfg.depth, q,
                                seed=derive_seed(cfg.seed, i))
-            rows = [(path.point(k).qp_str(), path.values[k].qp_str())
-                    for k in range(path.size)]
+            rows = [(ball.point(k, cfg.depth).qp_str(), w.qp_str())
+                    for k, w in enumerate(path.values)]
             art.write_csv(f"path_{i:04d}.csv", ["t", "w"], rows)
             checks.append({
                 "name": f"path_{i:04d}_zero_at_center",

@@ -42,28 +42,33 @@ _TEXT_TABLE_SIZE = 4096
 
 
 @lru_cache(maxsize=None)
-def _digit_chunks(p: int, n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
-    """How qp_str writes an n-digit mantissa: ``(texts, p**k)`` per chunk
-    of k digits, lowest chunk first.  k is the largest width with
-    ``p**k <= _TEXT_TABLE_SIZE``; the last chunk is shorter when k does
-    not divide n.  Empty for primes above the table size."""
+def _digit_chunks(p: int, n: int) -> tuple[tuple, tuple[str, ...], int]:
+    """How qp_str writes an n-digit mantissa m: ``(low, high, mod)``.
+    With h = ceil(n/2) and mod = p**h <= _TEXT_TABLE_SIZE, the text is
+    ``low[m % mod] + high[m // mod]``, each high text led by a space.  Else
+    mod = 0, ``low`` holds ``(texts, p**k)`` per chunk of the largest width
+    k with ``p**k <= _TEXT_TABLE_SIZE`` below the top chunk, and ``high``
+    the top chunk's texts; both are empty for primes above the size."""
+    k = (n + 1) // 2
+    if p**k <= _TEXT_TABLE_SIZE:
+        return _digit_texts(p, k), _digit_texts(p, n - k, " "), _pow(p, k)
     k = 0
     while p ** (k + 1) <= _TEXT_TABLE_SIZE:
         k += 1
     if not k:
-        return ()
-    full, rest = divmod(n, k)
-    chunks = [(_digit_texts(p, k), _pow(p, k))] * full
-    if rest:
-        chunks.append((_digit_texts(p, rest), _pow(p, rest)))
-    return tuple(chunks)
+        return (), (), 0
+    *widths, top = [k] * (n // k) + ([n % k] if n % k else [])
+    return (tuple((_digit_texts(p, w), _pow(p, w)) for w in widths),
+            _digit_texts(p, top), 0)
 
 
 @lru_cache(maxsize=None)
-def _digit_texts(p: int, k: int) -> tuple[str, ...]:
-    """The digit text of every k-digit mantissa c < p**k, lowest digit
-    first and space separated, indexed by c."""
-    digits = [str(d) for d in range(p)]
+def _digit_texts(p: int, k: int, lead: str = "") -> tuple[str, ...]:
+    """The digit text of every k-digit mantissa c < p**k, indexed by c:
+    ``lead``, then the digits lowest first, space separated; "" at k = 0."""
+    if not k:
+        return ("",)
+    digits = [f"{lead}{d}" for d in range(p)]
     if k == 1:
         return tuple(digits)
     return tuple(f"{d} {tail}" for tail in _digit_texts(p, k - 1)
@@ -174,10 +179,11 @@ class PAdicValue:
     def _from_cell(cls, p: int, n: int, num: int, exp: int) -> "PAdicValue":
         """Round the exact value ``num * p**exp`` to n significant digits."""
         if num == 0:
-            return cls.zero(p, n)
-        s = _vp(num, p)
-        m = (num // _pow(p, s)) % _pow(p, n)
-        return cls(p, n, exp + s, m)
+            return cls(p, n, 0, 0)
+        while num % p == 0:
+            num //= p
+            exp += 1
+        return cls(p, n, exp, num % _pow(p, n))
 
     # -- queries -----------------------------------------------------------
 
@@ -292,16 +298,21 @@ class PAdicValue:
     # -- serialization -------------------------------------------------------
 
     def qp_str(self) -> str:
-        """Canonical text form ``QP(p=...,v=...,d=d0 d1 ... d{n-1})``."""
-        chunks = _digit_chunks(self.p, self.n)
-        if chunks:
+        """Canonical text form ``QP(p=...,v=...,d=d0 d1 ... d{n-1})``, in
+        two table lookups where ``_digit_chunks`` allows, else by chunks."""
+        low, high, mod = _digit_chunks(self.p, self.n)
+        if mod:
+            hi, lo = divmod(self.m, mod)
+            ds = low[lo] + high[hi]
+        elif high:
             m, parts = self.m, []
-            for texts, mod in chunks:
+            for texts, mod in low:
                 m, c = divmod(m, mod)
                 parts.append(texts[c])
+            parts.append(high[m])
             ds = " ".join(parts)
         else:
-            ds = " ".join(str(d) for d in self.digits())
+            ds = " ".join([str(d) for d in self.digits()])
         return f"QP(p={self.p},v={self.v},d={ds})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -75,8 +75,8 @@ def test_unit_angle_conjugation():
 
 def test_angle_tally_exact_mean():
     tally = AngleTally(5)
-    tally.add(UnitAngle(Fraction(1, 5)), 2)
-    tally.add(UnitAngle(Fraction(0)), 3)
+    tally.add_raw(1, 1, 2)      # angle 1/5, twice
+    tally.add_raw(0, 0, 3)      # angle 0, three times
     expect = (2 * cmath.exp(2j * math.pi / 5) + 3) / 5
     assert abs(tally.mean() - expect) < 1e-15
 
@@ -147,6 +147,37 @@ def test_product_spec_rejects_bad_decay():
     zetas = (PAdicValue.one(p, N), PAdicValue.one(p, N))
     with pytest.raises(ValueError, match="not L_q"):
         GaussianSpec.product(p, N, zetas, 1)
+
+
+def _product_zetas(p, count):
+    return tuple(PAdicValue.from_int(p**j, p, N) for j in range(1, count + 1))
+
+
+def test_product_spec_refuses_rising_shifts():
+    # norms 1/9, 9, 1/9: the ends agree but the middle rises
+    p = 3
+    gammas = (PAdicValue(p, N, 2, 1), PAdicValue(p, N, -2, 1),
+              PAdicValue(p, N, 2, 1))
+    with pytest.raises(ValueError, match="does not decay"):
+        GaussianSpec.product(p, N, _product_zetas(p, 3), 1, gammas=gammas)
+
+
+def test_product_spec_refuses_shift_count_mismatch():
+    p = 3
+    with pytest.raises(ValueError, match="one shift per zeta"):
+        GaussianSpec.product(p, N, _product_zetas(p, 2), 1,
+                             gammas=(PAdicValue.one(p, N),))
+
+
+def test_product_spec_accepts_nonincreasing_shifts():
+    # norms 9, 9, 1, 1/3, 0: equal neighbours and a zero tail are allowed
+    p = 3
+    gammas = (PAdicValue(p, N, -2, 1), PAdicValue(p, N, -2, 2),
+              PAdicValue.one(p, N), PAdicValue(p, N, 1, 1),
+              PAdicValue.zero(p, N))
+    spec = GaussianSpec.product(p, N, _product_zetas(p, 5), 1, gammas=gammas)
+    assert spec.gammas == gammas
+    assert len(spec.betas()) == len(gammas)
 
 
 def test_shell_table_normalization_and_cdf():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from padicsde import evolution
 from padicsde.antider import GridFunction
 from padicsde.evolution import (
     EvolutionOperator,
@@ -281,9 +282,32 @@ def test_mof_representation_bit_exact():
     inits = tuple(PAdicValue.from_int(c, P, N) for c in (1, 2, 7))
     rep = mof_check(alpha, beta, paths, q=1.0, initial_values=inits)
     assert rep.identity_ok
-    assert rep.cocycle_ok
+    assert rep.chain_ok
     assert rep.representation_ok
     assert rep.moment_constant > 0.0
+
+
+@pytest.mark.parametrize("node", [1, P**DEPTH // 2, P**DEPTH - 1])
+def test_mof_chain_check_catches_corrupted_flow(monkeypatch, node):
+    # doubling one flow value breaks the chain equation on the edges into
+    # and out of that node, but not the rational identity
+    # a/b * (b/c) == a/c that the check used to compare
+    ball = unit_ball()
+    paths = [wiener_path("tree", ball, DEPTH, 2.0, seed=101)]
+    alpha = PAdicValue.from_int(P**3, P, N)
+    beta = PAdicValue.from_int(2 * P**3, P, N)
+    assert mof_check(alpha, beta, paths, q=1.0).chain_ok
+    flow = list(scalar_flow(alpha, beta, paths[0]))
+    flow[node] *= 2
+    size = len(flow)
+    for ti, si, vi in ((1, 0, min(2, size - 1)), (size - 1, size // 2, 0)):
+        assert flow[ti] / flow[si] * (flow[si] / flow[vi]) == \
+            flow[ti] / flow[vi]
+    monkeypatch.setattr(evolution, "scalar_flow",
+                        lambda *args: tuple(flow))
+    rep = mof_check(alpha, beta, paths, q=1.0)
+    assert rep.identity_ok
+    assert not rep.chain_ok
 
 
 def test_mof_scaling_linearity():

@@ -426,9 +426,15 @@ def test_tree_sampler_matches_padic_reference(p, depth, radius_exp):
 def test_tree_sibling_subtrees_factorize():
     # E[chi_a(D1) chi_b(D2)] = E[chi_a(D1)] E[chi_b(D2)] for increments over
     # disjoint digit subtrees (exact independence by construction)
-    from padicsde.charfun import UnitAngle
-
     p, size = 3, 20000
+
+    def add(tally, turns):
+        # turns has a power-of-p denominator: record it as num / p**k
+        k = 0
+        while p**k < turns.denominator:
+            k += 1
+        tally.add_raw(turns.numerator, k)
+
     ball = BallSpec.unit(p, N)
     betas = level_betas(ball, 2, 1.0)
     a = PAdicValue(p, N, -1, 1)
@@ -438,11 +444,11 @@ def test_tree_sibling_subtrees_factorize():
         path = sample_wiener_tree(betas, 1.0, ball, 2, stream)
         d1 = path.values[1]                # digit-1 subtree increment
         d2 = path.values[2]                # digit-2 subtree increment
-        a1 = UnitAngle(frac_part(a * d1))
-        a2 = UnitAngle(frac_part(b * d2))
-        joint.add(a1 * a2)
-        f1.add(a1)
-        f2.add(a2)
+        a1 = frac_part(a * d1)
+        a2 = frac_part(b * d2)
+        add(joint, a1 + a2)
+        add(f1, a1)
+        add(f2, a2)
     lhs = joint.mean()
     rhs = f1.mean() * f2.mean()
     tol = 4 / math.sqrt(size)

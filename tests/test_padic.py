@@ -304,13 +304,44 @@ def text_values(draw):
 @settings(max_examples=400, deadline=None)
 @given(text_values())
 @example(PAdicValue(2, 13, -3, 2**13 - 1))   # 12-digit chunk plus one
-@example(PAdicValue(3, 7, 0, 3**7 - 1))      # exactly one 7-digit chunk
+@example(PAdicValue(3, 7, 0, 3**7 - 1))      # low half 4 digits, high 3
 @example(PAdicValue(11, 4, -1, 1 + 10 * 11**3))  # two-character digits
 @example(PAdicValue.zero(5, 13))
+@example(PAdicValue(5, 1, 2, 4))             # n = 1: an empty high half
+@example(PAdicValue(7, 5, 0, 3 + 6 * 7**4))  # odd n
+@example(PAdicValue(7, 6, 1, 7**6 - 1))      # even n
+# p**ceil(n/2) at the table size, and one digit past it (chunk loop)
+@example(PAdicValue(2, 24, 0, 2**24 - 1))
+@example(PAdicValue(2, 25, -1, 2**25 - 1))
+@example(PAdicValue(3, 14, 0, 3**14 - 2))
+@example(PAdicValue(3, 15, 2, 1 + 2 * 3**14))
+@example(PAdicValue(5, 10, 0, 5**10 - 2))
+@example(PAdicValue(5, 11, -4, 1 + 4 * 5**10))
+# primes above the table size: digit by digit
+@example(PAdicValue(4099, 3, 0, 4098 + 17 * 4099**2))
+@example(PAdicValue(2**31 - 1, 2, -1, 5 + 12345 * (2**31 - 1)))
 def test_qp_str_matches_digit_text(x):
     ds = " ".join(str(d) for d in x.digits())
     assert x.qp_str() == f"QP(p={x.p},v={x.v},d={ds})"
     assert PAdicValue.parse(x.qp_str(), x.n) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 4099]), st.integers(1, 12),
+       st.integers(-10**30, 10**30), st.integers(0, 5), st.integers(-9, 9))
+@example(5, 6, 0, 0, 3)              # zero
+@example(3, 4, -7, 2, -1)            # negative and p-divisible
+@example(2, 5, -1, 0, 0)             # -1: every digit of the mantissa 1
+@example(7, 3, 7**5 - 1, 3, 2)       # more than n digits after the strip
+def test_from_cell_matches_vp_reference(p, n, base, s, exp):
+    num = base * p**s
+    got = PAdicValue._from_cell(p, n, num, exp)
+    if num == 0:
+        assert (got.v, got.m) == (0, 0)
+    else:
+        k = _vp(num, p)
+        assert (got.v, got.m) == (exp + k, (num // p**k) % p**n)
+    assert (got.p, got.n) == (p, n)
 
 
 @pytest.mark.parametrize("text, n", [
