@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .antider import GridFunction
 from .charfun import AngleTally
-from .measure import MonteCarloEnsemble, RandomStream, level_betas, path_laws
+from .measure import MonteCarloEnsemble, path_laws
 from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
 
 
@@ -68,23 +68,19 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     Only the tree sampler's result is asserted (its increments are
     independent by construction); the series sampler's report is marked
     diagnostic.  Tolerance is 4 / sqrt(samples) per component.  The
-    default betas and zetas are those of ``wiener_path``.
+    default betas and zetas are those of ``wiener_path``, and
+    ``path_laws`` checks both.
     """
     ball, depth = psi.ball, psi.depth
     p, n = psi.p, psi.n
-    if betas is None:
-        betas = level_betas(ball, depth, q)
     _, laws = path_laws(sampler, ball, depth, q, betas, zetas)
     consts = _chain_constants(psi, gamma, g, t_index)
     analytic = (product_telescoping_moduli(psi, gamma, g, t_index, q, betas)
                 or [1.0])[-1]
 
-    # Each sum is counted under its key (m, v) and the counts are tallied
-    # once per key in first-occurrence order, which leaves the tally as
-    # sample-by-sample adds would.  One stream is set to each sample's seed.
-    seeds = MonteCarloEnsemble(seed, samples)._seeds()
-    stream = RandomStream(0)
-    counts: dict[tuple[int, int], int] = {}
+    # The ensemble's count loop keys each sample's sum by (m, v); tallied
+    # in first-occurrence order, the counts leave the tally as
+    # sample-by-sample adds would.
     if sampler == "tree":
         # Integer mirror of ``acc = acc + c * draw`` in PAdicValue arithmetic:
         # the accumulator is the pair (v, m), the product c * draw keeps
@@ -105,8 +101,8 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             n_run = min(n_run, n_c)
             steps.append((law.draw_raw, -c.v, c.v, c.m, _pow(p, n_c),
                           _pow(p, n_run)))
-        for state in seeds:
-            stream.state = state
+
+        def chain_sum(stream):
             v = m = 0
             for draw_raw, cut, cv, cm, mod_c, mod_run in steps:
                 dv, dm = draw_raw(stream, cut)
@@ -126,8 +122,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                     num = m + tm
                     s = _vp(num, p)
                     v, m = v + s, num // p ** s % mod_run
-            key = (m, v)
-            counts[key] = counts.get(key, 0) + 1
+            return m, v
         asserted = True
     else:   # the series sampler; path_laws has refused any other kind
         # increment of the series path over a chain step, as a coefficient
@@ -158,8 +153,8 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             n_run = min(n_run, n_d)
             rows.append((i, d.v, d.m, _pow(p, n_d), _pow(p, n_run)))
         draws = [(law.draw_raw, cut) for law, cut in zip(laws, cuts)]
-        for state in seeds:
-            stream.state = state
+
+        def chain_sum(stream):
             coeffs = [draw_raw(stream, cut) for draw_raw, cut in draws]
             v = m = 0
             for i, cv, cm, mod_c, mod_run in rows:
@@ -176,12 +171,12 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                     num = m + tm
                     s = _vp(num, p)
                     v, m = v + s, num // p ** s % mod_run
-            key = (m, v)
-            counts[key] = counts.get(key, 0) + 1
+            return m, v
         asserted = False
 
     tally = AngleTally(p)
-    for (m, v), count in counts.items():
+    for (m, v), count in MonteCarloEnsemble(seed, samples)._counts(
+            chain_sum).items():
         tally.add_raw(m, -v, count)
 
     empirical, stderr = tally.mean_stderr()
@@ -198,9 +193,10 @@ def product_telescoping_moduli(psi: GridFunction, gamma: PAdicValue,
                                g: PAdicValue, t_index: int, q: float = 1.0,
                                betas=None) -> list[float]:
     """Partial products of the analytic side by increasing chain depth;
-    each factor has modulus at most one, so the sequence is nonincreasing."""
-    if betas is None:
-        betas = level_betas(psi.ball, psi.depth, q)
+    each factor has modulus at most one, so the sequence is nonincreasing.
+    The betas (default those of ``wiener_path``) are checked by
+    ``path_laws``."""
+    betas, _ = path_laws("tree", psi.ball, psi.depth, q, betas)
     out = []
     prod = 1.0
     for level, c, _j, _jn in _chain_constants(psi, gamma, g, t_index):

@@ -110,15 +110,19 @@ class AngleTally:
     def total(self) -> int:
         return self._total
 
+    def _vectors(self):
+        """(count, unit vector) per angle, in first-insertion order."""
+        p = self.p
+        for (num, k), cnt in self._counts.items():
+            yield cnt, (1.0 + 0j if k == 0
+                        else cmath.exp(1j * TWO_PI * num / p**k))
+
     def mean(self) -> complex:
         if self._total == 0:
             return 0j
         acc = 0j
-        for (num, k), cnt in self._counts.items():
-            if k == 0:
-                acc += cnt
-            else:
-                acc += cnt * cmath.exp(1j * TWO_PI * num / self.p**k)
+        for cnt, z in self._vectors():
+            acc += cnt * z
         return acc / self._total
 
     def mean_stderr(self) -> tuple[complex, float]:
@@ -128,8 +132,7 @@ class AngleTally:
             return mu, 0.0
         sre = self._zeros * mu.real**2
         sim = self._zeros * mu.imag**2
-        for (num, k), cnt in self._counts.items():
-            z = 1.0 + 0j if k == 0 else cmath.exp(1j * TWO_PI * num / self.p**k)
+        for cnt, z in self._vectors():
             sre += cnt * (z.real - mu.real) ** 2
             sim += cnt * (z.imag - mu.imag) ** 2
         s = self._total
@@ -139,8 +142,15 @@ class AngleTally:
 # -- q-Gaussian specifications -------------------------------------------------
 
 
-# product mode needs |zeta_{j+1}| <= _ZETA_DECAY |zeta_j| (an L_q operator)
-_ZETA_DECAY = 0.5
+def _lq_zetas(zetas) -> tuple[PAdicValue, ...]:
+    """The zetas as a tuple, if they are an L_q diagonal family: at least
+    one, all nonzero, with strictly decreasing norms."""
+    zetas = tuple(zetas)
+    if not zetas or any(z.is_zero for z in zetas) or any(
+            b.v <= a.v for a, b in zip(zetas, zetas[1:])):
+        raise ValueError("not L_q: the zetas must be nonzero with strictly "
+                         "decreasing norms")
+    return zetas
 
 
 @dataclass(frozen=True)
@@ -148,10 +158,9 @@ class GaussianSpec:
     """Parameters of a one-dimensional or product q-Gaussian measure.
 
     One-dimensional mode holds a single spread ``beta > 0`` and a shift
-    ``gamma``.  Product mode holds a finite family of nonzero diagonal
-    coefficients ``zetas`` (a truncation of a compact diagonal operator)
-    with per-coordinate spreads ``beta_j = |zeta_j|**q``, plus a shift
-    sequence decaying to zero.  Normalization is implicit: shell
+    ``gamma``.  Product mode holds diagonal coefficients ``zetas`` (an L_q
+    operator's truncation, ``_lq_zetas``) with per-coordinate spreads
+    ``beta_j = |zeta_j|**q``, plus a shift sequence decaying to zero.  Normalization is implicit: shell
     probabilities always sum to one.
     """
 
@@ -177,13 +186,7 @@ class GaussianSpec:
 
     @classmethod
     def product(cls, p, n, zetas, q, gammas=None) -> "GaussianSpec":
-        zetas = tuple(zetas)
-        if not zetas or any(z.is_zero for z in zetas):
-            raise ValueError("zeta coefficients must be nonzero")
-        norms = [z.norm() for z in zetas]
-        for a, b in zip(norms, norms[1:]):
-            if b > _ZETA_DECAY * a + 1e-15:
-                raise ValueError("not L_q")
+        zetas = _lq_zetas(zetas)
         if gammas is None:
             gammas = tuple(PAdicValue.zero(p, n) for _ in zetas)
         else:

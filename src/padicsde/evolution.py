@@ -13,9 +13,9 @@ serialization boundary.  A ``Matrix`` is a tuple of ``Fraction`` rows, but
 its products, inverses and tree steps are computed as integer rows over
 one common denominator and converted back once, so no ``Fraction`` is
 renormalized inside the arithmetic and the results stay canonical.  The
-tree pass and ``cocycle_holds`` make no ``Fraction``; generator values,
-``exact``, the residuals (``_chain_delta``), ``mat_norm``, ``matrix``'s
-rounding and ``scalar_flow`` still go through ``Fraction``.
+tree pass, ``cocycle_holds`` and ``identity_holds`` make no ``Fraction``;
+generator values, ``exact``, the residuals (``_chain_delta``),
+``mat_norm``, ``matrix``'s rounding and ``scalar_flow`` still do.
 
 Discrete endpoint conventions, fixed here and in the docs: the dual
 (backward) equation evaluates its one-step factor at the far end of each
@@ -226,6 +226,17 @@ class EvolutionOperator:
         """Exact U(t, s) = W(t) W(s)^{-1}."""
         form = self._exact_int(ti, si)
         return self._identity if ti == si else _from_int_form(*form)
+
+    def identity_holds(self) -> bool:
+        """U(t, t) = I as the solve gives it (``exact(k, k)`` is a shared
+        identity): ``W(center) == I`` and ``W(k) W(k)**-1 == I`` for each
+        computed inverse, in integer form (``rows == den I``)."""
+        eye = self._int_identity[0]
+        forms = [self._transfers[0]] + [
+            (_int_mul(self._transfers[k][0], vn), self._transfers[k][1] * vd)
+            for k, (vn, vd) in self._inverses.items()]
+        return all(rows == [[den * x for x in row] for row in eye]
+                   for rows, den in forms)
 
     def cocycle_holds(self, ti: int, si: int, vi: int) -> bool:
         """Whether U(t, s) U(s, v) == U(t, v) exactly.  With the integer
@@ -586,18 +597,18 @@ def mof_check(alpha: PAdicValue, beta: PAdicValue, paths, q: float,
     """Check the multiplicative-functional axioms for the scalar linear
     problem and, when initial values are supplied, the representation of
     the Picard solution as the functional applied to the initial value.
-    ``chain_ok`` checks the flow's chain equation on every tree edge j -> jn
-    of digit d at step exponent e: ``flow[jn] == flow[j] * (1 + alpha d
-    p**e + beta (w[jn] - w[j]))``.  The moment constant is the largest grid
-    mean of |flow|**q over the paths: the q-th moment of the functional
-    applied to the value one."""
+    One flow per path serves every check.  ``chain_ok`` checks the flow's
+    chain equation on every tree edge j -> jn of digit d at step exponent
+    e: ``flow[jn] == flow[j] * (1 + alpha d p**e + beta (w[jn] - w[j]))``.
+    The moment constant is the largest grid mean of |flow|**q over the
+    paths: the q-th moment of the functional applied to the value one."""
     p = alpha.p
     n = alpha.n
     af, bf = alpha.as_fraction(), beta.as_fraction()
     identity_ok = True
     chain_ok = True
     worst_c = 0.0
-    rep_ok: bool | None = None
+    rep_ok: bool | None = True if initial_values else None
     for w in paths:
         flow = scalar_flow(alpha, beta, w)
         identity_ok &= flow[0] == 1
@@ -611,19 +622,14 @@ def mof_check(alpha: PAdicValue, beta: PAdicValue, paths, q: float,
         for k in range(size):
             acc += _frac_norm(flow[k], p) ** q
         worst_c = max(worst_c, acc / size)
-    if initial_values:
-        rep_ok = True
-        ball, depth = paths[0].ball, paths[0].depth
-        for w in paths:
-            flow = scalar_flow(alpha, beta, w)
-            for x0 in initial_values:
-                prob = SDEProblem(ball=ball, depth=depth, x0=x0,
-                                  drift=linear_state_program(alpha),
-                                  diffusion=linear_state_program(beta))
-                sol = solve_picard(prob, w)
-                for k in range(len(flow)):
-                    want = PAdicValue.from_fraction(
-                        flow[k] * x0.as_fraction(), p, n)
-                    if sol.values.values[k] != want:
-                        rep_ok = False
+        for x0 in initial_values:
+            prob = SDEProblem(ball=w.ball, depth=w.depth, x0=x0,
+                              drift=linear_state_program(alpha),
+                              diffusion=linear_state_program(beta))
+            sol = solve_picard(prob, w)
+            for k in range(size):
+                want = PAdicValue.from_fraction(
+                    flow[k] * x0.as_fraction(), p, n)
+                if sol.values.values[k] != want:
+                    rep_ok = False
     return MofReport(identity_ok, chain_ok, worst_c, rep_ok)

@@ -5,8 +5,9 @@ Randomness comes from a self-contained 64-bit SplitMix-style generator so
 that every ensemble is bit-reproducible from its master seed: the per-sample
 seed is the (index+1)-th SplitMix64 output of the master state, and each
 sample owns a private stream (see ``mix64`` for the published constants).
-An estimator that reads each sample once keeps a single ``RandomStream``
-and sets its state to each sample's seed (``MonteCarloEnsemble._seeds``);
+An estimator that reads each sample once counts a per-sample key through
+``MonteCarloEnsemble._counts``, the one ensemble loop: it keeps a single
+``RandomStream`` and sets its state to each sample's seed in turn.
 ``Gaussian1DSampler.draw_raw`` writes the finalizer inline.
 
 Two path samplers are provided, and each returns its path as a plain
@@ -17,7 +18,8 @@ marked point).  The tree sampler attaches an independent q-Gaussian
 increment to every nonzero-digit edge of the grid's digit tree, which makes
 increments along disjoint prefix chains independent by construction; the
 level-j spread defaults to p**(-j*q), the law of a standard increment over
-a step of norm p**(-j).
+a step of norm p**(-j).  ``path_laws`` and ``_laws`` check every path-law
+parameter, so each entry point refuses the same inputs.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .antider import GridFunction, _tree_scan
-from .charfun import AngleTally, GaussianSpec, shell_distribution
+from .charfun import AngleTally, GaussianSpec, _lq_zetas, shell_distribution
 from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
 
 _MASK = (1 << 64) - 1
@@ -84,11 +86,8 @@ class MonteCarloEnsemble:
         return RandomStream(derive_seed(self.master_seed, index))
 
     def _seeds(self):
-        """The seeds of samples 0, 1, ... in order.  The seed of sample i
-        is ``derive_seed(master_seed, i)``: one SplitMix64 counter, stepped
-        from the master, reaches each seed in turn.  An estimator that
-        reads each sample once keeps one stream and sets its state to each
-        seed."""
+        """The seeds of samples 0, 1, ... in order: one SplitMix64 counter,
+        stepped from the master, reaches each ``derive_seed(master, i)``."""
         z = self.master_seed
         for _ in range(self.size):
             z = (z + _GOLDEN) & _MASK
@@ -98,6 +97,17 @@ class MonteCarloEnsemble:
         """The streams of samples 0, 1, ... in order, one object each."""
         for seed in self._seeds():
             yield RandomStream(seed)
+
+    def _counts(self, key) -> dict:
+        """Counts of ``key(stream)`` over the samples in first-occurrence
+        order; one stream is set to each sample's seed in turn."""
+        counts: dict = {}
+        stream = RandomStream(0)
+        for state in self._seeds():
+            stream.state = state
+            k = key(stream)
+            counts[k] = counts.get(k, 0) + 1
+        return counts
 
     def collect(self, fn):
         """Deterministic map ordered by sample index."""
@@ -117,8 +127,6 @@ class Gaussian1DSampler:
     """
 
     def __init__(self, spec: GaussianSpec):
-        if spec.is_product:
-            raise ValueError("one-dimensional spec required")
         self.spec = spec
         table = shell_distribution(spec, tail_tol=TAIL_TOL)
         self.shells = [m for m, _ in table.rows()]
@@ -225,20 +233,16 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     gamma = spec.gamma
     shifted = gamma is not None and not gamma.is_zero
     hdata = [(None if h.is_zero else (h.v, h.m)) for h in hs]
-    # Every tally depends on a draw only through a key (v, mant), so each
-    # key is tallied once with its count, in first-occurrence order: every
-    # tally then gets its angles in the same first-insertion order as
-    # sample by sample.  Unshifted, h * x reads the mantissa digits below
-    # valuation -h.v, so a draw is read below the largest such cut, and
-    # ``draw_raw`` keeps only those digits; a shifted draw is read in full.
+    # Every tally depends on a draw only through its key (v, mant), so each
+    # key is tallied once with its count, in first-occurrence order, which
+    # gives every tally its angles in the sample-by-sample order.
+    # Unshifted, h * x reads the mantissa digits below valuation -h.v, so a
+    # draw is read below the largest such cut, and ``draw_raw`` keeps only
+    # those digits; a shifted draw is read in full.
     cut = None if shifted else max(
         (-hd[0] for hd in hdata if hd is not None), default=sampler.shell_only)
-    counts: dict[tuple[int, int], int] = {}
-    draw_raw, stream = sampler.draw_raw, RandomStream(0)
-    for state in MonteCarloEnsemble(seed, size)._seeds():
-        stream.state = state
-        key = draw_raw(stream, cut)
-        counts[key] = counts.get(key, 0) + 1
+    counts = MonteCarloEnsemble(seed, size)._counts(
+        partial(sampler.draw_raw, cut=cut))
     for (v, mant), count in counts.items():
         if shifted:
             x = PAdicValue(p, n, v, mant) + gamma
@@ -262,13 +266,8 @@ def norm_histogram(spec: GaussianSpec, size: int, seed: int) -> dict[int, int]:
     """Counts of the sampled norm exponents m (|x| = p**m) per shell."""
     sampler = cached_sampler(spec)
     draw_raw, cut = sampler.draw_raw, sampler.shell_only
-    counts: dict[int, int] = {}
-    stream = RandomStream(0)
-    for state in MonteCarloEnsemble(seed, size)._seeds():
-        stream.state = state
-        v, _ = draw_raw(stream, cut)
-        counts[-v] = counts.get(-v, 0) + 1
-    return counts
+    return MonteCarloEnsemble(seed, size)._counts(
+        lambda stream: -draw_raw(stream, cut)[0])
 
 
 # -- Wiener paths ---------------------------------------------------------------
@@ -295,8 +294,10 @@ def _laws(kind: str, params: tuple, q: float, p: int,
     """The draw laws of a path sampler: one per tree level of spread beta,
     or one per series coefficient of spread |zeta|**q.  Built once per
     parameter tuple, so a caller drawing one sample per call builds no
-    spec per draw; this is the one place that turns spreads into laws."""
-    spreads = params if kind == "tree" else [z.norm() ** q for z in params]
+    spec per draw; this is the one place that turns spreads into laws,
+    and it checks the zetas (``_lq_zetas``) and each spread's sign."""
+    spreads = params if kind == "tree" else [
+        z.norm() ** q for z in _lq_zetas(params)]
     if not all(b > 0 for b in spreads):
         raise ValueError("one positive spread per draw is required")
     return tuple(cached_sampler(GaussianSpec.one_dimensional(
@@ -309,18 +310,19 @@ def path_laws(kind: str, ball: BallSpec, depth: int, q: float,
 
     The parameters are the tree sampler's level spreads (default
     ``level_betas``) or the series sampler's zetas (default the first
-    ``2 * depth`` standard zetas).  Building the laws draws nothing; a
-    spread that is not positive or whose shells leave the float range
-    raises ValueError.
+    ``2 * depth`` standard zetas).  Building the laws draws nothing; tree
+    spreads not one per level, non-L_q zetas, and spreads not positive or
+    with shells beyond the float range raise ValueError.
     """
     if kind == "tree":
-        params = level_betas(ball, depth, q) if betas is None else betas
+        params = level_betas(ball, depth, q) if betas is None else tuple(betas)
+        if len(params) != ball.radius_exp + depth:
+            raise ValueError("one spread per level is required")
     elif kind == "mahler":
         params = standard_zetas(ball.p, ball.n, 2 * depth) \
-            if zetas is None else zetas
+            if zetas is None else tuple(zetas)
     else:
         raise ValueError(f"unknown sampler kind: {kind}")
-    params = tuple(params)
     return params, _laws(kind, params, q, ball.p, ball.n)
 
 
@@ -330,17 +332,10 @@ def sample_wiener_mahler(zetas, q: float, ball: BallSpec, depth: int,
     with independent coefficients X_m of spread |zeta_m|**q.
 
     Coefficient indexing starts at m = 1, so Q_m vanishes at the center and
-    w(center) = 0 exactly.  The declared geometric decay of the zetas is
-    what witnesses summability of the spreads at this truncation.
+    w(center) = 0 exactly.  The zetas' strictly decreasing norms (the L_q
+    rule) witness summability of the spreads at this truncation.
     """
-    zetas = tuple(zetas)
-    if not zetas:
-        raise ValueError("not L_q")
     p, n = ball.p, ball.n
-    norms = [z.norm() for z in zetas]
-    for a, b in zip(norms, norms[1:]):
-        if b > 0.75 * a + 1e-15:
-            raise ValueError("not L_q")
     coeffs = mahler_coefficient_draws(zetas, q, p, n, stream)
     size = ball.grid_size(depth)
     zero = PAdicValue.zero(p, n)
@@ -372,12 +367,8 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     carry an exactly-zero increment, which forces w(center) = 0 and makes
     increments over disjoint subtrees independent by construction.
     """
-    betas = tuple(betas)
-    levels = ball.radius_exp + depth
-    if len(betas) != levels:
-        raise ValueError("one spread per level is required")
+    _, samplers = path_laws("tree", ball, depth, q, betas=betas)
     p, n = ball.p, ball.n
-    samplers = _laws("tree", betas, q, p, n)
     mod = _pow(p, n)
 
     def children(level, j, base, kids):
@@ -403,7 +394,7 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
             out.append(PAdicValue(p, n, v, m))
         return out
 
-    values = _tree_scan(p, levels, PAdicValue.zero(p, n), children)
+    values = _tree_scan(p, len(samplers), PAdicValue.zero(p, n), children)
     return GridFunction(ball, depth, tuple(values))
 
 

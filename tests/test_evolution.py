@@ -704,3 +704,75 @@ def test_mat_norm_edge_cases(p):
     assert mat_norm(((Fraction(-p ** 3), one / p ** 2),), p) == float(p) ** 2
     assert mat_norm(((Fraction(7, 11 * p),),), p) == float(p)
     assert mat_norm(((Fraction(-11 * p ** 2, 7),),), p) == float(p) ** -2
+
+
+# -- U(t, t) = I read from the solved family -----------------------------------
+
+
+def _old_identity_check(u):
+    """The check ``identity_at_equal_times`` made before: every
+    ``exact(k, k)`` is the identity, which the shared identity always is."""
+    return all(u.exact(k, k) == mat_identity(u.dim) for k in range(u.size))
+
+
+def test_identity_holds_on_a_solved_family():
+    u = solve_evolution(const_generator(2), unit_ball(), DEPTH)
+    assert u.identity_holds()
+    for k in range(u.size):
+        u.exact((k + 1) % u.size, k)    # computes every inverse
+    assert len(u._inverses) == u.size
+    assert u.identity_holds()
+
+
+def test_identity_check_catches_a_doubled_center_transfer(monkeypatch):
+    # doubling the root of the tree pass doubles every transfer, so every
+    # U(t, s) = W(t) W(s)**-1, every cocycle and every exact(k, k) is
+    # unchanged; only W(center) == I can see it
+    scan = evolution._tree_scan
+
+    def doubled_root(p, levels, root, children):
+        rows, den = root
+        return scan(p, levels, ([[2 * x for x in row] for row in rows], den),
+                    children)
+
+    good = solve_evolution(const_generator(2), unit_ball(), DEPTH)
+    monkeypatch.setattr(evolution, "_tree_scan", doubled_root)
+    bad = solve_evolution(const_generator(2), unit_ball(), DEPTH)
+    size = bad.size
+    assert bad.exact(size - 1, 1) == good.exact(size - 1, 1)
+    assert bad.cocycle_holds(size - 1, 1, size // 2)
+    assert _old_identity_check(bad)
+    assert not bad.identity_holds()
+
+
+def test_identity_check_catches_a_transfer_scaled_after_its_inverse():
+    u = solve_evolution(const_generator(2), unit_ball(), DEPTH)
+    k = u.size // 2
+    u.exact(0, k)                       # caches W(k)**-1
+    rows, den = u._transfers[k]
+    transfers = list(u._transfers)
+    transfers[k] = ([[2 * x for x in row] for row in rows], den)
+    bad = EvolutionOperator(u.grid, u.dim, transfers)
+    bad._inverses.update(u._inverses)
+    assert _old_identity_check(bad)
+    assert not bad.identity_holds()
+
+
+def test_mof_check_builds_one_flow_per_path(monkeypatch):
+    ball = unit_ball()
+    paths = [wiener_path("tree", ball, DEPTH, 2.0, seed=s)
+             for s in (101, 202, 303)]
+    alpha = PAdicValue.from_int(P**3, P, N)
+    beta = PAdicValue.from_int(2 * P**3, P, N)
+    inits = tuple(PAdicValue.from_int(c, P, N) for c in (1, 2))
+    calls = []
+    flow = evolution.scalar_flow
+
+    def counted(a, b, w):
+        calls.append(w)
+        return flow(a, b, w)
+
+    monkeypatch.setattr(evolution, "scalar_flow", counted)
+    rep = mof_check(alpha, beta, paths, q=1.0, initial_values=inits)
+    assert rep.representation_ok and rep.chain_ok
+    assert calls == paths

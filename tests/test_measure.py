@@ -2,11 +2,20 @@ import bisect
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicsde import measure
 from padicsde.antider import GridFunction, _tree_scan
-from padicsde.charexpect import character_product_check
-from padicsde.charfun import AngleTally, GaussianSpec, shell_distribution
+from padicsde.charexpect import (
+    character_product_check,
+    product_telescoping_moduli,
+)
+from padicsde.charfun import (
+    AngleTally,
+    GaussianSpec,
+    _lq_zetas,
+    shell_distribution,
+)
 from padicsde.measure import (
     Gaussian1DSampler,
     MonteCarloEnsemble,
@@ -15,6 +24,7 @@ from padicsde.measure import (
     level_betas,
     mahler_coefficient_draws,
     mix64,
+    path_laws,
     sample_gaussian,
     sample_wiener_mahler,
     sample_wiener_tree,
@@ -522,3 +532,173 @@ def test_bad_zeta_decay_rejected():
     ones = (PAdicValue.one(p, N), PAdicValue.one(p, N))
     with pytest.raises(ValueError, match="not L_q"):
         sample_wiener_mahler(ones, 1.0, ball, 3, RandomStream(0))
+
+
+# -- one home for every path-law rule ------------------------------------------
+#
+# Each entry point that takes path-law parameters refuses the same bad
+# inputs with the same ValueError, because all of them reach the checks in
+# ``path_laws`` (one spread per level) and ``_laws`` (the L_q rule of the
+# zetas, ``charfun._lq_zetas``).
+
+_RULE_P, _RULE_DEPTH = 3, 2
+
+
+def _zeta(v):
+    return PAdicValue(_RULE_P, N, v, 1)
+
+
+_BAD_ZETAS = {
+    "equal_valuations": (_zeta(1), _zeta(1)),
+    "rising_valuations": (_zeta(2), _zeta(1)),
+    # norms 1/9, 1/3, 1/3, which path_laws alone once let through
+    "rise_then_equal": (_zeta(2), _zeta(1), _zeta(1)),
+    "zero_zeta": (_zeta(1), PAdicValue.zero(_RULE_P, N)),
+    "no_zetas": (),
+}
+
+
+def _zeta_entry_points():
+    p, q = _RULE_P, 1.0
+    ball = BallSpec.unit(p, N)
+    psi = GridFunction.constant(ball, _RULE_DEPTH, PAdicValue.one(p, N))
+    one = PAdicValue.one(p, N)
+    return {
+        "wiener_path": lambda z: wiener_path(
+            "mahler", ball, _RULE_DEPTH, q, seed=1, zetas=z),
+        "sample_wiener_mahler": lambda z: sample_wiener_mahler(
+            z, q, ball, _RULE_DEPTH, RandomStream(1)),
+        "mahler_coefficient_draws": lambda z: mahler_coefficient_draws(
+            z, q, p, N, RandomStream(1)),
+        "path_laws": lambda z: path_laws(
+            "mahler", ball, _RULE_DEPTH, q, zetas=z),
+        "character_product_check": lambda z: character_product_check(
+            psi, one, one, 1, samples=10, seed=1, q=q, sampler="mahler",
+            zetas=z),
+        "GaussianSpec.product": lambda z: GaussianSpec.product(p, N, z, q),
+    }
+
+
+def _beta_entry_points():
+    p, q = _RULE_P, 1.0
+    ball = BallSpec.unit(p, N)
+    psi = GridFunction.constant(ball, _RULE_DEPTH, PAdicValue.one(p, N))
+    one = PAdicValue.one(p, N)
+    return {
+        "wiener_path": lambda b: wiener_path(
+            "tree", ball, _RULE_DEPTH, q, seed=1, betas=b),
+        "sample_wiener_tree": lambda b: sample_wiener_tree(
+            b, q, ball, _RULE_DEPTH, RandomStream(1)),
+        "path_laws": lambda b: path_laws("tree", ball, _RULE_DEPTH, q,
+                                         betas=b),
+        "character_product_check": lambda b: character_product_check(
+            psi, one, one, 1, samples=10, seed=1, q=q, betas=b),
+        "character_product_check_mahler": lambda b: character_product_check(
+            psi, one, one, 1, samples=10, seed=1, q=q, betas=b,
+            sampler="mahler"),
+        "product_telescoping_moduli": lambda b: product_telescoping_moduli(
+            psi, one, one, 1, q, b),
+    }
+
+
+def _message(call, arg) -> str:
+    with pytest.raises(ValueError) as info:
+        call(arg)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_ZETAS))
+def test_every_entry_point_refuses_bad_zetas_alike(bad):
+    want = _message(_lq_zetas, _BAD_ZETAS[bad])
+    assert want.startswith("not L_q")
+    got = {name: _message(call, _BAD_ZETAS[bad])
+           for name, call in _zeta_entry_points().items()}
+    assert got == dict.fromkeys(got, want)
+
+
+@pytest.mark.parametrize("shift", [-1, 1], ids=["short", "long"])
+def test_every_entry_point_refuses_wrong_beta_count_alike(shift):
+    levels = BallSpec.unit(_RULE_P, N).radius_exp + _RULE_DEPTH
+    betas = tuple(0.5 ** j for j in range(levels + shift))
+    got = {name: _message(call, betas)
+           for name, call in _beta_entry_points().items()}
+    assert got == dict.fromkeys(got, "one spread per level is required")
+
+
+def test_entry_points_accept_good_path_laws():
+    good = (_zeta(1), _zeta(2), _zeta(4))
+    for call in _zeta_entry_points().values():
+        call(good)
+    levels = BallSpec.unit(_RULE_P, N).radius_exp + _RULE_DEPTH
+    for call in _beta_entry_points().values():
+        call(tuple(0.5 ** j for j in range(levels)))
+
+
+# The two float rules that the L_q rule replaced, as they were written:
+# ``GaussianSpec.product`` asked for nonzero zetas with
+# |zeta_{j+1}| <= 0.5 |zeta_j| + 1e-15, the series sampler for at least one
+# zeta with |zeta_{j+1}| <= 0.75 |zeta_j| + 1e-15 and, where its laws were
+# built, a positive spread |zeta|**q for each.
+
+def _old_product_rule(zetas) -> bool:
+    if not zetas or any(z.is_zero for z in zetas):
+        return False
+    norms = [z.norm() for z in zetas]
+    return all(b <= 0.5 * a + 1e-15 for a, b in zip(norms, norms[1:]))
+
+
+def _old_series_rule(zetas, q=1.0) -> bool:
+    if not zetas:
+        return False
+    norms = [z.norm() for z in zetas]
+    return all(b <= 0.75 * a + 1e-15 for a, b in zip(norms, norms[1:])) \
+        and all(x ** q > 0 for x in norms)
+
+
+def _new_rule(zetas) -> bool:
+    try:
+        _lq_zetas(zetas)
+    except ValueError:
+        return False
+    return True
+
+
+# Norms are powers of p, so a ratio below one is at most 1/2 and both float
+# rules hold; a ratio of one or more fails both, as long as the norms are
+# well above the rules' absolute slack of 1e-15 (p**-10 >= 7**-10 > 3e-9).
+@settings(max_examples=400, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]),
+       vals=st.lists(st.none() | st.integers(-10, 10), max_size=6))
+def test_lq_rule_accepts_exactly_what_both_float_rules_accept(p, vals):
+    zetas = tuple(PAdicValue.zero(p, N) if v is None else PAdicValue(p, N, v, 1)
+                  for v in vals)
+    assert _new_rule(zetas) == (
+        _old_product_rule(zetas) and _old_series_rule(zetas))
+
+
+def test_lq_rule_refuses_equal_tiny_norms_the_float_slack_let_through():
+    # at norms below the 1e-15 slack the float rules accepted equal norms,
+    # which do not decay; the valuation rule refuses them
+    zetas = (PAdicValue(2, N, 60, 1), PAdicValue(2, N, 60, 1))
+    assert _old_product_rule(zetas) and _old_series_rule(zetas)
+    assert not _new_rule(zetas)
+
+
+# -- the ensemble's one count loop ----------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+def test_counts_match_the_explicit_loop(seed):
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
+    ens = MonteCarloEnsemble(seed, 400)
+
+    def key(stream):
+        return sampler.draw_raw(stream, 1)
+
+    want: dict = {}
+    for stream in ens.streams():
+        k = key(stream)
+        want[k] = want.get(k, 0) + 1
+    got = ens._counts(key)
+    assert list(got.items()) == list(want.items())
+    assert sum(got.values()) == ens.size
