@@ -20,7 +20,6 @@ for parse errors and the key path otherwise).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -28,6 +27,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import chain, islice, starmap
 from pathlib import Path
 
 from .antider import GridFunction, by_parts_residual, covariation, \
@@ -263,58 +263,94 @@ class RunConfig:
 # -- artifact helpers -------------------------------------------------------------
 
 
+# rows encoded and written per chunk: bounds a file's text in memory
+_CHUNK_ROWS = 2048
+
+# CSV cell formats by cell type.  Every str cell is a QP text, which always
+# holds a comma and never a quote or line break, so it is always quoted;
+# numbers never need quoting.  These are the bytes that
+# csv.writer(quoting=QUOTE_MINIMAL, lineterminator="\n") writes.
+_CELL_FORMATS = {str: '"{}"', int: "{}", float: "{!r}"}
+
+
+def _csv_chunks(header, rows):
+    """Yield the CSV text of ``header`` and ``rows`` in chunks of at most
+    ``_CHUNK_ROWS`` rows, formatting every row with one template built
+    from the cell types of the first row."""
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    row_format = (",".join(_CELL_FORMATS[type(cell)] for cell in first)
+                  + "\n").format
+    rows = chain((first,), rows)
+    while chunk := "".join(starmap(row_format, islice(rows, _CHUNK_ROWS))):
+        yield chunk
+
+
 class Artifacts:
     """Collects run outputs; the manifest is always written last.
 
     The output directory is created by the first write, so a run rejected
-    before it writes anything leaves no directory behind.
+    before it writes anything leaves no directory behind.  Each artifact's
+    digest is taken from its bytes as they are written; no file is read
+    back.
     """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.names: list[str] = []
+        self.digests: dict[str, str] = {}
 
     def path(self, name: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def write_csv(self, name: str, header, rows) -> Path:
+    def _write(self, name: str, chunks) -> tuple[Path, str]:
+        """Write the text ``chunks`` to ``name`` as UTF-8, each chunk once,
+        and return the path and the sha256 of the bytes written.  If a
+        chunk raises, the partial file is removed and the error re-raised,
+        so only complete artifacts stay on disk."""
         target = self.path(name)
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL,
-                                lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        self.names.append(name)
+        sha = hashlib.sha256()
+        try:
+            with open(target, "wb") as fh:
+                for chunk in chunks:
+                    data = chunk.encode("utf-8")
+                    sha.update(data)
+                    fh.write(data)
+        except BaseException:
+            target.unlink(missing_ok=True)
+            raise
+        return target, f"sha256:{sha.hexdigest()}"
+
+    def write_csv(self, name: str, header, rows) -> Path:
+        """Write ``rows`` (any iterable; read once, in chunks) under
+        ``header``: QP cells quoted, numbers bare, "\\n" line ends."""
+        target, self.digests[name] = self._write(name,
+                                                 _csv_chunks(header, rows))
         return target
 
     def write_json(self, name: str, payload) -> Path:
-        target = self.path(name)
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        self.names.append(name)
+        target, self.digests[name] = self._write(name, [_json_text(payload)])
         return target
 
     def finish(self, config: RunConfig, status: str, checks) -> Path:
-        hashes = {}
-        for name in sorted(self.names):
-            digest = hashlib.sha256(self.path(name).read_bytes()).hexdigest()
-            hashes[name] = f"sha256:{digest}"
         manifest = {
             "command": config.command,
             "config": config.raw,
             "seed": config.seed,
             "tolerances": config.tolerances,
-            "artifacts": hashes,
+            "artifacts": self.digests,
             "checks": checks,
             "status": status,
         }
-        target = self.path("manifest.json")
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        target, _ = self._write("manifest.json", [_json_text(manifest)])
         return target
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -384,8 +420,7 @@ def run_charfun(cfg: RunConfig, art: Artifacts):
     if not table.weights:
         raise ConfigError(f"config.charfun.m_lo: value {table.m_lo} is above "
                           f"m_hi {table.m_hi}")
-    rows = [(m, repr(w)) for m, w in table.rows()]
-    art.write_csv("shells.csv", ["m", "prob"], rows)
+    art.write_csv("shells.csv", ["m", "prob"], table.rows())
     for m, w in table.rows():
         print(f"{m},{w!r}")
     mass = table.total_mass()
@@ -420,8 +455,8 @@ def run_sample(cfg: RunConfig, art: Artifacts):
         except ValueError as exc:   # beta puts the shells beyond floats
             raise ConfigError(f"config.sample.beta: value {beta!r}: {exc}")
         ens = MonteCarloEnsemble(cfg.seed, count)
-        rows = [(i, sampler.draw(ens.stream(i)).qp_str())
-                for i in range(count)]
+        rows = ((i, sampler.draw(ens.stream(i)).qp_str())
+                for i in range(count))
         art.write_csv("samples.csv", ["index", "value"], rows)
         manifest = {"seed": cfg.seed, "S": count, "sampler": kind,
                     "spec": {"beta": beta, "q": q, "gamma": gamma.qp_str()}}
@@ -432,8 +467,8 @@ def run_sample(cfg: RunConfig, art: Artifacts):
         for i in range(count):
             path = wiener_path(sampler, ball, cfg.depth, q,
                                seed=derive_seed(cfg.seed, i))
-            rows = [(ball.point(k, cfg.depth).qp_str(), w.qp_str())
-                    for k, w in enumerate(path.values)]
+            rows = ((ball.point(k, cfg.depth).qp_str(), w.qp_str())
+                    for k, w in enumerate(path.values))
             art.write_csv(f"path_{i:04d}.csv", ["t", "w"], rows)
             checks.append({
                 "name": f"path_{i:04d}_zero_at_center",
@@ -458,7 +493,7 @@ def run_solve(cfg: RunConfig, art: Artifacts):
         w = wiener_path("tree", problem.ball, problem.depth, q,
                         seed=derive_seed(cfg.seed, i))
         sol = solve_picard(problem, w)
-        rows = [(t, xi.qp_str()) for t, xi in zip(t_texts, sol.values.values)]
+        rows = ((t, xi.qp_str()) for t, xi in zip(t_texts, sol.values.values))
         art.write_csv(f"solution_{i:04d}.csv", ["t", "xi"], rows)
         reports.append({
             "sample": i,

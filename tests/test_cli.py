@@ -1,3 +1,7 @@
+import csv
+import hashlib
+import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -5,9 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from padicsde.cli import SECTIONS, TOLERANCES, TOP, ConfigError, \
-    RunConfig, _exp_scale_floor, main
-from padicsde.padic import PRIME_LIMIT
+from padicsde.cli import _CHUNK_ROWS, SECTIONS, TOLERANCES, TOP, \
+    Artifacts, ConfigError, RunConfig, _csv_chunks, _exp_scale_floor, main
+from padicsde.padic import PRIME_LIMIT, PAdicValue
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -126,6 +130,140 @@ def test_evolve_subcommand(tmp_path):
     assert report["perturbation"]["identity_residual"] == 0.0
     names = {c["name"]: c["passed"] for c in report["checks"]}
     assert all(names.values())
+
+
+# -- artifact writing -------------------------------------------------------
+
+
+def run_to(tmp_path, command, extra):
+    out = tmp_path / "out"
+    cfgfile = write_config(tmp_path, {**BASE, **extra})
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+    return out
+
+
+def csv_writer_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL,
+               lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def sha256_tag(data: bytes) -> str:
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
+QP_TEXTS = ["QP(p=3,v=0,d=0 0 0 0 0 0)", "QP(p=3,v=-2,d=2 1 0 0 0 1)",
+            "QP(p=11,v=4,d=10 0 3)"]
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(m, w) for m, w in enumerate([0.1, 1e16, 5e-324, 1e-300, 0.0, 1.0,
+                                   123456789.0, 2.5e-07, -0.0])],
+    [(QP_TEXTS[k % 3], QP_TEXTS[(k + 1) % 3]) for k in range(5)],
+    # several chunks, and a last chunk of one row
+    [(k, QP_TEXTS[k % 3]) for k in range(3 * _CHUNK_ROWS + 1)],
+    [[*QP_TEXTS, 7, 0.5]] * (_CHUNK_ROWS + 2),
+], ids=["empty", "floats", "qp", "chunks", "mixed"])
+def test_csv_template_matches_csv_writer(rows):
+    header = ["a", "b"]
+    chunks = list(_csv_chunks(header, iter(rows)))
+    assert "".join(chunks).encode("utf-8") == csv_writer_bytes([header,
+                                                                *rows])
+    assert all(chunk.count("\n") <= _CHUNK_ROWS for chunk in chunks)
+
+
+# every CSV kind the CLI writes; the tree path at p = 3, depth 7 and the
+# 2500 Gaussian samples each span two chunks
+CSV_RUNS = {
+    "shells": ("charfun", {"charfun": {"beta": 1.0}}),
+    "gaussian1d": ("sample", {"sample": {"kind": "gaussian1d", "count": 2500,
+                                         "beta": 1.0, "q": 1}}),
+    "tree": ("sample", {"precision": 8, "depth": 7,
+                        "sample": {"kind": "wiener_tree", "count": 2,
+                                   "q": 1}}),
+    "mahler": ("sample", {"radius_exp": 1,
+                          "sample": {"kind": "wiener_mahler", "count": 1,
+                                     "q": 1}}),
+    "solution": ("solve", {"solve": {"problem": "linear", "samples": 2}}),
+    "operator": ("evolve", {"evolve": {"dim": 2, "triples": 12}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_RUNS))
+def test_csv_artifacts_are_csv_writer_fixed_points(tmp_path, kind):
+    out = run_to(tmp_path, *CSV_RUNS[kind])
+    files = sorted(out.glob("*.csv"))
+    assert files
+    for f in files:
+        with open(f, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1
+        assert {len(row) for row in rows} == {len(rows[0])}, f.name
+        assert csv_writer_bytes(rows) == f.read_bytes(), f.name
+
+
+@pytest.mark.parametrize("command, extra", [
+    CSV_RUNS["shells"], CSV_RUNS["tree"], CSV_RUNS["solution"],
+    CSV_RUNS["operator"],
+    ("verify", {"verify": {"trials": 5, "char_samples": 100, "points": 1}}),
+], ids=["charfun", "sample", "solve", "evolve", "verify"])
+def test_manifest_digests_match_files(tmp_path, command, extra):
+    out = run_to(tmp_path, command, extra)
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    on_disk = {f.name: sha256_tag(f.read_bytes()) for f in out.iterdir()
+               if f.name != "manifest.json"}
+    assert manifest["artifacts"] == on_disk
+
+
+def test_failed_csv_write_removes_its_partial_file(tmp_path):
+    art = Artifacts(tmp_path / "out")
+    first = art.write_csv("whole.csv", ["k"], [(k,) for k in range(3)])
+    target = tmp_path / "out" / "broken.csv"
+
+    def rows():
+        for k in range(3 * _CHUNK_ROWS):
+            yield (k,)
+        assert target.stat().st_size > 0    # two chunks reached the file
+        raise RuntimeError("row fault")
+
+    with pytest.raises(RuntimeError, match="row fault"):
+        art.write_csv("broken.csv", ["k"], rows())
+    assert not target.exists()
+    assert art.digests == {"whole.csv": sha256_tag(first.read_bytes())}
+
+
+def test_error_partway_through_a_csv_leaves_only_whole_files(
+        tmp_path, monkeypatch, capsys):
+    # two texts per row, 2187 rows per path: fail at about row 2150 of the
+    # second path, after its first chunk was written
+    real = PAdicValue.qp_str
+    calls = itertools.count()
+    partial = tmp_path / "err" / "path_0001.csv"
+
+    def failing(self):
+        if next(calls) == 2 * 2187 + 2 * 2150:
+            assert partial.stat().st_size > 0
+            raise RuntimeError("serialization fault")
+        return real(self)
+
+    monkeypatch.setattr(PAdicValue, "qp_str", failing)
+    cfgfile = write_config(tmp_path, {
+        **BASE, "precision": 8, "depth": 7,
+        "sample": {"kind": "wiener_tree", "count": 3, "q": 1}})
+    out = tmp_path / "err"
+    assert main(["sample", "--config", str(cfgfile),
+                 "--out", str(out)]) == 1
+    assert "serialization fault" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert manifest["status"] == "error"
+    assert manifest["checks"] == [{"name": "exception", "passed": False,
+                                   "error": "serialization fault"}]
+    on_disk = {f.name: sha256_tag(f.read_bytes()) for f in out.iterdir()
+               if f.name != "manifest.json"}
+    assert manifest["artifacts"] == on_disk
+    assert sorted(on_disk) == ["path_0000.csv"]
 
 
 def test_schema_violation_exit_2(tmp_path, capsys):

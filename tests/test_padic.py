@@ -327,6 +327,16 @@ def test_qp_str_matches_digit_text(x):
 
 
 @settings(max_examples=300, deadline=None)
+@given(text_values())
+def test_qp_str_is_one_quoted_csv_cell(x):
+    # the CLI's CSV writer quotes every QP text without scanning it: each
+    # holds a comma, and none holds a quote or a line break
+    text = x.qp_str()
+    assert "," in text
+    assert not {'"', "\r", "\n"} & set(text)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 4099]), st.integers(1, 12),
        st.integers(-10**30, 10**30), st.integers(0, 5), st.integers(-9, 9))
 @example(5, 6, 0, 0, 3)              # zero
