@@ -485,12 +485,14 @@ def run_solve(cfg: RunConfig, art: Artifacts):
     problem, meta = build_problem(cfg)
     count, q = cfg.section["samples"], cfg.section["sampler_q"]
     _check_path_q(cfg, "tree", q, "config.solve.sampler_q")
-    t_texts = [t.qp_str() for t in
-               GridFunction.coordinate(problem.ball, problem.depth).values]
+    ball, depth = problem.ball, problem.depth
+    # serialized once per run; no full-grid GridFunction is cached
+    t_texts = [ball.point(k, depth).qp_str()
+               for k in range(ball.grid_size(depth))]
     reports = []
     checks = []
     for i in range(count):
-        w = wiener_path("tree", problem.ball, problem.depth, q,
+        w = wiener_path("tree", ball, depth, q,
                         seed=derive_seed(cfg.seed, i))
         sol = solve_picard(problem, w)
         rows = ((t, xi.qp_str()) for t, xi in zip(t_texts, sol.values.values))
@@ -511,6 +513,8 @@ def run_solve(cfg: RunConfig, art: Artifacts):
             "value": max(sol.contraction.values(), default=0.0),
             "passed": all(c < 1.0 for c in sol.contraction.values()),
         })
+        # release this sample's grids before the next path is drawn
+        del w, sol, rows
     art.write_json("convergence.json", {"meta": meta, "solves": reports})
     return checks
 

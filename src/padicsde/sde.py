@@ -45,7 +45,8 @@ class Program:
     """A named coefficient program over (grid point, state value).
 
     ``lipschitz`` is the user-declared local Lipschitz constant in the
-    state; it is spot-validated by sampling, never inferred.
+    state, never inferred.  No solver reads it; a caller can compare it
+    with the sampled quotient ``SDEProblem.validate_lipschitz`` returns.
 
     A ``functional`` program receives the whole previous iterate (the
     state as an element of the continuous-function space) as a third
@@ -78,13 +79,9 @@ def constant_program(value: PAdicValue) -> Program:
     return Program(f"constant({value.qp_str()})", lambda t, x: value)
 
 
-def linear_state_program(alpha: PAdicValue, const: PAdicValue | None = None) -> Program:
-    c = const if const is not None else PAdicValue.zero(alpha.p, alpha.n)
-    if c.is_zero:
-        fn = lambda t, x: alpha * x
-    else:
-        fn = lambda t, x: alpha * x + c
-    return Program(f"linear({alpha.qp_str()})", fn, lipschitz=alpha.norm())
+def linear_state_program(alpha: PAdicValue) -> Program:
+    return Program(f"linear({alpha.qp_str()})", lambda t, x: alpha * x,
+                   lipschitz=alpha.norm())
 
 
 def polynomial_program(coeffs: tuple[PAdicValue, ...], lipschitz: float) -> Program:
@@ -160,8 +157,9 @@ class SDEProblem:
                     raise ValueError("decay")
 
     def validate_lipschitz(self, samples: int = 64, seed: int = 0) -> float:
-        """Advisory check: largest sampled difference quotient of the
-        coefficients against the declared constant."""
+        """The largest sampled difference quotient of the pointwise drift
+        and diffusion.  It does not read the declared ``lipschitz``; the
+        caller compares the two."""
         stream = RandomStream(seed)
         p, n = self.ball.p, self.ball.n
         worst = 0.0
@@ -259,7 +257,10 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     take more.  A node's exact sum, the cell of x0 plus its chain sum,
     lives in two integer lists (numerators and p-exponents) indexed by
     grid index; the tree scan carries only the rounded values.  The path
-    increments are built once per solve, when a term reads them.
+    increments are built once per solve, when a term reads them.  Only the
+    interior nodes, those with children, read their grid point: they are
+    the indices below ``p**(radius_exp + depth - 1)``, exactly the grid one
+    level up, so the sweep reads its points from that coarser grid.
     """
     ball, depth = problem.ball, problem.depth
     if w.ball != ball or w.depth != depth:
@@ -269,7 +270,9 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     if initial is not None and (len(initial) != size or
                                 any(x.p != p for x in initial)):
         raise ValueError(f"initial must hold {size} values at p={p}")
-    points = GridFunction.coordinate(ball, depth).values
+    # the interior grid; a one-point grid has no interior node
+    points = GridFunction.coordinate(ball, depth - 1).values \
+        if size > 1 else ()
     family = problem.family or picard_as_family(problem).family
     root = cell_round(p, n, cell_of(problem.x0))
     cur = list(initial) if initial is not None else [problem.x0] * size

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -117,6 +118,32 @@ def test_solve_pure_drift_closed_form(tmp_path):
         assert xi == x0 + t
     convergence = json.loads((out / "convergence.json").read_text())
     assert convergence["solves"][0]["residual"] == 0.0
+
+
+def test_solve_peak_memory_does_not_grow_with_samples(tmp_path):
+    # each sample's path and solution are released before the next path is
+    # drawn, so four samples peak no higher than one; the first run warms
+    # every cache the later runs read
+    cfg = {"prime": 5, "precision": 6, "depth": 5, "seed": 1}
+
+    def solve(samples, name):
+        cfgfile = write_config(tmp_path, {
+            **cfg, "solve": {"problem": "steep", "samples": samples}},
+            name=f"{name}.json")
+        assert main(["solve", "--config", str(cfgfile),
+                     "--out", str(tmp_path / name)]) == 0
+
+    solve(1, "warm")
+    tracemalloc.start()
+    try:
+        peaks = []
+        for samples in (1, 4):
+            tracemalloc.reset_peak()
+            solve(samples, f"s{samples}")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.02 * peaks[0], peaks
 
 
 def test_evolve_subcommand(tmp_path):

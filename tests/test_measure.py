@@ -1,5 +1,6 @@
 import bisect
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from padicsde.charfun import (
     AngleTally,
     GaussianSpec,
     _lq_zetas,
+    gaussian_char,
     shell_distribution,
 )
 from padicsde.measure import (
@@ -340,6 +342,73 @@ def test_empirical_char_matches_formula():
             want = math.exp(-beta * float(p) ** (-hv * q))
             assert abs(got.real - want) <= tol
             assert abs(got.imag) <= tol
+
+
+def _shell_counts(sampler):
+    """The exact law of a draw's shell as counts over 2**53, one per shell.
+
+    ``draw_raw`` takes shell ``bisect_right(_bounds, u1)`` of a uniform
+    64-bit output u1, and every bound is a multiple of 2**11, so the count
+    of u1 below a bound, over 2**11, is the bound over 2**11, capped at
+    2**53.  The mass past the last bound draws the last shell.
+    """
+    top = 1 << 53
+    assert all(b % (1 << 11) == 0 for b in sampler._bounds)
+    units = [min(b >> 11, top) for b in sampler._bounds]
+    counts = [b - a for a, b in zip([0] + units, units)]
+    counts[-1] += top - units[-1]
+    assert min(counts) >= 0 and sum(counts) == top
+    return counts
+
+
+def _exact_char(sampler, h):
+    """E[chi(h x)] under the exact shell law with uniform digits.
+
+    On the sphere |x| = p**m the mean of the character is 1, -1/(p - 1)
+    or 0 as ``k = m - v(h)`` is at most 0, 1, or at least 2; for k > n that
+    0 is also what the estimator counts for the digits no draw holds.
+    """
+    p = sampler.spec.p
+    total = Fraction(0)
+    for m, count in zip(sampler.shells, _shell_counts(sampler)):
+        k = m - h.v
+        if k <= 0:
+            total += count
+        elif k == 1:
+            total -= Fraction(count, p - 1)
+    return total / (1 << 53)
+
+
+@pytest.mark.parametrize("p, beta, q", [
+    (p, b, q) for p in (2, 3, 5) for b in (0.1, 1.0, 10.0) for q in (1, 2)])
+def test_exact_shell_law_matches_gaussian_char(p, beta, q):
+    # criterion 2's points, checked against the law the sampler's bounds
+    # encode instead of a Monte Carlo estimate.  Shells up to v(h) add 1
+    # and shell v(h) + 1 adds -1/(p - 1), so the oracle and the exact
+    # character are both (p F(v) - F(v + 1)) / (p - 1), F(m) being the
+    # chance of |x| <= p**m, and differ by at most (p + 1)/(p - 1) <= 3
+    # times the largest gap between the two F.  That gap is at most:
+    # - TAIL_TOL, the mass the table leaves below its lowest and above its
+    #   highest shell (each below TAIL_TOL), drawn as the end shells;
+    # - TAIL_TOL, the series cut of each ball probability behind the cdf;
+    # - 2**-53 for the grid: each bound rounds its cdf entry up to it;
+    # - 2**-53 per shell for each of the two float roundings (difference
+    #   and running sum) that build a cdf entry.
+    # The draw's digits are u2 % (p - 1) and u3 % p**(n - 1) of 64-bit
+    # outputs, off uniform by at most p**(n - 1) / 2**64 in total
+    # variation each; that modulo bias, and one rounding of the exp in
+    # gaussian_char, are added so that tol bounds the draw itself.
+    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    sampler = Gaussian1DSampler(spec)
+    grid = 2.0 ** -53
+    gap = 2 * measure.TAIL_TOL + (1 + 2 * len(sampler.shells)) * grid
+    bias = 2 * p ** (N - 1) / 2.0 ** 64
+    tol = 3 * gap + bias + grid
+    for v in (0, 1, 2, -1, -2):
+        h = PAdicValue(p, N, v, 1)
+        want = gaussian_char(spec, (PAdicValue.one(p, N),), h)
+        assert want.imag == 0.0
+        assert abs(float(_exact_char(sampler, h)) - want.real) <= tol, v
 
 
 def test_shifted_sampler_translates():

@@ -112,6 +112,42 @@ LINEAR_DW = {
     }),
 }
 
+# steep (no path read), linear and pure_noise (both read the path) at
+# p=3, N=6, seed 7, two samples, on grids the pins above miss: depth 1,
+# whose interior grid is the center alone; radius_exp 1; and both
+SHALLOW_GRIDS = {"depth1": {"depth": 1}, "radius1": {"radius_exp": 1},
+                 "both": {"depth": 1, "radius_exp": 1}}
+SHALLOW_SOLUTIONS = {
+    ("depth1", "steep"): (
+        "7da4d73f41b58b31fde71a67749a09c130c5afebeb048a696587c03b4de77098",
+        "7da4d73f41b58b31fde71a67749a09c130c5afebeb048a696587c03b4de77098"),
+    ("depth1", "linear"): (
+        "81cf7ff48bf7372d4dbbc950edcac9da8faa0b3d34037a11a9f4a129f67c4d0f",
+        "584ac87eced4b92a9734785966fe5f495bbc644fc6fc8ad9d7186644dcd61617"),
+    ("depth1", "pure_noise"): (
+        "20fa1bcfb52e8978dab38678ebf8cdcbce8a1c5e375d109e906ad6f2d0cd0580",
+        "ea51bf741c22ee919fbca1c0dbcd9edea7a531cb2cb0f94dc1190f92386d2f83"),
+    ("radius1", "steep"): (
+        "9abbb475439a3cf971589ec29828329da432d773c6a6a3241fdb8571ee8c93a3",
+        "9abbb475439a3cf971589ec29828329da432d773c6a6a3241fdb8571ee8c93a3"),
+    ("radius1", "linear"): (
+        "cd2729f8703e2d05d05d4b80885c3833fb3c4e3d1d35c042681f739f12468145",
+        "eaefbda7823b4b7ca021a6833f34fc6fd8e0b7f1ab2a436b815d8a3a9f9d17b6"),
+    ("radius1", "pure_noise"): (
+        "76ca3b379a5467d748c01d0b8a2ad84e02d0716dfdc0a7ce952f5240a76dcad6",
+        "a3d974e1648ab76dbb3e72362fb5acaf8f1c3b819d688da04ea24fea86a2cb17"),
+    ("both", "steep"): (
+        "e904a19202877edfa35d0d0709dc51e57c6232045aa4126ade33651a0a487c87",
+        "e904a19202877edfa35d0d0709dc51e57c6232045aa4126ade33651a0a487c87"),
+    ("both", "linear"): (
+        "e472984208d69e58cf92ae274622576e2fe921edca8cc8e2691c955cf9c7e0c2",
+        "536989e07f34ae720b00fc278f2ef7854981721abec1cfdd425e5d697b881589"),
+    ("both", "pure_noise"): (
+        "f49314b5f74e0f7fb8ff635e370439ed972c272594976d89caeff35dd7f21a2b",
+        "058988cd3e3a876c55e4eff93eee724e8b4e4b8ccf6efba4633d7065804640b7"),
+}
+
+
 def run_digests(tmp_path, command, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
@@ -215,3 +251,12 @@ def test_linear_path_increment_digests(tmp_path, case):
     got = run_digests(tmp_path, "solve", {**BASE, **extra,
                                           "solve": {"problem": "linear"}})
     assert {k: got[k] for k in digests} == digests
+
+
+@pytest.mark.parametrize("grid, problem", sorted(SHALLOW_SOLUTIONS))
+def test_shallow_grid_solution_digests(tmp_path, grid, problem):
+    got = run_digests(tmp_path, "solve", {
+        **BASE, **SHALLOW_GRIDS[grid],
+        "solve": {"problem": problem, "samples": 2}})
+    assert (got["solution_0000.csv"], got["solution_0001.csv"]) == \
+        SHALLOW_SOLUTIONS[grid, problem]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,12 @@ def make_problem(p, depth, x0_int=1, drift=None, diffusion=None, family=(),
         diffusion=diffusion or zero_program(p, N),
         family=tuple(family),
     )
+
+
+def affine_program(alpha, c):
+    """The state program x -> alpha * x + c."""
+    return sde.Program(f"affine({alpha.qp_str()})",
+                       lambda t, x: alpha * x + c)
 
 
 def path_for(problem, seed):
@@ -547,6 +554,22 @@ def test_sweep_matches_cell_reference(name, p, radius_exp):
     _assert_parity(prob, w)
 
 
+@pytest.mark.parametrize("name", ["steep", "linear", "pure_noise"])
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("radius_exp", [0, 1])
+def test_shallow_sweep_matches_cell_reference(name, depth, radius_exp):
+    # the sweep reads its points from the grid one level up: at depth 1
+    # that grid has depth 0, and at depth 0 with radius_exp 0 the grid is
+    # the center alone and has no interior
+    p = 3
+    cfg = RunConfig({"prime": p, "precision": N, "depth": 1,
+                     "radius_exp": radius_exp, "solve": {"problem": name}},
+                    "solve")
+    prob = replace(build_problem(cfg)[0], depth=depth)
+    w = wiener_path("tree", prob.ball, depth, 2.0, seed=50 + depth)
+    _assert_parity(prob, w)
+
+
 @pytest.mark.parametrize("p, radius_exp", [
     pytest.param(p, r, id=f"{p}-r{r}" if r else f"{p}")
     for r in (0, 1, 2) for p in (2, 3, 5)])
@@ -570,10 +593,10 @@ def test_four_term_family_matches_cell_reference(p, radius_exp):
     # e-slot powers up to 2
     ball = BallSpec(PAdicValue.from_int(1, p, N), radius_exp)
     drift = linear_state_program(PAdicValue.from_int(2, p, N))
-    diffusion = linear_state_program(PAdicValue.from_int(p, p, N),
-                                     PAdicValue.one(p, N))
-    slot = linear_state_program(PAdicValue.from_int(3, p, N),
-                                PAdicValue.from_rational(1, p, p, N))
+    diffusion = affine_program(PAdicValue.from_int(p, p, N),
+                               PAdicValue.one(p, N))
+    slot = affine_program(PAdicValue.from_int(3, p, N),
+                          PAdicValue.from_rational(1, p, p, N))
     family = (FamilyTerm(1, 0, 0, drift),
               FamilyTerm(0, 2, 2, constant_program(
                   PAdicValue.from_int(p, p, N)), e_slot=slot),
@@ -636,8 +659,8 @@ def test_zero_term_slots_are_never_called():
         return sde.Program(f"count_{key}", fn)
 
     drift = linear_state_program(PAdicValue.from_int(2, p, N))
-    diffusion = linear_state_program(PAdicValue.from_int(p, p, N),
-                                     PAdicValue.one(p, N))
+    diffusion = affine_program(PAdicValue.from_int(p, p, N),
+                               PAdicValue.one(p, N))
     two = PAdicValue.from_int(2, p, N)
     dead = FamilyTerm(1, 2, 1, zero_program(p, N),
                       a_slot=counting("a", two), e_slot=counting("e", two))
