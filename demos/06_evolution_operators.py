@@ -28,7 +28,7 @@ p, n, depth, dim = 3, 6, 3, 3
 ball = BallSpec.unit(p, n)
 base = tuple(tuple(Fraction((1 + (i + 2 * j) % 3) * p**3)
                    for j in range(dim)) for i in range(dim))
-gen = GeneratorSpec.constant(base, p=p)
+gen = GeneratorSpec.constant(base)
 
 print("== solved flow ==")
 u = solve_evolution(gen, ball, depth)
@@ -49,7 +49,7 @@ print(f"solved vs EXP((t-s)A) to {n - 1} digits:", agree)
 print("\n== perturbation ==")
 pert = tuple(tuple(Fraction((1 + (2 * i + j) % 3) * p**4)
                    for j in range(dim)) for i in range(dim))
-rep = perturbation_check(gen, GeneratorSpec.constant(pert, p=p), ball,
+rep = perturbation_check(gen, GeneratorSpec.constant(pert), ball,
                          depth, pairs=[(4, 0), (17, 5), (26, 13)])
 print(f"gap {rep.gap_norm:.2e} <= bound {rep.bound:.2e}: {rep.bound_holds}")
 print("interchange identity residual:", rep.identity_residual)

@@ -30,8 +30,6 @@ class CharExpectationReport:
     """One test point of the product identity: empirical versus analytic."""
 
     t_index: int
-    gamma: PAdicValue
-    g: PAdicValue
     samples: int
     empirical: complex
     stderr: float
@@ -184,7 +182,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     passed = (abs(empirical.real - analytic) <= tol
               and abs(empirical.imag) <= tol)
     return CharExpectationReport(
-        t_index=t_index, gamma=gamma, g=g, samples=samples,
+        t_index=t_index, samples=samples,
         empirical=empirical, stderr=stderr, analytic=complex(analytic),
         tolerance=tol, asserted=asserted, passed=passed)
 

@@ -297,6 +297,12 @@ class ShellTable:
     lower_tail: float
     upper_tail: float
 
+    def __post_init__(self):
+        # one weight per shell; m_lo > m_hi is the empty table
+        if len(self.weights) != max(self.m_hi - self.m_lo + 1, 0):
+            raise ValueError(f"{len(self.weights)} weights for the shells "
+                             f"{self.m_lo}..{self.m_hi}")
+
     def rows(self):
         return [(self.m_lo + i, w) for i, w in enumerate(self.weights)]
 

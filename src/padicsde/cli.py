@@ -382,7 +382,7 @@ def build_problem(cfg: RunConfig) -> tuple[SDEProblem, dict]:
         kappa = PAdicValue.from_rational(1, p, p, n)
         drift, diffusion = linear_state_program(kappa), zero
     elif name == "polynomial":
-        drift = polynomial_program(sec["coeffs"], lipschitz=1.0)
+        drift = polynomial_program(sec["coeffs"])
         diffusion = zero
     else:  # locally_constant
         ball = cfg.ball()
@@ -530,8 +530,8 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
                        for j in range(dim)) for i in range(dim))
     pert = tuple(tuple(Fraction((1 + (2 * i + j) % 3) * p**perturb_exp)
                        for j in range(dim)) for i in range(dim))
-    gen = GeneratorSpec.constant(base, p=p)
-    gen_b = GeneratorSpec.constant(pert, p=p)
+    gen = GeneratorSpec.constant(base)
+    gen_b = GeneratorSpec.constant(pert)
     u = solve_evolution(gen, ball, cfg.depth)
 
     rows = []

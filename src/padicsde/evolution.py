@@ -158,16 +158,15 @@ def mat_round(a: Matrix, p: int, n: int) -> tuple[tuple[PAdicValue, ...], ...]:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A bounded, entrywise-continuous generator family t -> A(t)."""
+    """A bounded, entrywise-continuous generator family t -> A(t) of exact
+    matrices; a check that needs its norm reads it off the values."""
 
     dim: int
     fn: Callable[[PAdicValue], Matrix]
-    sup_norm: float
 
     @classmethod
-    def constant(cls, matrix: Matrix, p: int) -> "GeneratorSpec":
-        return cls(dim=len(matrix), fn=lambda t: matrix,
-                   sup_norm=mat_norm(matrix, p))
+    def constant(cls, matrix: Matrix) -> "GeneratorSpec":
+        return cls(dim=len(matrix), fn=lambda t: matrix)
 
     def __call__(self, t: PAdicValue) -> Matrix:
         return self.fn(t)
@@ -456,9 +455,7 @@ def perturbation_check(a: GeneratorSpec, b: GeneratorSpec, ball: BallSpec,
     p = ball.p
     radius = float(p) ** ball.radius_exp
     u = solve_evolution(a, ball, depth)
-    ab = GeneratorSpec(dim=a.dim,
-                       fn=lambda t: mat_add(a(t), b(t)),
-                       sup_norm=max(a.sup_norm + b.sup_norm, a.sup_norm))
+    ab = GeneratorSpec(dim=a.dim, fn=lambda t: mat_add(a(t), b(t)))
     ut = solve_evolution(ab, ball, depth)
     grid = u.grid.values
 

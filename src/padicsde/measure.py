@@ -284,6 +284,7 @@ def level_betas(ball: BallSpec, depth: int, q: float) -> tuple[float, ...]:
     p**(-(j - radius_exp)), and the increment over a step dt of a standard
     process is q-Gaussian with spread |dt|**q."""
     p, r = ball.p, ball.radius_exp
+    ball.grid_size(depth)   # refuses a negative total depth
     return tuple(float(p) ** (-(j - r) * q)
                  for j in range(r + depth))
 

@@ -42,24 +42,15 @@ _TEXT_TABLE_SIZE = 4096
 
 
 @lru_cache(maxsize=None)
-def _digit_chunks(p: int, n: int) -> tuple[tuple, tuple[str, ...], int]:
+def _digit_tables(p: int, n: int) -> tuple[tuple, tuple, int]:
     """How qp_str writes an n-digit mantissa m: ``(low, high, mod)``.
     With h = ceil(n/2) and mod = p**h <= _TEXT_TABLE_SIZE, the text is
-    ``low[m % mod] + high[m // mod]``, each high text led by a space.  Else
-    mod = 0, ``low`` holds ``(texts, p**k)`` per chunk of the largest width
-    k with ``p**k <= _TEXT_TABLE_SIZE`` below the top chunk, and ``high``
-    the top chunk's texts; both are empty for primes above the size."""
+    ``low[m % mod] + high[m // mod]``, each high text led by a space.
+    Past the table size all three are empty (mod = 0)."""
     k = (n + 1) // 2
-    if p**k <= _TEXT_TABLE_SIZE:
-        return _digit_texts(p, k), _digit_texts(p, n - k, " "), _pow(p, k)
-    k = 0
-    while p ** (k + 1) <= _TEXT_TABLE_SIZE:
-        k += 1
-    if not k:
+    if p**k > _TEXT_TABLE_SIZE:
         return (), (), 0
-    *widths, top = [k] * (n // k) + ([n % k] if n % k else [])
-    return (tuple((_digit_texts(p, w), _pow(p, w)) for w in widths),
-            _digit_texts(p, top), 0)
+    return _digit_texts(p, k), _digit_texts(p, n - k, " "), _pow(p, k)
 
 
 @lru_cache(maxsize=None)
@@ -299,18 +290,11 @@ class PAdicValue:
 
     def qp_str(self) -> str:
         """Canonical text form ``QP(p=...,v=...,d=d0 d1 ... d{n-1})``, in
-        two table lookups where ``_digit_chunks`` allows, else by chunks."""
-        low, high, mod = _digit_chunks(self.p, self.n)
+        two lookups into the ``_digit_tables`` or digit by digit."""
+        low, high, mod = _digit_tables(self.p, self.n)
         if mod:
             hi, lo = divmod(self.m, mod)
             ds = low[lo] + high[hi]
-        elif high:
-            m, parts = self.m, []
-            for texts, mod in low:
-                m, c = divmod(m, mod)
-                parts.append(texts[c])
-            parts.append(high[m])
-            ds = " ".join(parts)
         else:
             ds = " ".join([str(d) for d in self.digits()])
         return f"QP(p={self.p},v={self.v},d={ds})"
@@ -387,7 +371,13 @@ class BallSpec:
         return d.m == 0 or d.v >= -self.radius_exp
 
     def grid_size(self, depth: int) -> int:
-        return _pow(self.p, self.radius_exp + depth)
+        """p**(radius_exp + depth) points; the one check that a depth has a
+        grid at all, so a negative total depth raises ValueError."""
+        levels = self.radius_exp + depth
+        if levels < 0:
+            raise ValueError(f"depth {depth}: radius_exp + depth = {levels} "
+                             "is negative")
+        return _pow(self.p, levels)
 
     def point(self, k: int, depth: int) -> PAdicValue:
         """Grid representative number k at the given depth."""

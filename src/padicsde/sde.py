@@ -24,6 +24,8 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
+from operator import sub
 from typing import Callable
 
 from .antider import (
@@ -42,20 +44,14 @@ from .padic import BallSpec, PAdicValue, _pow, _vp
 
 @dataclass(frozen=True)
 class Program:
-    """A named coefficient program over (grid point, state value).
-
-    ``lipschitz`` is the user-declared local Lipschitz constant in the
-    state, never inferred.  No solver reads it; a caller can compare it
-    with the sampled quotient ``SDEProblem.validate_lipschitz`` returns.
+    """A coefficient program over (grid point, state value).
 
     A ``functional`` program receives the whole previous iterate (the
     state as an element of the continuous-function space) as a third
     argument; pointwise programs are the common special case.
     """
 
-    name: str
     fn: Callable
-    lipschitz: float = 0.0
     functional: bool = False
 
     def __call__(self, t: PAdicValue, x: PAdicValue, state=None) -> PAdicValue:
@@ -64,27 +60,26 @@ class Program:
         return self.fn(t, x)
 
 
-def functional_program(name: str, fn, lipschitz: float = 0.0) -> Program:
+def functional_program(fn) -> Program:
     """A coefficient depending on the whole current iterate; fn receives
     (t, x, values) with values the previous iterate over the grid."""
-    return Program(name, fn, lipschitz=lipschitz, functional=True)
+    return Program(fn, functional=True)
 
 
 def zero_program(p: int, n: int) -> Program:
     z = PAdicValue.zero(p, n)
-    return Program("zero", lambda t, x: z)
+    return Program(lambda t, x: z)
 
 
 def constant_program(value: PAdicValue) -> Program:
-    return Program(f"constant({value.qp_str()})", lambda t, x: value)
+    return Program(lambda t, x: value)
 
 
 def linear_state_program(alpha: PAdicValue) -> Program:
-    return Program(f"linear({alpha.qp_str()})", lambda t, x: alpha * x,
-                   lipschitz=alpha.norm())
+    return Program(lambda t, x: alpha * x)
 
 
-def polynomial_program(coeffs: tuple[PAdicValue, ...], lipschitz: float) -> Program:
+def polynomial_program(coeffs: tuple[PAdicValue, ...]) -> Program:
     def fn(t, x):
         acc = PAdicValue.zero(x.p, x.n)
         power = PAdicValue.one(x.p, x.n)
@@ -93,7 +88,7 @@ def polynomial_program(coeffs: tuple[PAdicValue, ...], lipschitz: float) -> Prog
                 acc = acc + c * power
             power = power * x
         return acc
-    return Program("polynomial", fn, lipschitz=lipschitz)
+    return Program(fn)
 
 
 def locally_constant_program(ball: BallSpec, table: tuple[PAdicValue, ...]) -> Program:
@@ -107,7 +102,7 @@ def locally_constant_program(ball: BallSpec, table: tuple[PAdicValue, ...]) -> P
         d = 0 if off.is_zero or off.v > 0 else off.m % p
         return table[d]
 
-    return Program("locally_constant", fn)
+    return Program(fn)
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,8 @@ class SDEProblem:
 
     def validate_lipschitz(self, samples: int = 64, seed: int = 0) -> float:
         """The largest sampled difference quotient of the pointwise drift
-        and diffusion.  It does not read the declared ``lipschitz``; the
-        caller compares the two."""
+        and diffusion in the state: a measured local Lipschitz constant.
+        Functional programs are skipped."""
         stream = RandomStream(seed)
         p, n = self.ball.p, self.ball.n
         worst = 0.0
@@ -361,19 +356,19 @@ class LevelRow:
     ok: bool
 
 
-def _level_profile(values_per_path, points, center, s: float):
-    """Ensemble mean of |value|**s grouped by radius level |t - t0|."""
-    by_level: dict[int, list[int]] = {}
-    for k in range(1, len(points)):
-        by_level.setdefault((points[k] - center).v, []).append(k)
-    means: dict[int, float] = {}
-    for lev, idxs in by_level.items():
-        acc = 0.0
-        for vals in values_per_path:
-            for k in idxs:
-                acc += vals[k].norm() ** s
-        means[lev] = acc / (len(idxs) * len(values_per_path))
-    return means
+def _level_profile(rows, points, center, s: float):
+    """Ensemble mean of |value|**s grouped by radius level |t - t0|, from
+    one row of values per path, each read once into a running sum per
+    level (path by path, grid index rising) and dropped."""
+    levels = [(points[k] - center).v for k in range(1, len(points))]
+    sums = dict.fromkeys(levels, 0.0)
+    paths = 0
+    for vals in rows:
+        paths += 1
+        for lev, x in zip(levels, islice(vals, 1, None)):
+            sums[lev] += x.norm() ** s
+    return {lev: acc / (levels.count(lev) * paths)
+            for lev, acc in sums.items()}
 
 
 def _level_rows(means: dict, base: float, p: int, c1: float,
@@ -398,11 +393,10 @@ def moment_diagnostic(problem: SDEProblem, paths, s: int,
     the solution; the bound is max(|xi0|**s, |t - t0| (C1 + C2 stat)) with
     the supplied constants.
     """
-    sols = [solve_picard(problem, w) for w in paths]
     ball = problem.ball
     pts = GridFunction.coordinate(ball, problem.depth).values
-    means = _level_profile([sol.values.values for sol in sols], pts,
-                           ball.center, s)
+    rows = (solve_picard(problem, w).values.values for w in paths)
+    means = _level_profile(rows, pts, ball.center, s)
     return _level_rows(means, problem.x0.norm() ** s, ball.p, c1, c2)
 
 
@@ -417,12 +411,8 @@ def stability_diagnostic(problem: SDEProblem, x0_a: PAdicValue,
     """
     prob_a = replace(problem, x0=x0_a)
     prob_b = replace(problem, x0=x0_b)
-    gaps = []
-    for w in paths:
-        sa = solve_picard(prob_a, w)
-        sb = solve_picard(prob_b, w)
-        gaps.append(tuple(a - b for a, b in
-                          zip(sa.values.values, sb.values.values)))
+    gaps = (map(sub, solve_picard(prob_a, w).values.values,
+                solve_picard(prob_b, w).values.values) for w in paths)
     ball = problem.ball
     pts = GridFunction.coordinate(ball, problem.depth).values
     means = _level_profile(gaps, pts, ball.center, s)

@@ -256,7 +256,7 @@ def test_criterion_8_evolution_suite():
                        for j in range(dim)) for i in range(dim))
     pert = tuple(tuple(Fraction((1 + (2 * i + j) % 3) * p**4)
                        for j in range(dim)) for i in range(dim))
-    gen = GeneratorSpec.constant(base, p=p)
+    gen = GeneratorSpec.constant(base)
     u = solve_evolution(gen, ball, depth)
     for k in range(u.size):
         assert all(u.exact(k, k)[i][j] == (1 if i == j else 0)
@@ -270,7 +270,7 @@ def test_criterion_8_evolution_suite():
         for ru, re in zip(u.matrix(ti, si), e.matrix(ti, si)):
             for x, y in zip(ru, re):
                 assert x.agrees_abs(y, N - 1)
-    rep = perturbation_check(gen, GeneratorSpec.constant(pert, p=p), ball,
+    rep = perturbation_check(gen, GeneratorSpec.constant(pert), ball,
                              depth, pairs=[(1, 0), (8, 2), (26, 13),
                                            (14, 5), (22, 22)])
     assert rep.identity_residual == 0.0

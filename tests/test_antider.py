@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from padicsde.antider import (
@@ -11,7 +13,8 @@ from padicsde.antider import (
     covariation,
     square_decomposition_residual,
 )
-from padicsde.measure import wiener_path
+from padicsde.evolution import GeneratorSpec, solve_evolution
+from padicsde.measure import level_betas, wiener_path
 from padicsde.padic import BallSpec, PAdicValue, mahler_poly
 
 N = 6
@@ -33,6 +36,21 @@ def test_coordinate_grid_built_once_per_ball_and_depth():
     for other in (BallSpec(PAdicValue(p, N, -1, 7), 2),
                   BallSpec(PAdicValue(p, N - 1, -1, 5), 2)):
         assert GridFunction.coordinate(other, 2).values != grid.values
+
+
+@pytest.mark.parametrize("build, depth", [
+    (lambda ball, d: GridFunction.coordinate(ball, d), -1),
+    (lambda ball, d: GridFunction.constant(ball, d, PAdicValue.one(3, N)), -2),
+    (lambda ball, d: solve_evolution(
+        GeneratorSpec.constant(((Fraction(3),),)), ball, d), -1),
+    (lambda ball, d: level_betas(ball, d, 1.0), -1),
+], ids=["coordinate", "constant", "solve_evolution", "level_betas"])
+def test_negative_total_depth_is_refused(build, depth):
+    # BallSpec.grid_size is the one home of the rule; a radius that makes
+    # the total depth zero leaves a one-point grid
+    with pytest.raises(ValueError, match=f"depth {depth}: "):
+        build(unit_ball(3), depth)
+    build(BallSpec(PAdicValue.zero(3, N), -depth), depth)
 
 
 def random_grid(p, depth, rng, n=N, vmin=0, vmax=2):

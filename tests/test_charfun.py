@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,63 @@ def test_angle_tally_exact_mean():
     tally.add_raw(0, 0, 3)      # angle 0, three times
     expect = (2 * cmath.exp(2j * math.pi / 5) + 3) / 5
     assert abs(tally.mean() - expect) < 1e-15
+
+
+def _expanded_stderr(samples):
+    """Mean and the larger componentwise standard error of a list of
+    complex samples, by the two-pass formula."""
+    s = len(samples)
+    mu = sum(samples) / s
+    if s == 1:
+        return mu, 0.0
+    sre = sum((z.real - mu.real) ** 2 for z in samples)
+    sim = sum((z.imag - mu.imag) ** 2 for z in samples)
+    return mu, math.sqrt(max(sre, sim) / (s - 1) / s)
+
+
+# (p, [(num, kexp, count)], zeros): totals 1, 2, 3, 10 and 12; past one
+# sample the imaginary spread is the larger and the mean is off the real axis
+@pytest.mark.parametrize("p, angles, zeros", [
+    (5, [(1, 1, 1)], 0),
+    (5, [(1, 1, 1)], 1),
+    (3, [(1, 1, 1), (2, 2, 1)], 1),
+    (5, [(1, 1, 4), (3, 2, 3), (0, 0, 1)], 2),
+    (7, [(2, 1, 5), (10, 2, 2), (1, 3, 1)], 4),
+], ids=["total1", "total2", "total3", "total10", "total12"])
+def test_angle_tally_stderr_matches_two_pass_formula(p, angles, zeros):
+    tally = AngleTally(p)
+    samples = []
+    for num, kexp, count in angles:
+        tally.add_raw(num, kexp, count)
+        samples += [cmath.exp(2j * math.pi * num / p**kexp)] * count
+    tally.add_zero(zeros)
+    samples += [0j] * zeros
+    mean, stderr = tally.mean_stderr()
+    want_mean, want_stderr = _expanded_stderr(samples)
+    assert tally.total == len(samples)
+    assert abs(mean - want_mean) < 1e-15
+    assert stderr == pytest.approx(want_stderr, rel=1e-12, abs=1e-15)
+    assert (stderr > 0.0) == (len(samples) > 1)
+
+
+# (p, num, kexp): a nonzero numerator divisible by p, reduced below to the
+# angle rnum / p**rkexp in lowest terms
+@pytest.mark.parametrize("p, num, kexp, rnum, rkexp", [
+    (3, 6, 3, 2, 2),            # 6/27 = 2/9
+    (3, 33, 3, 2, 2),           # 33/27 = 1 + 2/9
+    (3, -3, 2, 2, 1),           # -3/9 = -1 + 2/3
+    (5, 50, 4, 2, 2),           # 50/625 = 2/25
+    (2, 12, 5, 3, 3),           # 12/32 = 3/8
+    (3, 18, 2, 0, 0),           # 18/9 is an integer: the trivial angle
+])
+def test_angle_tally_add_raw_reduces_the_angle(p, num, kexp, rnum, rkexp):
+    raw, reduced = AngleTally(p), AngleTally(p)
+    for tally, a, k in ((raw, num, kexp), (reduced, rnum, rkexp)):
+        tally.add_raw(1, 1, 2)
+        tally.add_raw(a, k, 3)
+    assert raw._counts == reduced._counts
+    assert list(raw._counts) == list(reduced._counts)
+    assert raw.mean() == reduced.mean()
 
 
 def test_gaussian_char_basics():
@@ -188,6 +246,18 @@ def test_shell_table_normalization_and_cdf():
         assert all(w >= 0.0 for w in table.weights)
         cdf = table.cdf()
         assert all(b2 >= a2 - 1e-15 for a2, b2 in zip(cdf, cdf[1:]))
+
+
+def test_shell_table_refuses_weights_off_the_span():
+    spec = GaussianSpec.one_dimensional(3, N, beta=1.0, q=1)
+    table = shell_distribution(spec, -2, 2)
+    assert len(table.weights) == 5
+    for weights in (table.weights[:-1], table.weights + (0.0,), ()):
+        with pytest.raises(ValueError, match="weights for the shells -2..2"):
+            replace(table, weights=weights)
+    assert replace(table, m_lo=3, weights=()).rows() == []
+    with pytest.raises(ValueError, match="1 weights for the shells 4..2"):
+        replace(table, m_lo=4, weights=(1.0,))
 
 
 def test_shell_nonnegativity_report():

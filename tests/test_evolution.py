@@ -52,7 +52,7 @@ def const_generator(scale_exp: int, dim: int = D) -> GeneratorSpec:
     for i in range(dim):
         for j in range(dim):
             base[i][j] = val * (1 + ((i + 2 * j) % 3))
-    return GeneratorSpec.constant(tuple(tuple(r) for r in base), p=P)
+    return GeneratorSpec.constant(tuple(tuple(r) for r in base))
 
 
 def varying_generator(dim: int = D) -> GeneratorSpec:
@@ -60,7 +60,7 @@ def varying_generator(dim: int = D) -> GeneratorSpec:
         shift = t.as_fraction() * P
         return tuple(tuple(Fraction(P) * (1 + (i + j) % 2) + (shift if i == j else 0)
                            for j in range(dim)) for i in range(dim))
-    return GeneratorSpec(dim=dim, fn=fn, sup_norm=1.0 / P)
+    return GeneratorSpec(dim=dim, fn=fn)
 
 
 def test_identity_at_equal_times():
@@ -71,7 +71,7 @@ def test_identity_at_equal_times():
 
 def test_zero_generator_gives_identity_everywhere():
     zero = GeneratorSpec(dim=D, fn=lambda t: tuple(
-        tuple(Fraction(0) for _ in range(D)) for _ in range(D)), sup_norm=0.0)
+        tuple(Fraction(0) for _ in range(D)) for _ in range(D)))
     u = solve_evolution(zero, unit_ball(), DEPTH)
     for ti, si in ((0, 1), (5, 17), (26, 3)):
         assert u.exact(ti, si) == mat_identity(D)
@@ -212,7 +212,7 @@ def test_generator_recovery_constant():
 
 def test_generator_zero():
     zero = GeneratorSpec(dim=2, fn=lambda t: tuple(
-        tuple(Fraction(0) for _ in range(2)) for _ in range(2)), sup_norm=0.0)
+        tuple(Fraction(0) for _ in range(2)) for _ in range(2)))
     u = solve_evolution(zero, unit_ball(), DEPTH)
     got = generating_operator(u, 0)
     assert all(x.is_zero for row in got for x in row)
@@ -229,7 +229,7 @@ def test_generator_same_for_same_operator():
 def test_perturbation_zero_is_exact():
     a = varying_generator()
     zero = GeneratorSpec(dim=D, fn=lambda t: tuple(
-        tuple(Fraction(0) for _ in range(D)) for _ in range(D)), sup_norm=0.0)
+        tuple(Fraction(0) for _ in range(D)) for _ in range(D)))
     rep = perturbation_check(a, zero, unit_ball(), DEPTH,
                              pairs=[(4, 0), (17, 5), (26, 13)])
     assert rep.gap_norm == 0.0
@@ -330,8 +330,7 @@ def test_deterministic_generator_reduces_to_semigroup():
     alpha = PAdicValue.from_int(P, P, N)
     beta = PAdicValue.zero(P, N)
     flow = scalar_flow(alpha, beta, zero_grid)
-    a = GeneratorSpec(dim=1, fn=lambda t: ((alpha.as_fraction(),),),
-                      sup_norm=alpha.norm())
+    a = GeneratorSpec(dim=1, fn=lambda t: ((alpha.as_fraction(),),))
     u = solve_evolution(a, ball, DEPTH)
     for k in range(u.size):
         assert u.exact(k, 0)[0][0] == flow[k]
@@ -534,7 +533,7 @@ def _t_generator(c, dim=2):
         tf = t.as_fraction()
         return tuple(tuple(c[i][j] * P + (tf * P ** 3 / 7 if i == j else 0)
                            for j in range(dim)) for i in range(dim))
-    return GeneratorSpec(dim=dim, fn=fn, sup_norm=1.0)
+    return GeneratorSpec(dim=dim, fn=fn)
 
 
 @pytest.mark.parametrize("radius_exp", [0, 2])
@@ -572,7 +571,7 @@ def _scaled_generator(p, r, dim, varying):
                                     1 + 6 * (i == j))
                            + (tf / 7 if i == j else 0)
                            for j in range(dim)) for i in range(dim))
-    return GeneratorSpec(dim=dim, fn=fn, sup_norm=float(p) ** -(r + 1))
+    return GeneratorSpec(dim=dim, fn=fn)
 
 
 @pytest.mark.parametrize("varying", [False, True], ids=["const", "t"])

@@ -303,14 +303,14 @@ def text_values(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(text_values())
-@example(PAdicValue(2, 13, -3, 2**13 - 1))   # 12-digit chunk plus one
+@example(PAdicValue(2, 13, -3, 2**13 - 1))   # low half 7 digits, high 6
 @example(PAdicValue(3, 7, 0, 3**7 - 1))      # low half 4 digits, high 3
 @example(PAdicValue(11, 4, -1, 1 + 10 * 11**3))  # two-character digits
 @example(PAdicValue.zero(5, 13))
 @example(PAdicValue(5, 1, 2, 4))             # n = 1: an empty high half
 @example(PAdicValue(7, 5, 0, 3 + 6 * 7**4))  # odd n
 @example(PAdicValue(7, 6, 1, 7**6 - 1))      # even n
-# p**ceil(n/2) at the table size, and one digit past it (chunk loop)
+# p**ceil(n/2) at the table size, and one digit past it (digit by digit)
 @example(PAdicValue(2, 24, 0, 2**24 - 1))
 @example(PAdicValue(2, 25, -1, 2**25 - 1))
 @example(PAdicValue(3, 14, 0, 3**14 - 2))

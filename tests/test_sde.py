@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -51,8 +52,7 @@ def make_problem(p, depth, x0_int=1, drift=None, diffusion=None, family=(),
 
 def affine_program(alpha, c):
     """The state program x -> alpha * x + c."""
-    return sde.Program(f"affine({alpha.qp_str()})",
-                       lambda t, x: alpha * x + c)
+    return sde.Program(lambda t, x: alpha * x + c)
 
 
 def path_for(problem, seed):
@@ -151,7 +151,7 @@ def test_max_iter_exhausted_raises():
     p = 3
     pp = PAdicValue.from_int(p, p, N)
     prob = make_problem(p, 3, x0_int=1, drift=functional_program(
-        "last", lambda t, x, state: pp * state[-1]))
+        lambda t, x, state: pp * state[-1]))
     w = path_for(prob, 13)
     assert solve_picard(prob, w).iterations > 2
     with pytest.raises(ValueError, match="stabilize"):
@@ -266,7 +266,7 @@ def test_lipschitz_advisory():
     alpha = PAdicValue.from_int(3, p, N)
     prob = make_problem(p, 3, drift=linear_state_program(alpha))
     measured = prob.validate_lipschitz(samples=64, seed=1)
-    assert measured <= prob.drift.lipschitz + 1e-12
+    assert measured <= alpha.norm() + 1e-12
 
 
 def test_moment_diagnostic_zero_problem():
@@ -318,12 +318,78 @@ def test_stability_constant_coefficients_tight():
     assert all(r.ok for r in rows)
 
 
+def test_diagnostic_rows_pinned():
+    # rows of the implementation that held every solution before taking the
+    # level profile; the running sums add the same floats in the same order
+    # (path by path, grid index rising), so the rows agree float for float
+    p = 3
+    coeffs = (PAdicValue.zero(p, N), PAdicValue.from_int(2, p, N),
+              PAdicValue.one(p, N))
+    prob = make_problem(p, 4, x0_int=p, drift=polynomial_program(coeffs),
+                        diffusion=linear_state_program(PAdicValue.one(p, N)))
+    paths = ensemble_paths("tree", prob.ball, prob.depth, 1.0,
+                           MonteCarloEnsemble(19, 6))
+
+    def table(rows):
+        return [(r.radius_level, r.stat, r.bound, r.ok) for r in rows]
+
+    assert table(moment_diagnostic(prob, paths, s=1, c1=1.0, c2=0.5)) == [
+        (3, 0.3148148148148148, 0.3333333333333333, True),
+        (2, 0.3148148148148148, 0.3333333333333333, True),
+        (1, 0.524691358024692, 0.4207818930041153, False),
+        (0, 8.785246151501346, 5.392623075750673, False)]
+    assert table(moment_diagnostic(prob, paths, s=2, c1=1.0, c2=0.5)) == [
+        (3, 0.10288065843621402, 0.1111111111111111, True),
+        (2, 0.10288065843621402, 0.11682670324645632, True),
+        (1, 0.38271604938271697, 0.39711934156378614, True),
+        (0, 1561.825566713893, 781.9127833569465, False)]
+    a, b = PAdicValue.from_int(1, p, N), PAdicValue.from_int(1 + p, p, N)
+    assert table(stability_diagnostic(prob, a, b, paths, s=1, c1=1.0,
+                                      c2=0.5)) == [
+        (3, 0.3148148148148148, 0.3333333333333333, True),
+        (2, 0.3148148148148148, 0.3333333333333333, True),
+        (1, 0.5102880658436221, 0.41838134430727036, False),
+        (0, 13176.205761316827, 6589.102880658414, False)]
+
+
+def test_diagnostics_peak_memory_does_not_grow_with_paths():
+    # each path's solution (or pair of solutions) is read into the running
+    # level sums and dropped before the next is solved, so 32 paths peak no
+    # higher than 2; the first calls warm every cache the measured ones read
+    p = 3
+    alpha = beta = PAdicValue.from_int(p, p, N)
+    prob = make_problem(p, 5, x0_int=1, drift=linear_state_program(alpha),
+                        diffusion=linear_state_program(beta))
+    paths = ensemble_paths("tree", prob.ball, prob.depth, 2.0,
+                           MonteCarloEnsemble(23, 32))
+    x0_b = PAdicValue.from_int(1 + p, p, N)
+    diagnostics = {
+        "moment": lambda ws: moment_diagnostic(prob, ws, s=1, c1=1.0, c2=1.0),
+        "stability": lambda ws: stability_diagnostic(
+            prob, prob.x0, x0_b, ws, s=1, c1=1.0, c2=1.0),
+    }
+    for run in diagnostics.values():
+        run(paths[:2])
+    tracemalloc.start()
+    try:
+        for name, run in diagnostics.items():
+            peaks = []
+            for count in (2, 32):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run(paths[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert peaks[1] <= 1.1 * peaks[0], (name, peaks)
+    finally:
+        tracemalloc.stop()
+
+
 def test_polynomial_coefficients_converge():
     p = 5
     coeffs = (PAdicValue.from_int(1, p, N), PAdicValue.zero(p, N),
               PAdicValue.from_int(5, p, N))
     prob = make_problem(p, 3, x0_int=1,
-                        drift=polynomial_program(coeffs, lipschitz=1.0))
+                        drift=polynomial_program(coeffs))
     sol = solve_picard(prob, path_for(prob, 21))
     assert sol.residual == 0.0
 
@@ -340,7 +406,7 @@ def test_functional_coefficient_program():
         return kappa * state[0]
 
     prob = make_problem(p, 3, x0_int=3,
-                        drift=functional_program("anchor", fn))
+                        drift=functional_program(fn))
     sol = solve_picard(prob, path_for(prob, 30))
     for k in range(sol.values.size):
         t = prob.ball.point(k, prob.depth)
@@ -431,7 +497,7 @@ def test_functional_defect_trace_matches_reference(monkeypatch, p, seed):
     # reading the last grid value, the drift changes from sweep to sweep
     pp = PAdicValue.from_int(p, p, N)
     prob = make_problem(p, 3, x0_int=1, drift=functional_program(
-        "last", lambda t, x, state: pp * state[-1]))
+        lambda t, x, state: pp * state[-1]))
     w = path_for(prob, seed)
     sol = solve_picard(prob, w)
     assert sol.iterations > 2 and sol.defect_trace[-2] > 0.0
@@ -581,7 +647,7 @@ def test_functional_sweep_matches_cell_reference(p, radius_exp):
     prob = make_problem(p, 3, x0_int=1, radius_exp=radius_exp,
                         diffusion=linear_state_program(pp),
                         drift=functional_program(
-                            "last", lambda t, x, state: pp * state[-1] + x))
+                            lambda t, x, state: pp * state[-1] + x))
     w = path_for(prob, 40 + p + 10 * radius_exp)
     assert solve_picard(prob, w).iterations > 2
     _assert_parity(prob, w)
@@ -656,7 +722,7 @@ def test_zero_term_slots_are_never_called():
         def fn(t, x):
             calls[key] += 1
             return value
-        return sde.Program(f"count_{key}", fn)
+        return sde.Program(fn)
 
     drift = linear_state_program(PAdicValue.from_int(2, p, N))
     diffusion = affine_program(PAdicValue.from_int(p, p, N),
