@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .antider import GridFunction, _tree_scan, antider_powers_cell, cell_round
-from .padic import BallSpec, PAdicValue, _pow, _vp, exp_domain_valuation
+from .padic import BallSpec, PAdicValue, _exp_series, _pow, _vp
 from .sde import Program, SDEProblem, linear_state_program, solve_picard
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -140,15 +140,7 @@ def _frac_norm(x: Fraction, p: int) -> float:
 def mat_norm(a: Matrix, p: int) -> float:
     """Operator norm: the max entry norm (sup norm on coordinate space),
     ``p**e`` for the largest ``e = v(den) - v(num)`` over nonzero entries."""
-    top = None
-    for row in a:
-        for x in row:
-            num = x.numerator
-            if num:
-                e = _vp(x.denominator, p) - _vp(num, p)
-                if top is None or e > top:
-                    top = e
-    return 0.0 if top is None else float(p) ** top
+    return max((_frac_norm(x, p) for row in a for x in row), default=0.0)
 
 
 def mat_round(a: Matrix, p: int, n: int) -> tuple[tuple[PAdicValue, ...], ...]:
@@ -320,69 +312,22 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
 
 
 class ExpEvolution:
-    """The family EXP((t - s) A) for a constant generator, computed by the
-    working-precision exponential series.  Valid on the convergence
-    domain |(t - s) A| < p**(-1/(p-1)); outside it ``matrix`` raises
-    ValueError unless the series ends within dim terms, as for a
-    nilpotent A."""
+    """The family EXP((t - s) A) for a constant generator, computed by
+    ``padic._exp_series``, the one copy of the exponential series, on A
+    rounded once to working precision.  Valid on the convergence domain
+    |(t - s) A| < p**(-1/(p-1)); outside it ``matrix`` raises ValueError
+    unless the series ends within dim terms, as for a nilpotent A."""
 
     def __init__(self, a_const: Matrix, ball: BallSpec, depth: int):
         self.a = a_const
         self.ball = ball
         self.depth = depth
         self.dim = len(a_const)
-
-    @property
-    def size(self) -> int:
-        return self.ball.grid_size(self.depth)
+        self._a_p = mat_round(a_const, ball.p, ball.n)
 
     def matrix(self, ti: int, si: int):
-        p, n = self.ball.p, self.ball.n
-        t = self.ball.point(ti, self.depth)
-        s = self.ball.point(si, self.depth)
-        z = t - s
-        a_p = mat_round(self.a, p, n)
-        ident = tuple(tuple(PAdicValue.from_int(1 if i == j else 0, p, n)
-                            for j in range(self.dim)) for i in range(self.dim))
-        if z.is_zero:
-            return ident
-        # In the domain, v((t - s) A) >= exp_domain_valuation(p), the k-th
-        # term has valuation at least k v((t - s) A) - (k - 1)/(p - 1), so
-        # the series leaves the precision.  Outside it the series is summed
-        # only if it ends within dim terms, as it does for a nilpotent A.
-        va = min((x.v for row in a_p for x in row if not x.is_zero),
-                 default=None)
-        in_domain = va is None or z.v + va >= exp_domain_valuation(p)
-        total = ident
-        term = ident
-        k = 0
-        while True:
-            k += 1
-            # term <- term * (z A) / k
-            zk = z / PAdicValue.from_int(k, p, n)
-            nxt = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    acc = PAdicValue.zero(p, n)
-                    for l in range(self.dim):
-                        acc = acc + term[i][l] * a_p[l][j]
-                    row.append(acc * zk)
-                nxt.append(tuple(row))
-            term = tuple(nxt)
-            worst = min((x.v for row in term for x in row if not x.is_zero),
-                        default=None)
-            if worst is None or worst > n:
-                break
-            if not in_domain and k == self.dim:
-                raise ValueError(
-                    f"|(t - s) A| = {p}**{-(z.v + va)} is outside the "
-                    f"convergence domain |(t - s) A| < p**(-1/(p-1)) of "
-                    f"EXP((t - s) A), and the series does not end within "
-                    f"dim = {self.dim} terms")
-            total = tuple(tuple(x + y for x, y in zip(ra, rb))
-                          for ra, rb in zip(total, term))
-        return total
+        z = self.ball.point(ti, self.depth) - self.ball.point(si, self.depth)
+        return _exp_series(z, self._a_p)
 
 
 # -- generating operator ---------------------------------------------------------

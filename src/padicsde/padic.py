@@ -10,7 +10,9 @@ value is ``|x| = p**(-val)`` and ``|0| = 0``.
 The module also provides digit truncations (the approximation chain used by
 the antiderivation operators), the exact p-adic fractional part, the binomial
 (Mahler) polynomial basis on the p-adic integers, and the p-adic exponential
-series on its convergence domain.
+series on its convergence domain, summed once for a square matrix
+(``_exp_series``): ``padic_exp`` is its 1 x 1 case and
+``evolution.ExpEvolution`` its matrix case.
 """
 
 from __future__ import annotations
@@ -142,11 +144,7 @@ class PAdicValue:
     @classmethod
     def from_int(cls, k: int, p: int, n: int) -> "PAdicValue":
         """Truncation of the integer k to n significant p-adic digits."""
-        if k == 0:
-            return cls.zero(p, n)
-        v = _vp(k, p)
-        m = (k // _pow(p, v)) % _pow(p, n)
-        return cls(p, n, v, m)
+        return cls._from_cell(p, n, k, 0)
 
     @classmethod
     def from_rational(cls, num: int, den: int, p: int, n: int) -> "PAdicValue":
@@ -381,9 +379,9 @@ class BallSpec:
 
     def point(self, k: int, depth: int) -> PAdicValue:
         """Grid representative number k at the given depth."""
-        c, r = self.center, self.radius_exp
-        if not 0 <= k < _pow(c.p, r + depth):
+        if k >= self.grid_size(depth) or k < 0:
             raise ValueError("grid index out of range")
+        c, r = self.center, self.radius_exp
         off = PAdicValue._from_cell(c.p, c.n, k, -r)
         return c + off if c.m else off
 
@@ -460,18 +458,44 @@ def padic_exp(z: PAdicValue) -> PAdicValue:
     and >= 2 for p = 2; outside that domain the series diverges and a
     ValueError is raised.
     """
-    p, n = z.p, z.n
-    if z.m == 0:
-        return PAdicValue.one(p, n)
-    if z.v < exp_domain_valuation(p):
+    if z.m and z.v < exp_domain_valuation(z.p):
         raise ValueError("EXP divergence")
-    total = PAdicValue.one(p, n)
-    term = PAdicValue.one(p, n)
+    return _exp_series(z, ((PAdicValue.one(z.p, z.n),),))[0][0]
+
+
+def _exp_series(z: PAdicValue, a: tuple[tuple[PAdicValue, ...], ...]
+                ) -> tuple[tuple[PAdicValue, ...], ...]:
+    """EXP(zA) for a square matrix A of values at z's precision, summed
+    until every entry of a term is zero or has valuation above n.
+
+    In the domain, v(zA) >= exp_domain_valuation(p), the k-th term has
+    valuation at least k v(zA) - (k - 1)/(p - 1), so the series leaves the
+    precision.  Outside it the series is summed only if it ends within dim
+    terms, as it does for a nilpotent A; otherwise ValueError.
+    """
+    p, n, dim = z.p, z.n, len(a)
+    one, zero = PAdicValue.one(p, n), PAdicValue.zero(p, n)
+    total = term = tuple(tuple(one if i == j else zero for j in range(dim))
+                         for i in range(dim))
+    if z.m == 0:
+        return total
+    va = min((x.v for row in a for x in row if x.m), default=None)
+    in_domain = va is None or z.v + va >= exp_domain_valuation(p)
     k = 0
     while True:
         k += 1
-        term = term * z / PAdicValue.from_int(k, p, n)
-        if term.m == 0 or term.v > n:
-            break
-        total = total + term
-    return total
+        # term <- term * (z A) / k
+        zk = z / PAdicValue.from_int(k, p, n)
+        term = tuple(tuple(sum((term[i][l] * a[l][j] for l in range(dim)),
+                               zero) * zk for j in range(dim))
+                     for i in range(dim))
+        worst = min((x.v for row in term for x in row if x.m), default=None)
+        if worst is None or worst > n:
+            return total
+        if not in_domain and k == dim:
+            raise ValueError(
+                f"EXP divergence: |z A| = {p}**{-(z.v + va)} is outside the "
+                f"convergence domain |z A| < p**(-1/(p-1)), and the series "
+                f"does not end within dim = {dim} terms")
+        total = tuple(tuple(x + y for x, y in zip(ra, rb))
+                      for ra, rb in zip(total, term))

@@ -367,6 +367,8 @@ def _level_profile(rows, points, center, s: float):
         paths += 1
         for lev, x in zip(levels, islice(vals, 1, None)):
             sums[lev] += x.norm() ** s
+    if not paths:
+        raise ValueError("a level profile needs at least one path")
     return {lev: acc / (levels.count(lev) * paths)
             for lev, acc in sums.items()}
 

@@ -12,7 +12,6 @@ from padicsde.evolution import (
     ExpEvolution,
     GeneratorSpec,
     MofReport,
-    _frac_norm,
     _int_form,
     _int_inv,
     generating_operator,
@@ -32,7 +31,8 @@ from padicsde.evolution import (
     solve_evolution,
 )
 from padicsde.measure import wiener_path
-from padicsde.padic import BallSpec, PAdicValue
+from padicsde.padic import (BallSpec, PAdicValue, exp_domain_valuation,
+                            padic_exp)
 from padicsde.sde import SDEProblem, linear_state_program, solve_picard
 
 N = 6
@@ -143,8 +143,12 @@ def _within(seconds, fn):
 def _exp_series(a, ball, depth, ti, si):
     """EXP((t - s) A) summed until a term leaves the precision, with no
     domain check; it ends only inside the convergence domain."""
-    p, n, dim = ball.p, ball.n, len(a)
-    z = ball.point(ti, depth) - ball.point(si, depth)
+    return _exp_series_at(a, ball.point(ti, depth) - ball.point(si, depth))
+
+
+def _exp_series_at(a, z):
+    """EXP(z A) for a Fraction matrix A, as ``_exp_series``."""
+    p, n, dim = z.p, z.n, len(a)
     a_p = [[PAdicValue.from_fraction(x, p, n) for x in row] for row in a]
     one, zero = PAdicValue.one(p, n), PAdicValue.zero(p, n)
     total = [[one if i == j else zero for j in range(dim)]
@@ -197,6 +201,25 @@ def test_exp_inside_domain_unchanged(p, scale_exp):
     for ti, si in ((1, 0), (p + 1, 2), (p**DEPTH - 1, 0)):
         assert _within(10, lambda: e.matrix(ti, si)) == \
             _exp_series(a, ball, DEPTH, ti, si)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_padic_exp_is_the_one_by_one_series(p, n):
+    # padic_exp and ExpEvolution share one series; the scalar is its 1 x 1
+    # case, here against the reference, and outside the domain it raises
+    # EXP divergence, at n = 1 too
+    low, one = exp_domain_valuation(p), ((Fraction(1),),)
+    for v in range(-1, n + 2):
+        for unit in (1, -1, p - 1, p + 1, Fraction(1, p + 1)):
+            z = PAdicValue.from_fraction(unit * Fraction(p) ** v, p, n)
+            if v >= low:
+                want = _within(10, lambda: _exp_series_at(one, z))[0][0]
+                assert padic_exp(z) == want
+            else:
+                with pytest.raises(ValueError, match="EXP divergence"):
+                    padic_exp(z)
+    assert padic_exp(PAdicValue.zero(p, n)) == PAdicValue.one(p, n)
 
 
 def test_generator_recovery_constant():
@@ -672,7 +695,9 @@ def test_perturbation_check_refuses_empty_pairs(monkeypatch):
 
 
 def _ref_norm(a, p):
-    return max((_frac_norm(x, p) for row in a for x in row), default=0.0)
+    # 16 digits hold every entry drawn below; the norm reads only v
+    return max((PAdicValue.from_fraction(x, p, 16).norm()
+                for row in a for x in row if x), default=0.0)
 
 
 # zero, negative, p-power and non-p denominators for p in {2, 3, 5}

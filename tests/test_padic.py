@@ -456,6 +456,21 @@ def test_ball_membership_and_grid():
                         ball.point(k, depth)
 
 
+def test_point_checks_the_depth_through_grid_size():
+    # a negative total depth has no grid, so no index is in it, not even
+    # the center's; past the grid an index is out of range
+    ball = BallSpec.unit(3, N)
+    for k in (-1, 0, 2):
+        with pytest.raises(ValueError,
+                           match="depth -1: radius_exp \\+ depth = -1 "
+                                 "is negative"):
+            ball.point(k, -1)
+    assert BallSpec(ball.center, 1).point(0, -1) == ball.center
+    for k in (-1, 27):
+        with pytest.raises(ValueError, match="grid index out of range"):
+            ball.point(k, 3)
+
+
 def test_value_construction_contract():
     x = PAdicValue(5, N, -2, 7)
     assert x == PAdicValue(p=5, n=N, v=-2, m=7) == PAdicValue(5, N, v=-2, m=7)

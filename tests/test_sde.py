@@ -318,6 +318,16 @@ def test_stability_constant_coefficients_tight():
     assert all(r.ok for r in rows)
 
 
+@pytest.mark.parametrize("diagnostic", [
+    lambda prob: moment_diagnostic(prob, [], s=1, c1=1.0, c2=1.0),
+    lambda prob: stability_diagnostic(prob, prob.x0, prob.x0, [], s=1,
+                                      c1=1.0, c2=1.0),
+], ids=["moment", "stability"])
+def test_diagnostics_refuse_no_paths(diagnostic):
+    with pytest.raises(ValueError, match="at least one path"):
+        diagnostic(make_problem(3, 2, x0_int=1))
+
+
 def test_diagnostic_rows_pinned():
     # rows of the implementation that held every solution before taking the
     # level profile; the running sums add the same floats in the same order
