@@ -121,6 +121,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                     s = _vp(num, p)
                     v, m = v + s, num // p ** s % mod_run
             return m, v
+        per_sample = len(steps)
         asserted = True
     else:   # the series sampler; path_laws has refused any other kind
         # increment of the series path over a chain step, as a coefficient
@@ -170,11 +171,12 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
                     s = _vp(num, p)
                     v, m = v + s, num // p ** s % mod_run
             return m, v
+        per_sample = len(draws)
         asserted = False
 
     tally = AngleTally(p)
     for (m, v), count in MonteCarloEnsemble(seed, samples)._counts(
-            chain_sum).items():
+            chain_sum, per_sample).items():
         tally.add_raw(m, -v, count)
 
     empirical, stderr = tally.mean_stderr()

@@ -598,30 +598,32 @@ def run_verify(cfg: RunConfig, art: Artifacts):
     ball = cfg.ball()
     depth = cfg.depth
     rng = random.Random(cfg.seed)
+    randrange = rng.randrange
+    size, mod = ball.grid_size(depth), p**n
 
     def random_grid():
         vals = []
-        for _ in range(ball.grid_size(depth)):
-            m = rng.randrange(1, p**n)
+        for _ in range(size):
+            m = randrange(1, mod)
             while m % p == 0:
-                m = rng.randrange(1, p**n)
-            vals.append(PAdicValue(p, n, rng.randrange(0, 3), m))
+                m = randrange(1, mod)
+            vals.append(PAdicValue(p, n, randrange(0, 3), m))
         return GridFunction(ball, depth, tuple(vals))
 
     worst = 0.0
     for _ in range(trials):
         x = random_grid()
         y = random_grid()
-        k = rng.randrange(ball.grid_size(depth))
+        k = randrange(size)
         worst = max(worst, by_parts_residual(x, y, k).norm())
     identities = [{"identity": "integration_by_parts", "trials": trials,
                    "max_residual": worst}]
 
     w = wiener_path("tree", ball, depth, 1.0, seed=cfg.seed)
     worst_sq = max(square_decomposition_residual(w, k).norm()
-                   for k in range(ball.grid_size(depth)))
+                   for k in range(size))
     identities.append({"identity": "square_decomposition",
-                       "trials": ball.grid_size(depth),
+                       "trials": size,
                        "max_residual": worst_sq})
 
     # C(t, w)(t) = w(t) at the grid point t = 1, index p**radius_exp
@@ -634,7 +636,7 @@ def run_verify(cfg: RunConfig, art: Artifacts):
     psi = GridFunction.constant(ball, depth, PAdicValue.one(p, n))
     char_reports = []
     for i in range(points):
-        t_index = rng.randrange(1, ball.grid_size(depth))
+        t_index = randrange(1, size)
         rep = character_product_check(
             psi, PAdicValue.one(p, n), PAdicValue.one(p, n), t_index,
             samples=char_samples, seed=derive_seed(cfg.seed, i))

@@ -8,7 +8,12 @@ sample owns a private stream (see ``mix64`` for the published constants).
 An estimator that reads each sample once counts a per-sample key through
 ``MonteCarloEnsemble._counts``, the one ensemble loop: it keeps a single
 ``RandomStream`` and sets its state to each sample's seed in turn.
-``Gaussian1DSampler.draw_raw`` writes the finalizer inline.
+``Gaussian1DSampler.draw_raw`` is called once per draw and writes the
+finalizer inline, except for a shell output u1 that its stream holds
+pre-mixed.  ``_mix_block`` is the only SWAR ("SIMD within a register") code:
+it mixes many outputs at once, one per 128-bit lane of a Python int, and
+gives ``_counts`` the seeds of a block of samples and the u1 of each of
+their draws, and the tree sampler the u1 of its path's draws.
 
 Two path samplers are provided, and each returns its path as a plain
 ``GridFunction``.  The series sampler expands the path over
@@ -24,8 +29,9 @@ parameter, so each entry point refuses the same inputs.
 
 from __future__ import annotations
 
-import bisect
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -42,6 +48,12 @@ _GOLDEN3 = 3 * _GOLDEN
 # a sampler's shell table is cut where its tails fall below this mass
 TAIL_TOL = 1e-15
 
+# lanes per mixing block: a 4096-lane block is a 64 KB int
+_BLOCK = 4096
+# among the native 64-bit words of ``z.to_bytes(16 * k, sys.byteorder)``,
+# the low word of each 128-bit lane, lane 0 first
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer (Steele-Lea-Flood constants), bit-exact."""
@@ -51,18 +63,69 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=8)
+def _lanes(k: int) -> tuple[int, int, int]:
+    """The constants of a k-lane block, one 128-bit lane per value: ones
+    (1 in every lane), ramp (i in lane i) and mask (2**64 - 1 in every
+    lane)."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * k, "little")
+    ramp = int.from_bytes(b"".join(i.to_bytes(16, "little")
+                                   for i in range(k)), "little")
+    return ones, ramp, _MASK * ones
+
+
+def _mix_block(z: int, k: int) -> int:
+    """``mix64`` of each of the k lanes of z, packed the same way.
+
+    Lane i holds bits 128*i .. 128*i + 127 of z, and only its value mod
+    2**64 is read.  Each finalizer step runs once for the whole block: the
+    shift is masked back into its lane, the product of a 64-bit lane and a
+    64-bit constant cannot carry out of its 128-bit lane, and ``& mask``
+    reduces every lane mod 2**64 at once.
+    """
+    mask = _lanes(k)[2]
+    z &= mask
+    z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+    return z ^ ((z >> 31) & mask)
+
+
+def _unpack(z: int, k: int) -> list[int]:
+    """The k lanes of a mixed block, lane 0 first."""
+    return memoryview(z.to_bytes(16 * k, sys.byteorder)).cast(
+        "Q")[_LOW_WORDS].tolist()
+
+
+def _stream_u1s(state: int, draws: int) -> list[int]:
+    """The shell outputs u1 of ``draws`` consecutive draws from a stream at
+    ``state``, last draw first: the order ``draw_raw`` pops them in."""
+    ones, ramp, _ = _lanes(draws)
+    u1s = _unpack(_mix_block((state + _GOLDEN) * ones + _GOLDEN3 * ramp,
+                             draws), draws)
+    u1s.reverse()
+    return u1s
+
+
 def derive_seed(master: int, index: int) -> int:
     """Per-sample seed: the (index+1)-th SplitMix64 output from master."""
     return mix64((master + (index + 1) * _GOLDEN) & _MASK)
 
 
 class RandomStream:
-    """A private SplitMix64 stream; all draws are documented int maps."""
+    """A private SplitMix64 stream; all draws are documented int maps.
 
-    __slots__ = ("state",)
+    ``_u1`` may hold the pre-mixed shell outputs u1 of the next draws,
+    last draw first, and ``_at`` the state at which the next of them is
+    drawn.  ``draw_raw`` pops one only at that state, so a stream moved
+    any other way mixes its outputs inline and never reads a wrong one.
+    """
+
+    __slots__ = ("state", "_u1", "_at")
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
+        self._u1 = ()
+        self._at = None
 
     def u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK
@@ -85,28 +148,47 @@ class MonteCarloEnsemble:
             raise ValueError("sample index out of range")
         return RandomStream(derive_seed(self.master_seed, index))
 
-    def _seeds(self):
-        """The seeds of samples 0, 1, ... in order: one SplitMix64 counter,
-        stepped from the master, reaches each ``derive_seed(master, i)``."""
+    def streams(self):
+        """The streams of samples 0, 1, ... in order, one object each: one
+        SplitMix64 counter, stepped from the master, reaches each seed
+        ``derive_seed(master, i)``."""
         z = self.master_seed
         for _ in range(self.size):
             z = (z + _GOLDEN) & _MASK
-            yield mix64(z)
+            yield RandomStream(mix64(z))
 
-    def streams(self):
-        """The streams of samples 0, 1, ... in order, one object each."""
-        for seed in self._seeds():
-            yield RandomStream(seed)
-
-    def _counts(self, key) -> dict:
+    def _counts(self, key, draws: int) -> dict:
         """Counts of ``key(stream)`` over the samples in first-occurrence
-        order; one stream is set to each sample's seed in turn."""
+        order; one stream is set to each sample's seed in turn.
+
+        ``key`` calls ``draw_raw`` ``draws`` times per sample.  The samples
+        go in blocks of about ``_BLOCK`` lanes: ``_mix_block`` mixes a
+        block's seeds, then the shell output u1 of each of their draws, and
+        each sample's stream holds its own u1s only.  A key that draws more
+        mixes the rest inline.  At most 64 draws a sample are pre-mixed, so
+        a block of 4096 lanes holds at least 64 samples.
+        """
         counts: dict = {}
         stream = RandomStream(0)
-        for state in self._seeds():
-            stream.state = state
-            k = key(stream)
-            counts[k] = counts.get(k, 0) + 1
+        draws = min(draws, 64)
+        per = _BLOCK // max(draws, 1)
+        for start in range(0, self.size, per):
+            k = min(per, self.size - start)
+            ones, ramp, _ = _lanes(k)
+            seeds = _mix_block(((self.master_seed + (start + 1) * _GOLDEN)
+                                & _MASK) * ones + _GOLDEN * ramp, k)
+            # lane k * d + i: the u1 of sample i's draw d, the mix of its
+            # seed + (3d + 1) G
+            u1s = []
+            for d in range(draws):
+                u1s += _unpack(_mix_block(
+                    seeds + ((3 * d + 1) * _GOLDEN & _MASK) * ones, k), k)
+            # lanes k * d + i for d falling: sample i's u1s, last draw first
+            for top, seed in enumerate(_unpack(seeds, k), k * (draws - 1)):
+                stream.state = stream._at = seed
+                stream._u1 = u1s[top::-k]
+                out = key(stream)
+                counts[out] = counts.get(out, 0) + 1
         return counts
 
     def collect(self, fn):
@@ -172,7 +254,10 @@ class Gaussian1DSampler:
         then holds only the digits read: that of the full draw mod p**k, or
         the unit 1 when no digit is read.  The per-cut table ``_row`` says
         which outputs a shell reads; each output is mixed by the SplitMix64
-        finalizer of ``mix64``, written inline.
+        finalizer of ``mix64``, written inline.  The one exception is u1
+        when the stream holds it pre-mixed for its current state (see
+        ``RandomStream``): it is then popped, so the value, the stream state
+        after the draw and the call count are those of the inline path.
         """
         try:
             row = self._rows[cut]
@@ -180,11 +265,16 @@ class Gaussian1DSampler:
             row = self._row(cut)
         z = stream.state
         stream.state = s3 = (z + _GOLDEN3) & _MASK
-        z = (z + _GOLDEN) & _MASK                   # u1
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        v, lead, rest, unit = row[
-            bisect.bisect_right(self._bounds, z ^ (z >> 31))]
+        u1s = stream._u1
+        if u1s and z == stream._at:                 # u1, pre-mixed
+            stream._at = s3
+            u1 = u1s.pop()
+        else:                                       # u1, mixed inline
+            z = (z + _GOLDEN) & _MASK
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            u1 = z ^ (z >> 31)
+        v, lead, rest, unit = row[bisect_right(self._bounds, u1)]
         if not lead:
             return unit
         z = (s3 - _GOLDEN) & _MASK                  # u2
@@ -242,7 +332,7 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     cut = None if shifted else max(
         (-hd[0] for hd in hdata if hd is not None), default=sampler.shell_only)
     counts = MonteCarloEnsemble(seed, size)._counts(
-        partial(sampler.draw_raw, cut=cut))
+        partial(sampler.draw_raw, cut=cut), 1)
     for (v, mant), count in counts.items():
         if shifted:
             x = PAdicValue(p, n, v, mant) + gamma
@@ -267,7 +357,7 @@ def norm_histogram(spec: GaussianSpec, size: int, seed: int) -> dict[int, int]:
     sampler = cached_sampler(spec)
     draw_raw, cut = sampler.draw_raw, sampler.shell_only
     return MonteCarloEnsemble(seed, size)._counts(
-        lambda stream: -draw_raw(stream, cut)[0])
+        lambda stream: -draw_raw(stream, cut)[0], 1)
 
 
 # -- Wiener paths ---------------------------------------------------------------
@@ -371,10 +461,22 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     _, samplers = path_laws("tree", ball, depth, q, betas=betas)
     p, n = ball.p, ball.n
     mod = _pow(p, n)
+    # blocks of about 1024 draws: each block size's lane constants stay
+    # cached, and a path's must not add to a solve's peak memory.  A node
+    # draws p - 1 times, so a block of whole nodes' u1s ends where a node
+    # ends.
+    block = max(1024 // (p - 1), 1) * (p - 1)
+    left = _pow(p, len(samplers)) - 1     # draws the path has yet to make
 
     def children(level, j, base, kids):
         # Integer mirror of ``base + draw(stream)`` in PAdicValue arithmetic;
         # the unshifted draw and the base are both at precision n.
+        nonlocal left
+        if not stream._u1:
+            take = min(block, left)
+            left -= take
+            stream._u1 = _stream_u1s(stream.state, take)
+            stream._at = stream.state
         draw_raw = samplers[level].draw_raw
         bv, bm = base.v, base.m
         out = []

@@ -430,6 +430,34 @@ def test_generator_series_square_matches_difference_quotient():
     assert formula.agrees_abs(dq, 2 * aval.v)
 
 
+@pytest.mark.parametrize("ti, digits", [
+    (5, "1 2 0 1 1 0"),
+    (13, "2 2 1 0 2 0"),
+    (22, "2 2 0 0 0 1"),
+])
+def test_generator_series_with_diffusion_is_pinned(ti, digits):
+    # f(t, x) = t x + x**2 with constant a = 2 and e = 5 along the C1 path
+    # w = 7 t: e(t) and e_t are nonzero, so every order-2 term and the
+    # e_t * w' terms run.  The values are pinned; what the paper's series
+    # should equal stays open.
+    from padicsde.evolution import generator_series
+    from padicsde.sde import constant_program
+
+    ball = unit_ball()
+
+    def c(k):
+        return PAdicValue.from_int(k, P, N)
+
+    one, two = c(1), c(2)
+    w = GridFunction.from_callable(ball, DEPTH, lambda t: c(7) * t)
+    xi = GridFunction.from_callable(ball, DEPTH, lambda t: one + t)
+    derivs = {(1, 0): lambda t, x: x, (0, 1): lambda t, x: t + two * x,
+              (0, 2): lambda t, x: two, (1, 1): lambda t, x: one}
+    got = generator_series(derivs, constant_program(c(2)),
+                           constant_program(c(5)), w, xi, ti, m_max=3)
+    assert got.qp_str() == f"QP(p=3,v=0,d={digits})"
+
+
 # -- integer layer against Fraction references ------------------------------------
 #
 # The references below are the all-Fraction forms of mat_mul, mat_inv and

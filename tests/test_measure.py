@@ -768,6 +768,146 @@ def test_counts_match_the_explicit_loop(seed):
     for stream in ens.streams():
         k = key(stream)
         want[k] = want.get(k, 0) + 1
-    got = ens._counts(key)
+    got = ens._counts(key, 1)
     assert list(got.items()) == list(want.items())
     assert sum(got.values()) == ens.size
+
+
+# -- lane-packed mixing --------------------------------------------------------
+
+_G = 0x9E3779B97F4A7C15
+_M = (1 << 64) - 1
+
+
+def _scalar_counts(ens, key):
+    """``_counts`` as the plain per-stream loop, every output mixed
+    inline."""
+    want: dict = {}
+    for stream in ens.streams():
+        k = key(stream)
+        want[k] = want.get(k, 0) + 1
+    return want
+
+
+@pytest.mark.parametrize("lanes", [1, 2, measure._BLOCK - 1, measure._BLOCK,
+                                   measure._BLOCK + 1])
+def test_mix_block_matches_mix64(lanes):
+    # lane i holds start + i G, unreduced; the first 40 lanes lie within
+    # 40 G below 2**64 and the next ones wrap
+    start = (-40 * _G) & _M
+    ones, ramp, _ = measure._lanes(lanes)
+    packed = measure._mix_block(start * ones + _G * ramp, lanes)
+    want = [mix64(start + i * _G) for i in range(lanes)]
+    assert measure._unpack(packed, lanes) == want
+    # the lanes of a stream's next draws, last draw first
+    assert measure._stream_u1s(start, lanes) == \
+        [mix64(start + (3 * d + 1) * _G) for d in reversed(range(lanes))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_counts_match_the_scalar_loop_at_every_cut(monkeypatch, p):
+    # blocks of 12 lanes: 12 samples a block at one draw a sample, 4 at
+    # three; the sizes are 1, a block minus and plus one, and 2.5 blocks
+    monkeypatch.setattr(measure, "_BLOCK", 12)
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(p, N, 1.0, 1.0))
+    for draws in (1, 3):
+        per = 12 // draws
+        for size in (1, per - 1, per + 1, 2 * per + per // 2):
+            ens = MonteCarloEnsemble(1000 * p + size, size)
+            for cut in (None, sampler.shell_only, *range(N + 1)):
+                def key(stream):
+                    return tuple(sampler.draw_raw(stream, cut)
+                                 for _ in range(draws))
+
+                got = ens._counts(key, draws)
+                assert list(got.items()) == \
+                    list(_scalar_counts(ens, key).items()), (draws, size, cut)
+
+
+def test_counts_at_full_blocks():
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(5, N, 1.0, 1.0))
+    for draws in (1, 2):
+        per = measure._BLOCK // draws
+        for size in (per - 1, per + 1):
+            ens = MonteCarloEnsemble(size, size)
+
+            def key(stream):
+                return tuple(sampler.draw_raw(stream, 0)
+                             for _ in range(draws))
+
+            assert list(ens._counts(key, draws).items()) == \
+                list(_scalar_counts(ens, key).items())
+
+
+@pytest.mark.parametrize("declared", [0, 1, 3, 5])
+def test_counts_when_a_key_draws_other_than_declared(monkeypatch, declared):
+    # three draws a sample, declared as 0, 1, 3 or 5: a key that draws
+    # more mixes the rest inline, and one that draws fewer leaves its u1s
+    # unread and never reads the next sample's.  The stream state after
+    # every draw is part of the key, so it must match the scalar state.
+    monkeypatch.setattr(measure, "_BLOCK", 16)
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
+    ens = MonteCarloEnsemble(77, 50)
+    for draws in (1, 3):
+        def key(stream):
+            out = []
+            for _ in range(draws):
+                out.append((sampler.draw_raw(stream), stream.state))
+            return tuple(out)
+
+        got = ens._counts(key, declared)
+        assert list(got.items()) == list(_scalar_counts(ens, key).items())
+
+
+def test_draw_raw_pops_a_pre_mixed_u1_only_at_its_state():
+    # planted u1s: 0 takes the first shell and 2**64 - 1 the last, which
+    # no stream output at this state gives
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
+    first, last = -sampler.shells[0], -sampler.shells[-1]
+    stream, ref = RandomStream(8), RandomStream(8)
+    stream._u1, stream._at = [_M, 0], stream.state
+    assert sampler.draw_raw(stream, sampler.shell_only) == (first, 1)
+    assert sampler.draw_raw(stream, sampler.shell_only) == (last, 1)
+    sampler.draw_raw(ref)
+    sampler.draw_raw(ref)
+    assert stream.state == stream._at == ref.state
+    # a u1 planted for another state is never read
+    stream._u1 = [0]
+    stream.state ^= 1
+    ref.state = stream.state
+    assert sampler.draw_raw(stream) == sampler.draw_raw(ref)
+    assert stream._u1 == [0]
+
+
+def test_counts_when_a_key_moves_its_stream_between_draws():
+    # a stream moved other than by draw_raw reads no pre-mixed u1 again
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(5, N, 1.0, 1.0))
+    ens = MonteCarloEnsemble(5, 300)
+
+    def key(stream):
+        first = sampler.draw_raw(stream)
+        stream.u64()
+        second = sampler.draw_raw(stream)
+        stream.state ^= 1
+        return first, second, sampler.draw_raw(stream), stream.state
+
+    assert list(ens._counts(key, 3).items()) == \
+        list(_scalar_counts(ens, key).items())
+
+
+@pytest.mark.parametrize("p, n, depth", [(2, 12, 11), (5, N, 5), (7, N, 4)])
+def test_tree_path_blocks_match_inline_draws(monkeypatch, p, n, depth):
+    # the path's 2047, 3124 or 2400 u1s come in blocks of whole nodes, the
+    # last one short; with no pre-mixed u1 every draw mixes inline, and
+    # the path must not move
+    ball = BallSpec.unit(p, n)
+    blocked = wiener_path("tree", ball, depth, 1.0, seed=p)
+    monkeypatch.setattr(measure, "_stream_u1s", lambda state, draws: [])
+    assert blocked.values == wiener_path("tree", ball, depth, 1.0,
+                                         seed=p).values
+    # and the blocks are read: planted u1s of 0 put every draw on the
+    # first shell
+    monkeypatch.setattr(measure, "_stream_u1s",
+                        lambda state, draws: [0] * draws)
+    assert blocked.values != wiener_path("tree", ball, depth, 1.0,
+                                         seed=p).values

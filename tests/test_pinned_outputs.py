@@ -82,6 +82,16 @@ MAHLER_PATHS = {
     1: "a042472e4a38416619a8886eb33c299684957fcc6fbf2acc42d128fa9dd1334d",
 }
 
+# one-dimensional draws, 64 samples at N=6, seed 7: p=3 and p=5, unshifted
+# and with a nonzero shift gamma (5 at p=3; v=-1, digits 2 1 at p=5)
+GAUSSIAN1D = {
+    (3, 0): "8b6ba46d49931fe0e166fda7fcad55d400155a5f96e72564599fa68479e94d18",
+    (3, 5): "f43a657e31a5f2512c2c46d7b38422751fcd5991f282d1ddc47531b55b70c21e",
+    (5, 0): "9516980e9a3f435b23969205f8534e368c63d93357d767380c63aa020e434dd6",
+    (5, "QP(p=5,v=-1,d=2 1)"):
+        "68dc8b4905e74be5d932087cc1c6f6e7b44efc37d666e0933a8f7a920fc2469b",
+}
+
 # steep at p=5, N=6, depth 4
 STEEP_P5 = "9fbde4a2b953b36d930834af739e0f9e99b9311337dd8e74beb79c550bac4f5a"
 
@@ -235,6 +245,13 @@ def test_steep_bench_config_digest(tmp_path):
         "prime": 5, "precision": 6, "depth": 6, "seed": 1,
         "solve": {"problem": "steep", "samples": 2}})
     assert {k: got[k] for k in STEEP_BENCH} == STEEP_BENCH
+
+
+@pytest.mark.parametrize("prime, gamma", list(GAUSSIAN1D))
+def test_gaussian1d_sample_digest(tmp_path, prime, gamma):
+    got = run_digests(tmp_path, "sample", {**BASE, "prime": prime, "sample": {
+        "kind": "gaussian1d", "count": 64, "gamma": gamma}})
+    assert got["samples.csv"] == GAUSSIAN1D[prime, gamma]
 
 
 @pytest.mark.parametrize("radius_exp", sorted(MAHLER_PATHS))
