@@ -491,10 +491,13 @@ def run_solve(cfg: RunConfig, art: Artifacts):
                for k in range(ball.grid_size(depth))]
     reports = []
     checks = []
+    prior = None
     for i in range(count):
         w = wiener_path("tree", ball, depth, q,
                         seed=derive_seed(cfg.seed, i))
-        sol = solve_picard(problem, w)
+        # a solve that read no path increment answers every later sample
+        sol = solve_picard(problem, w, prior=prior)
+        prior = None if sol.read_path else sol
         rows = ((t, xi.qp_str()) for t, xi in zip(t_texts, sol.values.values))
         art.write_csv(f"solution_{i:04d}.csv", ["t", "xi"], rows)
         reports.append({
@@ -513,7 +516,8 @@ def run_solve(cfg: RunConfig, art: Artifacts):
             "value": max(sol.contraction.values(), default=0.0),
             "passed": all(c < 1.0 for c in sol.contraction.values()),
         })
-        # release this sample's grids before the next path is drawn
+        # release this sample's grids before the next path is drawn; only
+        # a solution that read no path increment lives on, as the prior
         del w, sol, rows
     art.write_json("convergence.json", {"meta": meta, "solves": reports})
     return checks

@@ -9,11 +9,13 @@ An estimator that reads each sample once counts a per-sample key through
 ``MonteCarloEnsemble._counts``, the one ensemble loop: it keeps a single
 ``RandomStream`` and sets its state to each sample's seed in turn.
 ``Gaussian1DSampler.draw_raw`` is called once per draw and writes the
-finalizer inline, except for a shell output u1 that its stream holds
-pre-mixed.  ``_mix_block`` is the only SWAR ("SIMD within a register") code:
-it mixes many outputs at once, one per 128-bit lane of a Python int, and
-gives ``_counts`` the seeds of a block of samples and the u1 of each of
-their draws, and the tree sampler the u1 of its path's draws.
+finalizer inline, except for outputs that its stream holds pre-mixed.
+``_mix_block`` is the only SWAR ("SIMD within a register") code: it mixes
+many outputs at once, one per 128-bit lane of a Python int.  It gives
+``_counts`` the seeds of a block of samples and the shell output u1 of each
+of their draws (few of those draws read u2 or u3, which stay inline and
+lazy), and the tree sampler all three outputs of its path's draws, every
+one of which it reads.
 
 Two path samplers are provided, and each returns its path as a plain
 ``GridFunction``.  The series sampler expands the path over
@@ -96,14 +98,16 @@ def _unpack(z: int, k: int) -> list[int]:
         "Q")[_LOW_WORDS].tolist()
 
 
-def _stream_u1s(state: int, draws: int) -> list[int]:
-    """The shell outputs u1 of ``draws`` consecutive draws from a stream at
-    ``state``, last draw first: the order ``draw_raw`` pops them in."""
-    ones, ramp, _ = _lanes(draws)
-    u1s = _unpack(_mix_block((state + _GOLDEN) * ones + _GOLDEN3 * ramp,
-                             draws), draws)
-    u1s.reverse()
-    return u1s
+def _stream_draws(state: int, draws: int) -> tuple[list, list, list]:
+    """The outputs u1, u2 and u3 of ``draws`` consecutive draws from a
+    stream at ``state``, each list last draw first: the order ``draw_raw``
+    pops them in.  One block mixes all 3 * draws outputs, in stream order."""
+    k = 3 * draws
+    ones, ramp, _ = _lanes(k)
+    out = _unpack(_mix_block((state + _GOLDEN) * ones + _GOLDEN * ramp, k),
+                  k)
+    out.reverse()
+    return out[2::3], out[1::3], out[::3]
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -116,15 +120,17 @@ class RandomStream:
 
     ``_u1`` may hold the pre-mixed shell outputs u1 of the next draws,
     last draw first, and ``_at`` the state at which the next of them is
-    drawn.  ``draw_raw`` pops one only at that state, so a stream moved
-    any other way mixes its outputs inline and never reads a wrong one.
+    drawn.  ``_u2`` and ``_u3`` are then either empty or hold the second
+    and third outputs of the same draws.  ``draw_raw`` pops a draw's
+    outputs only at that state, so a stream moved any other way mixes its
+    outputs inline and never reads a wrong one.
     """
 
-    __slots__ = ("state", "_u1", "_at")
+    __slots__ = ("state", "_u1", "_u2", "_u3", "_at")
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
-        self._u1 = ()
+        self._u1 = self._u2 = self._u3 = ()
         self._at = None
 
     def u64(self) -> int:
@@ -254,10 +260,12 @@ class Gaussian1DSampler:
         then holds only the digits read: that of the full draw mod p**k, or
         the unit 1 when no digit is read.  The per-cut table ``_row`` says
         which outputs a shell reads; each output is mixed by the SplitMix64
-        finalizer of ``mix64``, written inline.  The one exception is u1
-        when the stream holds it pre-mixed for its current state (see
-        ``RandomStream``): it is then popped, so the value, the stream state
-        after the draw and the call count are those of the inline path.
+        finalizer of ``mix64``, written inline.  The one exception is a
+        draw whose stream holds it pre-mixed for its current state (see
+        ``RandomStream``): its u1, and its u2 and u3 where the block holds
+        them (the tree sampler's do, ``_counts``' do not), are then popped,
+        so the value, the stream state after the draw and the call count
+        are those of the inline path.
         """
         try:
             row = self._rows[cut]
@@ -266,9 +274,13 @@ class Gaussian1DSampler:
         z = stream.state
         stream.state = s3 = (z + _GOLDEN3) & _MASK
         u1s = stream._u1
+        u2 = u3 = None
         if u1s and z == stream._at:                 # u1, pre-mixed
             stream._at = s3
             u1 = u1s.pop()
+            if stream._u2:                          # u2, u3 of the block
+                u2 = stream._u2.pop()
+                u3 = stream._u3.pop()
         else:                                       # u1, mixed inline
             z = (z + _GOLDEN) & _MASK
             z = ((z ^ (z >> 30)) * _MIX1) & _MASK
@@ -277,15 +289,19 @@ class Gaussian1DSampler:
         v, lead, rest, unit = row[bisect_right(self._bounds, u1)]
         if not lead:
             return unit
-        z = (s3 - _GOLDEN) & _MASK                  # u2
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        mant = 1 + (z ^ (z >> 31)) % lead
+        if u2 is None:                              # u2, mixed inline
+            z = (s3 - _GOLDEN) & _MASK
+            z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            u2 = z ^ (z >> 31)
+        mant = 1 + u2 % lead
         if not rest:
             return v, mant
-        z = ((s3 ^ (s3 >> 30)) * _MIX1) & _MASK     # u3
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return v, mant + self.spec.p * ((z ^ (z >> 31)) % rest)
+        if u3 is None:                              # u3, mixed inline
+            z = ((s3 ^ (s3 >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            u3 = z ^ (z >> 31)
+        return v, mant + self.spec.p * (u3 % rest)
 
     def draw(self, stream: RandomStream) -> PAdicValue:
         v, mant = self.draw_raw(stream)
@@ -461,11 +477,11 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     _, samplers = path_laws("tree", ball, depth, q, betas=betas)
     p, n = ball.p, ball.n
     mod = _pow(p, n)
-    # blocks of about 1024 draws: each block size's lane constants stay
-    # cached, and a path's must not add to a solve's peak memory.  A node
-    # draws p - 1 times, so a block of whole nodes' u1s ends where a node
-    # ends.
-    block = max(1024 // (p - 1), 1) * (p - 1)
+    # blocks of about 512 draws, 1536 outputs: each block size's lane
+    # constants stay cached, and a path's must not add to a solve's peak
+    # memory.  A node draws p - 1 times, so a block of whole nodes' draws
+    # ends where a node ends.
+    block = max(512 // (p - 1), 1) * (p - 1)
     left = _pow(p, len(samplers)) - 1     # draws the path has yet to make
 
     def children(level, j, base, kids):
@@ -475,7 +491,8 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
         if not stream._u1:
             take = min(block, left)
             left -= take
-            stream._u1 = _stream_u1s(stream.state, take)
+            stream._u1, stream._u2, stream._u3 = _stream_draws(stream.state,
+                                                               take)
             stream._at = stream.state
         draw_raw = samplers[level].draw_raw
         bv, bm = base.v, base.m

@@ -24,7 +24,7 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, tee
 from operator import sub
 from typing import Callable
 
@@ -48,7 +48,10 @@ class Program:
 
     A ``functional`` program receives the whole previous iterate (the
     state as an element of the continuous-function space) as a third
-    argument; pointwise programs are the common special case.
+    argument; pointwise programs are the common special case.  A program
+    must be a pure function of ``(t, x[, state])``: ``solve_picard``
+    hands a solution that read no path increment on to the next path
+    unsolved, which is valid only if no call can answer differently.
     """
 
     fn: Callable
@@ -180,6 +183,8 @@ class SDESolution:
 
     ``iterations`` counts every sweep, the final unchanged one included;
     ``subdivisions`` is always empty and is kept for report readers.
+    ``read_path`` says whether a sweep read a path increment; a solution
+    that read none is the solution on every path of its grid.
     """
 
     values: GridFunction
@@ -188,6 +193,7 @@ class SDESolution:
     contraction: dict
     residual: float
     subdivisions: tuple[str, ...]
+    read_path: bool
 
     def __getitem__(self, t: PAdicValue) -> PAdicValue:
         return self.values[t]
@@ -239,7 +245,8 @@ def _defect(p: int, new, old) -> float:
 
 def solve_picard(problem: SDEProblem, w: GridFunction,
                  max_iter: int | None = None,
-                 initial: tuple | None = None) -> SDESolution:
+                 initial: tuple | None = None,
+                 prior: SDESolution | None = None) -> SDESolution:
     """Solve the drift/diffusion equation along one sampled path.
 
     Each sweep is one level-order pass over the digit tree; sweeps repeat
@@ -256,10 +263,21 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     interior nodes, those with children, read their grid point: they are
     the indices below ``p**(radius_exp + depth - 1)``, exactly the grid one
     level up, so the sweep reads its points from that coarser grid.
+
+    ``prior`` may be a solution of the same problem, start and sweep
+    limit on another path of the same grid.  If it read no path increment
+    it is returned as it is, with its own ``iterations``: until a term
+    reads an increment a sweep never touches the path, so every path
+    gives the same sweeps, provided the programs are pure.  A prior that
+    read its path is ignored.
     """
     ball, depth = problem.ball, problem.depth
     if w.ball != ball or w.depth != depth:
         raise ValueError("grid mismatch")
+    if prior is not None and not prior.read_path:
+        if prior.values.ball != ball or prior.values.depth != depth:
+            raise ValueError("prior grid mismatch")
+        return prior
     p, n, r = ball.p, ball.n, ball.radius_exp
     size = ball.grid_size(depth)
     if initial is not None and (len(initial) != size or
@@ -319,7 +337,8 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
                        defect_trace=tuple(trace),
                        contraction={"ball[level=0,index=0]":
                                     max(ratios, default=0.0)},
-                       residual=trace[-1], subdivisions=())
+                       residual=trace[-1], subdivisions=(),
+                       read_path=dws is not None)
 
 
 def picard_as_family(problem: SDEProblem) -> SDEProblem:
@@ -386,6 +405,16 @@ def _level_rows(means: dict, base: float, p: int, c1: float,
     return rows
 
 
+def _path_rows(problem: SDEProblem, paths):
+    """The solution values along each path in turn; each solve gets the
+    previous path's solution as its prior, so an equation that reads no
+    path increment is solved once."""
+    sol = None
+    for w in paths:
+        sol = solve_picard(problem, w, prior=sol)
+        yield sol.values.values
+
+
 def moment_diagnostic(problem: SDEProblem, paths, s: int,
                       c1: float, c2: float) -> list[LevelRow]:
     """Empirical moment inequality report.
@@ -397,7 +426,7 @@ def moment_diagnostic(problem: SDEProblem, paths, s: int,
     """
     ball = problem.ball
     pts = GridFunction.coordinate(ball, problem.depth).values
-    rows = (solve_picard(problem, w).values.values for w in paths)
+    rows = _path_rows(problem, paths)
     means = _level_profile(rows, pts, ball.center, s)
     return _level_rows(means, problem.x0.norm() ** s, ball.p, c1, c2)
 
@@ -411,10 +440,10 @@ def stability_diagnostic(problem: SDEProblem, x0_a: PAdicValue,
     path by path); otherwise the gap statistic is checked against
     max(|xi0_a - xi0_b|**s, |t - t0| (C1 + C2 stat)).
     """
-    prob_a = replace(problem, x0=x0_a)
-    prob_b = replace(problem, x0=x0_b)
-    gaps = (map(sub, solve_picard(prob_a, w).values.values,
-                solve_picard(prob_b, w).values.values) for w in paths)
+    paths_a, paths_b = tee(paths)
+    gaps = (map(sub, a, b) for a, b in zip(
+        _path_rows(replace(problem, x0=x0_a), paths_a),
+        _path_rows(replace(problem, x0=x0_b), paths_b)))
     ball = problem.ball
     pts = GridFunction.coordinate(ball, problem.depth).values
     means = _level_profile(gaps, pts, ball.center, s)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from padicsde import cli
 from padicsde.cli import _CHUNK_ROWS, SECTIONS, TOLERANCES, TOP, \
     Artifacts, ConfigError, RunConfig, _csv_chunks, _exp_scale_floor, main
 from padicsde.padic import PRIME_LIMIT, PAdicValue
@@ -120,15 +121,41 @@ def test_solve_pure_drift_closed_form(tmp_path):
     assert convergence["solves"][0]["residual"] == 0.0
 
 
-def test_solve_peak_memory_does_not_grow_with_samples(tmp_path):
+@pytest.mark.parametrize("problem, shared", [("steep", True),
+                                             ("linear", False)])
+def test_solve_shares_only_a_solution_that_read_no_path(tmp_path, monkeypatch,
+                                                        problem, shared):
+    # steep has no diffusion, so the first sample's solution is every
+    # sample's; linear reads its path and solves every sample
+    sols = []
+    solve = cli.solve_picard
+
+    def recording(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(cli, "solve_picard", recording)
+    cfgfile = write_config(tmp_path, {
+        **BASE, "solve": {"problem": problem, "samples": 3}})
+    assert main(["solve", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(sols) == 3
+    assert [s is sols[0] for s in sols[1:]] == [shared, shared]
+
+
+@pytest.mark.parametrize("problem", ["steep", "linear"])
+def test_solve_peak_memory_does_not_grow_with_samples(tmp_path, problem):
     # each sample's path and solution are released before the next path is
-    # drawn, so four samples peak no higher than one; the first run warms
-    # every cache the later runs read
+    # drawn (steep reads no path, and its one shared solution lives on), so
+    # four samples peak no higher than one; the first run warms every cache
+    # the later runs read.  A peak is taken above the memory traced when its
+    # run starts: objects an earlier traced run freed onto CPython's free
+    # lists (linear's path cells, a tuple each) still count as traced
     cfg = {"prime": 5, "precision": 6, "depth": 5, "seed": 1}
 
     def solve(samples, name):
         cfgfile = write_config(tmp_path, {
-            **cfg, "solve": {"problem": "steep", "samples": samples}},
+            **cfg, "solve": {"problem": problem, "samples": samples}},
             name=f"{name}.json")
         assert main(["solve", "--config", str(cfgfile),
                      "--out", str(tmp_path / name)]) == 0
@@ -138,9 +165,10 @@ def test_solve_peak_memory_does_not_grow_with_samples(tmp_path):
     try:
         peaks = []
         for samples in (1, 4):
+            base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             solve(samples, f"s{samples}")
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.02 * peaks[0], peaks

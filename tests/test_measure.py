@@ -799,9 +799,11 @@ def test_mix_block_matches_mix64(lanes):
     packed = measure._mix_block(start * ones + _G * ramp, lanes)
     want = [mix64(start + i * _G) for i in range(lanes)]
     assert measure._unpack(packed, lanes) == want
-    # the lanes of a stream's next draws, last draw first
-    assert measure._stream_u1s(start, lanes) == \
-        [mix64(start + (3 * d + 1) * _G) for d in reversed(range(lanes))]
+    # output c of each of a stream's next draws, last draw first: one
+    # block of 3 * lanes outputs split into u1, u2 and u3
+    for c, got in enumerate(measure._stream_draws(start, lanes), 1):
+        assert got == [mix64(start + (3 * d + c) * _G)
+                       for d in reversed(range(lanes))]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -879,6 +881,70 @@ def test_draw_raw_pops_a_pre_mixed_u1_only_at_its_state():
     assert stream._u1 == [0]
 
 
+def _law_draw(sampler, u1, u2, u3, cut):
+    """The draw that the documented law gives for outputs u1, u2, u3,
+    worked out exactly: shell i + 1 once (u1 >> 11) / 2**53 reaches the
+    i-th cumulative weight, the lead digit 1 + u2 mod (p - 1), the other
+    digits u3 mod p**(n - 1), of which a cut keeps the k = cut + m lowest
+    (the unit 1 when k < 1)."""
+    p, n = sampler.spec.p, sampler.spec.n
+    x = Fraction(u1 >> 11, 2**53)
+    i = sum(x >= Fraction(c) for c in sampler.cumulative)
+    m = sampler.shells[min(i, len(sampler.shells) - 1)]
+    mant = 1 + u2 % (p - 1) + p * (u3 % p**(n - 1))
+    k = n if cut is None else cut + m
+    return -m, mant % p**min(k, n) if k >= 1 else 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_draw_raw_draws_the_exact_law(p):
+    # u1 on both sides of every shell bound, u2 in every class mod p - 1
+    # and u3 at the ends of its digit range, on the three routes a draw
+    # takes: mixed inline, u1 from a ``_counts`` block with u2 and u3
+    # inline, and all three from a tree block
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(p, N, 2.0, 1.0))
+    u1s = [0, _M]
+    for c in sampler.cumulative:
+        step = math.ceil(c * 2**53) << 11
+        u1s += [u for u in (step - 1, step) if 0 <= u <= _M]
+    u2s = [r + (p - 1) * 0x5DEECE66D for r in range(p - 1)] + [_M]
+    u3s = [0, 1, p**(N - 1) - 1, p**(N - 1), _M]
+    cuts = (None, sampler.shell_only, 0, 2)
+    # inline and from a ``_counts`` block, each output chosen in turn
+    # through the state: output c of a draw at s is mix64(s + c G)
+    states = [(_unmix64(u) - c * _G) & _M
+              for c, us in enumerate((u1s, u2s, u3s), 1) for u in us]
+    for s in states:
+        outs = [mix64(s + c * _G) for c in (1, 2, 3)]
+        master = (_unmix64(s) - _G) & _M
+        assert derive_seed(master, 0) == s
+        for cut in cuts:
+            want = _law_draw(sampler, *outs, cut)
+            stream = RandomStream(s)
+            assert sampler.draw_raw(stream, cut) == want, (s, cut)
+            assert stream.state == (s + 3 * _G) & _M
+
+            def key(stream, cut=cut):
+                held = len(stream._u1)
+                return held, sampler.draw_raw(stream, cut), len(stream._u1)
+
+            assert MonteCarloEnsemble(master, 1)._counts(key, 1) == \
+                {(1, want, 0): 1}, (s, cut)
+    # from a tree block: all three outputs planted, whatever the state
+    for u1 in u1s:
+        for j, u2 in enumerate(u2s):
+            for u3 in u3s[j % 2::2]:
+                for cut in cuts:
+                    stream = RandomStream(_G * j)
+                    stream._u1, stream._u2, stream._u3 = [u1], [u2], [u3]
+                    stream._at = stream.state
+                    got = sampler.draw_raw(stream, cut)
+                    assert got == _law_draw(sampler, u1, u2, u3, cut), \
+                        (u1, u2, u3, cut)
+                    assert stream._u1 == stream._u2 == stream._u3 == []
+                    assert stream.state == stream._at == (_G * (j + 3)) & _M
+
+
 def test_counts_when_a_key_moves_its_stream_between_draws():
     # a stream moved other than by draw_raw reads no pre-mixed u1 again
     sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(5, N, 1.0, 1.0))
@@ -895,19 +961,31 @@ def test_counts_when_a_key_moves_its_stream_between_draws():
         list(_scalar_counts(ens, key).items())
 
 
-@pytest.mark.parametrize("p, n, depth", [(2, 12, 11), (5, N, 5), (7, N, 4)])
+@pytest.mark.parametrize("p, n, depth", [(2, 12, 11), (5, N, 5), (7, N, 4),
+                                         (7, 1, 1)])
 def test_tree_path_blocks_match_inline_draws(monkeypatch, p, n, depth):
-    # the path's 2047, 3124 or 2400 u1s come in blocks of whole nodes, the
-    # last one short; with no pre-mixed u1 every draw mixes inline, and
-    # the path must not move
+    # the path's 2047, 3124, 2400 or 6 draws come in blocks of whole
+    # nodes, the last one short.  With no pre-mixed output, or with u1
+    # alone pre-mixed as ``_counts`` does, the path must not move
     ball = BallSpec.unit(p, n)
     blocked = wiener_path("tree", ball, depth, 1.0, seed=p)
-    monkeypatch.setattr(measure, "_stream_u1s", lambda state, draws: [])
-    assert blocked.values == wiener_path("tree", ball, depth, 1.0,
-                                         seed=p).values
-    # and the blocks are read: planted u1s of 0 put every draw on the
-    # first shell
-    monkeypatch.setattr(measure, "_stream_u1s",
-                        lambda state, draws: [0] * draws)
-    assert blocked.values != wiener_path("tree", ball, depth, 1.0,
-                                         seed=p).values
+    real = measure._stream_draws
+
+    def path_with(make):
+        monkeypatch.setattr(measure, "_stream_draws", make)
+        return wiener_path("tree", ball, depth, 1.0, seed=p).values
+
+    assert path_with(lambda state, draws: ([], [], [])) == blocked.values
+    assert path_with(lambda state, draws: (real(state, draws)[0], [], [])) \
+        == blocked.values
+    # and each output of the blocks is read: planted zeros put every draw
+    # on the first shell (u1), make every lead digit 1 (u2) or every other
+    # digit 0 (u3).  u2 mod p - 1 reads nothing at p = 2, and u3 nothing
+    # at n = 1, so there a planted output must leave the path as it is
+    for c, read in enumerate((True, p > 2, n > 1)):
+        def planted(state, draws, c=c):
+            outs = list(real(state, draws))
+            outs[c] = [0] * draws
+            return tuple(outs)
+
+        assert (path_with(planted) != blocked.values) == read, c

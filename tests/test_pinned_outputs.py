@@ -158,6 +158,73 @@ SHALLOW_SOLUTIONS = {
 }
 
 
+# three samples of steep (no path read: one solution shared by every
+# sample), linear and pure_noise (each sample solved on its own path) at
+# p=3, N=6, depth 4, seed 7, radius_exp 0 and 1
+THREE_SAMPLE_SOLVES = {
+    (0, "steep"): {
+        "convergence.json":
+            "d24e0bbd755e4b4633da6dd80d0be5a7bae445580ecf69b49eab1ba0705e9c28",
+        "solution_0000.csv":
+            "34e96bdfeb32a9aa7dc0943e7a038c45c89868bf08ffd62802f695c0e47fda58",
+        "solution_0001.csv":
+            "34e96bdfeb32a9aa7dc0943e7a038c45c89868bf08ffd62802f695c0e47fda58",
+        "solution_0002.csv":
+            "34e96bdfeb32a9aa7dc0943e7a038c45c89868bf08ffd62802f695c0e47fda58",
+    },
+    (0, "linear"): {
+        "convergence.json":
+            "b6b5473f3b633875f3ab245ed949d0321ac69f82dc7792983b34517086c09377",
+        "solution_0000.csv":
+            "a81b05219dc11340bb38e089c7dee3e13b90f92ee966ac5c74052cceeff0a4ff",
+        "solution_0001.csv":
+            "bf7fcfb79156c8ee5413517758c69e7ffd56ac6ce13a44ce9faad26e26e93103",
+        "solution_0002.csv":
+            "c90ab19601103716433661f0fc6ac1df3fb4f6024befdd0a094800932663c735",
+    },
+    (0, "pure_noise"): {
+        "convergence.json":
+            "96277b1b0b36fce12325b357540e531edd3eb83f1484b6f3ec8d02bc1c4e1342",
+        "solution_0000.csv":
+            "3f0433f927cc28fadfd79fcbec11aaba5af40344b0893f1c2f1a10aac239bf6a",
+        "solution_0001.csv":
+            "c7f7f992bd536e482d355d70ea015a7f0237a20ae0011457e7881c126faa3668",
+        "solution_0002.csv":
+            "bc68417112ef7d367bc1515d2bd4db516d23df10ac42f82b6da3b320226f5b79",
+    },
+    (1, "steep"): {
+        "convergence.json":
+            "400cd065daaf4ea571341dfdaa263786b997da163c8fe2ef377f9317f630ad78",
+        "solution_0000.csv":
+            "9abbb475439a3cf971589ec29828329da432d773c6a6a3241fdb8571ee8c93a3",
+        "solution_0001.csv":
+            "9abbb475439a3cf971589ec29828329da432d773c6a6a3241fdb8571ee8c93a3",
+        "solution_0002.csv":
+            "9abbb475439a3cf971589ec29828329da432d773c6a6a3241fdb8571ee8c93a3",
+    },
+    (1, "linear"): {
+        "convergence.json":
+            "1985ae7be77de6bb7eeeececc87adb165939014e7fbc65ac8333018017670897",
+        "solution_0000.csv":
+            "cd2729f8703e2d05d05d4b80885c3833fb3c4e3d1d35c042681f739f12468145",
+        "solution_0001.csv":
+            "eaefbda7823b4b7ca021a6833f34fc6fd8e0b7f1ab2a436b815d8a3a9f9d17b6",
+        "solution_0002.csv":
+            "d1a456b8482e3b69510aef1e6edaa26165d8d3b2410a3f641dd3c05bfde7b8dc",
+    },
+    (1, "pure_noise"): {
+        "convergence.json":
+            "55955780b4bc3c12539c354e47424cfcf391241f7056210de0824d884d613999",
+        "solution_0000.csv":
+            "76ca3b379a5467d748c01d0b8a2ad84e02d0716dfdc0a7ce952f5240a76dcad6",
+        "solution_0001.csv":
+            "a3d974e1648ab76dbb3e72362fb5acaf8f1c3b819d688da04ea24fea86a2cb17",
+        "solution_0002.csv":
+            "a19716ec07a83308e373e38373eeaf0641c227ace26127c51dffcc712c6fe262",
+    },
+}
+
+
 def run_digests(tmp_path, command, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
@@ -277,3 +344,12 @@ def test_shallow_grid_solution_digests(tmp_path, grid, problem):
         "solve": {"problem": problem, "samples": 2}})
     assert (got["solution_0000.csv"], got["solution_0001.csv"]) == \
         SHALLOW_SOLUTIONS[grid, problem]
+
+
+@pytest.mark.parametrize("radius_exp, problem", sorted(THREE_SAMPLE_SOLVES))
+def test_three_sample_solve_digests(tmp_path, radius_exp, problem):
+    got = run_digests(tmp_path, "solve", {
+        **BASE, "radius_exp": radius_exp,
+        "solve": {"problem": problem, "samples": 3}})
+    want = THREE_SAMPLE_SOLVES[radius_exp, problem]
+    assert {k: got[k] for k in want} == want

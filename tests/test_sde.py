@@ -553,8 +553,11 @@ def _solve_picard_reference(problem, w, initial=None):
     cur[0] = root
     drift, diffusion = problem.drift, problem.diffusion
     state = cur
+    # whether some term with a nonzero program value has a power of dw
+    read_path = False
 
     def children(level, j, node, kids):
+        nonlocal read_path
         acc, x = node
         t = points[j]
         pieces = []
@@ -567,6 +570,7 @@ def _solve_picard_reference(problem, w, initial=None):
             if pv[0]:
                 pieces.append((ft.b + ft.m - ft.l, ft.m - ft.l, ft.l,
                                pv, av, ev))
+                read_path = read_path or ft.l > 0
         out = []
         for d, jn in enumerate(kids, 1):
             dw = cell_sub(p, wcells[jn], wcells[j])
@@ -588,7 +592,7 @@ def _solve_picard_reference(problem, w, initial=None):
         values=GridFunction(ball, depth, tuple(cur)),
         iterations=len(trace), defect_trace=tuple(trace),
         contraction={"ball[level=0,index=0]": max(ratios, default=0.0)},
-        residual=trace[-1], subdivisions=())
+        residual=trace[-1], subdivisions=(), read_path=read_path)
 
 
 def _starts(prob, sol):
@@ -761,3 +765,97 @@ def test_zero_term_slots_are_never_called():
                                     family=base + (live,)), w)
     interior = (p**3 - 1) // (p - 1)
     assert calls["a"] == calls["e"] == sol.iterations * interior
+
+
+def test_a_path_free_prior_answers_without_a_program_call():
+    # no term reads dw, so the second path's solve is the first one's: it
+    # calls no program and returns the prior itself
+    p = 3
+    calls = [0]
+    alpha = PAdicValue.from_int(p, p, N)
+
+    def fn(t, x):
+        calls[0] += 1
+        return alpha * x
+
+    prob = make_problem(p, 3, x0_int=2, drift=sde.Program(fn))
+    first = solve_picard(prob, path_for(prob, 1))
+    assert not first.read_path and calls[0] > 0
+    calls[0] = 0
+    w = path_for(prob, 2)
+    assert w.values != path_for(prob, 1).values
+    assert solve_picard(prob, w, prior=first) is first
+    assert calls[0] == 0
+    assert solve_picard(prob, w) == first
+
+
+@pytest.mark.parametrize("name", ["zero", "pure_drift", "pure_noise",
+                                  "linear_drift", "linear", "steep",
+                                  "polynomial", "locally_constant"])
+@pytest.mark.parametrize("radius_exp", [0, 1])
+def test_chained_priors_equal_fresh_solves(name, radius_exp):
+    # each sample passes the previous solution on, as ``solve`` does: the
+    # two problems with a diffusion read every path and solve every
+    # sample, the six without share the first sample's solution
+    cfg = RunConfig({"prime": 3, "precision": N, "depth": 3,
+                     "radius_exp": radius_exp, "solve": {"problem": name}},
+                    "solve")
+    prob, _ = build_problem(cfg)
+    noisy = name in ("pure_noise", "linear")
+    prior = first = None
+    for seed in range(3):
+        w = path_for(prob, 60 + seed)
+        sol = solve_picard(prob, w, prior=prior)
+        assert sol == solve_picard(prob, w)
+        assert sol.read_path == noisy
+        assert (sol is first) == (seed > 0 and not noisy)
+        prior = sol
+        first = first or sol
+
+
+def test_a_prior_of_another_grid_is_refused():
+    p = 3
+    prob = make_problem(p, 3, x0_int=1)
+    deeper = replace(prob, depth=4)
+    prior = solve_picard(deeper, path_for(deeper, 3))
+    with pytest.raises(ValueError, match="prior grid"):
+        solve_picard(prob, path_for(prob, 3), prior=prior)
+
+
+def test_noise_free_diagnostics_match_solving_every_path(monkeypatch):
+    # without a diffusion each diagnostic solves once per start: moment
+    # once, stability once for x0_a and once for x0_b.  The rows equal
+    # those of a solve on every path
+    p = 3
+    calls = [0]
+    poly = polynomial_program((PAdicValue.zero(p, N),
+                               PAdicValue.from_int(2, p, N),
+                               PAdicValue.one(p, N)))
+
+    def fn(t, x):
+        calls[0] += 1
+        return poly(t, x)
+
+    prob = make_problem(p, 4, x0_int=p, drift=sde.Program(fn))
+    paths = ensemble_paths("tree", prob.ball, prob.depth, 1.0,
+                           MonteCarloEnsemble(19, 6))
+    a, b = PAdicValue.from_int(1, p, N), PAdicValue.from_int(1 + p, p, N)
+
+    def tables():
+        calls[0] = 0
+        rows = [(r.radius_level, r.stat, r.bound, r.ok)
+                for rows in (moment_diagnostic(prob, paths, 2, 1.0, 0.5),
+                             stability_diagnostic(prob, a, b, paths, 1,
+                                                  1.0, 0.5))
+                for r in rows]
+        return rows, calls[0]
+
+    shared, shared_calls = tables()
+    fresh = sde.solve_picard
+    monkeypatch.setattr(sde, "solve_picard",
+                        lambda problem, w, prior=None: fresh(problem, w))
+    every, every_calls = tables()
+    assert shared == every
+    # pointwise solves take two sweeps each, so every solve calls the
+    # drift as often: 3 solves shared against 3 per path
+    assert every_calls == len(paths) * shared_calls > 0
