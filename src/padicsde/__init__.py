@@ -25,7 +25,6 @@ from .charfun import (
     AngleTally,
     GaussianSpec,
     ShellTable,
-    UnitAngle,
     ball_probability,
     character,
     gaussian_char,

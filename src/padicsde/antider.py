@@ -123,7 +123,10 @@ class GridFunction:
 
     def chain_steps(self, k: int):
         """Yield (level, j, j_next, step_cell) along the chain of index k;
-        trivial (digit zero) steps are skipped."""
+        trivial (digit zero) steps are skipped.  An index outside
+        ``0 <= k < size`` raises ValueError on the first step."""
+        if not 0 <= k < self.size:
+            raise ValueError("grid index out of range")
         p = self.p
         for level in range(self.levels):
             j = k % _pow(p, level)

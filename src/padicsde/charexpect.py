@@ -69,6 +69,8 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     default betas and zetas are those of ``wiener_path``, and
     ``path_laws`` checks both.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ball, depth = psi.ball, psi.depth
     p, n = psi.p, psi.n
     _, laws = path_laws(sampler, ball, depth, q, betas, zetas)

@@ -1,13 +1,14 @@
 """Additive characters of Q_p and characteristic functionals of q-Gaussian
 measures.
 
-A character value is kept as an exact rational angle (a fraction of a full
-turn with denominator a power of p); complex floating-point numbers appear
-only when angles are finally averaged or compared.  The q-Gaussian law with
-spread parameter beta > 0 and shift gamma has characteristic functional
-``exp(-beta * |h|**q) * chi_gamma(h)``; its mass decomposes over the norm
-shells ``|x - gamma| = p**m``, and those shell probabilities are recovered
-exactly from the characteristic functional by Fourier inversion over balls.
+``character`` returns a character value as its exact angle: a ``Fraction``
+turn in [0, 1) whose denominator is a power of p.  Complex floating-point
+numbers appear only when angles are finally averaged or compared.  The
+q-Gaussian law with spread parameter beta > 0 and shift gamma has
+characteristic functional ``exp(-beta * |h|**q) * chi_gamma(h)``; its mass
+decomposes over the norm shells ``|x - gamma| = p**m``, and those shell
+probabilities are recovered exactly from the characteristic functional by
+Fourier inversion over balls.
 """
 
 from __future__ import annotations
@@ -23,51 +24,17 @@ from .padic import PAdicValue, frac_part
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, slots=True)
-class UnitAngle:
-    """A point on the unit circle stored as an exact fraction of a turn.
-
-    Multiplying character values adds angles modulo 1; conjugation negates.
-    The denominator is always a power of the prime.
-    """
-
-    turns: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "turns", self.turns % 1)
-
-    @classmethod
-    def trivial(cls) -> "UnitAngle":
-        return cls(Fraction(0))
-
-    def __mul__(self, other: "UnitAngle") -> "UnitAngle":
-        return UnitAngle(self.turns + other.turns)
-
-    def conjugate(self) -> "UnitAngle":
-        return UnitAngle(-self.turns)
-
-    def __pow__(self, k: int) -> "UnitAngle":
-        return UnitAngle(self.turns * k)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.turns == 0
-
-    def as_complex(self) -> complex:
-        if self.turns == 0:
-            return 1.0 + 0.0j
-        return cmath.exp(1j * TWO_PI * float(self.turns))
-
-
-def character(gamma: PAdicValue, x: PAdicValue) -> UnitAngle:
-    """The additive character chi_gamma at x: the angle is the exact p-adic
-    fractional part of gamma * x.
+def character(gamma: PAdicValue, x: PAdicValue) -> Fraction:
+    """The additive character chi_gamma(x) = exp(2 pi i {gamma x}_p) as its
+    exact angle: the p-adic fractional part of gamma * x, a ``Fraction`` of
+    a turn in [0, 1) whose denominator is a power of p.  Character values
+    multiply by adding angles mod 1, and conjugation negates an angle.
 
     The product is formed at working precision, so the angle is exact as
     long as the digits of gamma * x at negative powers of p fall inside the
     mantissa window (keep |gamma * x| <= p**n).
     """
-    return UnitAngle(frac_part(gamma * x))
+    return frac_part(gamma * x)
 
 
 class AngleTally:
@@ -230,7 +197,7 @@ def gaussian_char(spec: GaussianSpec, g, h: PAdicValue) -> complex:
             shift = shift + gi * gam
     if shift.is_zero:
         return complex(modulus)
-    return modulus * character(shift, h).as_complex()
+    return modulus * cmath.exp(1j * TWO_PI * float(character(shift, h)))
 
 
 # -- shell distribution ---------------------------------------------------------

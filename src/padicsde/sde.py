@@ -37,8 +37,7 @@ from .antider import (
     cell_round,
     cell_sub,
 )
-from .measure import MonteCarloEnsemble, RandomStream, derive_seed, \
-    wiener_path
+from .measure import MonteCarloEnsemble, derive_seed, wiener_path
 from .padic import BallSpec, PAdicValue, _pow, _vp
 
 
@@ -153,28 +152,6 @@ class SDEProblem:
             for a, b in zip(orders, orders[1:]):
                 if sup[b] > sup[a] + 1e-15:
                     raise ValueError("decay")
-
-    def validate_lipschitz(self, samples: int = 64, seed: int = 0) -> float:
-        """The largest sampled difference quotient of the pointwise drift
-        and diffusion in the state: a measured local Lipschitz constant.
-        Functional programs are skipped."""
-        stream = RandomStream(seed)
-        p, n = self.ball.p, self.ball.n
-        worst = 0.0
-        for _ in range(samples):
-            t = self.ball.point(stream.below(self.ball.grid_size(self.depth)),
-                                self.depth)
-            x = PAdicValue(p, n, stream.below(3), 1 + stream.below(p - 1))
-            y = x + PAdicValue(p, n, stream.below(3) + 1, 1 + stream.below(p - 1))
-            gap = (x - y).norm()
-            if gap == 0.0:
-                continue
-            for prog in (self.drift, self.diffusion):
-                if prog.functional:
-                    continue
-                quot = (prog(t, x) - prog(t, y)).norm() / gap
-                worst = max(worst, quot)
-        return worst
 
 
 @dataclass(frozen=True)

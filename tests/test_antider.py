@@ -296,6 +296,34 @@ def test_grid_incomplete_lookup():
         f[outside]
 
 
+# every chain walk goes through GridFunction.chain_steps, which refuses an
+# index outside 0 <= k < size: read mod the grid size, it would be the chain
+# of another point
+_CHAIN_ENTRY_POINTS = {
+    "antider_u": lambda x, y, k: antider_u(x, k),
+    "antider_w": lambda x, y, k: antider_w(x, y, k),
+    "antider_mixed": lambda x, y, k: antider_mixed(x, None, x, y, 0, 1, 1, k),
+    "covariation": lambda x, y, k: covariation(x, y, k),
+    "by_parts_residual": lambda x, y, k: by_parts_residual(x, y, k),
+    "square_decomposition_residual":
+        lambda x, y, k: square_decomposition_residual(y, k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_ENTRY_POINTS))
+def test_chain_walks_refuse_indices_outside_the_grid(name):
+    op = _CHAIN_ENTRY_POINTS[name]
+    p = 3
+    x = random_grid(p, 3, rng=5)
+    y = wiener_path("tree", unit_ball(p), 3, 1.0, seed=23)
+    size = x.size
+    for k in (-1, -size, size, size + 1):
+        with pytest.raises(ValueError, match="grid index out of range"):
+            op(x, y, k)
+    for k in (0, 1, size - 1):
+        op(x, y, k)
+
+
 def test_shifted_ball_with_positive_radius():
     # chains are relative to the marked center; the unit integrand
     # telescopes to t - center, and by-parts stays exact off Z_p

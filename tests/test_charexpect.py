@@ -112,6 +112,31 @@ def test_partial_products_nonincreasing():
     assert all(0.0 < m <= 1.0 for m in mods)
 
 
+@pytest.mark.parametrize("t_index", [-1, 27, 32])
+def test_test_point_outside_the_grid_is_refused(t_index):
+    # a 27-point grid: an index outside it names no test point
+    _, psi = setup_grid(3, 3)
+    one = PAdicValue.one(3, N)
+    with pytest.raises(ValueError, match="grid index out of range"):
+        character_product_check(psi, one, one, t_index=t_index, samples=10,
+                                seed=1)
+    with pytest.raises(ValueError, match="grid index out of range"):
+        product_telescoping_moduli(psi, one, one, t_index=t_index)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_no_samples_is_refused_before_any_law_is_built(monkeypatch, samples):
+    def no_laws(*args, **kwargs):
+        raise AssertionError("a law was built")
+
+    monkeypatch.setattr(charexpect, "path_laws", no_laws)
+    _, psi = setup_grid(3, 3)
+    one = PAdicValue.one(3, N)
+    with pytest.raises(ValueError, match="samples"):
+        character_product_check(psi, one, one, t_index=5, samples=samples,
+                                seed=1)
+
+
 def _padic_reference(psi, gamma, g, t_index, samples, seed, q=1.0):
     """The tree estimator in PAdicValue arithmetic, one draw per chain
     step and one tally add per sample; also counts the sums whose exact

@@ -1,4 +1,5 @@
 import bisect
+import inspect
 import math
 from fractions import Fraction
 
@@ -409,6 +410,69 @@ def test_exact_shell_law_matches_gaussian_char(p, beta, q):
         want = gaussian_char(spec, (PAdicValue.one(p, N),), h)
         assert want.imag == 0.0
         assert abs(float(_exact_char(sampler, h)) - want.real) <= tol, v
+
+
+@pytest.mark.parametrize("p, beta, q", [
+    (p, b, q) for p in (2, 3, 5) for b in (0.1, 1.0, 10.0) for q in (1, 2)])
+def test_exact_shell_law_matches_the_shell_tables(p, beta, q):
+    # criterion 4's grid.  The oracle is the shell law the sampler's bounds
+    # encode; it is compared shell by shell with the table the sampler is
+    # built from and with criterion 4's table (the default tail_tol).
+    #
+    # Against the sampler's own table, at tail_tol TAIL_TOL: the first shell
+    # also draws the lower tail and the last the upper tail.  A bound is
+    # the cdf entry rounded up to the 2**-53 grid (capped at 1, which moves
+    # it by at most the overshoot of the cdf past 1), and each cdf entry is
+    # the previous one plus the weight, rounded once (at most 2**-53, since
+    # the cdf stays below 2).  So an inner shell is off by at most two
+    # grid roundings and one sum rounding, the first shell by one of each,
+    # and the last shell, drawn as 1 minus the second-to-last bound, by the
+    # grid rounding plus every earlier sum rounding and every rounding of a
+    # weight ``cdf_m - cdf_prev`` and of the upper tail ``1 - cdf_hi``.
+    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    sampler = Gaussian1DSampler(spec)
+    counts = _shell_counts(sampler)
+    own = shell_distribution(spec, tail_tol=measure.TAIL_TOL)
+    assert [m for m, _ in own.rows()] == sampler.shells
+    grid = Fraction(1, 1 << 53)
+    over = max(Fraction(max(sampler.cumulative)) - 1, 0)
+    last = len(counts) - 1
+    law = [Fraction(c, 1 << 53) for c in counts]
+    for i, (m, w) in enumerate(own.rows()):
+        want = Fraction(w)
+        if i == 0:
+            want += Fraction(own.lower_tail)
+            tol = 2 * grid + over
+        elif i < last:
+            tol = 3 * grid + over
+        else:
+            want += Fraction(own.upper_tail)
+            tol = (3 + 2 * len(counts)) * grid + over
+        assert abs(law[i] - want) <= tol, (m, float(law[i] - want))
+
+    # Against criterion 4's table: the same ball probabilities, with the
+    # series cut at a larger tail_tol.  Both series add the same terms in
+    # the same order up to the earlier cut, so a ball probability moves by
+    # at most the two cuts (each below its tail_tol, the probability being
+    # at most 1) plus one rounding per extra term; the larger cut has at
+    # most log_p(default / TAIL_TOL) + 1 extra terms, each p times smaller
+    # than the one before.  A weight differences two ball probabilities,
+    # rounded once; a tail is one.  Criterion 4's shells lie inside the
+    # sampler's, whose extra shells hold criterion 4's tails.
+    default = inspect.signature(shell_distribution).parameters[
+        "tail_tol"].default
+    crit4 = shell_distribution(spec)
+    extra = math.ceil(math.log(default / measure.TAIL_TOL, p)) + 1
+    ball = Fraction(default + measure.TAIL_TOL) + extra * grid
+    assert own.m_lo <= crit4.m_lo and crit4.m_hi <= own.m_hi
+    by_shell = dict(zip(sampler.shells, law))
+    end_tol = (3 + 2 * len(counts)) * grid + over
+    for m, w in crit4.rows():
+        assert abs(by_shell[m] - Fraction(w)) <= 2 * ball + grid + end_tol, m
+    below = sum(f for m, f in by_shell.items() if m < crit4.m_lo)
+    above = sum(f for m, f in by_shell.items() if m > crit4.m_hi)
+    assert abs(below - Fraction(crit4.lower_tail)) <= ball + end_tol
+    assert abs(above - Fraction(crit4.upper_tail)) <= ball + grid + end_tol
 
 
 def test_shifted_sampler_translates():

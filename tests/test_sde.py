@@ -261,14 +261,6 @@ def test_family_index_validation():
         FamilyTerm(0, 1, 2, prog)
 
 
-def test_lipschitz_advisory():
-    p = 5
-    alpha = PAdicValue.from_int(3, p, N)
-    prob = make_problem(p, 3, drift=linear_state_program(alpha))
-    measured = prob.validate_lipschitz(samples=64, seed=1)
-    assert measured <= alpha.norm() + 1e-12
-
-
 def test_moment_diagnostic_zero_problem():
     p = 3
     prob = make_problem(p, 3, x0_int=0)
