@@ -95,4 +95,36 @@ from .charexpect import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# functions and classes only: the submodules stay importable by name but
+# are not part of ``from padicsde import *``
+__all__ = [
+    # padic
+    "BallSpec", "PAdicValue", "digit_prefix", "frac_part", "mahler_poly",
+    "padic_exp",
+    # charfun
+    "AngleTally", "GaussianSpec", "ShellTable", "ball_probability",
+    "character", "gaussian_char", "shell_distribution",
+    "shell_nonnegativity_report",
+    # measure
+    "Gaussian1DSampler", "MonteCarloEnsemble", "RandomStream", "derive_seed",
+    "empirical_char", "level_betas", "mix64", "norm_histogram", "path_laws",
+    "sample_gaussian", "sample_wiener_mahler", "sample_wiener_tree",
+    "standard_zetas", "wiener_path",
+    # antider
+    "GridFunction", "antider_mixed", "antider_u", "antider_u_grid",
+    "antider_w", "antider_w_grid", "by_parts_residual", "covariation",
+    "square_decomposition_residual",
+    # sde
+    "FamilyTerm", "Program", "SDEProblem", "SDESolution", "constant_program",
+    "ensemble_paths", "functional_program", "linear_state_program",
+    "locally_constant_program", "moment_diagnostic", "picard_as_family",
+    "polynomial_program", "solve_picard", "stability_diagnostic",
+    "zero_program",
+    # evolution
+    "EvolutionOperator", "ExpEvolution", "GeneratorSpec",
+    "generating_operator", "generator_series", "mof_check", "path_derivative",
+    "perturbation_check", "scalar_flow", "solve_evolution",
+    # charexpect
+    "CharExpectationReport", "character_product_check",
+    "product_telescoping_moduli",
+]

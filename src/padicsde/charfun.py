@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .padic import PAdicValue, frac_part
 
@@ -304,18 +305,21 @@ def shell_distribution(spec: GaussianSpec, m_lo: int | None = None,
                              f"{lowest}..{highest}")
         return lo, hi
 
+    # each ball once: the widening loops probe shells the table reads again
+    cdf = cache(lambda m: ball_probability(spec, m, tail_tol))
+
     center = math.log(max(spec.beta, 1e-300)) / (spec.q * math.log(spec.p))
     lo, hi = inside(m_lo if m_lo is not None else int(math.floor(center)) - 4,
                     m_hi if m_hi is not None else int(math.ceil(center)) + 4)
-    while m_lo is None and ball_probability(spec, lo - 1, tail_tol) > tail_tol:
+    while m_lo is None and cdf(lo - 1) > tail_tol:
         lo, hi = inside(lo - 1, hi)
-    while m_hi is None and 1.0 - ball_probability(spec, hi, tail_tol) > tail_tol:
+    while m_hi is None and 1.0 - cdf(hi) > tail_tol:
         lo, hi = inside(lo, hi + 1)
-    cdf_prev = ball_probability(spec, lo - 1, tail_tol)
+    cdf_prev = cdf(lo - 1)
     lower = cdf_prev
     weights = []
     for m in range(lo, hi + 1):
-        cdf_m = ball_probability(spec, m, tail_tol)
+        cdf_m = cdf(m)
         w = cdf_m - cdf_prev
         if -1e-12 < w < 0.0:
             w = 0.0  # float noise only; genuine negativity stays visible

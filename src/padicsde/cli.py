@@ -604,21 +604,30 @@ def run_verify(cfg: RunConfig, art: Artifacts):
     rng = random.Random(cfg.seed)
     randrange = rng.randrange
     size, mod = ball.grid_size(depth), p**n
+    coord = GridFunction.coordinate(ball, depth)
+    zero = PAdicValue.zero(p, n)
 
-    def random_grid():
-        vals = []
-        for _ in range(size):
+    def random_grid(read):
+        """Random values at the indices ``read`` (ascending), zero elsewhere."""
+        vals = [zero] * size
+        for i in read:
             m = randrange(1, mod)
             while m % p == 0:
                 m = randrange(1, mod)
-            vals.append(PAdicValue(p, n, randrange(0, 3), m))
+            vals[i] = PAdicValue(p, n, randrange(0, 3), m)
         return GridFunction(ball, depth, tuple(vals))
 
+    # a by-parts residual at k reads x and y only at 0, k and the ends of
+    # k's chain steps, so a trial draws its index first and those values next
     worst = 0.0
     for _ in range(trials):
-        x = random_grid()
-        y = random_grid()
         k = randrange(size)
+        read = {0, k}
+        for _level, j, jn, _step in coord.chain_steps(k):
+            read.update((j, jn))
+        read = sorted(read)
+        x = random_grid(read)
+        y = random_grid(read)
         worst = max(worst, by_parts_residual(x, y, k).norm())
     identities = [{"identity": "integration_by_parts", "trials": trials,
                    "max_residual": worst}]
@@ -632,7 +641,7 @@ def run_verify(cfg: RunConfig, art: Artifacts):
 
     # C(t, w)(t) = w(t) at the grid point t = 1, index p**radius_exp
     one = p ** cfg.radius_exp
-    cov = covariation(GridFunction.coordinate(ball, depth), w, one)
+    cov = covariation(coord, w, one)
     cov_res = (cov - w.values[one]).norm()
     identities.append({"identity": "time_path_covariation_at_one",
                        "trials": 1, "max_residual": cov_res})

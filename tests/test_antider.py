@@ -269,6 +269,58 @@ def test_by_parts_exact_zero():
             assert by_parts_residual(x, y, k).is_zero
 
 
+class _Unread:
+    """A grid entry that fails on any use: its index must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"an unread grid entry was used ({name})")
+
+
+def chain_reads(grid, k):
+    """The indices a by-parts residual at k reads: 0, k and both ends of
+    every step of k's chain."""
+    read = {0, k}
+    for _level, j, jn, _step in grid.chain_steps(k):
+        read.update((j, jn))
+    return read
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("radius_exp", [0, 1])
+def test_by_parts_reads_only_chain_indices(p, radius_exp):
+    # every entry off the chain raises when read, and the residual equals
+    # that of the grids with those entries zeroed (an exact zero)
+    import random
+    r = random.Random(31 * p + radius_exp)
+    ball = BallSpec(PAdicValue.zero(p, N), radius_exp)
+    depth = 3
+    size = ball.grid_size(depth)
+
+    def unit():
+        m = r.randrange(1, p**N)
+        while m % p == 0:
+            m = r.randrange(1, p**N)
+        return PAdicValue(p, N, r.randrange(0, 3), m)
+
+    xs = [unit() for _ in range(size)]
+    ys = [unit() for _ in range(size)]
+    zero = PAdicValue.zero(p, N)
+    for k in sorted({0, 1, p, size // 2, size - 2, size - 1,
+                     *r.sample(range(size), 4)}):
+        read = chain_reads(GridFunction.coordinate(ball, depth), k)
+        assert len(read) <= ball.radius_exp + depth + 1
+
+        def grid(vals, fill):
+            return GridFunction(ball, depth, tuple(
+                v if i in read else fill for i, v in enumerate(vals)))
+
+        zeroed = by_parts_residual(grid(xs, zero), grid(ys, zero), k)
+        unread = _Unread()
+        assert by_parts_residual(grid(xs, unread), grid(ys, unread), k) \
+            == zeroed
+        assert zeroed.is_zero
+
+
 def test_by_parts_specializations():
     p = 3
     ball = unit_ball(p)

@@ -357,3 +357,30 @@ def test_series_loop_matches_per_sample_reference():
         seen["p2"] += p == 2
         seen["p5"] += p == 5
     assert all(count >= 3 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("sampler", ["tree", "mahler"])
+def test_one_sample_is_accepted(sampler):
+    # the least sample count: one character value, of modulus one, with no
+    # spread and the widest gate
+    _, psi = setup_grid(3, 3)
+    one = PAdicValue.one(3, N)
+    rep = character_product_check(psi, one, one, t_index=5, samples=1,
+                                  seed=1, sampler=sampler)
+    assert rep.samples == 1
+    assert (rep.stderr, rep.tolerance) == (0.0, 4.0)
+    assert abs(rep.empirical) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("center", [1, 5])
+def test_report_does_not_depend_on_the_center(center):
+    # chains, laws and draws are indexed relative to the ball's center
+    p, depth = 3, 3
+    one = PAdicValue.one(p, N)
+    reps = []
+    for c in (0, center):
+        ball = BallSpec(PAdicValue.from_int(c, p, N), 0)
+        psi = GridFunction.constant(ball, depth, one)
+        reps.append(character_product_check(psi, one, one, t_index=23,
+                                            samples=500, seed=4))
+    assert reps[0] == reps[1]

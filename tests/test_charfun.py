@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padicsde import charfun
 from padicsde.charfun import (
     AngleTally,
     GaussianSpec,
@@ -308,6 +309,31 @@ def test_shell_table_normalization_and_cdf():
         assert all(w >= 0.0 for w in table.weights)
         cdf = table.cdf()
         assert all(b2 >= a2 - 1e-15 for a2, b2 in zip(cdf, cdf[1:]))
+
+
+@pytest.mark.parametrize("p, b, q", SUPPORTED_GRID)
+@pytest.mark.parametrize("span", [(None, None), (-3, 4)],
+                         ids=["widened", "fixed"])
+def test_shell_table_computes_each_ball_once(monkeypatch, p, b, q, span):
+    # the widening loops probe the table's ends; each ball is computed once,
+    # and the table equals one built straight from ball_probability
+    calls = []
+
+    def counted(spec, m, tail_tol=1e-12):
+        calls.append(m)
+        return ball_probability(spec, m, tail_tol)
+
+    spec = GaussianSpec.one_dimensional(p, N, beta=b, q=q)
+    monkeypatch.setattr(charfun, "ball_probability", counted)
+    table = shell_distribution(spec, *span)
+    monkeypatch.undo()
+    lo, hi = table.m_lo, table.m_hi
+    assert sorted(calls) == list(range(lo - 1, hi + 1))
+    cdfs = [ball_probability(spec, m) for m in range(lo - 1, hi + 1)]
+    weights = tuple(0.0 if -1e-12 < w < 0.0 else w
+                    for w in (c - a for a, c in zip(cdfs, cdfs[1:])))
+    assert table.weights == weights
+    assert (table.lower_tail, table.upper_tail) == (cdfs[0], 1.0 - cdfs[-1])
 
 
 def test_shell_table_refuses_weights_off_the_span():

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from padicsde import cli
+from padicsde.antider import by_parts_residual
 from padicsde.cli import _CHUNK_ROWS, SECTIONS, TOLERANCES, TOP, \
     Artifacts, ConfigError, RunConfig, _csv_chunks, _exp_scale_floor, main
 from padicsde.padic import PRIME_LIMIT, PAdicValue
@@ -58,6 +59,38 @@ def test_repeat_runs_byte_identical(tmp_path):
     m1 = json.loads(tree1["manifest.json"])
     m2 = json.loads(tree2["manifest.json"])
     assert m1["artifacts"] == m2["artifacts"]
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+@pytest.mark.parametrize("radius_exp", [0, 1])
+def test_verify_draws_only_the_by_parts_reads(tmp_path, monkeypatch, prime,
+                                              radius_exp):
+    # each trial's grids hold a drawn unit times p**v, v in 0..2, exactly
+    # at 0, k and the ends of k's chain steps, and zero everywhere else
+    trials = []
+
+    def recorded(x, y, k):
+        trials.append((x, y, k))
+        return by_parts_residual(x, y, k)
+
+    monkeypatch.setattr(cli, "by_parts_residual", recorded)
+    cfgfile = write_config(tmp_path, {
+        "prime": prime, "precision": 5, "radius_exp": radius_exp,
+        "depth": 3, "seed": 2,
+        "verify": {"trials": 12, "char_samples": 100, "points": 1}})
+    assert main(["verify", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(trials) == 12
+    for x, y, k in trials:
+        read = {0, k}
+        for _level, j, jn, _step in x.chain_steps(k):
+            read.update((j, jn))
+        for grid in (x, y):
+            drawn = {i for i, v in enumerate(grid.values) if not v.is_zero}
+            assert drawn == read
+            assert all(grid.values[i].m % prime and 0 <= grid.values[i].v < 3
+                       for i in drawn)
+    assert len({k for _x, _y, k in trials}) > 1
 
 
 def test_seed_changes_sample_artifacts(tmp_path):

@@ -52,15 +52,18 @@ EVOLVE_RADIUS1 = {
 }
 
 # by-parts, square-decomposition and covariation residuals plus the
-# character-product reports
+# character-product reports; each by-parts trial draws its index, then x's
+# and y's values on that index's chain only
 VERIFY_REPORT = \
-    "c62e371b50f46e6a8c299c37f328f84b0bc421b3521e50303cf50ecf3d99e372"
+    "bb612802b05d2dfa19a96a4041329b0c4d9282e49b3558042f1d185dfb114c71"
 
 # verify at p=3, N=6, depth 6, 3 x 20000 character samples: the
 # mc_charprod bench config at bench seed 1, whose probe picks config seed
-# 64 (12 chain steps)
+# 64, the first candidate whose test points total MC_CHAIN_STEPS = 12
+# nonzero base-3 digits (the points are 694, 497 and 139)
 VERIFY_BENCH = \
-    "9f543e95099f3293c8aaccff58cde1d00b2813efa5ad01e9f0fc17f5d39b12dd"
+    "ee2826d6d670fbbc3a0a4282d646f011b70c0e0f17a74a66a4e17f9ccdc90df2"
+MC_CHAIN_STEPS = 12
 
 TREE_PATHS = {
     "path_0000.csv": "5f2858475a199904d7fc9e181be309e29ff60a84aeb489794288e8f26015b09b",
@@ -225,6 +228,14 @@ THREE_SAMPLE_SOLVES = {
 }
 
 
+def _nonzero_digits(k, p):
+    count = 0
+    while k:
+        count += k % p != 0
+        k //= p
+    return count
+
+
 def run_digests(tmp_path, command, cfg):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
@@ -282,6 +293,9 @@ def test_verify_bench_config_digest(tmp_path):
         "prime": 3, "precision": 6, "depth": 6, "seed": 64,
         "verify": {"trials": 20, "char_samples": 20000, "points": 3}})
     assert got["verify.json"] == VERIFY_BENCH
+    report = json.loads((tmp_path / "out" / "verify.json").read_text("utf-8"))
+    points = [r["t_index"] for r in report["character_products"]]
+    assert sum(_nonzero_digits(t, 3) for t in points) == MC_CHAIN_STEPS
 
 
 def test_tree_path_digests(tmp_path):

@@ -354,6 +354,31 @@ def test_diagnostic_rows_pinned():
         (0, 13176.205761316827, 6589.102880658414, False)]
 
 
+@pytest.mark.parametrize("center", [1, 5])
+def test_diagnostic_rows_do_not_depend_on_the_center(center):
+    # an autonomous problem's paths and solutions by grid index do not
+    # depend on the center, and the radius levels |t - t0| are taken
+    # relative to it, so moving the ball leaves every row unchanged
+    p = 3
+    alpha = PAdicValue.from_int(p, p, N)
+    beta = PAdicValue.from_int(2, p, N)
+    x0_b = PAdicValue.from_int(1 + p, p, N)
+    tables = []
+    for c in (0, center):
+        prob = replace(make_problem(p, 3, x0_int=1,
+                                    drift=linear_state_program(alpha),
+                                    diffusion=linear_state_program(beta)),
+                       ball=BallSpec(PAdicValue.from_int(c, p, N), 0))
+        paths = ensemble_paths("tree", prob.ball, prob.depth, 1.0,
+                               MonteCarloEnsemble(29, 8))
+        tables.append((
+            moment_diagnostic(prob, paths, s=1, c1=1.0, c2=0.5),
+            stability_diagnostic(prob, prob.x0, x0_b, paths, s=1, c1=1.0,
+                                 c2=0.5)))
+    assert tables[1] == tables[0]
+    assert [r.radius_level for r in tables[0][0]] == [2, 1, 0]
+
+
 def test_diagnostics_peak_memory_does_not_grow_with_paths():
     # each path's solution (or pair of solutions) is read into the running
     # level sums and dropped before the next is solved, so 32 paths peak no
