@@ -102,10 +102,10 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             steps.append((law.draw_raw, -c.v, c.v, c.m, _pow(p, n_c),
                           _pow(p, n_run)))
 
-        def chain_sum(stream):
+        def chain_sum(stream, u1s):
             v = m = 0
             for draw_raw, cut, cv, cm, mod_c, mod_run in steps:
-                dv, dm = draw_raw(stream, cut)
+                dv, dm = draw_raw(stream, cut, u1s.pop())
                 if not cm:
                     continue
                 tv, tm = cv + dv, cm * dm % mod_c
@@ -155,8 +155,9 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             rows.append((i, d.v, d.m, _pow(p, n_d), _pow(p, n_run)))
         draws = [(law.draw_raw, cut) for law, cut in zip(laws, cuts)]
 
-        def chain_sum(stream):
-            coeffs = [draw_raw(stream, cut) for draw_raw, cut in draws]
+        def chain_sum(stream, u1s):
+            coeffs = [draw_raw(stream, cut, u1s.pop())
+                      for draw_raw, cut in draws]
             v = m = 0
             for i, cv, cm, mod_c, mod_run in rows:
                 dv, dm = coeffs[i]

@@ -8,14 +8,14 @@ sample owns a private stream (see ``mix64`` for the published constants).
 An estimator that reads each sample once counts a per-sample key through
 ``MonteCarloEnsemble._counts``, the one ensemble loop: it keeps a single
 ``RandomStream`` and sets its state to each sample's seed in turn.
-``Gaussian1DSampler.draw_raw`` is called once per draw and writes the
-finalizer inline, except for outputs that its stream holds pre-mixed.
-``_mix_block`` is the only SWAR ("SIMD within a register") code: it mixes
-many outputs at once, one per 128-bit lane of a Python int.  It gives
-``_counts`` the seeds of a block of samples and the shell output u1 of each
-of their draws (few of those draws read u2 or u3, which stay inline and
-lazy), and the tree sampler all three outputs of its path's draws, every
-one of which it reads.
+``Gaussian1DSampler.draw_raw`` is called once per draw; it takes any of
+the draw's outputs that its caller has mixed already as arguments and
+writes the finalizer inline for the rest.  ``_mix_block`` is the only SWAR
+("SIMD within a register") code: it mixes many outputs at once, one per
+128-bit lane of a Python int.  It gives ``_counts`` the seeds of a block of
+samples and the shell output u1 of each of their draws (few of those draws
+read u2 or u3, which stay inline and lazy), and the tree sampler all three
+outputs of its path's draws, every one of which it reads.
 
 Two path samplers are provided, and each returns its path as a plain
 ``GridFunction``.  The series sampler expands the path over
@@ -35,7 +35,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .antider import GridFunction, _tree_scan
 from .charfun import AngleTally, GaussianSpec, _lq_zetas, shell_distribution
@@ -100,8 +100,9 @@ def _unpack(z: int, k: int) -> list[int]:
 
 def _stream_draws(state: int, draws: int) -> tuple[list, list, list]:
     """The outputs u1, u2 and u3 of ``draws`` consecutive draws from a
-    stream at ``state``, each list last draw first: the order ``draw_raw``
-    pops them in.  One block mixes all 3 * draws outputs, in stream order."""
+    stream at ``state``, each list last draw first: the order the tree
+    sampler pops them in.  One block mixes all 3 * draws outputs, in stream
+    order."""
     k = 3 * draws
     ones, ramp, _ = _lanes(k)
     out = _unpack(_mix_block((state + _GOLDEN) * ones + _GOLDEN * ramp, k),
@@ -118,20 +119,13 @@ def derive_seed(master: int, index: int) -> int:
 class RandomStream:
     """A private SplitMix64 stream; all draws are documented int maps.
 
-    ``_u1`` may hold the pre-mixed shell outputs u1 of the next draws,
-    last draw first, and ``_at`` the state at which the next of them is
-    drawn.  ``_u2`` and ``_u3`` are then either empty or hold the second
-    and third outputs of the same draws.  ``draw_raw`` pops a draw's
-    outputs only at that state, so a stream moved any other way mixes its
-    outputs inline and never reads a wrong one.
-    """
+    The state is the whole stream: output c of a draw at state s is
+    ``mix64(s + c * G)``, whoever mixes it."""
 
-    __slots__ = ("state", "_u1", "_u2", "_u3", "_at")
+    __slots__ = ("state",)
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
-        self._u1 = self._u2 = self._u3 = ()
-        self._at = None
 
     def u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK
@@ -164,20 +158,23 @@ class MonteCarloEnsemble:
             yield RandomStream(mix64(z))
 
     def _counts(self, key, draws: int) -> dict:
-        """Counts of ``key(stream)`` over the samples in first-occurrence
-        order; one stream is set to each sample's seed in turn.
+        """Counts of ``key(stream, u1s)`` over the samples in
+        first-occurrence order; one stream is set to each sample's seed in
+        turn.
 
-        ``key`` calls ``draw_raw`` ``draws`` times per sample.  The samples
-        go in blocks of about ``_BLOCK`` lanes: ``_mix_block`` mixes a
-        block's seeds, then the shell output u1 of each of their draws, and
-        each sample's stream holds its own u1s only.  A key that draws more
-        mixes the rest inline.  At most 64 draws a sample are pre-mixed, so
-        a block of 4096 lanes holds at least 64 samples.
+        ``u1s`` holds the shell outputs u1 of the sample's ``draws`` draws,
+        last draw first, and ``key`` makes exactly those draws, each one
+        ``draw_raw(stream, cut, u1s.pop())``.  The samples go in blocks of
+        about ``_BLOCK`` lanes: ``_mix_block`` mixes a block's seeds, then
+        the u1 of each of their draws.  A key that leaves its stream other
+        than ``draws`` draws past the seed has drawn a different number of
+        times or moved the stream, so its u1s may not be its draws'
+        outputs: that raises ValueError.
         """
         counts: dict = {}
         stream = RandomStream(0)
-        draws = min(draws, 64)
-        per = _BLOCK // max(draws, 1)
+        per = max(_BLOCK // max(draws, 1), 1)
+        moved = draws * _GOLDEN3
         for start in range(0, self.size, per):
             k = min(per, self.size - start)
             ones, ramp, _ = _lanes(k)
@@ -191,9 +188,12 @@ class MonteCarloEnsemble:
                     seeds + ((3 * d + 1) * _GOLDEN & _MASK) * ones, k), k)
             # lanes k * d + i for d falling: sample i's u1s, last draw first
             for top, seed in enumerate(_unpack(seeds, k), k * (draws - 1)):
-                stream.state = stream._at = seed
-                stream._u1 = u1s[top::-k]
-                out = key(stream)
+                stream.state = seed
+                out = key(stream, u1s[top::-k])
+                if stream.state != (seed + moved) & _MASK:
+                    raise ValueError(f"a key declared to draw {draws} "
+                                     "times a sample left its stream at "
+                                     "another state")
                 counts[out] = counts.get(out, 0) + 1
         return counts
 
@@ -246,8 +246,9 @@ class Gaussian1DSampler:
         self._rows[cut] = row
         return row
 
-    def draw_raw(self, stream: RandomStream,
-                 cut: int | None = None) -> tuple[int, int]:
+    def draw_raw(self, stream: RandomStream, cut: int | None = None,
+                 u1: int | None = None, u2: int | None = None,
+                 u3: int | None = None) -> tuple[int, int]:
         """Fast path: (valuation, mantissa) of an unshifted draw.
 
         Consumes three stream outputs u1, u2, u3: the shell is the inverse
@@ -259,13 +260,13 @@ class Gaussian1DSampler:
         least 1 and u3 only if it is at least 2.  The mantissa returned
         then holds only the digits read: that of the full draw mod p**k, or
         the unit 1 when no digit is read.  The per-cut table ``_row`` says
-        which outputs a shell reads; each output is mixed by the SplitMix64
-        finalizer of ``mix64``, written inline.  The one exception is a
-        draw whose stream holds it pre-mixed for its current state (see
-        ``RandomStream``): its u1, and its u2 and u3 where the block holds
-        them (the tree sampler's do, ``_counts``' do not), are then popped,
-        so the value, the stream state after the draw and the call count
-        are those of the inline path.
+        which outputs a shell reads.  A caller that has mixed some of the
+        draw's outputs already, as ``_counts`` does u1 and the tree sampler
+        all three, passes them; each output not passed is mixed by the
+        SplitMix64 finalizer of ``mix64``, written inline.  Either way the
+        stream advances by the draw's three outputs, so the value and the
+        stream state after the draw are those of the inline draw when the
+        outputs passed are the stream's own.
         """
         try:
             row = self._rows[cut]
@@ -273,15 +274,7 @@ class Gaussian1DSampler:
             row = self._row(cut)
         z = stream.state
         stream.state = s3 = (z + _GOLDEN3) & _MASK
-        u1s = stream._u1
-        u2 = u3 = None
-        if u1s and z == stream._at:                 # u1, pre-mixed
-            stream._at = s3
-            u1 = u1s.pop()
-            if stream._u2:                          # u2, u3 of the block
-                u2 = stream._u2.pop()
-                u3 = stream._u3.pop()
-        else:                                       # u1, mixed inline
+        if u1 is None:                              # u1, mixed inline
             z = (z + _GOLDEN) & _MASK
             z = ((z ^ (z >> 30)) * _MIX1) & _MASK
             z = ((z ^ (z >> 27)) * _MIX2) & _MASK
@@ -347,8 +340,9 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     # those digits; a shifted draw is read in full.
     cut = None if shifted else max(
         (-hd[0] for hd in hdata if hd is not None), default=sampler.shell_only)
+    draw_raw = sampler.draw_raw
     counts = MonteCarloEnsemble(seed, size)._counts(
-        partial(sampler.draw_raw, cut=cut), 1)
+        lambda stream, u1s: draw_raw(stream, cut, u1s.pop()), 1)
     for (v, mant), count in counts.items():
         if shifted:
             x = PAdicValue(p, n, v, mant) + gamma
@@ -373,7 +367,7 @@ def norm_histogram(spec: GaussianSpec, size: int, seed: int) -> dict[int, int]:
     sampler = cached_sampler(spec)
     draw_raw, cut = sampler.draw_raw, sampler.shell_only
     return MonteCarloEnsemble(seed, size)._counts(
-        lambda stream: -draw_raw(stream, cut)[0], 1)
+        lambda stream, u1s: -draw_raw(stream, cut, u1s.pop())[0], 1)
 
 
 # -- Wiener paths ---------------------------------------------------------------
@@ -483,22 +477,21 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     # ends where a node ends.
     block = max(512 // (p - 1), 1) * (p - 1)
     left = _pow(p, len(samplers)) - 1     # draws the path has yet to make
+    u1s = u2s = u3s = ()                  # the block's outputs, last first
 
     def children(level, j, base, kids):
         # Integer mirror of ``base + draw(stream)`` in PAdicValue arithmetic;
         # the unshifted draw and the base are both at precision n.
-        nonlocal left
-        if not stream._u1:
+        nonlocal left, u1s, u2s, u3s
+        if not u1s:
             take = min(block, left)
             left -= take
-            stream._u1, stream._u2, stream._u3 = _stream_draws(stream.state,
-                                                               take)
-            stream._at = stream.state
+            u1s, u2s, u3s = _stream_draws(stream.state, take)
         draw_raw = samplers[level].draw_raw
         bv, bm = base.v, base.m
         out = []
         for _ in kids:
-            dv, dm = draw_raw(stream)
+            dv, dm = draw_raw(stream, None, u1s.pop(), u2s.pop(), u3s.pop())
             if not bm:
                 v, m = dv, dm
             # both mantissas are units, so only an equal-valuation sum

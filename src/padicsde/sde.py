@@ -124,7 +124,6 @@ class FamilyTerm:
     prog: Program
     a_slot: Program | None = None
     e_slot: Program | None = None
-    declared_norm: float = 1.0
 
     def __post_init__(self):
         if self.l > self.m or min(self.b, self.m, self.l) < 0:
@@ -141,17 +140,6 @@ class SDEProblem:
     drift: Program
     diffusion: Program
     family: tuple[FamilyTerm, ...] = ()
-
-    def __post_init__(self):
-        if self.family:
-            sup = {}
-            for term in self.family:
-                order = term.b + term.m
-                sup[order] = max(sup.get(order, 0.0), term.declared_norm)
-            orders = sorted(sup)
-            for a, b in zip(orders, orders[1:]):
-                if sup[b] > sup[a] + 1e-15:
-                    raise ValueError("decay")
 
 
 @dataclass(frozen=True)
@@ -324,8 +312,8 @@ def picard_as_family(problem: SDEProblem) -> SDEProblem:
     the plain path antiderivation."""
     one = constant_program(PAdicValue.one(problem.ball.p, problem.ball.n))
     fam = (
-        FamilyTerm(1, 0, 0, problem.drift, declared_norm=1.0),
-        FamilyTerm(0, 1, 1, problem.diffusion, e_slot=one, declared_norm=1.0),
+        FamilyTerm(1, 0, 0, problem.drift),
+        FamilyTerm(0, 1, 1, problem.diffusion, e_slot=one),
     )
     return SDEProblem(ball=problem.ball, depth=problem.depth, x0=problem.x0,
                       drift=problem.drift, diffusion=problem.diffusion,

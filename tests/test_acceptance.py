@@ -213,8 +213,7 @@ def test_criterion_6_generalized_solver():
     two_term = SDEProblem(
         ball=ball, depth=depth, x0=x0, drift=drift, diffusion=diffusion,
         family=(FamilyTerm(1, 0, 0, drift),
-                FamilyTerm(0, 2, 2, small, e_slot=one,
-                           declared_norm=float(p) ** -2)))
+                FamilyTerm(0, 2, 2, small, e_slot=one)))
     sol2 = solve_picard(two_term, w)
     assert sol2.residual == 0.0
     _report(6, "single-term family reductions bit-identical to the plain "

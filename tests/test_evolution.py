@@ -233,6 +233,27 @@ def test_generator_recovery_constant():
                 PAdicValue.from_fraction(want[i][j], P, N), N - 2)
 
 
+def test_constant_generator_results_do_not_depend_on_the_center():
+    # a constant generator's transfers, its exponential family and the
+    # recovered generator read the points only through t - s, so moving
+    # the ball's center to 1 or 6 leaves each of them unchanged
+    p, depth = 5, 3
+    a = GeneratorSpec.constant(tuple(
+        tuple(Fraction(p * (1 + (i + 2 * j) % 3)) for j in range(D))
+        for i in range(D)))
+    pairs = ((1, 0), (7, 3), (124, 0), (13, 13), (0, 88), (61, 112))
+    results = []
+    for c in (0, 1, 6):
+        ball = BallSpec(PAdicValue.from_int(c, p, N), 0)
+        u = solve_evolution(a, ball, depth)
+        e = ExpEvolution(a(ball.center), ball, depth)
+        results.append(([u.exact(ti, si) for ti, si in pairs],
+                        [e.matrix(ti, si) for ti, si in pairs],
+                        generating_operator(u, 0)))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
 def test_generator_zero():
     zero = GeneratorSpec(dim=2, fn=lambda t: tuple(
         tuple(Fraction(0) for _ in range(2)) for _ in range(2)))

@@ -208,9 +208,9 @@ def test_estimators_call_draw_raw_once_per_draw(monkeypatch):
     calls = [0]
     draw_raw = Gaussian1DSampler.draw_raw
 
-    def counting(self, stream, cut=None):
+    def counting(self, stream, *outputs):
         calls[0] += 1
-        return draw_raw(self, stream, cut)
+        return draw_raw(self, stream, *outputs)
 
     monkeypatch.setattr(Gaussian1DSampler, "draw_raw", counting)
     p, size = 3, 500
@@ -825,12 +825,12 @@ def test_counts_match_the_explicit_loop(seed):
     sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
     ens = MonteCarloEnsemble(seed, 400)
 
-    def key(stream):
-        return sampler.draw_raw(stream, 1)
+    def key(stream, u1s):
+        return sampler.draw_raw(stream, 1, u1s.pop())
 
     want: dict = {}
     for stream in ens.streams():
-        k = key(stream)
+        k = sampler.draw_raw(stream, 1)
         want[k] = want.get(k, 0) + 1
     got = ens._counts(key, 1)
     assert list(got.items()) == list(want.items())
@@ -843,12 +843,13 @@ _G = 0x9E3779B97F4A7C15
 _M = (1 << 64) - 1
 
 
-def _scalar_counts(ens, key):
-    """``_counts`` as the plain per-stream loop, every output mixed
+def _scalar_counts(ens, key, draws):
+    """``_counts`` as the plain per-stream loop: the key is given no
+    pre-mixed output (None for each u1), so every output is mixed
     inline."""
     want: dict = {}
     for stream in ens.streams():
-        k = key(stream)
+        k = key(stream, [None] * draws)
         want[k] = want.get(k, 0) + 1
     return want
 
@@ -881,13 +882,14 @@ def test_counts_match_the_scalar_loop_at_every_cut(monkeypatch, p):
         for size in (1, per - 1, per + 1, 2 * per + per // 2):
             ens = MonteCarloEnsemble(1000 * p + size, size)
             for cut in (None, sampler.shell_only, *range(N + 1)):
-                def key(stream):
-                    return tuple(sampler.draw_raw(stream, cut)
+                def key(stream, u1s):
+                    return tuple(sampler.draw_raw(stream, cut, u1s.pop())
                                  for _ in range(draws))
 
                 got = ens._counts(key, draws)
-                assert list(got.items()) == \
-                    list(_scalar_counts(ens, key).items()), (draws, size, cut)
+                assert list(got.items()) == list(
+                    _scalar_counts(ens, key, draws).items()), \
+                    (draws, size, cut)
 
 
 def test_counts_at_full_blocks():
@@ -897,52 +899,106 @@ def test_counts_at_full_blocks():
         for size in (per - 1, per + 1):
             ens = MonteCarloEnsemble(size, size)
 
-            def key(stream):
-                return tuple(sampler.draw_raw(stream, 0)
+            def key(stream, u1s):
+                return tuple(sampler.draw_raw(stream, 0, u1s.pop())
                              for _ in range(draws))
 
             assert list(ens._counts(key, draws).items()) == \
-                list(_scalar_counts(ens, key).items())
+                list(_scalar_counts(ens, key, draws).items())
+
+
+def test_counts_mixes_blocks_of_whole_samples(monkeypatch):
+    # blocks of 12 lanes hold 12 // draws samples, and at least one sample
+    # when a sample's draws alone pass 12 lanes; each block costs one
+    # ``_mix_block`` call for its seeds and one per draw
+    monkeypatch.setattr(measure, "_BLOCK", 12)
+    calls = [0]
+    mix_block = measure._mix_block
+
+    def counting(z, k):
+        calls[0] += 1
+        return mix_block(z, k)
+
+    monkeypatch.setattr(measure, "_mix_block", counting)
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
+    for draws, size, blocks in ((0, 30, 3), (1, 30, 3), (3, 30, 8),
+                                (13, 3, 3)):
+        def key(stream, u1s):
+            return tuple(sampler.draw_raw(stream, 0, u1s.pop())
+                         for _ in range(draws))
+
+        calls[0] = 0
+        MonteCarloEnsemble(draws, size)._counts(key, draws)
+        assert calls[0] == blocks * (1 + draws), (draws, size)
 
 
 @pytest.mark.parametrize("declared", [0, 1, 3, 5])
 def test_counts_when_a_key_draws_other_than_declared(monkeypatch, declared):
-    # three draws a sample, declared as 0, 1, 3 or 5: a key that draws
-    # more mixes the rest inline, and one that draws fewer leaves its u1s
-    # unread and never reads the next sample's.  The stream state after
-    # every draw is part of the key, so it must match the scalar state.
+    # a key that draws one time fewer or one time more than declared has
+    # no u1 of its own for some draw, or leaves one unread: the stream's
+    # state after the sample gives it away, and ``_counts`` raises.  The
+    # declared count is met exactly, and the stream state after every draw
+    # is part of the key, so it must match the scalar state.
     monkeypatch.setattr(measure, "_BLOCK", 16)
     sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
     ens = MonteCarloEnsemble(77, 50)
-    for draws in (1, 3):
-        def key(stream):
+    for draws in (declared - 1, declared, declared + 1):
+        if draws < 0:
+            continue
+
+        def key(stream, u1s):
             out = []
             for _ in range(draws):
-                out.append((sampler.draw_raw(stream), stream.state))
+                u1 = u1s.pop() if u1s else None
+                out.append((sampler.draw_raw(stream, None, u1), stream.state))
             return tuple(out)
 
-        got = ens._counts(key, declared)
-        assert list(got.items()) == list(_scalar_counts(ens, key).items())
+        if draws == declared:
+            got = ens._counts(key, declared)
+            assert list(got.items()) == \
+                list(_scalar_counts(ens, key, draws).items())
+        else:
+            with pytest.raises(ValueError, match=f"draw {declared} times"):
+                ens._counts(key, declared)
 
 
-def test_draw_raw_pops_a_pre_mixed_u1_only_at_its_state():
-    # planted u1s: 0 takes the first shell and 2**64 - 1 the last, which
-    # no stream output at this state gives
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
-    first, last = -sampler.shells[0], -sampler.shells[-1]
-    stream, ref = RandomStream(8), RandomStream(8)
-    stream._u1, stream._at = [_M, 0], stream.state
-    assert sampler.draw_raw(stream, sampler.shell_only) == (first, 1)
-    assert sampler.draw_raw(stream, sampler.shell_only) == (last, 1)
-    sampler.draw_raw(ref)
-    sampler.draw_raw(ref)
-    assert stream.state == stream._at == ref.state
-    # a u1 planted for another state is never read
-    stream._u1 = [0]
-    stream.state ^= 1
-    ref.state = stream.state
-    assert sampler.draw_raw(stream) == sampler.draw_raw(ref)
-    assert stream._u1 == [0]
+def test_counts_when_a_key_moves_its_stream_between_draws():
+    # a stream moved other than by draw_raw between two draws makes the
+    # second draw's u1 that of another state: ``_counts`` raises
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(5, N, 1.0, 1.0))
+    ens = MonteCarloEnsemble(5, 300)
+    moves = (RandomStream.u64, lambda stream: setattr(
+        stream, "state", stream.state ^ 1), lambda stream: setattr(
+        stream, "state", (stream.state + 3 * _G) & _M))
+    for move in moves:
+        def key(stream, u1s):
+            first = sampler.draw_raw(stream, None, u1s.pop())
+            move(stream)
+            return first, sampler.draw_raw(stream, None, u1s.pop())
+
+        with pytest.raises(ValueError, match="another state"):
+            ens._counts(key, 2)
+
+
+def test_draw_raw_given_outputs_match_inline_draws():
+    # outputs a caller passes, here the stream's own: u1 alone as
+    # ``_counts`` passes it, and all three as the tree sampler does; the
+    # value and the stream state after the draw are the inline draw's at
+    # every cut, from states on both sides of 2**64
+    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 2.0, 1.0))
+    cuts = [None, *range(sampler.shell_only - 1,
+                         N + 2 - min(sampler.shells))]
+    states = [0, *range(2**64 - 8, 2**64), *(mix64(i) for i in range(200))]
+    for s in states:
+        outs = [mix64(s + c * _G) for c in (1, 2, 3)]
+        for cut in cuts:
+            ref = RandomStream(s)
+            want = sampler.draw_raw(ref, cut)
+            for given in (outs[:1], outs):
+                stream = RandomStream(s)
+                assert sampler.draw_raw(stream, cut, *given) == want, \
+                    (s, cut, len(given))
+                assert stream.state == ref.state == (s + 3 * _G) & _M
 
 
 def _law_draw(sampler, u1, u2, u3, cut):
@@ -963,9 +1019,10 @@ def _law_draw(sampler, u1, u2, u3, cut):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_draw_raw_draws_the_exact_law(p):
     # u1 on both sides of every shell bound, u2 in every class mod p - 1
-    # and u3 at the ends of its digit range, on the three routes a draw
-    # takes: mixed inline, u1 from a ``_counts`` block with u2 and u3
-    # inline, and all three from a tree block
+    # and u3 at the ends of its digit range, on the two routes a draw
+    # takes: its outputs mixed inline, and its outputs given (u1 from a
+    # ``_counts`` block with u2 and u3 inline, or all three as from a tree
+    # block)
     sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(p, N, 2.0, 1.0))
     u1s = [0, _M]
     for c in sampler.cumulative:
@@ -988,68 +1045,57 @@ def test_draw_raw_draws_the_exact_law(p):
             assert sampler.draw_raw(stream, cut) == want, (s, cut)
             assert stream.state == (s + 3 * _G) & _M
 
-            def key(stream, cut=cut):
-                held = len(stream._u1)
-                return held, sampler.draw_raw(stream, cut), len(stream._u1)
+            def key(stream, u1s, cut=cut):
+                held = len(u1s)
+                return held, sampler.draw_raw(stream, cut, u1s.pop()), len(u1s)
 
             assert MonteCarloEnsemble(master, 1)._counts(key, 1) == \
                 {(1, want, 0): 1}, (s, cut)
-    # from a tree block: all three outputs planted, whatever the state
+    # all three outputs given, whatever the state
     for u1 in u1s:
         for j, u2 in enumerate(u2s):
             for u3 in u3s[j % 2::2]:
                 for cut in cuts:
                     stream = RandomStream(_G * j)
-                    stream._u1, stream._u2, stream._u3 = [u1], [u2], [u3]
-                    stream._at = stream.state
-                    got = sampler.draw_raw(stream, cut)
+                    got = sampler.draw_raw(stream, cut, u1, u2, u3)
                     assert got == _law_draw(sampler, u1, u2, u3, cut), \
                         (u1, u2, u3, cut)
-                    assert stream._u1 == stream._u2 == stream._u3 == []
-                    assert stream.state == stream._at == (_G * (j + 3)) & _M
-
-
-def test_counts_when_a_key_moves_its_stream_between_draws():
-    # a stream moved other than by draw_raw reads no pre-mixed u1 again
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(5, N, 1.0, 1.0))
-    ens = MonteCarloEnsemble(5, 300)
-
-    def key(stream):
-        first = sampler.draw_raw(stream)
-        stream.u64()
-        second = sampler.draw_raw(stream)
-        stream.state ^= 1
-        return first, second, sampler.draw_raw(stream), stream.state
-
-    assert list(ens._counts(key, 3).items()) == \
-        list(_scalar_counts(ens, key).items())
+                    assert stream.state == (_G * (j + 3)) & _M
 
 
 @pytest.mark.parametrize("p, n, depth", [(2, 12, 11), (5, N, 5), (7, N, 4),
                                          (7, 1, 1)])
 def test_tree_path_blocks_match_inline_draws(monkeypatch, p, n, depth):
     # the path's 2047, 3124, 2400 or 6 draws come in blocks of whole
-    # nodes, the last one short.  With no pre-mixed output, or with u1
-    # alone pre-mixed as ``_counts`` does, the path must not move
+    # nodes, the last one short.  Drawn with every output mixed inline, or
+    # with u1 alone given as ``_counts`` gives it, the path must not move
     ball = BallSpec.unit(p, n)
-    blocked = wiener_path("tree", ball, depth, 1.0, seed=p)
-    real = measure._stream_draws
+    blocked = wiener_path("tree", ball, depth, 1.0, seed=p).values
+    real = Gaussian1DSampler.draw_raw
 
-    def path_with(make):
-        monkeypatch.setattr(measure, "_stream_draws", make)
-        return wiener_path("tree", ball, depth, 1.0, seed=p).values
+    def path_given(count):
+        monkeypatch.setattr(
+            Gaussian1DSampler, "draw_raw",
+            lambda self, stream, cut, *outs: real(self, stream, cut,
+                                                  *outs[:count]))
+        try:
+            return wiener_path("tree", ball, depth, 1.0, seed=p).values
+        finally:
+            monkeypatch.setattr(Gaussian1DSampler, "draw_raw", real)
 
-    assert path_with(lambda state, draws: ([], [], [])) == blocked.values
-    assert path_with(lambda state, draws: (real(state, draws)[0], [], [])) \
-        == blocked.values
+    assert path_given(0) == blocked
+    assert path_given(1) == blocked
     # and each output of the blocks is read: planted zeros put every draw
     # on the first shell (u1), make every lead digit 1 (u2) or every other
     # digit 0 (u3).  u2 mod p - 1 reads nothing at p = 2, and u3 nothing
     # at n = 1, so there a planted output must leave the path as it is
+    blocks = measure._stream_draws
     for c, read in enumerate((True, p > 2, n > 1)):
         def planted(state, draws, c=c):
-            outs = list(real(state, draws))
+            outs = list(blocks(state, draws))
             outs[c] = [0] * draws
             return tuple(outs)
 
-        assert (path_with(planted) != blocked.values) == read, c
+        monkeypatch.setattr(measure, "_stream_draws", planted)
+        assert (wiener_path("tree", ball, depth, 1.0, seed=p).values
+                != blocked) == read, c

@@ -224,7 +224,7 @@ def test_family_two_term_quadratic():
     one = constant_program(PAdicValue.one(p, N))
     small = constant_program(PAdicValue.from_int(p**2, p, N))
     base_terms = [FamilyTerm(1, 0, 0, drift)]
-    quad = FamilyTerm(0, 2, 2, small, e_slot=one, declared_norm=p ** -2.0)
+    quad = FamilyTerm(0, 2, 2, small, e_slot=one)
     prob1 = make_problem(p, 3, x0_int=1, drift=drift, family=base_terms)
     prob2 = make_problem(p, 3, x0_int=1, drift=drift,
                          family=base_terms + [quad])
@@ -242,16 +242,6 @@ def test_family_two_term_quadratic():
     gap = max((a - b).norm() for a, b in
               zip(s1.values.values, s2.values.values))
     assert gap <= bound + 1e-12
-
-
-def test_family_decay_validation():
-    p = 3
-    big = constant_program(PAdicValue.one(p, N))
-    with pytest.raises(ValueError, match="decay"):
-        make_problem(p, 3, family=[
-            FamilyTerm(1, 0, 0, big, declared_norm=0.1),
-            FamilyTerm(0, 2, 0, big, declared_norm=1.0),
-        ])
 
 
 def test_family_index_validation():
