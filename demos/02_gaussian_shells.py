@@ -36,10 +36,10 @@ print("total mass:", f"{table.total_mass():.12f}")
 
 print("\n== reproducible sampling ==")
 ens = MonteCarloEnsemble(master_seed=2024, size=6)
-draws = ens.collect(lambda i, stream: sample_gaussian(spec, stream))
+draws = [sample_gaussian(spec, stream) for stream in ens.streams()]
 for i, x in enumerate(draws):
     print(f"sample {i}: {x}")
-again = ens.collect(lambda i, stream: sample_gaussian(spec, stream))
+again = [sample_gaussian(spec, stream) for stream in ens.streams()]
 print("bit-identical on replay:", draws == again)
 
 print("\n== empirical characteristic function ==")

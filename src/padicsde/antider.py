@@ -95,9 +95,6 @@ class GridFunction:
     def levels(self) -> int:
         return self.ball.radius_exp + self.depth
 
-    def point(self, k: int) -> PAdicValue:
-        return self.ball.point(k, self.depth)
-
     def __getitem__(self, t: PAdicValue) -> PAdicValue:
         return self.values[self.ball.index_of(t, self.depth)]
 

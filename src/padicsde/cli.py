@@ -55,9 +55,6 @@ from .sde import (
 )
 
 
-SUBCOMMANDS = ("sample", "solve", "evolve", "verify", "charfun")
-
-
 class ConfigError(Exception):
     pass
 
@@ -94,6 +91,15 @@ def _exp_scale_floor(cfg: "RunConfig") -> int:
 # 13 kB in evolve at dim 8 (CPython 3.11 on x86-64), so no run at the cap
 # needs much more than 1.3 GB.
 MAX_GRID_POINTS = 100_000
+
+# Bounds on the exponents of the p**k a run builds.  A value is kept mod
+# p**precision, at most 5.3 kbit at the bound (p < PRIME_LIMIT, 82 bits).
+MAX_PRECISION = 64
+# Above every scale_exp floor (radius_exp < precision).  At dim 8, p = 2 and
+# 1024 grid points, evolve's peak RSS was 38 MB at scale_exp 33 and 51 MB at
+# 128, so about 2 GB at a full grid; p**perturb_exp enters A + B, whose
+# flow costs the same.
+MAX_SCALE_EXP = MAX_PERTURB_EXP = 2 * MAX_PRECISION
 
 
 # Each table maps a key to (kind, default, range predicate).  The kind is
@@ -149,8 +155,9 @@ SECTIONS = {
     "evolve": {
         "dim": (int, 3, lambda v, _: 1 <= v <= 8),
         "scale_exp": (int, lambda cfg, _: max(3, _exp_scale_floor(cfg)),
-                      lambda v, cfg: v >= _exp_scale_floor(cfg)),
-        "perturb_exp": (int, 4, lambda v, _: v >= 1),
+                      lambda v, cfg: _exp_scale_floor(cfg) <= v
+                      <= MAX_SCALE_EXP),
+        "perturb_exp": (int, 4, lambda v, _: 1 <= v <= MAX_PERTURB_EXP),
         "triples": (int, 50, lambda v, _: v >= 1),
     },
     "verify": {
@@ -181,6 +188,19 @@ class RunConfig:
             # generator_recovery reads the radial steps k = 0 and 1 < depth
             raise ConfigError(f"config.depth: value {self.depth} out of "
                               f"range: evolve needs depth >= 2")
+        # ahead of the sections, whose values are built at the precision
+        levels, sample = self.radius_exp + self.depth, raw.get("sample")
+        gridless = command == "charfun" or command == "sample" and isinstance(
+            sample, dict) and sample.get("kind") == "gaussian1d"
+        if not gridless and (levels >= MAX_GRID_POINTS.bit_length()
+                             or self.prime ** levels > MAX_GRID_POINTS):
+            raise ConfigError(f"config.depth: value {self.depth} out of "
+                              f"range: the grid has {self.prime}**{levels} "
+                              f"points, above MAX_GRID_POINTS = "
+                              f"{MAX_GRID_POINTS}")
+        if self.precision > MAX_PRECISION:
+            raise ConfigError(f"config.precision: value {self.precision} "
+                              f"out of range")
         tol = raw.get("tolerances", {})
         # echoed as written, so an integer tolerance stays an integer
         self.tolerances = {**self._walk(TOLERANCES, tol,
@@ -190,14 +210,6 @@ class RunConfig:
                     for name, table in SECTIONS.items()
                     if name in raw or name == command}
         self.section = sections[command]
-        levels = self.radius_exp + self.depth
-        if (command != "charfun" and self.section.get("kind") != "gaussian1d"
-                and (levels >= MAX_GRID_POINTS.bit_length()
-                     or self.prime ** levels > MAX_GRID_POINTS)):
-            raise ConfigError(f"config.depth: value {self.depth} out of "
-                              f"range: the grid has {self.prime}**{levels} "
-                              f"points, above MAX_GRID_POINTS = "
-                              f"{MAX_GRID_POINTS}")
 
     def _walk(self, table: dict, sec, path: str) -> dict:
         """The checked value of every key of ``table`` in ``sec``."""
@@ -538,14 +550,14 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
     gen_b = GeneratorSpec.constant(pert)
     u = solve_evolution(gen, ball, cfg.depth)
 
-    rows = []
     size, pts = u.size, u.grid.values
     picks = [(k % size, (3 * k + 1) % size) for k in range(triples)]
     pairs = picks[:10]
-    for ti, si in picks:
-        mat = u.matrix(ti, si)
-        flat = [mat[i][j].qp_str() for i in range(dim) for j in range(dim)]
-        rows.append([pts[ti].qp_str(), pts[si].qp_str(), *flat])
+    mats = [u.matrix(ti, si) for ti, si in pairs]   # exp_agreement's too
+    rows = ([pts[ti].qp_str(), pts[si].qp_str(),
+             *(x.qp_str() for row in mat for x in row)]
+            for (ti, si), mat in zip(picks, chain(
+                mats, starmap(u.matrix, picks[10:]))))
     header = ["t", "s"] + [f"u_{i}_{j}" for i in range(dim)
                            for j in range(dim)]
     art.write_csv("operator.csv", header, rows)
@@ -557,8 +569,8 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
     e = ExpEvolution(base, ball, cfg.depth)
     exp_digits = n - 1
     exp_ok = all(x.agrees_abs(y, exp_digits)
-                 for ti, si in pairs
-                 for ru, re in zip(u.matrix(ti, si), e.matrix(ti, si))
+                 for (ti, si), mat in zip(pairs, mats)
+                 for ru, re in zip(mat, e.matrix(ti, si))
                  for x, y in zip(ru, re))
 
     rep = perturbation_check(gen, gen_b, ball, cfg.depth, pairs)
@@ -674,12 +686,13 @@ def run_verify(cfg: RunConfig, art: Artifacts):
     return checks
 
 
+# in the order argparse lists them
 RUNNERS = {
-    "charfun": run_charfun,
     "sample": run_sample,
     "solve": run_solve,
     "evolve": run_evolve,
     "verify": run_verify,
+    "charfun": run_charfun,
 }
 
 
@@ -687,7 +700,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="padicsde",
         description="p-adic stochastic antiderivational equation toolkit")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")

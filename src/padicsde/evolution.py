@@ -29,6 +29,7 @@ would negate it).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -319,10 +320,8 @@ class ExpEvolution:
     unless the series ends within dim terms, as for a nilpotent A."""
 
     def __init__(self, a_const: Matrix, ball: BallSpec, depth: int):
-        self.a = a_const
         self.ball = ball
         self.depth = depth
-        self.dim = len(a_const)
         self._a_p = mat_round(a_const, ball.p, ball.n)
 
     def matrix(self, ti: int, si: int):
@@ -403,24 +402,26 @@ def perturbation_check(a: GeneratorSpec, b: GeneratorSpec, ball: BallSpec,
     ab = GeneratorSpec(dim=a.dim, fn=lambda t: mat_add(a(t), b(t)))
     ut = solve_evolution(ab, ball, depth)
     grid = u.grid.values
+    # the pairs and their chains share many (ti, si): compute each once
+    u_at, ut_at = functools.cache(u.exact), functools.cache(ut.exact)
 
-    sup_u = max(mat_norm(u.exact(ti, si), p) for ti, si in pairs)
-    sup_ut = max(mat_norm(ut.exact(ti, si), p) for ti, si in pairs)
+    sup_u = max(mat_norm(u_at(ti, si), p) for ti, si in pairs)
+    sup_ut = max(mat_norm(ut_at(ti, si), p) for ti, si in pairs)
     m_const = 1.0 + sup_u
     mt_const = 1.0 + sup_ut
     sup_b = max(mat_norm(b(grid[k]), p) for k in range(len(grid)))
 
-    gap = max(mat_norm(mat_sub(ut.exact(ti, si), u.exact(ti, si)), p)
+    gap = max(mat_norm(mat_sub(ut_at(ti, si), u_at(ti, si)), p)
               for ti, si in pairs)
     bound = m_const * mt_const * sup_b * radius
 
     residual = 0.0
     for ti, si in pairs:
         delta = _chain_delta(u.grid, a.dim, ti, si,
-                             lambda j, jn: mat_mul(u.exact(ti, jn),
+                             lambda j, jn: mat_mul(u_at(ti, jn),
                                                    mat_mul(b(grid[j]),
-                                                           ut.exact(j, si))))
-        acc = mat_sub(mat_sub(ut.exact(ti, si), u.exact(ti, si)), delta)
+                                                           ut_at(j, si))))
+        acc = mat_sub(mat_sub(ut_at(ti, si), u_at(ti, si)), delta)
         residual = max(residual, mat_norm(acc, p))
 
     mcr = m_const * sup_b * radius

@@ -3,11 +3,12 @@ processes.
 
 Randomness comes from a self-contained 64-bit SplitMix-style generator so
 that every ensemble is bit-reproducible from its master seed: the per-sample
-seed is the (index+1)-th SplitMix64 output of the master state, and each
-sample owns a private stream (see ``mix64`` for the published constants).
-An estimator that reads each sample once counts a per-sample key through
-``MonteCarloEnsemble._counts``, the one ensemble loop: it keeps a single
-``RandomStream`` and sets its state to each sample's seed in turn.
+seed is the (index+1)-th SplitMix64 output of the master state (see
+``mix64`` for the published constants).  ``derive_seed`` is that rule's one
+scalar form, which seeds each sample's private stream in
+``MonteCarloEnsemble.stream``; ``MonteCarloEnsemble._counts``, the one
+ensemble loop of the estimators that read each sample once, is its block
+form: it keeps a single ``RandomStream`` and sets it to each seed in turn.
 ``Gaussian1DSampler.draw_raw`` is called once per draw; it takes any of
 the draw's outputs that its caller has mixed already as arguments and
 writes the finalizer inline for the rest.  ``_mix_block`` is the only SWAR
@@ -131,10 +132,6 @@ class RandomStream:
         self.state = (self.state + _GOLDEN) & _MASK
         return mix64(self.state)
 
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) as u64 % bound."""
-        return self.u64() % bound
-
 
 @dataclass(frozen=True)
 class MonteCarloEnsemble:
@@ -149,13 +146,8 @@ class MonteCarloEnsemble:
         return RandomStream(derive_seed(self.master_seed, index))
 
     def streams(self):
-        """The streams of samples 0, 1, ... in order, one object each: one
-        SplitMix64 counter, stepped from the master, reaches each seed
-        ``derive_seed(master, i)``."""
-        z = self.master_seed
-        for _ in range(self.size):
-            z = (z + _GOLDEN) & _MASK
-            yield RandomStream(mix64(z))
+        """``stream(i)`` for i = 0, 1, ... in order, one object each."""
+        return map(self.stream, range(self.size))
 
     def _counts(self, key, draws: int) -> dict:
         """Counts of ``key(stream, u1s)`` over the samples in
@@ -196,10 +188,6 @@ class MonteCarloEnsemble:
                                      "another state")
                 counts[out] = counts.get(out, 0) + 1
         return counts
-
-    def collect(self, fn):
-        """Deterministic map ordered by sample index."""
-        return [fn(i, self.stream(i)) for i in range(self.size)]
 
 
 # -- one-dimensional sampling ---------------------------------------------------

@@ -1,15 +1,17 @@
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from padicsde import charexpect
+from padicsde import charexpect, measure
 from padicsde.antider import GridFunction
 from padicsde.charexpect import (
     character_product_check,
     product_telescoping_moduli,
 )
-from padicsde.charfun import AngleTally, GaussianSpec
+from padicsde.charfun import AngleTally, GaussianSpec, shell_distribution
 from padicsde.measure import (
     MonteCarloEnsemble,
     cached_sampler,
@@ -384,3 +386,125 @@ def test_report_does_not_depend_on_the_center(center):
         reps.append(character_product_check(psi, one, one, t_index=23,
                                             samples=500, seed=4))
     assert reps[0] == reps[1]
+
+
+# -- the exact as-coded target of the tree estimator --------------------------
+
+
+def _frac(x):
+    """The fractional part of x: its digits below valuation 0."""
+    if x.v >= 0:
+        return Fraction(0)
+    return Fraction(x.m % x.p ** -x.v, x.p ** -x.v)
+
+
+def test_sum_keeps_every_digit_below_zero_within_n_valuations():
+    # the condition under which the tree estimator's chain sum is a product
+    # of characters: a sum at precision n of two values of valuation >= -n
+    # has valuation >= -n, so its n-digit window holds every digit below 0,
+    # and a carry or a truncation moves only digits at valuations >= 0
+    p, n = 3, N
+    rng = random.Random(9)
+
+    def value():
+        m = rng.randrange(1, p ** n)
+        while m % p == 0:
+            m = rng.randrange(1, p ** n)
+        return PAdicValue(p, n, rng.randint(-n, 2), m)
+
+    for _ in range(3000):
+        x, y = value(), value()
+        assert _frac(x + y) == (_frac(x) + _frac(y)) % 1, (x, y)
+
+
+def _residue_counts(modulus):
+    """How many of the 2**64 outputs u leave each residue u % modulus."""
+    q, r = divmod(1 << 64, modulus)
+    return [q + (i < r) for i in range(modulus)]
+
+
+def _coded_char(sampler, top):
+    """E[chi(X) 1{|X| <= p**top}] for one tree draw X as
+    ``character_product_check`` reads it at c = 1 (cut 0), and the number
+    of angles it sums.
+
+    The weights are exact ``Fraction`` counts of the 2**64 values of each
+    output, the outputs taken as independent: u1 picks shell i for
+    ``count_i * 2**11`` of its values (every bound is a multiple of 2**11),
+    the lead digit is 1 + u2 % (p - 1) and the rest u3 % p**(k - 1), with
+    k = min(m, n) digits read on shell m.  Each angle's weight is summed
+    exactly; only the final sum over angles is complex.
+    """
+    p, n = sampler.spec.p, sampler.spec.n
+    top53 = 1 << 53
+    units = [min(b >> 11, top53) for b in sampler._bounds]
+    counts = [b - a for a, b in zip([0] + units, units)]
+    counts[-1] += top53 - units[-1]
+    weights = {}
+    for m, count in zip(sampler.shells, counts):
+        if m > top or not count:
+            continue
+        shell = Fraction(count, top53)
+        if m <= 0:      # no digit below 0 is read: the character is 1
+            weights[0] = weights.get(0, 0) + shell
+            continue
+        k = min(m, n)
+        rest = _residue_counts(p ** (k - 1)) if k >= 2 else [1 << 64]
+        for d, c_lead in enumerate(_residue_counts(p - 1), 1):
+            for r, c_rest in enumerate(rest):
+                a = Fraction(d + p * r, p ** m) % 1
+                weights[a] = weights.get(a, 0) + shell * Fraction(
+                    c_lead * c_rest, 1 << 128)
+    return sum(float(w) * cmath.exp(2j * math.pi * a)
+               for a, w in sorted(weights.items())), len(weights)
+
+
+def test_tree_estimator_exact_target_at_criterion_9():
+    # Criterion 9's points.  With psi = gamma = g = 1 a sample's sum S adds
+    # one draw X_l per nonzero-digit chain step, each read below valuation
+    # 0, in PAdicValue arithmetic at precision n
+    # (``test_tree_loop_matches_padic_reference``).
+    #
+    # On the event E that every drawn shell is at most n, every term has
+    # valuation >= -n, so chi(S) = prod chi(X_l)
+    # (``test_sum_keeps_every_digit_below_zero_within_n_valuations``), and
+    # with independent draws E[chi(S) 1_E] = prod A_l, A_l = E[chi(X_l)
+    # 1{shell <= n}], exactly.  Each A_l equals the level's analytic factor
+    # exp(-beta_l) up to the shell law's distance from the exact one, as
+    # in ``test_exact_shell_law_matches_gaussian_char``: the declared tails
+    # of the sampler's table, the series cut of each ball probability (at
+    # most TAIL_TOL), the 2**-53 grid and cdf roundings, the modulo bias of
+    # the digits and one rounding of the exp; plus the rounding of the sum
+    # over angles.  A product of factors of modulus at most one moves by at
+    # most the sum of its factors' errors.
+    #
+    # E is not sure: every level's shells reach far above n (the largest
+    # is 27 to 32), and off E the sum is not a product, so this bounds
+    # the as-coded target only to within P(not E) of prod A_l.
+    p, depth, n = 3, N, N
+    ball = BallSpec.unit(p, n)
+    psi = GridFunction.constant(ball, depth, PAdicValue.one(p, n))
+    one = PAdicValue.one(p, n)
+    betas = level_betas(ball, depth, 1.0)
+    grid = 2.0 ** -53
+    factors = {}
+    for t in (1, 2, 4, 16, 3**5 + 3 + 2):
+        levels = [level for level, *_ in psi.chain_steps(t)]
+        target, tol = 1, 0.0
+        for level in levels:
+            if level not in factors:
+                spec = GaussianSpec.one_dimensional(p, n, beta=betas[level],
+                                                    q=1.0)
+                sampler = cached_sampler(spec)
+                table = shell_distribution(spec, tail_tol=measure.TAIL_TOL)
+                gap = (table.lower_tail + table.upper_tail + measure.TAIL_TOL
+                       + (1 + 2 * len(sampler.shells)) * grid)
+                bias = 2 * p ** (n - 1) / 2.0 ** 64
+                a, angles = _coded_char(sampler, n)
+                factors[level] = a, 3 * gap + bias + (1 + 4 * angles) * grid
+            a, level_tol = factors[level]
+            target *= a
+            tol += level_tol
+        tol += 4 * len(levels) * grid     # the two products' roundings
+        analytic = product_telescoping_moduli(psi, one, one, t)[-1]
+        assert abs(target - analytic) <= tol, (t, target, analytic, tol)

@@ -12,8 +12,9 @@ import pytest
 
 from padicsde import cli
 from padicsde.antider import by_parts_residual
-from padicsde.cli import _CHUNK_ROWS, SECTIONS, TOLERANCES, TOP, \
-    Artifacts, ConfigError, RunConfig, _csv_chunks, _exp_scale_floor, main
+from padicsde.cli import _CHUNK_ROWS, MAX_PERTURB_EXP, MAX_PRECISION, \
+    MAX_SCALE_EXP, SECTIONS, TOLERANCES, TOP, Artifacts, ConfigError, \
+    RunConfig, _csv_chunks, _exp_scale_floor, main
 from padicsde.padic import PRIME_LIMIT, PAdicValue
 
 
@@ -44,6 +45,20 @@ def test_charfun_subcommand(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "pass"
     assert "shells.csv" in manifest["artifacts"]
+
+
+def test_subcommands_are_listed_in_their_order(capsys):
+    # argparse lists RUNNERS' keys in --help and in the unknown-subcommand
+    # error; quotes round the names vary with the Python version
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{sample,solve,evolve,verify,charfun}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", "config.json"])
+    assert exc.value.code == 2
+    assert ("invalid choice: bogus (choose from sample, solve, evolve, "
+            "verify, charfun)") in capsys.readouterr().err.replace("'", "")
 
 
 def test_repeat_runs_byte_identical(tmp_path):
@@ -581,6 +596,88 @@ def test_grid_cap_rejects_at_depth(command, raw):
         RunConfig(raw, command)
 
 
+# One small config per subcommand and sampler kind: each reads precision.
+EXPONENT_BASES = [
+    ("charfun", {}),
+    ("sample", {"sample": {"kind": "gaussian1d"}}),
+    ("sample", {"sample": {"kind": "wiener_tree"}}),
+    ("sample", {"sample": {"kind": "wiener_mahler"}}),
+    ("solve", {"solve": {"problem": "linear"}}),
+    ("evolve", {}),
+    ("verify", {}),
+]
+
+
+@pytest.mark.parametrize("value", [MAX_PRECISION + 1, 10**20])
+@pytest.mark.parametrize("command, section", EXPONENT_BASES)
+def test_precision_above_its_bound_is_refused(tmp_path, capsys, command,
+                                              section, value):
+    cfgfile = write_config(tmp_path, {"prime": 3, "precision": value,
+                                      "depth": 2, **section})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config.precision: value {value} out of range")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, bound", [("scale_exp", MAX_SCALE_EXP),
+                                        ("perturb_exp", MAX_PERTURB_EXP)])
+@pytest.mark.parametrize("above", [1, 10**20])
+def test_evolve_exponent_above_its_bound_is_refused(tmp_path, capsys, key,
+                                                    bound, above):
+    value = bound + above
+    cfgfile = write_config(tmp_path, {**BASE, "evolve": {key: value}})
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config.evolve.{key}: value {value} out of range")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section", EXPONENT_BASES)
+def test_exponent_bounds_admit_their_values(command, section):
+    raw = {"prime": 3, "precision": MAX_PRECISION, "depth": 2, **section}
+    assert RunConfig(raw, command).precision == MAX_PRECISION
+    if command == "evolve":
+        sec = RunConfig({**raw, "evolve": {"scale_exp": MAX_SCALE_EXP,
+                                           "perturb_exp": MAX_PERTURB_EXP}},
+                        command).section
+        assert (sec["scale_exp"], sec["perturb_exp"]) == (MAX_SCALE_EXP,
+                                                          MAX_PERTURB_EXP)
+        # the least perturb_exp is still 1
+        assert RunConfig({**raw, "evolve": {"perturb_exp": 1}},
+                         command).section["perturb_exp"] == 1
+        with pytest.raises(ConfigError, match=r"^config\.evolve\.perturb_exp"):
+            RunConfig({**raw, "evolve": {"perturb_exp": 0}}, command)
+
+
+def test_readme_states_the_config_bounds():
+    # the config reference in the README gives each bound's value
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    for name in ("MAX_GRID_POINTS", "MAX_PRECISION", "MAX_PERTURB_EXP"):
+        assert f"cli.{name} = {getattr(cli, name)}" in text, name
+    # "scale_exp and perturb_exp are at most cli.MAX_SCALE_EXP and
+    # cli.MAX_PERTURB_EXP = 128"
+    assert "cli.MAX_SCALE_EXP and" in text
+    assert MAX_SCALE_EXP == MAX_PERTURB_EXP
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_default_scale_exp_is_within_its_bound(p):
+    # the default scale_exp is the floor (or 3) of every evolve grid that
+    # fits MAX_GRID_POINTS at the largest precision
+    levels = 1
+    while p ** (levels + 1) <= cli.MAX_GRID_POINTS:
+        levels += 1
+    for radius_exp in range(levels - 1):
+        raw = {"prime": p, "precision": MAX_PRECISION,
+               "radius_exp": radius_exp, "depth": 2}
+        scale_exp = RunConfig(raw, "evolve").section["scale_exp"]
+        assert 3 <= scale_exp <= MAX_SCALE_EXP
+
+
 @pytest.mark.parametrize("command, raw", [
     ("verify", {"prime": 2, "precision": 16, "depth": 16}),
     ("solve", {"prime": 5, "precision": 7, "depth": 7,
@@ -604,8 +701,8 @@ BOUNDARY_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
                    "x": "x", "[]": [], "{}": {}, "2**64": 2**64,
                    "null": None}
 # a 2**64 size allocates p**(2**64) points or never ends
-UNBOUNDED_SIZES = {"precision", "count", "samples", "trials", "char_samples",
-                   "points", "triples", "scale_exp", "perturb_exp"}
+UNBOUNDED_SIZES = {"count", "samples", "trials", "char_samples", "points",
+                   "triples"}
 BOUNDARY_BASES = {
     "charfun": ("charfun", {"charfun": {"beta": 1.0}}),
     "gaussian1d": ("sample", {"sample": {"kind": "gaussian1d", "count": 2}}),

@@ -1,3 +1,4 @@
+import json
 import math
 import signal
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padicsde import evolution
+from padicsde import cli, evolution
 from padicsde.antider import GridFunction
 from padicsde.evolution import (
     EvolutionOperator,
@@ -738,6 +739,38 @@ def test_perturbation_check_refuses_empty_pairs(monkeypatch):
     with pytest.raises(ValueError, match="pairs"):
         perturbation_check(const_generator(1), const_generator(2),
                            unit_ball(), DEPTH, [])
+
+
+def test_perturbation_check_computes_each_exact_matrix_once(
+        monkeypatch, tmp_path):
+    # the evolve run at p=5, N=6, depth 4, dim 3, 200 triples: its 10
+    # pairs and their chains need U(t, s) at 54 distinct (operator, t, s),
+    # and each is computed once (computed again at every use, that is 118)
+    inside, calls = [False], []
+    exact = evolution.EvolutionOperator.exact
+
+    def spy(self, ti, si):
+        if inside[0]:
+            calls.append((id(self), ti, si))
+        return exact(self, ti, si)
+
+    def check(*args):
+        inside[0] = True
+        try:
+            return perturbation_check(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(evolution.EvolutionOperator, "exact", spy)
+    monkeypatch.setattr(cli, "perturbation_check", check)
+    config = tmp_path / "evolve.json"
+    config.write_text(json.dumps({
+        "prime": 5, "precision": 6, "depth": 4, "seed": 1,
+        "evolve": {"dim": 3, "scale_exp": 3, "triples": 200,
+                   "perturb_exp": 5}}))
+    assert cli.main(["evolve", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == len(set(calls)) == 54
 
 
 # -- mat_norm against the per-entry Fraction norm -------------------------------

@@ -298,10 +298,10 @@ def test_lazy_estimators_match_eager(p, beta, q):
 def test_ensemble_determinism():
     ens = MonteCarloEnsemble(123, 16)
     spec = GaussianSpec.one_dimensional(5, N, beta=1.0, q=1)
-    a = ens.collect(lambda i, st: sample_gaussian(spec, st))
-    b = ens.collect(lambda i, st: sample_gaussian(spec, st))
+    a = [sample_gaussian(spec, st) for st in ens.streams()]
+    b = [sample_gaussian(spec, st) for st in ens.streams()]
     assert a == b
-    # per-sample streams are independent of collection order
+    # per-sample streams are independent of the order they are made in
     c = [sample_gaussian(spec, ens.stream(i)) for i in reversed(range(16))]
     assert list(reversed(c)) == a
 
@@ -310,9 +310,15 @@ def test_ensemble_determinism():
 def test_streams_step_the_derived_seeds(master):
     # the counter wraps modulo 2**64 within the first two samples
     size = 50
-    states = [stream.state
-              for stream in MonteCarloEnsemble(master, size).streams()]
+    ens = MonteCarloEnsemble(master, size)
+    streams = list(ens.streams())
+    states = [stream.state for stream in streams]
     assert states == [derive_seed(master, i) for i in range(size)]
+    assert states == [ens.stream(i).state for i in range(size)]
+    assert states == [RandomStream(derive_seed(master, i)).state
+                      for i in range(size)]
+    # each stream is its own object
+    assert len({id(stream) for stream in streams}) == size
 
 
 def test_sampler_norm_histogram_matches_shells():
@@ -481,10 +487,10 @@ def test_shifted_sampler_translates():
     gamma = PAdicValue.from_int(3, p, N)
     spec = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1, gamma=gamma)
     base = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1)
-    shifted = MonteCarloEnsemble(7, size).collect(
-        lambda i, st: sample_gaussian(spec, st))
-    plain = MonteCarloEnsemble(8, size).collect(
-        lambda i, st: sample_gaussian(base, st))
+    shifted = [sample_gaussian(spec, st)
+               for st in MonteCarloEnsemble(7, size).streams()]
+    plain = [sample_gaussian(base, st)
+             for st in MonteCarloEnsemble(8, size).streams()]
     hist_a, hist_b = {}, {}
     for x in shifted:
         hist_a[(x - gamma).norm()] = hist_a.get((x - gamma).norm(), 0) + 1

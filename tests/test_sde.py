@@ -104,12 +104,13 @@ def _chain_sum_reference(prob, w, sol):
     exact chain sum of drift * dt + diffusion * dw over the digit steps,
     in rationals, rounded once."""
     grid = sol.values
+    pts = GridFunction.coordinate(grid.ball, grid.depth).values
     x0 = prob.x0.as_fraction()
     out = []
     for k in range(grid.size):
         acc = x0
         for _level, j, jn, (d, e) in grid.chain_steps(k):
-            t, x = grid.point(j), grid.values[j]
+            t, x = pts[j], grid.values[j]
             dt = d * Fraction(prob.ball.p) ** e
             dw = w.values[jn].as_fraction() - w.values[j].as_fraction()
             acc += prob.drift(t, x).as_fraction() * dt
