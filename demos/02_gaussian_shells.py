@@ -19,13 +19,13 @@ from padicsde import (
 )
 
 p, n = 3, 6
-spec = GaussianSpec.one_dimensional(p, n, beta=1.0, q=1)
+spec = GaussianSpec(p, n, beta=1.0, q=1)
 
 print("== characteristic functional ==")
 one = (PAdicValue.one(p, n),)
 for v in (0, 1, -1):
     h = PAdicValue(p, n, v, 1)
-    print(f"|h| = {h.norm():<6}  mu^(h) = {gaussian_char(spec, one, h):.6f}")
+    print(f"|h| = {h.norm():<6}  mu^(h) = {gaussian_char((spec,), one, h):.6f}")
 
 print("\n== norm-shell weights (exact Fourier inversion) ==")
 table = shell_distribution(spec)

@@ -28,6 +28,7 @@ from .charfun import (
     ball_probability,
     character,
     gaussian_char,
+    product_laws,
     shell_distribution,
     shell_nonnegativity_report,
 )
@@ -103,7 +104,7 @@ __all__ = [
     "padic_exp",
     # charfun
     "AngleTally", "GaussianSpec", "ShellTable", "ball_probability",
-    "character", "gaussian_char", "shell_distribution",
+    "character", "gaussian_char", "product_laws", "shell_distribution",
     "shell_nonnegativity_report",
     # measure
     "Gaussian1DSampler", "MonteCarloEnsemble", "RandomStream", "derive_seed",

@@ -8,7 +8,8 @@ q-Gaussian law with spread parameter beta > 0 and shift gamma has
 characteristic functional ``exp(-beta * |h|**q) * chi_gamma(h)``; its mass
 decomposes over the norm shells ``|x - gamma| = p**m``, and those shell
 probabilities are recovered exactly from the characteristic functional by
-Fourier inversion over balls.
+Fourier inversion over balls.  A ``GaussianSpec`` is one such law; a
+product measure is the tuple of its coordinate laws (``product_laws``).
 """
 
 from __future__ import annotations
@@ -110,92 +111,75 @@ class AngleTally:
 # -- q-Gaussian specifications -------------------------------------------------
 
 
-def _lq_zetas(zetas) -> tuple[PAdicValue, ...]:
-    """The zetas as a tuple, if they are an L_q diagonal family: at least
-    one, all nonzero, with strictly decreasing norms."""
+def _lq_spreads(zetas, q: float) -> tuple[float, ...]:
+    """The spreads ``|zeta_j|**q`` of an L_q diagonal family (at least one
+    zeta, all nonzero, norms strictly decreasing): the one rule of product
+    measures and the series sampler."""
     zetas = tuple(zetas)
     if not zetas or any(z.is_zero for z in zetas) or any(
             b.v <= a.v for a, b in zip(zetas, zetas[1:])):
         raise ValueError("not L_q: the zetas must be nonzero with strictly "
                          "decreasing norms")
-    return zetas
+    return tuple(z.norm() ** q for z in zetas)
 
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Parameters of a one-dimensional or product q-Gaussian measure.
-
-    One-dimensional mode holds a single spread ``beta > 0`` and a shift
-    ``gamma``.  Product mode holds diagonal coefficients ``zetas`` (an L_q
-    operator's truncation, ``_lq_zetas``) with per-coordinate spreads
-    ``beta_j = |zeta_j|**q``, plus a shift sequence decaying to zero.  Normalization is implicit: shell
-    probabilities always sum to one.
-    """
+    """One q-Gaussian law: spread ``beta`` (finite, > 0), ``q >= 1`` and
+    shift ``gamma`` (omitted: the exact zero), so equal laws are equal
+    specs.  Normalization is implicit: shell probabilities sum to one."""
 
     p: int
     n: int
+    beta: float
     q: float
-    beta: float | None = None
     gamma: PAdicValue | None = None
-    zetas: tuple[PAdicValue, ...] = ()
-    gammas: tuple[PAdicValue, ...] = ()
 
     def __post_init__(self):
-        if self.q < 1:
+        if not self.q >= 1:
             raise ValueError("q must be >= 1")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive")
-
-    @classmethod
-    def one_dimensional(cls, p, n, beta, q, gamma=None) -> "GaussianSpec":
-        if gamma is None:
-            gamma = PAdicValue.zero(p, n)
-        return cls(p=p, n=n, q=q, beta=float(beta), gamma=gamma)
-
-    @classmethod
-    def product(cls, p, n, zetas, q, gammas=None) -> "GaussianSpec":
-        zetas = _lq_zetas(zetas)
-        if gammas is None:
-            gammas = tuple(PAdicValue.zero(p, n) for _ in zetas)
-        else:
-            gammas = tuple(gammas)
-            if len(gammas) != len(zetas):
-                raise ValueError("one shift per zeta coefficient")
-            gn = [g.norm() for g in gammas]
-            if any(b > a + 1e-15 for a, b in zip(gn, gn[1:])):
-                raise ValueError("shift sequence does not decay")
-        return cls(p=p, n=n, q=q, zetas=zetas, gammas=gammas)
-
-    @property
-    def is_product(self) -> bool:
-        return bool(self.zetas)
-
-    def betas(self) -> tuple[float, ...]:
-        """Per-coordinate spreads; beta_j = |zeta_j|**q in product mode."""
-        if self.is_product:
-            return tuple(z.norm() ** self.q for z in self.zetas)
-        return (self.beta,)
+        if not 0 < self.beta <= sys.float_info.max:
+            raise ValueError("beta must be finite and positive")
+        object.__setattr__(self, "beta", float(self.beta))
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", PAdicValue.zero(self.p, self.n))
 
 
-def gaussian_char(spec: GaussianSpec, g, h: PAdicValue) -> complex:
-    """Characteristic functional of the projection along the functional g.
+def product_laws(p, n, zetas, q, gammas=None) -> tuple[GaussianSpec, ...]:
+    """The coordinate laws of a product q-Gaussian: law j has spread
+    ``|zeta_j|**q`` (``_lq_spreads``) and shift ``gammas[j]`` (default
+    zero), whose norms must not rise."""
+    spreads = _lq_spreads(zetas, q)
+    if gammas is None:
+        gammas = (None,) * len(spreads)
+    else:
+        gammas = tuple(gammas)
+        if len(gammas) != len(spreads):
+            raise ValueError("one shift per zeta coefficient")
+        gn = [g.norm() for g in gammas]
+        if any(b > a + 1e-15 for a, b in zip(gn, gn[1:])):
+            raise ValueError("shift sequence does not decay")
+    return tuple(GaussianSpec(p, n, b, q, g) for b, g in zip(spreads, gammas))
 
-    Value: ``exp(-(sum_j beta_j |g_j|**q) |h|**q) * chi_{g(gamma)}(h)``
-    where g is a finite coefficient family (use (1,) in one-dimensional
-    mode).  Modulus is at most 1, with equality only when the exponent
-    vanishes.
+
+def gaussian_char(laws, g, h: PAdicValue) -> complex:
+    """Characteristic functional of the projection along the functional g,
+    one coefficient per coordinate law (one law is the 1-tuple; all share
+    p, n and q): ``exp(-(sum_j beta_j |g_j|**q) |h|**q) * chi_{g(gamma)}(h)``.
+    Modulus is at most 1, with equality only when the exponent vanishes.
     """
-    g = tuple(g)
-    betas = spec.betas()
-    if len(g) != len(betas):
+    laws, g = tuple(laws), tuple(g)
+    if len(g) != len(laws):
         raise ValueError("functional length does not match the coefficient family")
-    b_eff = sum(b * gi.norm() ** spec.q for b, gi in zip(betas, g))
-    modulus = math.exp(-b_eff * h.norm() ** spec.q) if not h.is_zero else 1.0
-    gammas = spec.gammas if spec.is_product else (spec.gamma,)
-    shift = PAdicValue.zero(spec.p, spec.n)
-    for gi, gam in zip(g, gammas):
-        if not gam.is_zero:
-            shift = shift + gi * gam
+    if len({(law.p, law.n, law.q) for law in laws}) != 1:
+        raise ValueError("the laws must share p, n and q")
+    p, n, q = laws[0].p, laws[0].n, laws[0].q
+    b_eff = sum(law.beta * gi.norm() ** q for law, gi in zip(laws, g))
+    modulus = math.exp(-b_eff * h.norm() ** q) if not h.is_zero else 1.0
+    shift = PAdicValue.zero(p, n)
+    for gi, law in zip(g, laws):
+        if not law.gamma.is_zero:
+            shift = shift + gi * law.gamma
     if shift.is_zero:
         return complex(modulus)
     return modulus * cmath.exp(1j * TWO_PI * float(character(shift, h)))
@@ -231,8 +215,6 @@ def ball_probability(spec: GaussianSpec, m: int, tail_tol: float = 1e-12) -> flo
     The series over j is truncated once a term drops below tail_tol times
     the partial sum.
     """
-    if spec.is_product:
-        raise ValueError("shell distribution is one-dimensional")
     p, beta, q = spec.p, spec.beta, spec.q
     total = 0.0
     j = -m
@@ -289,14 +271,12 @@ class ShellTable:
 def shell_distribution(spec: GaussianSpec, m_lo: int | None = None,
                        m_hi: int | None = None,
                        tail_tol: float = 1e-12) -> ShellTable:
-    """Exact-inversion shell weights of a one-dimensional q-Gaussian.
+    """Exact-inversion shell weights of a q-Gaussian law.
 
     When m_lo / m_hi are omitted the range is widened until the declared
     tails fall below tail_tol.  Every shell must lie within
     ``shell_bounds(p, tail_tol)``; otherwise ValueError.
     """
-    if spec.is_product:
-        raise ValueError("shell distribution is one-dimensional")
     lowest, highest = shell_bounds(spec.p, tail_tol)
 
     def inside(lo, hi):

@@ -424,7 +424,7 @@ def run_charfun(cfg: RunConfig, art: Artifacts):
     sec = cfg.section
     beta, q, m_lo, m_hi = sec["beta"], sec["q"], sec["m_lo"], sec["m_hi"]
     tail_tol = cfg.tolerances["tail_tol"]
-    spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta, q)
+    spec = GaussianSpec(cfg.prime, cfg.precision, beta, q)
     try:
         table = shell_distribution(spec, m_lo, m_hi, tail_tol=tail_tol)
     except ValueError as exc:   # m_lo/m_hi are in bounds: beta is extreme
@@ -460,8 +460,7 @@ def run_sample(cfg: RunConfig, art: Artifacts):
     checks = []
     if kind == "gaussian1d":
         beta, gamma = sec["beta"], sec["gamma"]
-        spec = GaussianSpec.one_dimensional(cfg.prime, cfg.precision, beta,
-                                            q, gamma=gamma)
+        spec = GaussianSpec(cfg.prime, cfg.precision, beta, q, gamma=gamma)
         try:
             sampler = cached_sampler(spec)
         except ValueError as exc:   # beta puts the shells beyond floats

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .antider import GridFunction, _tree_scan
-from .charfun import AngleTally, GaussianSpec, _lq_zetas, shell_distribution
+from .charfun import AngleTally, GaussianSpec, _lq_spreads, shell_distribution
 from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
 
 _MASK = (1 << 64) - 1
@@ -287,10 +287,7 @@ class Gaussian1DSampler:
     def draw(self, stream: RandomStream) -> PAdicValue:
         v, mant = self.draw_raw(stream)
         x = PAdicValue(self.spec.p, self.spec.n, v, mant)
-        gamma = self.spec.gamma
-        if gamma is not None and not gamma.is_zero:
-            x = x + gamma
-        return x
+        return x if self.spec.gamma.is_zero else x + self.spec.gamma
 
 
 @lru_cache(maxsize=512)
@@ -318,7 +315,7 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
     hs = list(h_values)
     tallies = [AngleTally(p) for _ in hs]
     gamma = spec.gamma
-    shifted = gamma is not None and not gamma.is_zero
+    shifted = not gamma.is_zero
     hdata = [(None if h.is_zero else (h.v, h.m)) for h in hs]
     # Every tally depends on a draw only through its key (v, mant), so each
     # key is tallied once with its count, in first-occurrence order, which
@@ -373,24 +370,24 @@ def level_betas(ball: BallSpec, depth: int, q: float) -> tuple[float, ...]:
     process is q-Gaussian with spread |dt|**q."""
     p, r = ball.p, ball.radius_exp
     ball.grid_size(depth)   # refuses a negative total depth
-    return tuple(float(p) ** (-(j - r) * q)
-                 for j in range(r + depth))
+    try:
+        return tuple(float(p) ** (-(j - r) * q) for j in range(r + depth))
+    except OverflowError:
+        raise ValueError(f"the level-0 spread {p}**{r * q} leaves the "
+                         "float range") from None
 
 
-@lru_cache(maxsize=64)
 def _laws(kind: str, params: tuple, q: float, p: int,
           n: int) -> tuple[Gaussian1DSampler, ...]:
     """The draw laws of a path sampler: one per tree level of spread beta,
-    or one per series coefficient of spread |zeta|**q.  Built once per
-    parameter tuple, so a caller drawing one sample per call builds no
-    spec per draw; this is the one place that turns spreads into laws,
-    and it checks the zetas (``_lq_zetas``) and each spread's sign."""
-    spreads = params if kind == "tree" else [
-        z.norm() ** q for z in _lq_zetas(params)]
+    or one per series coefficient of spread |zeta|**q (``_lq_spreads``, as
+    in ``product_laws``).  The one place that turns a path's spreads into
+    samplers; it checks each spread's sign, and ``cached_sampler`` is the
+    one cache of the laws."""
+    spreads = params if kind == "tree" else _lq_spreads(params, q)
     if not all(b > 0 for b in spreads):
         raise ValueError("one positive spread per draw is required")
-    return tuple(cached_sampler(GaussianSpec.one_dimensional(
-        p, n, beta=b, q=q)) for b in spreads)
+    return tuple(cached_sampler(GaussianSpec(p, n, b, q)) for b in spreads)
 
 
 def path_laws(kind: str, ball: BallSpec, depth: int, q: float,
@@ -400,8 +397,8 @@ def path_laws(kind: str, ball: BallSpec, depth: int, q: float,
     The parameters are the tree sampler's level spreads (default
     ``level_betas``) or the series sampler's zetas (default the first
     ``2 * depth`` standard zetas).  Building the laws draws nothing; tree
-    spreads not one per level, non-L_q zetas, and spreads not positive or
-    with shells beyond the float range raise ValueError.
+    spreads not one per level, non-L_q zetas, and spreads not positive,
+    beyond the float range or with shells beyond it raise ValueError.
     """
     if kind == "tree":
         params = level_betas(ball, depth, q) if betas is None else tuple(betas)

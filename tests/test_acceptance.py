@@ -91,7 +91,7 @@ def test_criterion_2_characteristic_functional():
     size = 100_000
     tol = 4.0 / math.sqrt(size)
     for (p, beta, q) in PARAM_GRID:
-        spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+        spec = GaussianSpec(p, N, beta=beta, q=q)
         hs = [PAdicValue(p, N, v, 1) for v in (0, 1, 2, -1, -2)]
         got = empirical_char(spec, hs, size, seed=20_000 + p)
         for h in hs:
@@ -136,7 +136,7 @@ def test_criterion_4_shell_distribution():
     t0 = time.time()
     size = 100_000
     for (p, beta, q) in PARAM_GRID:
-        spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+        spec = GaussianSpec(p, N, beta=beta, q=q)
         table = shell_distribution(spec)
         assert all(w >= 0.0 for w in table.weights), (p, beta, q)
         assert abs(table.total_mass() - 1.0) <= 1e-9

@@ -19,11 +19,11 @@ PUBLIC = [
     "locally_constant_program", "mahler_poly", "mix64", "mof_check",
     "moment_diagnostic", "norm_histogram", "padic_exp", "path_derivative",
     "path_laws", "perturbation_check", "picard_as_family",
-    "polynomial_program", "product_telescoping_moduli", "sample_gaussian",
-    "sample_wiener_mahler", "sample_wiener_tree", "scalar_flow",
-    "shell_distribution", "shell_nonnegativity_report", "solve_evolution",
-    "solve_picard", "square_decomposition_residual", "stability_diagnostic",
-    "standard_zetas", "wiener_path", "zero_program",
+    "polynomial_program", "product_laws", "product_telescoping_moduli",
+    "sample_gaussian", "sample_wiener_mahler", "sample_wiener_tree",
+    "scalar_flow", "shell_distribution", "shell_nonnegativity_report",
+    "solve_evolution", "solve_picard", "square_decomposition_residual",
+    "stability_diagnostic", "standard_zetas", "wiener_path", "zero_program",
 ]
 
 

@@ -146,8 +146,7 @@ def _padic_reference(psi, gamma, g, t_index, samples, seed, q=1.0):
     p, n = psi.p, psi.n
     betas = level_betas(psi.ball, psi.depth, q)
     steps = [(gamma * g * psi.values[j],
-              cached_sampler(GaussianSpec.one_dimensional(
-                  p, n, beta=betas[level], q=q)))
+              cached_sampler(GaussianSpec(p, n, beta=betas[level], q=q)))
              for level, j, _jn, _step in psi.chain_steps(t_index)]
     tally = AngleTally(p)
     cancelled = 0
@@ -493,8 +492,7 @@ def test_tree_estimator_exact_target_at_criterion_9():
         target, tol = 1, 0.0
         for level in levels:
             if level not in factors:
-                spec = GaussianSpec.one_dimensional(p, n, beta=betas[level],
-                                                    q=1.0)
+                spec = GaussianSpec(p, n, beta=betas[level], q=1.0)
                 sampler = cached_sampler(spec)
                 table = shell_distribution(spec, tail_tol=measure.TAIL_TOL)
                 gap = (table.lower_tail + table.upper_tail + measure.TAIL_TOL

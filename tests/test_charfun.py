@@ -2,7 +2,8 @@ import cmath
 import hashlib
 import math
 import random
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from padicsde.charfun import (
     ball_probability,
     character,
     gaussian_char,
+    product_laws,
     shell_bounds,
     shell_distribution,
     shell_nonnegativity_report,
@@ -155,11 +157,11 @@ def test_angle_tally_add_raw_reduces_the_angle(p, num, kexp, rnum, rkexp):
 
 
 def test_gaussian_char_basics():
-    spec = GaussianSpec.one_dimensional(5, N, beta=1.0, q=1)
+    spec = GaussianSpec(5, N, beta=1.0, q=1)
     h0 = PAdicValue.zero(5, N)
-    assert gaussian_char(spec, (PAdicValue.one(5, N),), h0) == 1.0
+    assert gaussian_char((spec,), (PAdicValue.one(5, N),), h0) == 1.0
     h1 = PAdicValue.one(5, N)
-    val = gaussian_char(spec, (PAdicValue.one(5, N),), h1)
+    val = gaussian_char((spec,), (PAdicValue.one(5, N),), h1)
     assert val.real == pytest.approx(math.exp(-1.0))
     assert val.imag == 0.0
 
@@ -167,19 +169,19 @@ def test_gaussian_char_basics():
 def test_gaussian_char_shift_phase():
     p = 5
     gamma = PAdicValue.from_rational(1, 5, p, N)
-    spec = GaussianSpec.one_dimensional(p, N, beta=2.0, q=1, gamma=gamma)
+    spec = GaussianSpec(p, N, beta=2.0, q=1, gamma=gamma)
     h = PAdicValue.one(p, N)
-    val = gaussian_char(spec, (PAdicValue.one(p, N),), h)
+    val = gaussian_char((spec,), (PAdicValue.one(p, N),), h)
     expect = math.exp(-2.0) * cmath.exp(2j * math.pi / 5)
     assert abs(val - expect) < 1e-12
 
 
 def test_gaussian_char_modulus_bound():
-    spec = GaussianSpec.one_dimensional(3, N, beta=0.5, q=2)
+    spec = GaussianSpec(3, N, beta=0.5, q=2)
     one = (PAdicValue.one(3, N),)
     for v in range(-2, 3):
         h = PAdicValue(3, N, v, 1)
-        assert abs(gaussian_char(spec, one, h)) <= 1.0 + 1e-15
+        assert abs(gaussian_char((spec,), one, h)) <= 1.0 + 1e-15
 
 
 def _sweep_values(p, valuations, count, seed):
@@ -206,18 +208,17 @@ def _gaussian_char_sweep():
         for beta in (0.25, 2.0):
             for q in (1, 2):
                 for gamma in gammas:
-                    spec = GaussianSpec.one_dimensional(p, N, beta, q,
-                                                        gamma=gamma)
+                    spec = GaussianSpec(p, N, beta, q, gamma=gamma)
                     for h in hs:
-                        yield repr(gaussian_char(spec, one, h))
+                        yield repr(gaussian_char((spec,), one, h))
         zetas = _product_zetas(p, 3)
         g = tuple(PAdicValue.one(p, N) for _ in zetas)
         shifted = (PAdicValue(p, N, -1, 1), PAdicValue(p, N, -1, p - 1),
                    PAdicValue(p, N, 0, 1))
         for gammas in (None, shifted):
-            spec = GaussianSpec.product(p, N, zetas, 1.5, gammas=gammas)
+            laws = product_laws(p, N, zetas, 1.5, gammas=gammas)
             for h in hs:
-                yield repr(gaussian_char(spec, g, h))
+                yield repr(gaussian_char(laws, g, h))
 
 
 def test_gaussian_char_values_are_pinned_bit_for_bit():
@@ -236,16 +237,16 @@ def test_ultrametric_inequality_of_charfun(p, data):
     # the ultrametric law inside the exponent: |h1+h2|^q <= max(|h1|^q, |h2|^q),
     # hence |mu^g(h1+h2)| >= min over the parts, with equality when the norms
     # of h1 and h2 differ.  Evaluated exactly through valuations.
-    spec = GaussianSpec.one_dimensional(p, N, beta=1.5, q=1)
+    spec = GaussianSpec(p, N, beta=1.5, q=1)
     one = (PAdicValue.one(p, N),)
     h1 = data.draw(bounded_values(p))
     h2 = data.draw(bounded_values(p))
     s = h1 + h2
     if not s.is_zero:
         assert h1.is_zero or h2.is_zero or s.v >= min(h1.v, h2.v)
-    lhs = abs(gaussian_char(spec, one, s))
-    m1 = abs(gaussian_char(spec, one, h1))
-    m2 = abs(gaussian_char(spec, one, h2))
+    lhs = abs(gaussian_char((spec,), one, s))
+    m1 = abs(gaussian_char((spec,), one, h1))
+    m2 = abs(gaussian_char((spec,), one, h2))
     assert lhs >= min(m1, m2) - 1e-15
     if not h1.is_zero and not h2.is_zero and h1.v < h2.v:
         # |h1| > |h2| forces |h1+h2| = |h1| and equality of moduli
@@ -256,18 +257,19 @@ def test_ultrametric_inequality_of_charfun(p, data):
 def test_product_spec_char():
     p, q = 3, 1
     zetas = tuple(PAdicValue.from_int(p**j, p, N) for j in range(1, 5))
-    spec = GaussianSpec.product(p, N, zetas, q)
+    laws = product_laws(p, N, zetas, q)
+    assert laws == tuple(GaussianSpec(p, N, z.norm() ** q, q) for z in zetas)
     g = tuple(PAdicValue.one(p, N) for _ in zetas)
     h = PAdicValue.one(p, N)
     b_eff = sum(z.norm() ** q for z in zetas)
-    assert gaussian_char(spec, g, h).real == pytest.approx(math.exp(-b_eff))
+    assert gaussian_char(laws, g, h).real == pytest.approx(math.exp(-b_eff))
 
 
 def test_product_spec_rejects_bad_decay():
     p = 3
     zetas = (PAdicValue.one(p, N), PAdicValue.one(p, N))
     with pytest.raises(ValueError, match="not L_q"):
-        GaussianSpec.product(p, N, zetas, 1)
+        product_laws(p, N, zetas, 1)
 
 
 def _product_zetas(p, count):
@@ -280,14 +282,14 @@ def test_product_spec_refuses_rising_shifts():
     gammas = (PAdicValue(p, N, 2, 1), PAdicValue(p, N, -2, 1),
               PAdicValue(p, N, 2, 1))
     with pytest.raises(ValueError, match="does not decay"):
-        GaussianSpec.product(p, N, _product_zetas(p, 3), 1, gammas=gammas)
+        product_laws(p, N, _product_zetas(p, 3), 1, gammas=gammas)
 
 
 def test_product_spec_refuses_shift_count_mismatch():
     p = 3
     with pytest.raises(ValueError, match="one shift per zeta"):
-        GaussianSpec.product(p, N, _product_zetas(p, 2), 1,
-                             gammas=(PAdicValue.one(p, N),))
+        product_laws(p, N, _product_zetas(p, 2), 1,
+                     gammas=(PAdicValue.one(p, N),))
 
 
 def test_product_spec_accepts_nonincreasing_shifts():
@@ -296,14 +298,66 @@ def test_product_spec_accepts_nonincreasing_shifts():
     gammas = (PAdicValue(p, N, -2, 1), PAdicValue(p, N, -2, 2),
               PAdicValue.one(p, N), PAdicValue(p, N, 1, 1),
               PAdicValue.zero(p, N))
-    spec = GaussianSpec.product(p, N, _product_zetas(p, 5), 1, gammas=gammas)
-    assert spec.gammas == gammas
-    assert len(spec.betas()) == len(gammas)
+    laws = product_laws(p, N, _product_zetas(p, 5), 1, gammas=gammas)
+    assert tuple(law.gamma for law in laws) == gammas
+    # equal norms of 27, where the 1e-15 slack is below half a float step
+    gammas = (PAdicValue(p, N, -3, 1), PAdicValue(p, N, -3, 2))
+    laws = product_laws(p, N, _product_zetas(p, 2), 1, gammas=gammas)
+    assert tuple(law.gamma for law in laws) == gammas
+
+
+# -- one law per spec -------------------------------------------------------
+
+
+def test_gaussian_spec_is_one_law():
+    assert [f.name for f in fields(GaussianSpec)] == [
+        "p", "n", "beta", "q", "gamma"]
+    for gone in ("one_dimensional", "product", "is_product", "betas",
+                 "zetas", "gammas"):
+        assert not hasattr(GaussianSpec, gone), gone
+    assert not hasattr(charfun, "_lq_zetas")
+
+
+def test_omitted_shift_is_the_exact_zero():
+    # the same law built two ways is one spec, and so one cache key
+    bare = GaussianSpec(3, N, 1, 1)
+    full = GaussianSpec(3, N, 1.0, 1, PAdicValue.zero(3, N))
+    assert bare == full and hash(bare) == hash(full)
+    assert type(bare.beta) is float and bare.gamma.is_zero
+    one = PAdicValue.one(3, N)
+    assert gaussian_char((bare,), (one,), one) == complex(math.exp(-1.0))
+    assert product_laws(3, N, _product_zetas(3, 2), 1) == (
+        GaussianSpec(3, N, 1 / 3, 1), GaussianSpec(3, N, 1 / 9, 1))
+
+
+@pytest.mark.parametrize("beta, q", [
+    (math.nan, 1), (math.inf, 1), (-math.inf, 1), (0.0, 1), (0, 1),
+    (-1.0, 1), (10**400, 1), (1.0, 0.5), (1.0, 0), (1.0, math.nan)])
+def test_gaussian_spec_refuses_a_bad_law(beta, q):
+    with pytest.raises(ValueError, match="beta must be finite and positive"
+                       if q == 1 else "q must be >= 1"):
+        GaussianSpec(3, N, beta, q)
+
+
+def test_gaussian_spec_accepts_every_finite_positive_beta():
+    # the float range's ends, and an integer inside it, stored as floats
+    for beta in (5e-324, 1, sys.float_info.max, 10**308):
+        assert GaussianSpec(3, N, beta, 1).beta == float(beta)
+
+
+@pytest.mark.parametrize("others", [
+    (GaussianSpec(3, N, 1.0, 2),), (GaussianSpec(3, N + 1, 1.0, 1),),
+    (GaussianSpec(5, N, 1.0, 1),), None], ids=["q", "n", "p", "no_law"])
+def test_gaussian_char_refuses_laws_of_different_kinds(others):
+    laws = () if others is None else (GaussianSpec(3, N, 1.0, 1),) + others
+    one = PAdicValue.one(3, N)
+    with pytest.raises(ValueError, match="the laws must share p, n and q"):
+        gaussian_char(laws, (one,) * len(laws), one)
 
 
 def test_shell_table_normalization_and_cdf():
     for (p, b, q) in SUPPORTED_GRID:
-        spec = GaussianSpec.one_dimensional(p, N, beta=b, q=q)
+        spec = GaussianSpec(p, N, beta=b, q=q)
         table = shell_distribution(spec)
         assert table.total_mass() == pytest.approx(1.0, abs=1e-9)
         assert all(w >= 0.0 for w in table.weights)
@@ -323,7 +377,7 @@ def test_shell_table_computes_each_ball_once(monkeypatch, p, b, q, span):
         calls.append(m)
         return ball_probability(spec, m, tail_tol)
 
-    spec = GaussianSpec.one_dimensional(p, N, beta=b, q=q)
+    spec = GaussianSpec(p, N, beta=b, q=q)
     monkeypatch.setattr(charfun, "ball_probability", counted)
     table = shell_distribution(spec, *span)
     monkeypatch.undo()
@@ -337,7 +391,7 @@ def test_shell_table_computes_each_ball_once(monkeypatch, p, b, q, span):
 
 
 def test_shell_table_refuses_weights_off_the_span():
-    spec = GaussianSpec.one_dimensional(3, N, beta=1.0, q=1)
+    spec = GaussianSpec(3, N, beta=1.0, q=1)
     table = shell_distribution(spec, -2, 2)
     assert len(table.weights) == 5
     for weights in (table.weights[:-1], table.weights + (0.0,), ()):
@@ -349,7 +403,7 @@ def test_shell_table_refuses_weights_off_the_span():
 
 
 def test_shell_nonnegativity_report():
-    specs = [GaussianSpec.one_dimensional(p, N, beta=b, q=q)
+    specs = [GaussianSpec(p, N, beta=b, q=q)
              for (p, b, q) in SUPPORTED_GRID]
     for spec, worst in shell_nonnegativity_report(specs, -25, 25):
         assert worst >= -1e-12, (spec.p, spec.beta, spec.q, worst)
@@ -360,14 +414,14 @@ def test_frozen_ball_probability():
     total = sum(math.exp(-(2.0**j)) * 2.0**j for j in range(0, -400, -1))
     oracle = 0.5 * total
     assert oracle == pytest.approx(0.5480427915295704, abs=1e-14)
-    spec = GaussianSpec.one_dimensional(2, N, beta=1.0, q=1)
+    spec = GaussianSpec(2, N, beta=1.0, q=1)
     assert ball_probability(spec, 0) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_shell_consistency_with_charfun():
     # shell mixture of within-shell characters reproduces exp(-beta |h|^q)
     p, beta, q = 3, 1.0, 1
-    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    spec = GaussianSpec(p, N, beta=beta, q=q)
     table = shell_distribution(spec, tail_tol=1e-14)
     for hv in (0, 1, -1):
         h = PAdicValue(p, N, hv, 1)
@@ -391,7 +445,7 @@ def test_shell_bounds_are_the_float_range(p, tail_tol):
     # the edge shells compute; one shell further is refused, not overflowed
     lowest, highest = shell_bounds(p, tail_tol)
     assert lowest < 0 <= highest
-    spec = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1)
+    spec = GaussianSpec(p, N, beta=1.0, q=1)
     for lo, hi in ((lowest, lowest + 2), (highest - 2, highest)):
         table = shell_distribution(spec, lo, hi, tail_tol=tail_tol)
         assert all(math.isfinite(w) and w >= 0.0 for w in table.weights)

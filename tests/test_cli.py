@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -747,3 +748,88 @@ def test_schema_boundary(tmp_path, capsys, base, path, value):
     if code == 2:
         assert f"config.{path}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# -- the exit-code contract --------------------------------------------------
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("solve", {"solve": {"problem": "zero", "sampler_q": 500}},
+     "config.solve.sampler_q"),
+    ("sample", {"sample": {"kind": "wiener_tree", "q": 500}},
+     "config.sample.q"),
+])
+def test_path_q_whose_level_spread_overflows_exits_2(tmp_path, capsys,
+                                                      command, section, key):
+    # at radius_exp 1 the level-0 spread is 5**q, beyond the floats
+    cfgfile = write_config(tmp_path, {"prime": 5, "precision": 6,
+                                      "radius_exp": 1, "depth": 2, **section})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"{key}: value 500.0: the level-0 spread 5**500.0 leaves the float "
+        "range\n")
+    assert not out.exists()
+
+
+def test_failing_check_exits_1_with_a_fail_manifest(tmp_path, capsys,
+                                                    monkeypatch):
+    # the second path is moved off zero at the center, so its check fails
+    sampled = cli.wiener_path
+
+    def moved(*args, seed, **kwargs):
+        path = sampled(*args, seed=seed, **kwargs)
+        if seed != cli.derive_seed(BASE["seed"], 1):
+            return path
+        one = PAdicValue.one(path.p, path.n)
+        return replace(path, values=(one,) + path.values[1:])
+
+    monkeypatch.setattr(cli, "wiener_path", moved)
+    cfgfile = write_config(tmp_path, {
+        **BASE, "sample": {"kind": "wiener_tree", "count": 3}})
+    out = tmp_path / "out"
+    assert main(["sample", "--config", str(cfgfile), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"FAIL {out / 'manifest.json'} "
+                            "(path_0001_zero_at_center)\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "fail"
+    assert [c["passed"] for c in manifest["checks"]] == [True, False, True]
+    on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert sorted(manifest["artifacts"]) == sorted(on_disk) == [
+        "ensemble.json", "path_0000.csv", "path_0001.csv", "path_0002.csv"]
+
+
+@pytest.mark.parametrize("case", ["unreadable", "not_an_object", "env_seed"])
+def test_refusals_before_the_run_exit_2(tmp_path, capsys, monkeypatch, case):
+    cfgfile = write_config(tmp_path, {**BASE, "charfun": {"beta": 1.0}})
+    want = {"not_an_object": "config: top level must be an object\n",
+            "env_seed": "PADICSDE_SEED: expected an integer\n"}
+    if case == "unreadable":
+        cfgfile = tmp_path / "missing.json"
+    elif case == "not_an_object":
+        cfgfile.write_text("[3, 6, 2]", encoding="utf-8")
+    else:
+        monkeypatch.setenv("PADICSDE_SEED", "abc")
+    out = tmp_path / "out"
+    assert main(["charfun", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if case == "unreadable":
+        assert err.startswith("config: ") and "missing.json" in err
+    else:
+        assert err == want[case]
+    assert not out.exists()
+
+
+def test_sampler_cache_serves_repeated_laws(tmp_path):
+    # each path of a run asks for the same level laws again, and
+    # ``cached_sampler``, the one cache of the laws, answers the repeats
+    cli.cached_sampler.cache_clear()
+    cfgfile = write_config(tmp_path, {
+        **BASE, "sample": {"kind": "wiener_tree", "count": 3}})
+    assert main(["sample", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "out")]) == 0
+    info = cli.cached_sampler.cache_info()
+    assert info.misses == BASE["depth"]
+    assert info.hits > 0

@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,25 @@ def test_mof_chain_check_catches_corrupted_flow(monkeypatch, node):
     rep = mof_check(alpha, beta, paths, q=1.0)
     assert rep.identity_ok
     assert not rep.chain_ok
+
+
+def test_mof_representation_check_catches_a_wrong_solution(monkeypatch):
+    # a Picard solve started one unit off x0 is not the functional applied
+    # to x0; the flow is untouched, so only the representation check fails
+    ball = unit_ball()
+    paths = [wiener_path("tree", ball, DEPTH, 2.0, seed=101)]
+    alpha = PAdicValue.from_int(P**3, P, N)
+    beta = PAdicValue.from_int(2 * P**3, P, N)
+    inits = (PAdicValue.from_int(2, P, N),)
+    assert mof_check(alpha, beta, paths, q=1.0,
+                     initial_values=inits).representation_ok
+    solve = evolution.solve_picard
+    one = PAdicValue.one(P, N)
+    monkeypatch.setattr(evolution, "solve_picard", lambda prob, w: solve(
+        replace(prob, x0=prob.x0 + one), w))
+    rep = mof_check(alpha, beta, paths, q=1.0, initial_values=inits)
+    assert rep.identity_ok and rep.chain_ok
+    assert rep.representation_ok is False
 
 
 def test_mof_scaling_linearity():

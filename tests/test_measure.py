@@ -15,8 +15,9 @@ from padicsde.charexpect import (
 from padicsde.charfun import (
     AngleTally,
     GaussianSpec,
-    _lq_zetas,
+    _lq_spreads,
     gaussian_char,
+    product_laws,
     shell_distribution,
 )
 from padicsde.measure import (
@@ -44,8 +45,7 @@ def empirical_char(spec, h, size, seed):
     sampler = Gaussian1DSampler(spec)
     tally = AngleTally(spec.p)
     ens = MonteCarloEnsemble(seed, size)
-    gamma = spec.gamma
-    shift_trivial = gamma is None or gamma.is_zero
+    shift_trivial = spec.gamma.is_zero
     p = spec.p
     for stream in ens.streams():
         if shift_trivial and not h.is_zero:
@@ -87,7 +87,7 @@ def test_draw_raw_stream_layout(p):
     # shell by inverse CDF, 1 + u % (p-1) the leading digit and
     # u % p**(N-1) the remaining digits
     sampler = Gaussian1DSampler(
-        GaussianSpec.one_dimensional(p, N, beta=1.0, q=1))
+        GaussianSpec(p, N, beta=1.0, q=1))
     shells = set()
     for seed in range(300):
         stream, ref = RandomStream(seed), RandomStream(seed)
@@ -110,7 +110,7 @@ def test_draw_raw_cut_reads_the_full_draw(p):
     # mantissa is the full one mod p**need, and with no digit read it is
     # the unit 1
     sampler = Gaussian1DSampler(
-        GaussianSpec.one_dimensional(p, N, beta=3.0, q=1))
+        GaussianSpec(p, N, beta=3.0, q=1))
     # shell_only is the largest cut that reads no digit on any shell
     assert max(sampler.shells) + sampler.shell_only == 0
     shells = set()
@@ -176,7 +176,7 @@ def test_draw_raw_matches_reference_at_every_cut(p):
     # and from states whose shell output sits on either side of a cdf step
     golden = 0x9E3779B97F4A7C15
     sampler = Gaussian1DSampler(
-        GaussianSpec.one_dimensional(p, N, beta=2.0, q=1))
+        GaussianSpec(p, N, beta=2.0, q=1))
     states = [0, 1, 12345, 2**63, *range(2**64 - 40, 2**64)]
     states += [(2**64 - j * golden + d) % 2**64
                for j in (1, 2, 3) for d in range(-20, 20)]
@@ -214,7 +214,7 @@ def test_estimators_call_draw_raw_once_per_draw(monkeypatch):
 
     monkeypatch.setattr(Gaussian1DSampler, "draw_raw", counting)
     p, size = 3, 500
-    spec = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1)
+    spec = GaussianSpec(p, N, beta=1.0, q=1)
     measure.empirical_char(spec, [PAdicValue(p, N, v, 1) for v in (-1, 1)],
                            size, 4)
     assert calls[0] == size
@@ -284,20 +284,19 @@ def test_lazy_estimators_match_eager(p, beta, q):
         PAdicValue.zero(p, N)]
     size, seed = 2000, 20_000 + p
     gamma = PAdicValue.from_rational(1, p**2, p, N)
-    for spec in (GaussianSpec.one_dimensional(p, N, beta=beta, q=q),
-                 GaussianSpec.one_dimensional(p, N, beta=beta, q=q,
-                                              gamma=gamma)):
+    for spec in (GaussianSpec(p, N, beta=beta, q=q),
+                 GaussianSpec(p, N, beta=beta, q=q, gamma=gamma)):
         got = measure.empirical_char(spec, hs, size, seed)
         want = _eager_empirical_char(spec, hs, size, seed)
         assert [repr(got[h]) for h in hs] == [repr(want[h]) for h in hs]
-    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    spec = GaussianSpec(p, N, beta=beta, q=q)
     assert list(measure.norm_histogram(spec, size, seed + 1).items()) == \
         list(_eager_norm_histogram(spec, size, seed + 1).items())
 
 
 def test_ensemble_determinism():
     ens = MonteCarloEnsemble(123, 16)
-    spec = GaussianSpec.one_dimensional(5, N, beta=1.0, q=1)
+    spec = GaussianSpec(5, N, beta=1.0, q=1)
     a = [sample_gaussian(spec, st) for st in ens.streams()]
     b = [sample_gaussian(spec, st) for st in ens.streams()]
     assert a == b
@@ -323,7 +322,7 @@ def test_streams_step_the_derived_seeds(master):
 
 def test_sampler_norm_histogram_matches_shells():
     p, beta, q, size = 3, 1.0, 1, 20000
-    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    spec = GaussianSpec(p, N, beta=beta, q=q)
     table = shell_distribution(spec)
     sampler = Gaussian1DSampler(spec)
     counts = {}
@@ -342,7 +341,7 @@ def test_empirical_char_matches_formula():
     size = 20000
     tol = 4 / math.sqrt(size)
     for (p, beta, q) in [(2, 1.0, 1), (5, 0.5, 2)]:
-        spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+        spec = GaussianSpec(p, N, beta=beta, q=q)
         for hv in (0, 1, -1):
             h = PAdicValue(p, N, hv, 1)
             got = empirical_char(spec, h, size, seed=99)
@@ -405,7 +404,7 @@ def test_exact_shell_law_matches_gaussian_char(p, beta, q):
     # outputs, off uniform by at most p**(n - 1) / 2**64 in total
     # variation each; that modulo bias, and one rounding of the exp in
     # gaussian_char, are added so that tol bounds the draw itself.
-    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    spec = GaussianSpec(p, N, beta=beta, q=q)
     sampler = Gaussian1DSampler(spec)
     grid = 2.0 ** -53
     gap = 2 * measure.TAIL_TOL + (1 + 2 * len(sampler.shells)) * grid
@@ -413,7 +412,7 @@ def test_exact_shell_law_matches_gaussian_char(p, beta, q):
     tol = 3 * gap + bias + grid
     for v in (0, 1, 2, -1, -2):
         h = PAdicValue(p, N, v, 1)
-        want = gaussian_char(spec, (PAdicValue.one(p, N),), h)
+        want = gaussian_char((spec,), (PAdicValue.one(p, N),), h)
         assert want.imag == 0.0
         assert abs(float(_exact_char(sampler, h)) - want.real) <= tol, v
 
@@ -435,7 +434,7 @@ def test_exact_shell_law_matches_the_shell_tables(p, beta, q):
     # and the last shell, drawn as 1 minus the second-to-last bound, by the
     # grid rounding plus every earlier sum rounding and every rounding of a
     # weight ``cdf_m - cdf_prev`` and of the upper tail ``1 - cdf_hi``.
-    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=q)
+    spec = GaussianSpec(p, N, beta=beta, q=q)
     sampler = Gaussian1DSampler(spec)
     counts = _shell_counts(sampler)
     own = shell_distribution(spec, tail_tol=measure.TAIL_TOL)
@@ -485,8 +484,8 @@ def test_shifted_sampler_translates():
     # two-sample test: norms of (shifted sample - gamma) match the plain law
     p, size = 5, 8000
     gamma = PAdicValue.from_int(3, p, N)
-    spec = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1, gamma=gamma)
-    base = GaussianSpec.one_dimensional(p, N, beta=1.0, q=1)
+    spec = GaussianSpec(p, N, beta=1.0, q=1, gamma=gamma)
+    base = GaussianSpec(p, N, beta=1.0, q=1)
     shifted = [sample_gaussian(spec, st)
                for st in MonteCarloEnsemble(7, size).streams()]
     plain = [sample_gaussian(base, st)
@@ -506,7 +505,7 @@ def test_shifted_sampler_translates():
 def test_empirical_char_with_shift():
     p, beta, size = 5, 2.0, 20000
     gamma = PAdicValue.from_rational(2, 5, p, N)
-    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=1, gamma=gamma)
+    spec = GaussianSpec(p, N, beta=beta, q=1, gamma=gamma)
     h = PAdicValue.one(p, N)
     got = empirical_char(spec, h, size, seed=5)
     import cmath
@@ -532,7 +531,7 @@ def test_tree_single_level_reduces_to_gaussian():
     beta = 0.7
     stream = RandomStream(11)
     path = sample_wiener_tree((beta,), 1.0, ball, 1, stream)
-    spec = GaussianSpec.one_dimensional(p, N, beta=beta, q=1)
+    spec = GaussianSpec(p, N, beta=beta, q=1)
     stream2 = RandomStream(11)
     draws = [Gaussian1DSampler(spec).draw(stream2) for _ in range(p - 1)]
     assert list(path.values[1:]) == draws
@@ -546,8 +545,8 @@ def test_tree_sampler_matches_padic_reference(p, depth, radius_exp):
     ball = BallSpec(PAdicValue.zero(p, N), radius_exp)
     levels = radius_exp + depth
     betas = level_betas(ball, depth, 1.0)
-    samplers = [Gaussian1DSampler(GaussianSpec.one_dimensional(
-        p, N, beta=b, q=1.0)) for b in betas]
+    samplers = [Gaussian1DSampler(GaussianSpec(p, N, beta=b, q=1.0))
+                for b in betas]
     carries = 0
     for seed in range(24):
         stream = RandomStream(seed)
@@ -678,7 +677,7 @@ def test_bad_zeta_decay_rejected():
 # Each entry point that takes path-law parameters refuses the same bad
 # inputs with the same ValueError, because all of them reach the checks in
 # ``path_laws`` (one spread per level) and ``_laws`` (the L_q rule of the
-# zetas, ``charfun._lq_zetas``).
+# zetas, ``charfun._lq_spreads``).
 
 _RULE_P, _RULE_DEPTH = 3, 2
 
@@ -714,7 +713,7 @@ def _zeta_entry_points():
         "character_product_check": lambda z: character_product_check(
             psi, one, one, 1, samples=10, seed=1, q=q, sampler="mahler",
             zetas=z),
-        "GaussianSpec.product": lambda z: GaussianSpec.product(p, N, z, q),
+        "product_laws": lambda z: product_laws(p, N, z, q),
     }
 
 
@@ -748,7 +747,7 @@ def _message(call, arg) -> str:
 
 @pytest.mark.parametrize("bad", sorted(_BAD_ZETAS))
 def test_every_entry_point_refuses_bad_zetas_alike(bad):
-    want = _message(_lq_zetas, _BAD_ZETAS[bad])
+    want = _message(lambda z: _lq_spreads(z, 1.0), _BAD_ZETAS[bad])
     assert want.startswith("not L_q")
     got = {name: _message(call, _BAD_ZETAS[bad])
            for name, call in _zeta_entry_points().items()}
@@ -773,8 +772,33 @@ def test_entry_points_accept_good_path_laws():
         call(tuple(0.5 ** j for j in range(levels)))
 
 
+def test_series_laws_are_the_product_laws_samplers():
+    # one spread rule and one law cache: the series sampler's laws are the
+    # cached samplers of the product measure's coordinate laws
+    p, q = 3, 1.5
+    zetas = (_zeta(1), _zeta(2), _zeta(4))
+    laws = measure._laws("mahler", zetas, q, p, N)
+    want = tuple(measure.cached_sampler(law)
+                 for law in product_laws(p, N, zetas, q))
+    assert len(laws) == 3
+    assert all(a is b for a, b in zip(laws, want, strict=True))
+    assert not hasattr(measure._laws, "cache_info")
+
+
+@pytest.mark.parametrize("radius_exp, q", [(1, 500.0), (2, 300.0)])
+def test_level_spread_that_leaves_the_floats_is_refused(radius_exp, q):
+    # p**(radius_exp * q) overflows a float: a ValueError, as a spread that
+    # underflows to zero is, not an OverflowError
+    ball = BallSpec(PAdicValue.zero(5, N), radius_exp)
+    want = f"the level-0 spread 5**{radius_exp * q} leaves the float range"
+    assert _message(lambda q: level_betas(ball, 2, q), q) == want
+    assert _message(lambda q: path_laws("tree", ball, 2, q), q) == want
+    assert level_betas(ball, 2, 1.0) == tuple(
+        5.0 ** (radius_exp - j) for j in range(radius_exp + 2))
+
+
 # The two float rules that the L_q rule replaced, as they were written:
-# ``GaussianSpec.product`` asked for nonzero zetas with
+# product mode asked for nonzero zetas with
 # |zeta_{j+1}| <= 0.5 |zeta_j| + 1e-15, the series sampler for at least one
 # zeta with |zeta_{j+1}| <= 0.75 |zeta_j| + 1e-15 and, where its laws were
 # built, a positive spread |zeta|**q for each.
@@ -796,7 +820,7 @@ def _old_series_rule(zetas, q=1.0) -> bool:
 
 def _new_rule(zetas) -> bool:
     try:
-        _lq_zetas(zetas)
+        _lq_spreads(zetas, 1.0)
     except ValueError:
         return False
     return True
@@ -828,7 +852,7 @@ def test_lq_rule_refuses_equal_tiny_norms_the_float_slack_let_through():
 
 @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
 def test_counts_match_the_explicit_loop(seed):
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(3, N, 1.0, 1.0))
     ens = MonteCarloEnsemble(seed, 400)
 
     def key(stream, u1s):
@@ -882,7 +906,7 @@ def test_counts_match_the_scalar_loop_at_every_cut(monkeypatch, p):
     # blocks of 12 lanes: 12 samples a block at one draw a sample, 4 at
     # three; the sizes are 1, a block minus and plus one, and 2.5 blocks
     monkeypatch.setattr(measure, "_BLOCK", 12)
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(p, N, 1.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(p, N, 1.0, 1.0))
     for draws in (1, 3):
         per = 12 // draws
         for size in (1, per - 1, per + 1, 2 * per + per // 2):
@@ -899,7 +923,7 @@ def test_counts_match_the_scalar_loop_at_every_cut(monkeypatch, p):
 
 
 def test_counts_at_full_blocks():
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(5, N, 1.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(5, N, 1.0, 1.0))
     for draws in (1, 2):
         per = measure._BLOCK // draws
         for size in (per - 1, per + 1):
@@ -926,7 +950,7 @@ def test_counts_mixes_blocks_of_whole_samples(monkeypatch):
         return mix_block(z, k)
 
     monkeypatch.setattr(measure, "_mix_block", counting)
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(3, N, 1.0, 1.0))
     for draws, size, blocks in ((0, 30, 3), (1, 30, 3), (3, 30, 8),
                                 (13, 3, 3)):
         def key(stream, u1s):
@@ -946,7 +970,7 @@ def test_counts_when_a_key_draws_other_than_declared(monkeypatch, declared):
     # declared count is met exactly, and the stream state after every draw
     # is part of the key, so it must match the scalar state.
     monkeypatch.setattr(measure, "_BLOCK", 16)
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 1.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(3, N, 1.0, 1.0))
     ens = MonteCarloEnsemble(77, 50)
     for draws in (declared - 1, declared, declared + 1):
         if draws < 0:
@@ -971,7 +995,7 @@ def test_counts_when_a_key_draws_other_than_declared(monkeypatch, declared):
 def test_counts_when_a_key_moves_its_stream_between_draws():
     # a stream moved other than by draw_raw between two draws makes the
     # second draw's u1 that of another state: ``_counts`` raises
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(5, N, 1.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(5, N, 1.0, 1.0))
     ens = MonteCarloEnsemble(5, 300)
     moves = (RandomStream.u64, lambda stream: setattr(
         stream, "state", stream.state ^ 1), lambda stream: setattr(
@@ -991,7 +1015,7 @@ def test_draw_raw_given_outputs_match_inline_draws():
     # ``_counts`` passes it, and all three as the tree sampler does; the
     # value and the stream state after the draw are the inline draw's at
     # every cut, from states on both sides of 2**64
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(3, N, 2.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(3, N, 2.0, 1.0))
     cuts = [None, *range(sampler.shell_only - 1,
                          N + 2 - min(sampler.shells))]
     states = [0, *range(2**64 - 8, 2**64), *(mix64(i) for i in range(200))]
@@ -1029,7 +1053,7 @@ def test_draw_raw_draws_the_exact_law(p):
     # takes: its outputs mixed inline, and its outputs given (u1 from a
     # ``_counts`` block with u2 and u3 inline, or all three as from a tree
     # block)
-    sampler = Gaussian1DSampler(GaussianSpec.one_dimensional(p, N, 2.0, 1.0))
+    sampler = Gaussian1DSampler(GaussianSpec(p, N, 2.0, 1.0))
     u1s = [0, _M]
     for c in sampler.cumulative:
         step = math.ceil(c * 2**53) << 11
