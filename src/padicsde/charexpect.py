@@ -4,14 +4,18 @@ functionals.
 
 For a deterministic integrand psi and a test point t with digit chain
 (t_0, t_1, ...), the stochastic antiderivative against the path is the sum
-of psi(t_j) times the path increments over the chain steps.  When those
-increments are exactly independent (the tree sampler), the expectation of
-the character chi_gamma(g * sum) is the finite product over chain levels of
-exp(-beta_j |gamma g psi(t_j)|**q), the characteristic functional of each
-increment evaluated at the scaled integrand; trivial (digit-zero) steps
-contribute the factor 1.  The series sampler's chain increments are not
-independent by construction, so for it the same report is emitted as a
-diagnostic with the measured defect, not an assertion.
+of c_j = gamma g psi(t_j) times the path increments over the chain steps.
+The estimator writes that sum as sum c X over terms (law, c), one draw X
+of each law: for the tree sampler one term per chain step, for the series
+sampler one per coefficient, with c = D_m, the chain's contraction
+sum_j c_j (Q_m(t_{j+1}) - Q_m(t_j)) against the m-th Mahler polynomial.
+The tree sampler's increments are exactly independent, so the expectation
+of the character chi_gamma(g * sum) is the finite product over chain levels
+of exp(-beta_j |c_j|**q), the characteristic functional of each increment
+evaluated at the scaled integrand; trivial (digit-zero) steps contribute
+the factor 1.  The series sampler's chain increments are not independent,
+so for it the same report is emitted as a diagnostic with the measured
+defect, not an assertion.
 """
 
 from __future__ import annotations
@@ -78,108 +82,76 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     analytic = (product_telescoping_moduli(psi, gamma, g, t_index, q, betas)
                 or [1.0])[-1]
 
-    # The ensemble's count loop keys each sample's sum by (m, v); tallied
-    # in first-occurrence order, the counts leave the tally as
-    # sample-by-sample adds would.
     if sampler == "tree":
-        # Integer mirror of ``acc = acc + c * draw`` in PAdicValue arithmetic:
-        # the accumulator is the pair (v, m), the product c * draw keeps
-        # min(c.n, n) digits and the sum keeps the running minimum precision
-        # of its terms.  A zero c still draws, so the stream layout is fixed.
-        # The tally reads the sum below valuation 0, and no carry or
-        # truncation moves a digit down, so a draw is read below the cut
-        # -c.v (its digits from there on land at valuations >= 0); a term
-        # of valuation >= 0 still moves the (v, m) window.
-        steps = []
-        n_run = n
-        for level, c, _j, _jn in consts:
-            law = laws[level]
-            if c.is_zero:
-                steps.append((law.draw_raw, law.shell_only, 0, 0, 1, 1))
-                continue
-            n_c = min(c.n, n)
-            n_run = min(n_run, n_c)
-            steps.append((law.draw_raw, -c.v, c.v, c.m, _pow(p, n_c),
-                          _pow(p, n_run)))
-
-        def chain_sum(stream, u1s):
-            v = m = 0
-            for draw_raw, cut, cv, cm, mod_c, mod_run in steps:
-                dv, dm = draw_raw(stream, cut, u1s.pop())
-                if not cm:
-                    continue
-                tv, tm = cv + dv, cm * dm % mod_c
-                if not m:   # the first term; n_run is still min(c.n, n)
-                    v, m = tv, tm
-                    continue
-                # both mantissas are units, so only an equal-valuation sum
-                # can carry factors of p to strip
-                if v < tv:
-                    m = (m + tm * p ** (tv - v)) % mod_run
-                elif v > tv:
-                    v, m = tv, (tm + m * p ** (v - tv)) % mod_run
-                else:
-                    num = m + tm
-                    s = _vp(num, p)
-                    v, m = v + s, num // p ** s % mod_run
-            return m, v
-        per_sample = len(steps)
-        asserted = True
+        terms = [(laws[level], c) for level, c, _j, _jn in consts]
     else:   # the series sampler; path_laws has refused any other kind
-        # increment of the series path over a chain step, as a coefficient
-        # contraction: sum_m X_m (Q_m(t_{j+1}) - Q_m(t_j)).  A sample draws
-        # every coefficient first, then adds the terms X_m * d in step
-        # order under the tree loop's integer rule; a coefficient is read
-        # below the largest -d.v of the terms it enters.
+        # one term (law, D_m) per coefficient, in coefficient order; a zero
+        # d never enters D_m, so it never lowers D_m's precision
         zp = BallSpec.unit(p, n)        # the domain of the basis
-        terms = []
-        for level, c, j, jn in consts:
+        sums = [PAdicValue.zero(p, n)] * len(laws)
+        for _level, c, j, jn in consts:
             if c.is_zero:
                 continue
             tj = ball.point(j, depth) - ball.center
             tn = ball.point(jn, depth) - ball.center
             if not (zp.contains(tj) and zp.contains(tn)):
                 raise ValueError("domain")
-            terms += enumerate(c * (qn - qj) for qj, qn in zip(
-                mahler_basis(tj, len(laws))[1:],
-                mahler_basis(tn, len(laws))[1:]))
-        cuts = [law.shell_only for law in laws]
-        rows = []
-        n_run = n
-        for i, d in terms:
-            if d.is_zero:
+            for i, (qj, qn) in enumerate(zip(
+                    mahler_basis(tj, len(laws))[1:],
+                    mahler_basis(tn, len(laws))[1:])):
+                d = c * (qn - qj)
+                if not d.is_zero:
+                    sums[i] = sums[i] + d
+        terms = zip(laws, sums)
+
+    # Integer mirror of ``acc = acc + c * draw`` over the terms, in
+    # PAdicValue arithmetic: the accumulator is the pair (v, m), the
+    # product c * draw keeps min(c.n, n) digits and the sum keeps the
+    # running minimum precision of its terms.  A zero c still draws, so the
+    # stream layout is one draw per term.  The tally reads the sum below
+    # valuation 0, and no carry or truncation moves a digit down, so a draw
+    # is read below the cut -c.v (its digits from there on land at
+    # valuations >= 0); a term of valuation >= 0 still moves the (v, m)
+    # window.
+    steps = []
+    n_run = n
+    for law, c in terms:
+        if c.is_zero:
+            steps.append((law.draw_raw, law.shell_only, 0, 0, 1, 1))
+            continue
+        n_c = min(c.n, n)
+        n_run = min(n_run, n_c)
+        steps.append((law.draw_raw, -c.v, c.v, c.m, _pow(p, n_c),
+                      _pow(p, n_run)))
+
+    def chain_sum(stream, u1s):
+        v = m = 0
+        for draw_raw, cut, cv, cm, mod_c, mod_run in steps:
+            dv, dm = draw_raw(stream, cut, u1s.pop())
+            if not cm:
                 continue
-            cuts[i] = max(cuts[i], -d.v)
-            n_d = min(d.n, n)
-            n_run = min(n_run, n_d)
-            rows.append((i, d.v, d.m, _pow(p, n_d), _pow(p, n_run)))
-        draws = [(law.draw_raw, cut) for law, cut in zip(laws, cuts)]
+            tv, tm = cv + dv, cm * dm % mod_c
+            if not m:   # the first term; n_run is still min(c.n, n)
+                v, m = tv, tm
+                continue
+            # both mantissas are units, so only an equal-valuation sum
+            # can carry factors of p to strip
+            if v < tv:
+                m = (m + tm * p ** (tv - v)) % mod_run
+            elif v > tv:
+                v, m = tv, (tm + m * p ** (v - tv)) % mod_run
+            else:
+                num = m + tm
+                s = _vp(num, p)
+                v, m = v + s, num // p ** s % mod_run
+        return m, v
 
-        def chain_sum(stream, u1s):
-            coeffs = [draw_raw(stream, cut, u1s.pop())
-                      for draw_raw, cut in draws]
-            v = m = 0
-            for i, cv, cm, mod_c, mod_run in rows:
-                dv, dm = coeffs[i]
-                tv, tm = cv + dv, cm * dm % mod_c
-                if not m:
-                    v, m = tv, tm
-                    continue
-                if v < tv:
-                    m = (m + tm * p ** (tv - v)) % mod_run
-                elif v > tv:
-                    v, m = tv, (tm + m * p ** (v - tv)) % mod_run
-                else:
-                    num = m + tm
-                    s = _vp(num, p)
-                    v, m = v + s, num // p ** s % mod_run
-            return m, v
-        per_sample = len(draws)
-        asserted = False
-
+    # The ensemble's count loop keys each sample's sum by (m, v); tallied
+    # in first-occurrence order, the counts leave the tally as
+    # sample-by-sample adds would.
     tally = AngleTally(p)
     for (m, v), count in MonteCarloEnsemble(seed, samples)._counts(
-            chain_sum, per_sample).items():
+            chain_sum, len(steps)).items():
         tally.add_raw(m, -v, count)
 
     empirical, stderr = tally.mean_stderr()
@@ -189,7 +161,7 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     return CharExpectationReport(
         t_index=t_index, samples=samples,
         empirical=empirical, stderr=stderr, analytic=complex(analytic),
-        tolerance=tol, asserted=asserted, passed=passed)
+        tolerance=tol, asserted=sampler == "tree", passed=passed)
 
 
 def product_telescoping_moduli(psi: GridFunction, gamma: PAdicValue,

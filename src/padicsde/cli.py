@@ -101,6 +101,18 @@ MAX_PRECISION = 64
 # flow costs the same.
 MAX_SCALE_EXP = MAX_PERTURB_EXP = 2 * MAX_PRECISION
 
+# Bounds on the counts, each at least 4x its largest repository config
+# (count 2500, samples 3, triples 200, trials 200, points 3, char_samples
+# 20000).  Costs measured in process at p = 3, N = 6, depth 6 (CPython 3.11
+# on x86-64): a path takes 2.3 us and a linear solve 8.6 us a grid point,
+# 0.23 s and 0.86 s at MAX_GRID_POINTS.
+MAX_SAMPLE_COUNT = 10_000      # a gaussian1d draw and row (5 us) or a path
+MAX_SOLVE_SAMPLES = 1_000      # a path and a solve each
+MAX_TRIPLES = 10_000           # 0.1 ms each at dim 3, depth 4
+MAX_TRIALS = 10_000            # 0.07 ms each
+MAX_POINTS = 1_000             # char_samples samples each
+MAX_CHAR_SAMPLES = 1_000_000   # 4 us a sample and point: 4 s a point
+
 
 # Each table maps a key to (kind, default, range predicate).  The kind is
 # int, float (finite; an integer is converted), str, PAdicValue (an integer
@@ -135,7 +147,7 @@ SECTIONS = {
     "sample": {
         "kind": (str, ..., lambda v, _: v in (
             "gaussian1d", "wiener_tree", "wiener_mahler")),
-        "count": (int, 16, lambda v, _: v >= 1),
+        "count": (int, 16, lambda v, _: 1 <= v <= MAX_SAMPLE_COUNT),
         "q": (float, 1.0, lambda v, _: v >= 1),
         "beta": (float, 1.0, lambda v, _: v > 0),
         "gamma": (PAdicValue, 0, None),
@@ -149,7 +161,7 @@ SECTIONS = {
                   "linear_drift" else cfg.prime, None),
         "beta": (PAdicValue, lambda cfg, sec: cfg.prime, None),
         "coeffs": (list, lambda cfg, sec: [1, 0, cfg.prime], None),
-        "samples": (int, 1, lambda v, _: v >= 1),
+        "samples": (int, 1, lambda v, _: 1 <= v <= MAX_SOLVE_SAMPLES),
         "sampler_q": (float, 2.0, lambda v, _: v >= 1),
     },
     "evolve": {
@@ -158,12 +170,13 @@ SECTIONS = {
                       lambda v, cfg: _exp_scale_floor(cfg) <= v
                       <= MAX_SCALE_EXP),
         "perturb_exp": (int, 4, lambda v, _: 1 <= v <= MAX_PERTURB_EXP),
-        "triples": (int, 50, lambda v, _: v >= 1),
+        "triples": (int, 50, lambda v, _: 1 <= v <= MAX_TRIPLES),
     },
     "verify": {
-        "trials": (int, 200, lambda v, _: v >= 1),
-        "char_samples": (int, 20000, lambda v, _: v >= 100),
-        "points": (int, 3, lambda v, _: v >= 1),
+        "trials": (int, 200, lambda v, _: 1 <= v <= MAX_TRIALS),
+        "char_samples": (int, 20000,
+                         lambda v, _: 100 <= v <= MAX_CHAR_SAMPLES),
+        "points": (int, 3, lambda v, _: 1 <= v <= MAX_POINTS),
     },
 }
 

@@ -21,7 +21,7 @@ from padicsde.charfun import (
     shell_distribution,
     shell_nonnegativity_report,
 )
-from padicsde.padic import PAdicValue
+from padicsde.padic import PRIME_LIMIT, PAdicValue, _is_prime
 
 N = 6
 SUPPORTED_GRID = [(p, b, q) for p in (2, 3, 5) for b in (0.1, 1.0, 10.0)
@@ -89,6 +89,10 @@ def test_character_conjugation(p, data):
     g = data.draw(bounded_values(p))
     x = data.draw(bounded_values(p))
     assert character(g, -x) == (-character(g, x)) % 1
+
+
+def test_empty_angle_tally_mean_is_zero():
+    assert AngleTally(3).mean() == 0j
 
 
 def test_angle_tally_exact_mean():
@@ -437,6 +441,17 @@ def test_shell_consistency_with_charfun():
             acc += w * cond
         assert acc == pytest.approx(math.exp(-beta * float(p) ** (-hv * q)),
                                     abs=1e-7)
+
+
+def test_shell_bounds_corrects_a_float_log_that_falls_short():
+    # p**14 <= the float max < p**15, but the float log of the max to base
+    # p truncates to 13, so the exact step has to raise the top shell
+    p = 10427830626922116368353
+    big = int(sys.float_info.max)
+    assert _is_prime(p) and p < PRIME_LIMIT
+    assert p ** 14 <= big < p ** 15
+    assert int(math.log(big, p)) == 13
+    assert shell_bounds(p, 1e-12)[0] == 1 - 14
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])

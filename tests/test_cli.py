@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -636,6 +637,40 @@ def test_evolve_exponent_above_its_bound_is_refused(tmp_path, capsys, key,
     assert not out.exists()
 
 
+# Each count key with its bound, in a section that runs quickly below it.
+COUNT_BOUNDS = [
+    ("sample", {"kind": "gaussian1d"}, "count", cli.MAX_SAMPLE_COUNT),
+    ("sample", {"kind": "wiener_tree"}, "count", cli.MAX_SAMPLE_COUNT),
+    ("solve", {"problem": "linear"}, "samples", cli.MAX_SOLVE_SAMPLES),
+    ("evolve", {}, "triples", cli.MAX_TRIPLES),
+    ("verify", {}, "trials", cli.MAX_TRIALS),
+    ("verify", {}, "points", cli.MAX_POINTS),
+    ("verify", {}, "char_samples", cli.MAX_CHAR_SAMPLES),
+]
+
+
+@pytest.mark.parametrize("above", ["bound + 1", "10**20"])
+@pytest.mark.parametrize("command, section, key, bound", COUNT_BOUNDS)
+def test_count_above_its_bound_is_refused(tmp_path, capsys, command, section,
+                                          key, bound, above):
+    value = bound + 1 if above == "bound + 1" else 10**20
+    cfgfile = write_config(tmp_path, {**BASE,
+                                      command: {**section, key: value}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config.{command}.{key}: value {value} out of range")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, bound", COUNT_BOUNDS)
+def test_count_bounds_admit_their_values(command, section, key, bound):
+    # validated only: a run at the bound would take minutes
+    sec = RunConfig({**BASE, command: {**section, key: bound}},
+                    command).section
+    assert sec[key] == bound
+
+
 @pytest.mark.parametrize("command, section", EXPONENT_BASES)
 def test_exponent_bounds_admit_their_values(command, section):
     raw = {"prime": 3, "precision": MAX_PRECISION, "depth": 2, **section}
@@ -657,12 +692,32 @@ def test_readme_states_the_config_bounds():
     # the config reference in the README gives each bound's value
     text = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")
-    for name in ("MAX_GRID_POINTS", "MAX_PRECISION", "MAX_PERTURB_EXP"):
+    for name in ("MAX_GRID_POINTS", "MAX_PRECISION", "MAX_PERTURB_EXP",
+                 "MAX_SAMPLE_COUNT", "MAX_SOLVE_SAMPLES", "MAX_TRIPLES",
+                 "MAX_TRIALS", "MAX_POINTS", "MAX_CHAR_SAMPLES"):
         assert f"cli.{name} = {getattr(cli, name)}" in text, name
     # "scale_exp and perturb_exp are at most cli.MAX_SCALE_EXP and
     # cli.MAX_PERTURB_EXP = 128"
     assert "cli.MAX_SCALE_EXP and" in text
     assert MAX_SCALE_EXP == MAX_PERTURB_EXP
+
+
+def test_readme_config_reference_gives_each_default():
+    # each section of the README's config reference lists every key of its
+    # table with the default value (a string key lists its choices; a
+    # required key takes the first), at the reference's prime and precision
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    ref = json.loads(re.sub(r"//[^\n]*", "", block))
+    top = {k: ref[k] for k in ("prime", "precision", "depth")}
+    for command, table in SECTIONS.items():
+        stated = {k: v.split("|")[0] if isinstance(v, str) else v
+                  for k, v in ref[command].items()}
+        assert set(stated) == set(table), command
+        required = {k: v for k, v in stated.items() if table[k][1] is ...}
+        assert RunConfig({**top, command: required}, command).section == \
+            RunConfig({**top, command: stated}, command).section, command
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

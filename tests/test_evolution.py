@@ -418,6 +418,55 @@ def test_path_derivative_rejects_rough_path():
         path_derivative(w, 2)
 
 
+@pytest.mark.parametrize("back", [1, 2])
+def test_radial_limit_refuses_when_the_grid_ends_first(back):
+    # ti + 1 (back 1) or ti + p (back 2) leaves the 27-point grid before
+    # two depths agree, even on a linear path and a constant generator
+    from padicsde.evolution import path_derivative
+
+    ball = unit_ball()
+    c = PAdicValue.from_int(7, P, N)
+    wlin = GridFunction.from_callable(ball, DEPTH, lambda t: c * t)
+    u = solve_evolution(const_generator(2), ball, DEPTH)
+    ti = u.size - back
+    with pytest.raises(ValueError, match="path not C1 at precision"):
+        path_derivative(wlin, ti)
+    with pytest.raises(ValueError, match="no limit at precision"):
+        generating_operator(u, ti)
+
+
+def test_generator_series_reads_w_prime_only_for_a_nonzero_piece(
+        monkeypatch):
+    # with no f_x term the series reads w' only for an order >= 2 e_t w'
+    # piece: never when that piece is zero, so a rough path is accepted,
+    # and once, lazily, when it is not
+    from padicsde.sde import constant_program
+
+    ball = unit_ball()
+
+    def c(k):
+        return PAdicValue.from_int(k, P, N)
+
+    calls = []
+    real = evolution.path_derivative
+    monkeypatch.setattr(evolution, "path_derivative",
+                        lambda w, ti: calls.append(ti) or real(w, ti))
+    a, e = constant_program(c(2)), constant_program(c(5))
+    xi = GridFunction.from_callable(ball, DEPTH, lambda t: c(1) + t)
+    rough = wiener_path("tree", ball, DEPTH, 1.0, seed=5)
+    with pytest.raises(ValueError, match="path not C1"):
+        real(rough, 2)
+    got = evolution.generator_series({(0, 2): lambda t, x: c(0)}, a, e,
+                                     rough, xi, 2, m_max=2)
+    assert got.is_zero and calls == []
+    w = GridFunction.from_callable(ball, DEPTH, lambda t: c(7) * t)
+    got = evolution.generator_series({(0, 2): lambda t, x: c(2)}, a, e,
+                                     w, xi, 2, m_max=2)
+    assert calls == [2]
+    # pinned, as in test_generator_series_with_diffusion_is_pinned
+    assert got.qp_str() == "QP(p=3,v=0,d=1 1 2 1 1 1)"
+
+
 def test_generator_series_trivial_and_drift_cases():
     from padicsde.evolution import generator_series
     from padicsde.sde import constant_program, zero_program

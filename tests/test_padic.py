@@ -106,6 +106,11 @@ def test_ultrametric_triangle(pair):
         assert s.norm() == max(x.norm(), y.norm())
 
 
+def test_norm_beyond_the_float_range_is_inf():
+    # 2.0 ** 1100 overflows the float range
+    assert PAdicValue(2, 6, -1100, 1).norm() == math.inf
+
+
 @settings(max_examples=200, deadline=None)
 @given(padic_pairs())
 def test_norm_multiplicative(pair):
