@@ -14,7 +14,6 @@ from padicsde import (
     BallSpec,
     ExpEvolution,
     GeneratorSpec,
-    MonteCarloEnsemble,
     PAdicValue,
     generating_operator,
     mof_check,

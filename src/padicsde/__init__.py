@@ -88,11 +88,7 @@ from .evolution import (
     scalar_flow,
     solve_evolution,
 )
-from .charexpect import (
-    CharExpectationReport,
-    character_product_check,
-    product_telescoping_moduli,
-)
+from .charexpect import CharExpectationReport, character_product_check
 
 __version__ = "0.1.0"
 
@@ -127,5 +123,4 @@ __all__ = [
     "perturbation_check", "scalar_flow", "solve_evolution",
     # charexpect
     "CharExpectationReport", "character_product_check",
-    "product_telescoping_moduli",
 ]

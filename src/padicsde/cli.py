@@ -683,7 +683,6 @@ def run_verify(cfg: RunConfig, art: Artifacts):
             "analytic": _complex_pair(rep.analytic),
             "tolerance": rep.tolerance,
             "stderr": rep.stderr,
-            "asserted": rep.asserted,
             "passed": rep.passed,
         })
 

@@ -397,13 +397,14 @@ def path_laws(kind: str, ball: BallSpec, depth: int, q: float,
     The parameters are the tree sampler's level spreads (default
     ``level_betas``) or the series sampler's zetas (default the first
     ``2 * depth`` standard zetas).  Building the laws draws nothing; tree
-    spreads not one per level, non-L_q zetas, and spreads not positive,
-    beyond the float range or with shells beyond it raise ValueError.
+    spreads not one per level (given with either kind), non-L_q zetas, and
+    spreads not positive, beyond the float range or with shells beyond it
+    raise ValueError.
     """
+    if betas is not None and len(betas) != ball.radius_exp + depth:
+        raise ValueError("one spread per level is required")
     if kind == "tree":
         params = level_betas(ball, depth, q) if betas is None else tuple(betas)
-        if len(params) != ball.radius_exp + depth:
-            raise ValueError("one spread per level is required")
     elif kind == "mahler":
         params = standard_zetas(ball.p, ball.n, 2 * depth) \
             if zetas is None else tuple(zetas)

@@ -7,10 +7,7 @@ import pytest
 
 from padicsde import charexpect, measure
 from padicsde.antider import GridFunction
-from padicsde.charexpect import (
-    character_product_check,
-    product_telescoping_moduli,
-)
+from padicsde.charexpect import character_product_check
 from padicsde.charfun import AngleTally, GaussianSpec, shell_distribution
 from padicsde.measure import (
     MonteCarloEnsemble,
@@ -62,7 +59,6 @@ def test_unit_integrand_at_one_matches_level0_functional():
                                   PAdicValue.one(p, N), t_index=1,
                                   samples=samples, seed=3)
     assert rep.analytic.real == pytest.approx(math.exp(-1.0))
-    assert rep.asserted
     assert rep.passed, (rep.empirical, rep.analytic)
 
 
@@ -92,26 +88,14 @@ def test_report_determinism():
     assert a == b
 
 
-def test_mahler_diagnostic_not_asserted():
+def test_mahler_report_passes():
+    # the series report is judged by the same 4/sqrt(S) rule as the tree's
     p, depth = 3, 3
     _, psi = setup_grid(p, depth)
     rep = character_product_check(psi, PAdicValue.one(p, N),
                                   PAdicValue.one(p, N), t_index=4,
                                   samples=4000, seed=11, sampler="mahler")
-    assert not rep.asserted
-    assert rep.defect >= 0.0
-
-
-def test_partial_products_nonincreasing():
-    p, depth = 5, 5
-    ball = BallSpec.unit(p, N)
-    psi = GridFunction.from_callable(ball, depth,
-                                     lambda t: PAdicValue.from_int(2, p, N))
-    mods = product_telescoping_moduli(psi, PAdicValue.one(p, N),
-                                      PAdicValue.one(p, N),
-                                      t_index=ball.grid_size(depth) - 1)
-    assert all(b <= a + 1e-15 for a, b in zip(mods, mods[1:]))
-    assert all(0.0 < m <= 1.0 for m in mods)
+    assert rep.passed, (rep.empirical, rep.analytic)
 
 
 @pytest.mark.parametrize("t_index", [-1, 27, 32])
@@ -122,8 +106,6 @@ def test_test_point_outside_the_grid_is_refused(t_index):
     with pytest.raises(ValueError, match="grid index out of range"):
         character_product_check(psi, one, one, t_index=t_index, samples=10,
                                 seed=1)
-    with pytest.raises(ValueError, match="grid index out of range"):
-        product_telescoping_moduli(psi, one, one, t_index=t_index)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -162,8 +144,8 @@ def _padic_reference(psi, gamma, g, t_index, samples, seed, q=1.0):
             acc = new
         tally.add_raw(acc.m, -acc.v)
     empirical, stderr = tally.mean_stderr()
-    analytic = (product_telescoping_moduli(psi, gamma, g, t_index, q)
-                or [1.0])[-1]
+    analytic = math.prod(math.exp(-sampler.spec.beta * c.norm() ** q)
+                         for c, sampler in steps)
     tol = 4.0 / math.sqrt(samples)
     passed = (abs(empirical.real - analytic) <= tol
               and abs(empirical.imag) <= tol)
@@ -362,6 +344,12 @@ def test_series_loop_matches_per_sample_reference():
         want = _series_reference(psi, gamma, g, t_index, 120, seed, zetas)
         assert repr((rep.empirical, rep.stderr)) == \
             repr(want.mean_stderr()), case
+        _, laws = measure.path_laws("mahler", psi.ball, psi.depth, 1.0,
+                                    zetas=zetas)
+        assert rep.analytic == math.prod(
+            math.exp(-law.spec.beta * d.norm())
+            for law, d in zip(laws, _mahler_sums(psi, gamma, g, t_index,
+                                                 len(laws)))), case
         consts = [gamma * g * psi.values[j]
                   for _l, j, _jn, _s in psi.chain_steps(t_index)]
         seen["short_d"] += any(c.n < N for c in consts if not c.is_zero)
@@ -408,10 +396,9 @@ def test_series_estimator_exact_target(p, depth, make_psi, gamma, g, t_index,
     tol = 4.0 / math.sqrt(samples)
     assert abs(rep.empirical.real - target) <= tol, (rep.empirical, target)
     assert abs(rep.empirical.imag) <= tol, rep.empirical
-    # the report stays a diagnostic against the tree step product
-    assert not rep.asserted
-    assert rep.analytic == product_telescoping_moduli(psi, gamma, g,
-                                                      t_index, q)[-1]
+    # the report's own target is this product, and the report passes
+    assert rep.analytic == target
+    assert rep.passed
 
 
 @pytest.mark.parametrize("sampler", ["tree", "mahler"])
@@ -558,5 +545,6 @@ def test_tree_estimator_exact_target_at_criterion_9():
             target *= a
             tol += level_tol
         tol += 4 * len(levels) * grid     # the two products' roundings
-        analytic = product_telescoping_moduli(psi, one, one, t)[-1]
+        analytic = character_product_check(psi, one, one, t, samples=1,
+                                           seed=1).analytic.real
         assert abs(target - analytic) <= tol, (t, target, analytic, tol)

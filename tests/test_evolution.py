@@ -1,5 +1,4 @@
 import json
-import math
 import signal
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +12,6 @@ from padicsde.evolution import (
     EvolutionOperator,
     ExpEvolution,
     GeneratorSpec,
-    MofReport,
     _int_form,
     _int_inv,
     generating_operator,
@@ -25,7 +23,6 @@ from padicsde.evolution import (
     mat_scale,
     mat_norm,
     mat_round,
-    mat_sub,
     mat_zero,
     mof_check,
     perturbation_check,
@@ -35,7 +32,7 @@ from padicsde.evolution import (
 from padicsde.measure import wiener_path
 from padicsde.padic import (BallSpec, PAdicValue, exp_domain_valuation,
                             padic_exp)
-from padicsde.sde import SDEProblem, linear_state_program, solve_picard
+from padicsde.sde import SDEProblem, solve_picard
 
 N = 6
 P = 3

@@ -8,10 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from padicsde import measure
 from padicsde.antider import GridFunction, _tree_scan
-from padicsde.charexpect import (
-    character_product_check,
-    product_telescoping_moduli,
-)
+from padicsde.charexpect import character_product_check
 from padicsde.charfun import (
     AngleTally,
     GaussianSpec,
@@ -725,6 +722,8 @@ def _beta_entry_points():
     return {
         "wiener_path": lambda b: wiener_path(
             "tree", ball, _RULE_DEPTH, q, seed=1, betas=b),
+        "wiener_path_mahler": lambda b: wiener_path(
+            "mahler", ball, _RULE_DEPTH, q, seed=1, betas=b),
         "sample_wiener_tree": lambda b: sample_wiener_tree(
             b, q, ball, _RULE_DEPTH, RandomStream(1)),
         "path_laws": lambda b: path_laws("tree", ball, _RULE_DEPTH, q,
@@ -734,8 +733,6 @@ def _beta_entry_points():
         "character_product_check_mahler": lambda b: character_product_check(
             psi, one, one, 1, samples=10, seed=1, q=q, betas=b,
             sampler="mahler"),
-        "product_telescoping_moduli": lambda b: product_telescoping_moduli(
-            psi, one, one, 1, q, b),
     }
 
 
