@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .antider import GridFunction
 from .charfun import AngleTally
 from .measure import MonteCarloEnsemble, path_laws
-from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
+from .padic import PAdicValue, _pow, _vp, mahler_basis
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class CharExpectationReport:
 
 def character_product_check(psi: GridFunction, gamma: PAdicValue,
                             g: PAdicValue, t_index: int, samples: int,
-                            seed: int, q: float = 1.0,
+                            seed: int, q: float = 1.0, *,
                             betas=None, sampler: str = "tree",
                             zetas=None) -> CharExpectationReport:
     """Compare the empirical expected character of the stochastic
@@ -54,15 +54,15 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
 
     Both samplers' reports are judged by one rule: each component of the
     empirical mean within 4 / sqrt(samples) of the analytic product.  The
-    default betas and zetas are those of ``wiener_path``, and
-    ``path_laws`` checks both; a test point outside the grid raises
-    ValueError.
+    laws are those of ``wiener_path``, and ``path_laws`` checks their
+    parameters and, for the series sampler, that the ball lies in Z_p; a
+    test point outside the grid raises ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     ball, depth = psi.ball, psi.depth
     p, n = psi.p, psi.n
-    _, laws = path_laws(sampler, ball, depth, q, betas, zetas)
+    laws = path_laws(sampler, ball, depth, q, betas=betas, zetas=zetas)
     consts = [(level, gamma * g * psi.values[j], j, jn)
               for level, j, jn, _step in psi.chain_steps(t_index)]
 
@@ -71,15 +71,12 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
     else:   # the series sampler; path_laws has refused any other kind
         # one term (law, D_m) per coefficient, in coefficient order; a zero
         # d never enters D_m, so it never lowers D_m's precision
-        zp = BallSpec.unit(p, n)        # the domain of the basis
         sums = [PAdicValue.zero(p, n)] * len(laws)
         for _level, c, j, jn in consts:
             if c.is_zero:
                 continue
             tj = ball.point(j, depth) - ball.center
             tn = ball.point(jn, depth) - ball.center
-            if not (zp.contains(tj) and zp.contains(tn)):
-                raise ValueError("domain")
             for i, (qj, qn) in enumerate(zip(
                     mahler_basis(tj, len(laws))[1:],
                     mahler_basis(tn, len(laws))[1:])):

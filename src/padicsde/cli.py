@@ -41,8 +41,8 @@ from .evolution import (
     perturbation_check,
     solve_evolution,
 )
-from .measure import MonteCarloEnsemble, cached_sampler, derive_seed, \
-    path_laws, wiener_path
+from .measure import MonteCarloEnsemble, _series_ball_ok, cached_sampler, \
+    derive_seed, path_laws, wiener_path
 from .padic import BallSpec, PAdicValue, _is_prime, exp_domain_valuation
 from .sde import (
     SDEProblem,
@@ -145,8 +145,9 @@ SECTIONS = {
         "m_hi": (int, None, _in_shell_bounds),
     },
     "sample": {
-        "kind": (str, ..., lambda v, _: v in (
-            "gaussian1d", "wiener_tree", "wiener_mahler")),
+        "kind": (str, ..., lambda v, cfg: v in (
+            "gaussian1d", "wiener_tree", "wiener_mahler") and (
+                v != "wiener_mahler" or _series_ball_ok(cfg.ball()))),
         "count": (int, 16, lambda v, _: 1 <= v <= MAX_SAMPLE_COUNT),
         "q": (float, 1.0, lambda v, _: v >= 1),
         "beta": (float, 1.0, lambda v, _: v > 0),

@@ -22,12 +22,14 @@ Two path samplers are provided, and each returns its path as a plain
 ``GridFunction``.  The series sampler expands the path over
 the binomial polynomial basis with independent q-Gaussian coefficients
 (spread |zeta_m|**q for coefficient m >= 1, so the path vanishes at the
-marked point).  The tree sampler attaches an independent q-Gaussian
-increment to every nonzero-digit edge of the grid's digit tree, which makes
-increments along disjoint prefix chains independent by construction; the
-level-j spread defaults to p**(-j*q), the law of a standard increment over
-a step of norm p**(-j).  ``path_laws`` and ``_laws`` check every path-law
-parameter, so each entry point refuses the same inputs.
+marked point); that basis spans the continuous functions on Z_p only.
+The tree sampler attaches an independent q-Gaussian increment to every
+nonzero-digit edge of the grid's digit tree, which makes increments along
+disjoint prefix chains independent by construction; the level-j spread
+defaults to p**(-j*q), the law of a standard increment over a step of
+norm p**(-j).  ``path_laws`` checks every path-law parameter and builds
+the laws, so each entry point refuses the same inputs, and the samplers
+draw from its laws and check nothing.
 """
 
 from __future__ import annotations
@@ -377,84 +379,77 @@ def level_betas(ball: BallSpec, depth: int, q: float) -> tuple[float, ...]:
                          "float range") from None
 
 
-def _laws(kind: str, params: tuple, q: float, p: int,
-          n: int) -> tuple[Gaussian1DSampler, ...]:
-    """The draw laws of a path sampler: one per tree level of spread beta,
-    or one per series coefficient of spread |zeta|**q (``_lq_spreads``, as
-    in ``product_laws``).  The one place that turns a path's spreads into
-    samplers; it checks each spread's sign, and ``cached_sampler`` is the
-    one cache of the laws."""
-    spreads = params if kind == "tree" else _lq_spreads(params, q)
-    if not all(b > 0 for b in spreads):
-        raise ValueError("one positive spread per draw is required")
-    return tuple(cached_sampler(GaussianSpec(p, n, b, q)) for b in spreads)
+def _series_ball_ok(ball: BallSpec) -> bool:
+    """True for a ball inside Z_p, the domain of the series sampler's
+    binomial (Mahler) basis; any other ball raises ValueError."""
+    if ball.radius_exp > 0:
+        raise ValueError(f"radius_exp {ball.radius_exp} leaves Z_p, the "
+                         "domain of the series sampler's binomial basis")
+    return True
 
 
-def path_laws(kind: str, ball: BallSpec, depth: int, q: float,
-              betas=None, zetas=None) -> tuple[tuple, tuple]:
-    """The parameters and draw laws of ``wiener_path(kind, ...)``.
-
-    The parameters are the tree sampler's level spreads (default
-    ``level_betas``) or the series sampler's zetas (default the first
-    ``2 * depth`` standard zetas).  Building the laws draws nothing; tree
-    spreads not one per level (given with either kind), non-L_q zetas, and
-    spreads not positive, beyond the float range or with shells beyond it
-    raise ValueError.
+def path_laws(kind: str, ball: BallSpec, depth: int, q: float, *,
+              betas=None, zetas=None) -> tuple[Gaussian1DSampler, ...]:
+    """The draw laws of ``wiener_path(kind, ...)``, the one place that
+    checks a path's parameters: one law per tree level of spread betas[j]
+    (default ``level_betas``), or per series coefficient of spread
+    |zeta|**q (``_lq_spreads``; default the first ``2 * depth`` standard
+    zetas).  Building them draws nothing, and ``cached_sampler`` is their
+    one cache.  An unknown kind, the other kind's parameters, tree spreads
+    not one per level, non-L_q zetas, a series ball beyond Z_p, and
+    spreads that ``GaussianSpec`` or the shell table refuse raise
+    ValueError.
     """
-    if betas is not None and len(betas) != ball.radius_exp + depth:
-        raise ValueError("one spread per level is required")
-    if kind == "tree":
-        params = level_betas(ball, depth, q) if betas is None else tuple(betas)
-    elif kind == "mahler":
-        params = standard_zetas(ball.p, ball.n, 2 * depth) \
-            if zetas is None else tuple(zetas)
+    if kind == "tree" and zetas is None:
+        if betas is not None and len(betas) != ball.radius_exp + depth:
+            raise ValueError("one spread per level is required")
+        spreads = level_betas(ball, depth, q) if betas is None else betas
+    elif kind == "mahler" and betas is None and _series_ball_ok(ball):
+        spreads = _lq_spreads(standard_zetas(ball.p, ball.n, 2 * depth)
+                              if zetas is None else zetas, q)
+    elif kind in ("tree", "mahler"):
+        other = "zetas" if kind == "tree" else "betas"
+        raise ValueError(f"{other} are not parameters of the {kind} sampler")
     else:
         raise ValueError(f"unknown sampler kind: {kind}")
-    return params, _laws(kind, params, q, ball.p, ball.n)
+    return tuple(cached_sampler(GaussianSpec(ball.p, ball.n, b, q))
+                 for b in spreads)
 
 
-def sample_wiener_mahler(zetas, q: float, ball: BallSpec, depth: int,
+def sample_wiener_mahler(laws, ball: BallSpec, depth: int,
                          stream: RandomStream) -> GridFunction:
     """Path w(t) = sum_{m>=1} X_m Q_m(t - center) over the binomial basis,
-    with independent coefficients X_m of spread |zeta_m|**q.
+    with independent coefficients X_m, one from each law of ``laws``, the
+    series laws of ``path_laws`` (which holds the ball inside Z_p).
 
     Coefficient indexing starts at m = 1, so Q_m vanishes at the center and
     w(center) = 0 exactly.  The zetas' strictly decreasing norms (the L_q
     rule) witness summability of the spreads at this truncation.
     """
-    p, n = ball.p, ball.n
-    coeffs = mahler_coefficient_draws(zetas, q, p, n, stream)
-    size = ball.grid_size(depth)
-    zero = PAdicValue.zero(p, n)
+    coeffs = [law.draw(stream) for law in laws]
+    zero = PAdicValue.zero(ball.p, ball.n)
     values = []
-    for k in range(size):
+    for k in range(ball.grid_size(depth)):
         x = ball.point(k, depth) - ball.center
         acc = zero
         for coef, qpoly in zip(coeffs, mahler_basis(x, len(coeffs))[1:]):
             if not coef.is_zero and not qpoly.is_zero:
                 acc = acc + coef * qpoly
         values.append(acc)
-    values[0] = zero
     return GridFunction(ball, depth, tuple(values))
 
 
-def mahler_coefficient_draws(zetas, q: float, p: int, n: int,
-                             stream: RandomStream) -> list[PAdicValue]:
-    """The coefficient draws of the series sampler, in stream order."""
-    return [law.draw(stream) for law in _laws("mahler", tuple(zetas), q, p, n)]
-
-
-def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
+def sample_wiener_tree(laws, ball: BallSpec, depth: int,
                        stream: RandomStream) -> GridFunction:
     """Digit-tree path: each nonzero-digit edge of the grid tree carries an
-    independent q-Gaussian increment with the level's spread; a point's
-    value is the sum of the increments along its prefix chain.
+    independent increment drawn from its level's law, one of the tree laws
+    of ``path_laws``; a point's value is the sum of the increments along
+    its prefix chain.
 
     Edges with digit 0 are trivial steps (the prefix does not move) and
     carry an exactly-zero increment, which forces w(center) = 0 and makes
     increments over disjoint subtrees independent by construction.
     """
-    _, samplers = path_laws("tree", ball, depth, q, betas=betas)
     p, n = ball.p, ball.n
     mod = _pow(p, n)
     # blocks of about 512 draws, 1536 outputs: each block size's lane
@@ -462,8 +457,8 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
     # memory.  A node draws p - 1 times, so a block of whole nodes' draws
     # ends where a node ends.
     block = max(512 // (p - 1), 1) * (p - 1)
-    left = _pow(p, len(samplers)) - 1     # draws the path has yet to make
-    u1s = u2s = u3s = ()                  # the block's outputs, last first
+    left = _pow(p, len(laws)) - 1     # draws the path has yet to make
+    u1s = u2s = u3s = ()              # the block's outputs, last first
 
     def children(level, j, base, kids):
         # Integer mirror of ``base + draw(stream)`` in PAdicValue arithmetic;
@@ -473,7 +468,7 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
             take = min(block, left)
             left -= take
             u1s, u2s, u3s = _stream_draws(stream.state, take)
-        draw_raw = samplers[level].draw_raw
+        draw_raw = laws[level].draw_raw
         bv, bm = base.v, base.m
         out = []
         for _ in kids:
@@ -493,13 +488,14 @@ def sample_wiener_tree(betas, q: float, ball: BallSpec, depth: int,
             out.append(PAdicValue(p, n, v, m))
         return out
 
-    values = _tree_scan(p, len(samplers), PAdicValue.zero(p, n), children)
+    values = _tree_scan(p, len(laws), PAdicValue.zero(p, n), children)
     return GridFunction(ball, depth, tuple(values))
 
 
 def wiener_path(kind: str, ball: BallSpec, depth: int, q: float, seed: int,
-                zetas=None, betas=None) -> GridFunction:
-    """Seeded convenience wrapper around the two path samplers."""
-    params, _ = path_laws(kind, ball, depth, q, betas, zetas)
+                *, zetas=None, betas=None) -> GridFunction:
+    """Seeded convenience wrapper around the two path samplers: the laws
+    of ``path_laws``, built once, drawn from a stream at ``seed``."""
+    laws = path_laws(kind, ball, depth, q, betas=betas, zetas=zetas)
     sample = sample_wiener_tree if kind == "tree" else sample_wiener_mahler
-    return sample(params, q, ball, depth, RandomStream(seed))
+    return sample(laws, ball, depth, RandomStream(seed))

@@ -324,7 +324,7 @@ def picard_as_family(problem: SDEProblem) -> SDEProblem:
 
 
 def ensemble_paths(kind: str, ball: BallSpec, depth: int, q: float,
-                   ensemble: MonteCarloEnsemble, betas=None, zetas=None):
+                   ensemble: MonteCarloEnsemble, *, betas=None, zetas=None):
     """One path per ensemble sample, derived-seed reproducible."""
     return [wiener_path(kind, ball, depth, q,
                         seed=derive_seed(ensemble.master_seed, i),

@@ -13,7 +13,6 @@ from padicsde.measure import (
     MonteCarloEnsemble,
     cached_sampler,
     level_betas,
-    mahler_coefficient_draws,
     standard_zetas,
 )
 from padicsde.padic import BallSpec, PAdicValue, mahler_basis
@@ -269,11 +268,11 @@ def _series_reference(psi, gamma, g, t_index, samples, seed, zetas,
     arithmetic with full draws: sum_m x_m D_m over the coefficient draws."""
     p, n = psi.p, psi.n
     sums = _mahler_sums(psi, gamma, g, t_index, len(zetas))
+    laws = measure.path_laws("mahler", psi.ball, psi.depth, q, zetas=zetas)
     tally = AngleTally(p)
     for stream in MonteCarloEnsemble(seed, samples).streams():
         acc = PAdicValue.zero(p, n)
-        for x, d in zip(mahler_coefficient_draws(zetas, q, p, n, stream),
-                        sums):
+        for x, d in zip([law.draw(stream) for law in laws], sums):
             if not d.is_zero:
                 acc = acc + x * d
         tally.add_raw(acc.m, -acc.v)
@@ -308,7 +307,8 @@ def test_per_key_tally_matches_per_sample_adds(monkeypatch, p, make_psi,
     gamma = PAdicValue(p, n_gamma, v, m)
     g = PAdicValue.one(p, N)
     t_index = sum(d * p**i for i, d in enumerate(t_digits))
-    zetas = standard_zetas(p, N, 6)
+    # the tree sampler takes no zetas
+    zetas = standard_zetas(p, N, 6) if sampler == "mahler" else None
     rep = character_product_check(psi, gamma, g, t_index, 400, seed,
                                   sampler=sampler, zetas=zetas)
     if sampler == "tree":
@@ -344,8 +344,8 @@ def test_series_loop_matches_per_sample_reference():
         want = _series_reference(psi, gamma, g, t_index, 120, seed, zetas)
         assert repr((rep.empirical, rep.stderr)) == \
             repr(want.mean_stderr()), case
-        _, laws = measure.path_laws("mahler", psi.ball, psi.depth, 1.0,
-                                    zetas=zetas)
+        laws = measure.path_laws("mahler", psi.ball, psi.depth, 1.0,
+                                 zetas=zetas)
         assert rep.analytic == math.prod(
             math.exp(-law.spec.beta * d.norm())
             for law, d in zip(laws, _mahler_sums(psi, gamma, g, t_index,
@@ -385,7 +385,7 @@ def test_series_estimator_exact_target(p, depth, make_psi, gamma, g, t_index,
     ball = BallSpec.unit(p, N)
     psi = make_psi(ball, depth)
     gamma, g = PAdicValue(p, N, *gamma), PAdicValue(p, N, *g)
-    _, laws = measure.path_laws("mahler", ball, depth, q)
+    laws = measure.path_laws("mahler", ball, depth, q)
     target = math.prod(
         math.exp(-law.spec.beta * d.norm() ** q)
         for law, d in zip(laws, _mahler_sums(psi, gamma, g, t_index,

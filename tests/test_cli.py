@@ -288,7 +288,7 @@ CSV_RUNS = {
     "tree": ("sample", {"precision": 8, "depth": 7,
                         "sample": {"kind": "wiener_tree", "count": 2,
                                    "q": 1}}),
-    "mahler": ("sample", {"radius_exp": 1,
+    "mahler": ("sample", {"radius_exp": 0,
                           "sample": {"kind": "wiener_mahler", "count": 1,
                                      "q": 1}}),
     "solution": ("solve", {"solve": {"problem": "linear", "samples": 2}}),
@@ -530,12 +530,16 @@ def test_tolerances_echoed_as_written(tmp_path):
     ("evolve", {"prime": 2, "precision": 2, "depth": 2,
                 "evolve": {"dim": 1, "triples": 1, "scale_exp": 1}},
      "config.evolve.scale_exp"),
+    # the series sampler's basis lives on Z_p: radius_exp 1 leaves it
+    ("sample", {"prime": 3, "radius_exp": 1, "depth": 2,
+                "sample": {"kind": "wiener_mahler", "count": 1}},
+     "config.sample.kind"),
 ])
 def test_bad_config_leaves_no_output(tmp_path, capsys, command, extra, key):
     cfgfile = write_config(tmp_path, {**BASE, **extra})
     out = tmp_path / "bad"
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(key + ":")
     assert not out.exists()
 
 

@@ -23,7 +23,6 @@ from padicsde.measure import (
     RandomStream,
     derive_seed,
     level_betas,
-    mahler_coefficient_draws,
     mix64,
     path_laws,
     sample_gaussian,
@@ -33,6 +32,7 @@ from padicsde.measure import (
     wiener_path,
 )
 from padicsde.padic import BallSpec, PAdicValue, frac_part, mahler_poly
+from padicsde.sde import ensemble_paths
 
 N = 6
 
@@ -219,7 +219,7 @@ def test_estimators_call_draw_raw_once_per_draw(monkeypatch):
     assert calls[0] == 2 * size
     calls[0] = 0
     ball, depth = BallSpec.unit(p, N), 3
-    sample_wiener_tree(level_betas(ball, depth, 1.0), 1.0, ball, depth,
+    sample_wiener_tree(path_laws("tree", ball, depth, 1.0), ball, depth,
                        RandomStream(6))
     assert calls[0] == p**depth - 1
     calls[0] = 0
@@ -527,7 +527,8 @@ def test_tree_single_level_reduces_to_gaussian():
     ball = BallSpec.unit(p, N)
     beta = 0.7
     stream = RandomStream(11)
-    path = sample_wiener_tree((beta,), 1.0, ball, 1, stream)
+    path = sample_wiener_tree(path_laws("tree", ball, 1, 1.0, betas=(beta,)),
+                              ball, 1, stream)
     spec = GaussianSpec(p, N, beta=beta, q=1)
     stream2 = RandomStream(11)
     draws = [Gaussian1DSampler(spec).draw(stream2) for _ in range(p - 1)]
@@ -561,7 +562,8 @@ def test_tree_sampler_matches_padic_reference(p, depth, radius_exp):
 
         want = _tree_scan(p, levels, PAdicValue.zero(p, N), children)
         fast = RandomStream(seed)
-        got = sample_wiener_tree(betas, 1.0, ball, depth, fast)
+        got = sample_wiener_tree(path_laws("tree", ball, depth, 1.0), ball,
+                                 depth, fast)
         assert got.values == tuple(want)
         assert fast.state == stream.state
     if p == 2:
@@ -581,12 +583,12 @@ def test_tree_sibling_subtrees_factorize():
         tally.add_raw(turns.numerator, k)
 
     ball = BallSpec.unit(p, N)
-    betas = level_betas(ball, 2, 1.0)
+    laws = path_laws("tree", ball, 2, 1.0)
     a = PAdicValue(p, N, -1, 1)
     b = PAdicValue(p, N, 0, 2)
     joint, f1, f2 = AngleTally(p), AngleTally(p), AngleTally(p)
     for stream in MonteCarloEnsemble(77, size).streams():
-        path = sample_wiener_tree(betas, 1.0, ball, 2, stream)
+        path = sample_wiener_tree(laws, ball, 2, stream)
         d1 = path.values[1]                # digit-1 subtree increment
         d2 = path.values[2]                # digit-2 subtree increment
         a1 = frac_part(a * d1)
@@ -610,11 +612,23 @@ def test_mahler_path_center_zero_and_truncation():
     assert w_full.values[0].is_zero
     # same seed: the first draws coincide, so paths differ only by the tail
     stream = RandomStream(21)
-    coeffs = mahler_coefficient_draws(zetas, 1.0, p, N, stream)
+    coeffs = [law.draw(stream)
+              for law in path_laws("mahler", ball, 3, 1.0, zetas=zetas)]
     tail_norm = max(c.norm() for c in coeffs[5:])
     for k in range(w_full.size):
         d = w_full.values[k] - w_short.values[k]
         assert d.norm() <= tail_norm + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["tree", "mahler"])
+@pytest.mark.parametrize("center", [1, 5])
+def test_path_does_not_depend_on_the_center(kind, center):
+    # a path is a function of t - center: the series is expanded in it and
+    # the tree is indexed by it, so moving the center moves no value
+    p = 3
+    moved = BallSpec(PAdicValue.from_int(center, p, N), 0)
+    assert wiener_path(kind, moved, 3, 1.0, seed=4).values == wiener_path(
+        kind, BallSpec.unit(p, N), 3, 1.0, seed=4).values
 
 
 def test_mahler_increment_char_product_formula():
@@ -627,9 +641,10 @@ def test_mahler_increment_char_product_formula():
     diffs = [mahler_poly(m, t) - mahler_poly(m, u) for m in range(1, 9)]
     want = math.exp(-sum(z.norm() ** q * d.norm() ** q
                          for z, d in zip(zetas, diffs)) * h.norm() ** q)
+    laws = path_laws("mahler", ball, 2, q, zetas=zetas)
     tally = AngleTally(p)
     for stream in MonteCarloEnsemble(3, size).streams():
-        coeffs = mahler_coefficient_draws(zetas, q, p, N, stream)
+        coeffs = [law.draw(stream) for law in laws]
         inc = PAdicValue.zero(p, N)
         for c, d in zip(coeffs, diffs):
             inc = inc + c * d
@@ -650,12 +665,13 @@ def test_mahler_coefficients_decay():
     # c_0 behaviour: late coefficients are stochastically below p * |zeta_M/2|
     p, q = 3, 1.0
     zetas = standard_zetas(p, N, 10)
+    laws = path_laws("mahler", BallSpec.unit(p, N), 5, q, zetas=zetas)
     half = 5
     bound = zetas[half - 1].norm() * p
     hits = 0
     trials = 200
     for stream in MonteCarloEnsemble(13, trials).streams():
-        coeffs = mahler_coefficient_draws(zetas, q, p, N, stream)
+        coeffs = [law.draw(stream) for law in laws]
         if max(c.norm() for c in coeffs[half:]) <= bound:
             hits += 1
     assert hits >= trials * 0.6
@@ -666,17 +682,23 @@ def test_bad_zeta_decay_rejected():
     ball = BallSpec.unit(p, N)
     ones = (PAdicValue.one(p, N), PAdicValue.one(p, N))
     with pytest.raises(ValueError, match="not L_q"):
-        sample_wiener_mahler(ones, 1.0, ball, 3, RandomStream(0))
+        wiener_path("mahler", ball, 3, 1.0, seed=0, zetas=ones)
 
 
 # -- one home for every path-law rule ------------------------------------------
 #
 # Each entry point that takes path-law parameters refuses the same bad
-# inputs with the same ValueError, because all of them reach the checks in
-# ``path_laws`` (one spread per level) and ``_laws`` (the L_q rule of the
-# zetas, ``charfun._lq_spreads``).
+# inputs with the same ValueError, because all of them reach the one place
+# that checks those parameters and builds the laws, ``path_laws``: one
+# spread per level, betas for the tree sampler only and zetas for the
+# series sampler only, the L_q rule of the zetas (``charfun._lq_spreads``),
+# and the series sampler's domain, a ball inside Z_p
+# (``measure._series_ball_ok``).  The samplers draw from the laws that
+# ``path_laws`` returns and check nothing, so they are no entry points.
 
 _RULE_P, _RULE_DEPTH = 3, 2
+# radius_exp 1: the grid points leave Z_p, the domain of the binomial basis
+_OFF_ZP = BallSpec(PAdicValue.zero(_RULE_P, N), 1)
 
 
 def _zeta(v):
@@ -691,49 +713,38 @@ _BAD_ZETAS = {
     "zero_zeta": (_zeta(1), PAdicValue.zero(_RULE_P, N)),
     "no_zetas": (),
 }
+_GOOD_ZETAS = (_zeta(1), _zeta(2), _zeta(4))
+_GOOD_BETAS = tuple(0.5 ** j for j in range(_RULE_DEPTH))
+
+
+def _path_entry_points(kind, ball, param):
+    """The entry points that build path laws, each a call of one value of
+    the keyword parameter ``param`` for the sampler ``kind`` on ``ball``."""
+    q = 1.0
+    psi = GridFunction.constant(ball, _RULE_DEPTH, PAdicValue.one(_RULE_P, N))
+    one = PAdicValue.one(_RULE_P, N)
+    return {
+        "wiener_path": lambda x: wiener_path(
+            kind, ball, _RULE_DEPTH, q, seed=1, **{param: x}),
+        "ensemble_paths": lambda x: ensemble_paths(
+            kind, ball, _RULE_DEPTH, q, MonteCarloEnsemble(1, 2),
+            **{param: x}),
+        "path_laws": lambda x: path_laws(
+            kind, ball, _RULE_DEPTH, q, **{param: x}),
+        "character_product_check": lambda x: character_product_check(
+            psi, one, one, 1, samples=10, seed=1, q=q, sampler=kind,
+            **{param: x}),
+    }
 
 
 def _zeta_entry_points():
-    p, q = _RULE_P, 1.0
-    ball = BallSpec.unit(p, N)
-    psi = GridFunction.constant(ball, _RULE_DEPTH, PAdicValue.one(p, N))
-    one = PAdicValue.one(p, N)
-    return {
-        "wiener_path": lambda z: wiener_path(
-            "mahler", ball, _RULE_DEPTH, q, seed=1, zetas=z),
-        "sample_wiener_mahler": lambda z: sample_wiener_mahler(
-            z, q, ball, _RULE_DEPTH, RandomStream(1)),
-        "mahler_coefficient_draws": lambda z: mahler_coefficient_draws(
-            z, q, p, N, RandomStream(1)),
-        "path_laws": lambda z: path_laws(
-            "mahler", ball, _RULE_DEPTH, q, zetas=z),
-        "character_product_check": lambda z: character_product_check(
-            psi, one, one, 1, samples=10, seed=1, q=q, sampler="mahler",
-            zetas=z),
-        "product_laws": lambda z: product_laws(p, N, z, q),
-    }
+    return {**_path_entry_points("mahler", BallSpec.unit(_RULE_P, N),
+                                 "zetas"),
+            "product_laws": lambda z: product_laws(_RULE_P, N, z, 1.0)}
 
 
 def _beta_entry_points():
-    p, q = _RULE_P, 1.0
-    ball = BallSpec.unit(p, N)
-    psi = GridFunction.constant(ball, _RULE_DEPTH, PAdicValue.one(p, N))
-    one = PAdicValue.one(p, N)
-    return {
-        "wiener_path": lambda b: wiener_path(
-            "tree", ball, _RULE_DEPTH, q, seed=1, betas=b),
-        "wiener_path_mahler": lambda b: wiener_path(
-            "mahler", ball, _RULE_DEPTH, q, seed=1, betas=b),
-        "sample_wiener_tree": lambda b: sample_wiener_tree(
-            b, q, ball, _RULE_DEPTH, RandomStream(1)),
-        "path_laws": lambda b: path_laws("tree", ball, _RULE_DEPTH, q,
-                                         betas=b),
-        "character_product_check": lambda b: character_product_check(
-            psi, one, one, 1, samples=10, seed=1, q=q, betas=b),
-        "character_product_check_mahler": lambda b: character_product_check(
-            psi, one, one, 1, samples=10, seed=1, q=q, betas=b,
-            sampler="mahler"),
-    }
+    return _path_entry_points("tree", BallSpec.unit(_RULE_P, N), "betas")
 
 
 def _message(call, arg) -> str:
@@ -742,44 +753,125 @@ def _message(call, arg) -> str:
     return str(info.value)
 
 
+def _messages(calls, arg) -> dict:
+    return {name: _message(call, arg) for name, call in calls.items()}
+
+
 @pytest.mark.parametrize("bad", sorted(_BAD_ZETAS))
 def test_every_entry_point_refuses_bad_zetas_alike(bad):
     want = _message(lambda z: _lq_spreads(z, 1.0), _BAD_ZETAS[bad])
     assert want.startswith("not L_q")
-    got = {name: _message(call, _BAD_ZETAS[bad])
-           for name, call in _zeta_entry_points().items()}
+    got = _messages(_zeta_entry_points(), _BAD_ZETAS[bad])
     assert got == dict.fromkeys(got, want)
+
+
+@pytest.mark.parametrize("zetas", [None, _GOOD_ZETAS],
+                         ids=["default", "given"])
+def test_every_entry_point_refuses_a_series_ball_off_zp_alike(zetas):
+    # a product measure has no ball: every other entry point refuses
+    got = _messages(_path_entry_points("mahler", _OFF_ZP, "zetas"), zetas)
+    want = _message(measure._series_ball_ok, _OFF_ZP)
+    assert want == ("radius_exp 1 leaves Z_p, the domain of the series "
+                    "sampler's binomial basis")
+    assert got == dict.fromkeys(got, want)
+    # the tree sampler has no such domain
+    for call in _path_entry_points("tree", _OFF_ZP, "betas").values():
+        call(None)
 
 
 @pytest.mark.parametrize("shift", [-1, 1], ids=["short", "long"])
 def test_every_entry_point_refuses_wrong_beta_count_alike(shift):
     levels = BallSpec.unit(_RULE_P, N).radius_exp + _RULE_DEPTH
     betas = tuple(0.5 ** j for j in range(levels + shift))
-    got = {name: _message(call, betas)
-           for name, call in _beta_entry_points().items()}
+    got = _messages(_beta_entry_points(), betas)
     assert got == dict.fromkeys(got, "one spread per level is required")
 
 
+def test_every_entry_point_refuses_the_other_kinds_parameters_alike():
+    # betas are the tree sampler's spreads and zetas the series sampler's;
+    # neither sampler reads the other's, so neither accepts them
+    unit = BallSpec.unit(_RULE_P, N)
+    got = _messages(_path_entry_points("mahler", unit, "betas"), _GOOD_BETAS)
+    assert got == dict.fromkeys(
+        got, "betas are not parameters of the mahler sampler")
+    got = _messages(_path_entry_points("tree", unit, "zetas"), _GOOD_ZETAS)
+    assert got == dict.fromkeys(
+        got, "zetas are not parameters of the tree sampler")
+
+
 def test_entry_points_accept_good_path_laws():
-    good = (_zeta(1), _zeta(2), _zeta(4))
     for call in _zeta_entry_points().values():
-        call(good)
-    levels = BallSpec.unit(_RULE_P, N).radius_exp + _RULE_DEPTH
+        call(_GOOD_ZETAS)
     for call in _beta_entry_points().values():
-        call(tuple(0.5 ** j for j in range(levels)))
+        call(_GOOD_BETAS)
+
+
+def test_path_law_parameters_are_keyword_only():
+    # betas and zetas came in opposite positional orders; now neither is
+    # positional, so they cannot be swapped
+    for fn in (path_laws, wiener_path, ensemble_paths,
+               character_product_check):
+        params = inspect.signature(fn).parameters
+        assert params["betas"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["zetas"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_series_laws_are_the_product_laws_samplers():
     # one spread rule and one law cache: the series sampler's laws are the
     # cached samplers of the product measure's coordinate laws
     p, q = 3, 1.5
-    zetas = (_zeta(1), _zeta(2), _zeta(4))
-    laws = measure._laws("mahler", zetas, q, p, N)
+    laws = path_laws("mahler", BallSpec.unit(p, N), _RULE_DEPTH, q,
+                     zetas=_GOOD_ZETAS)
     want = tuple(measure.cached_sampler(law)
-                 for law in product_laws(p, N, zetas, q))
+                 for law in product_laws(p, N, _GOOD_ZETAS, q))
     assert len(laws) == 3
     assert all(a is b for a, b in zip(laws, want, strict=True))
-    assert not hasattr(measure._laws, "cache_info")
+    assert not hasattr(path_laws, "cache_info")
+
+
+def test_default_path_laws_are_the_documented_spreads():
+    # tree: one law per level of spread level_betas; series: one law per
+    # coefficient of the first 2 * depth standard zetas
+    p, depth, q = 3, 3, 1.5
+    ball = BallSpec.unit(p, N)
+    tree = path_laws("tree", ball, depth, q)
+    assert [law.spec.beta for law in tree] == list(level_betas(ball, depth,
+                                                               q))
+    series = path_laws("mahler", ball, depth, q)
+    assert len(series) == 2 * depth
+    assert series == path_laws("mahler", ball, depth, q,
+                               zetas=standard_zetas(p, N, 2 * depth))
+
+
+@pytest.mark.parametrize("p, depth", [(2, 6), (3, 6), (5, 4)])
+def test_tree_sampler_mixes_each_draw_once(monkeypatch, p, depth):
+    # the mixed blocks cover the path's p**depth - 1 draws exactly: no
+    # output is mixed and left unread, across one block or several
+    takes = []
+    mixed = measure._stream_draws
+
+    def recording(state, draws):
+        takes.append(draws)
+        return mixed(state, draws)
+
+    monkeypatch.setattr(measure, "_stream_draws", recording)
+    wiener_path("tree", BallSpec.unit(p, N), depth, 1.0, seed=3)
+    assert sum(takes) == p**depth - 1
+    assert len(takes) == (1 if p == 2 else 2)
+
+
+def test_a_sampler_draws_from_the_laws_it_is_given():
+    # the samplers check nothing: the laws are their whole parameter, and
+    # a path drawn from path_laws' laws is wiener_path's path
+    p = _RULE_P
+    ball = BallSpec.unit(p, N)
+    for kind, sample in (("tree", sample_wiener_tree),
+                         ("mahler", sample_wiener_mahler)):
+        laws = path_laws(kind, ball, _RULE_DEPTH, 1.0)
+        got = sample(laws, ball, _RULE_DEPTH, RandomStream(5))
+        assert got == wiener_path(kind, ball, _RULE_DEPTH, 1.0, seed=5)
+        assert list(inspect.signature(sample).parameters) == [
+            "laws", "ball", "depth", "stream"]
 
 
 @pytest.mark.parametrize("radius_exp, q", [(1, 500.0), (2, 300.0)])

@@ -1,8 +1,12 @@
-"""The site enumerator of the mutation sampler ``tools/mutants.py``."""
+"""The site enumerator and site selection of the mutation sampler
+``tools/mutants.py``."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -79,3 +83,56 @@ def test_the_equivalents_list_gives_each_entry_a_reason():
     for entry in known:
         assert set(entry) == {"path", "line", "old", "new", "nth", "reason"}
         assert entry["path"].startswith("src/padicsde/") and entry["reason"]
+
+
+def _package(root, source):
+    path = root / mutants.PACKAGE / "m.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(source, encoding="utf-8")
+    return path
+
+
+def test_module_sites_are_every_site_of_that_module(tmp_path):
+    _package(tmp_path, SOURCE)
+    got = mutants.module_sites("m", tmp_path)
+    assert got == mutants.sites(SOURCE, "src/padicsde/m.py")
+    assert len(got) == 15 and {s.path for s in got} == {"src/padicsde/m.py"}
+
+
+def test_a_name_that_is_no_package_module_is_refused(tmp_path):
+    _package(tmp_path, SOURCE)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "t.py").write_text("x = 1\n")
+    for name in ("gone", "m.py", "../../tools/t", ""):
+        with pytest.raises(ValueError, match="no module"):
+            mutants.module_sites(name, tmp_path)
+
+
+def test_changed_sites_keep_to_the_changed_package_lines(tmp_path):
+    path = _package(tmp_path, SOURCE)
+    (tmp_path / "other.py").write_text("x = 1 + 1\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    assert mutants.changed_sites("HEAD", tmp_path) == []
+    path.write_text(SOURCE.replace("b * 2", "b * 5"), encoding="utf-8")
+    (tmp_path / "other.py").write_text("x = 2 + 2\n")
+    got = [(s.line, s.old) for s in mutants.changed_sites("HEAD", tmp_path)]
+    assert got == [(2, "+"), (2, "5")]
+
+
+def test_a_run_mutates_the_changed_lines_or_one_module():
+    base = ["--seed", "32", "--count", "15"]
+    args = mutants.parse_args(["--module", "measure", *base])
+    assert (args.module, args.changed, args.seed, args.count) == (
+        "measure", None, 32, 15)
+    assert mutants.parse_args(["--changed", "HEAD", *base]).changed == "HEAD"
+    for where in ([], ["--module", "measure", "--changed", "HEAD"]):
+        with pytest.raises(SystemExit):
+            mutants.parse_args([*where, *base])

@@ -78,11 +78,11 @@ TREE_PATH_P5 = \
 TREE_PATH_P11 = \
     "f92f7cc6e91ab2983f0e31e05c32cf323fc05fd7e7d6cc18821bc301022885dc"
 
-# series (mahler) sampler at p=3, N=6, depth 4, radius_exp 0 and 1; at
-# radius_exp 1 the grid points leave Z_p
+# series (mahler) sampler at p=3, N=6, depth 4, radius_exp 0; at
+# radius_exp 1 the grid leaves Z_p, the domain of its basis, and the run
+# is refused
 MAHLER_PATHS = {
     0: "02e1dbb51d888a053b416c1544c30b4b80237802ee5dc94cc2374bdc2ca75b66",
-    1: "a042472e4a38416619a8886eb33c299684957fcc6fbf2acc42d128fa9dd1334d",
 }
 
 # one-dimensional draws, 64 samples at N=6, seed 7: p=3 and p=5, unshifted

@@ -27,7 +27,7 @@ def _picard_on_another_grid():
 
 
 def _series_check_off_the_unit_ball():
-    # at radius_exp 1 the chain leaves Z_p, the domain of the binomial basis
+    # at radius_exp 1 the grid leaves Z_p, the domain of the binomial basis
     psi = GridFunction.constant(BallSpec(ZERO, 1), 2, ONE)
     character_product_check(psi, ONE, ONE, 1, samples=10, seed=1,
                             sampler="mahler")
@@ -53,7 +53,9 @@ REFUSALS = {
         lambda: antider_mixed(F, None, F, None, 0, 1, 1, 1),
         ValueError, "diffusion grid and path required for the w powers"),
     "series_check_domain": (
-        _series_check_off_the_unit_ball, ValueError, "domain"),
+        _series_check_off_the_unit_ball, ValueError,
+        "radius_exp 1 leaves Z_p, the domain of the series sampler's "
+        "binomial basis"),
     "gaussian_char_length": (
         lambda: gaussian_char((GaussianSpec(P, N, 1.0, 1),), (ONE, ONE), ONE),
         ValueError, "functional length does not match the coefficient family"),

@@ -1,10 +1,14 @@
-"""A seeded mutation sample over the source lines changed since a revision.
+"""A seeded mutation sample over the source lines changed since a revision,
+or over one module of the package.
 
     python tools/mutants.py --changed REV --seed S --count K > FILE
+    python tools/mutants.py --module NAME --seed S --count K > FILE
 
 Stdlib only.  The sites are the operators and integer literals of
 ``src/padicsde`` on the lines that ``git diff REV`` marks as added or
-changed in the working tree.  Each site has one mutant, from this list:
+changed in the working tree (``--changed``), or on every line of
+``src/padicsde/NAME.py`` (``--module``).  Each site has one mutant, from
+this list:
 ``+``/``-``, ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``and``/``or`` and
 ``//``/``%`` each swapped for the other (``+=``/``-=`` too), and an integer
 literal plus one.  ``random.Random(S)`` draws K of the sites.
@@ -225,6 +229,29 @@ def changed_lines(diff: str) -> dict[str, set[int]]:
     return out
 
 
+def changed_sites(rev: str, root: Path = ROOT) -> list[Site]:
+    """The sites on the package lines changed since ``rev``, by file."""
+    diff = subprocess.run(
+        ["git", "diff", "-U0", rev, "--", PACKAGE], cwd=root,
+        check=True, capture_output=True, text=True).stdout
+    out = []
+    for path, lines in sorted(changed_lines(diff).items()):
+        if path.endswith(".py") and (root / path).exists():
+            source = (root / path).read_text(encoding="utf-8")
+            out += sites(source, path, lines)
+    return out
+
+
+def module_sites(name: str, root: Path = ROOT) -> list[Site]:
+    """Every site of the package module ``name`` (``measure`` for
+    ``src/padicsde/measure.py``); a name that is no module of the package
+    raises ValueError."""
+    path = f"{PACKAGE}/{name}.py"
+    if not name.isidentifier() or not (root / path).is_file():
+        raise ValueError(f"no module {name!r} in {PACKAGE}")
+    return sites((root / path).read_text(encoding="utf-8"), path)
+
+
 def stale_entries(known, root: Path = ROOT) -> list:
     """The listed equivalents that do not name exactly one site of the
     source under ``root``: an entry whose line has changed would otherwise
@@ -276,24 +303,24 @@ def _run_suite(work: Path):
     return "failed", seconds, failed.group(1) if failed else None
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="mutants", description=__doc__,
                                      formatter_class=argparse.
                                      RawDescriptionHelpFormatter)
-    parser.add_argument("--changed", required=True, metavar="REV",
-                        help="mutate the lines changed since REV")
+    where = parser.add_mutually_exclusive_group(required=True)
+    where.add_argument("--changed", metavar="REV",
+                       help="mutate the lines changed since REV")
+    where.add_argument("--module", metavar="NAME",
+                       help="mutate every line of src/padicsde/NAME.py")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--count", type=int, required=True)
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
-    diff = subprocess.run(
-        ["git", "diff", "-U0", args.changed, "--", PACKAGE], cwd=ROOT,
-        check=True, capture_output=True, text=True).stdout
-    every = []
-    for path, lines in sorted(changed_lines(diff).items()):
-        if path.endswith(".py") and (ROOT / path).exists():
-            source = (ROOT / path).read_text(encoding="utf-8")
-            every += sites(source, path, lines)
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    every = changed_sites(args.changed) if args.module is None else \
+        module_sites(args.module)
     chosen = random.Random(args.seed).sample(every,
                                              min(args.count, len(every)))
     known = json.loads(EQUIVALENT.read_text(encoding="utf-8"))
