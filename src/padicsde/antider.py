@@ -5,10 +5,13 @@ A grid function assigns a value to every canonical representative of a ball.
 The chain of a grid point is its sequence of digit truncations relative to
 the ball center; the antiderivation of an integrand f along the time
 variable is the finite ultrametric sum of f at the chain points weighted by
-the single-digit steps.  All sums here are evaluated in exact integer cells
-``(numerator, p-exponent)`` and rounded to working precision once, at
-delivery; identity checks are evaluated fully exactly, which is why the
-telescoping residuals below are exact zeros and not merely small.
+the single-digit steps.  Each such sum is a mixed-power term (b, m, l),
+summed by one kernel, ``_edge_sums``, at a point and on the grid: time is
+(1, 0, 0), the path (0, 1, 1) with the unit diffusion slot.  All sums here
+are evaluated in exact integer cells ``(numerator, p-exponent)`` and
+rounded to working precision once, at delivery; identity checks are
+evaluated fully exactly, which is why the telescoping residuals below are
+exact zeros and not merely small.
 
 Sum conventions, frozen for the whole package: integrands are evaluated at
 the near end of a digit step, and in the by-parts identity
@@ -165,26 +168,16 @@ def _index_for(f: GridFunction, t) -> int:
 def antider_u(f: GridFunction, t) -> PAdicValue:
     """Time antiderivation of f at a grid point: the chain sum of f times
     the digit steps.  Exact sum, rounded once; empty chain gives zero."""
-    k = _index_for(f, t)
-    return cell_round(f.p, f.n,
-                      antider_powers_cell(f, None, None, None, 1, 0, 0, k))
-
-
-def antider_w_cell(e: GridFunction, w: GridFunction, k: int) -> Cell:
-    p = e.p
-    acc = ZERO_CELL
-    for _level, j, jn, _step in e.chain_steps(k):
-        dw = cell_sub(p, cell_of(w.values[jn]), cell_of(w.values[j]))
-        acc = cell_add(p, acc, cell_mul(cell_of(e.values[j]), dw))
-    return acc
+    cell = antider_powers_cell(f, None, None, None, 1, 0, 0, _index_for(f, t))
+    return cell_round(f.p, f.n, cell)
 
 
 def antider_w(e: GridFunction, w: GridFunction, t) -> PAdicValue:
-    """Path antiderivation: chain sum of the integrand times the increments
-    of w; the constant integrand 1 telescopes to w(t) - w(center)."""
+    """Path antiderivation, the term (0, 1, 1) with the unit slot: chain sum
+    of e times the increments of w; e = 1 telescopes to w(t) - w(center)."""
     _check_same_grid(e, w)
-    k = _index_for(e, t)
-    return cell_round(e.p, e.n, antider_w_cell(e, w, k))
+    cell = antider_powers_cell(e, None, None, w, 0, 0, 1, _index_for(e, t))
+    return cell_round(e.p, e.n, cell)
 
 
 def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
@@ -195,15 +188,16 @@ def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
 def _edge_sums(p: int, acc: Cell, pieces, exp: int, digits, dws) -> list:
     """The cells acc + sum of ``pv * (d p**exp)**du * av**ma * (ev*dw)**l``
     over the node's ``(du, ma, l, pv, av, ev)`` value pieces, one per digit
-    d with path increment ``dws[i]``.  A piece folds once into the cell
-    ``K = pv av**ma ev**l p**(exp du)``; an edge term is ``K d**du dw**l``."""
+    d with path increment ``dws[i]``; an ``ev`` of None is the unit slot.
+    A piece folds once into the cell ``K = pv av**ma ev**l p**(exp du)``;
+    an edge term is ``K d**du dw**l``."""
     terms = []
     for du, ma, l, pv, av, ev in pieces:
         kn, ke = pv.m, pv.v + exp * du
         if ma:
             kn *= av.m ** ma
             ke += av.v * ma
-        if l:
+        if ev is not None:
             kn *= ev.m ** l
             ke += ev.v * l
         if kn:
@@ -234,17 +228,25 @@ def _edge_sums(p: int, acc: Cell, pieces, exp: int, digits, dws) -> list:
 def antider_powers_cell(deriv: GridFunction, a: GridFunction | None,
                         e: GridFunction | None, w: GridFunction | None,
                         du_pow: int, a_pow: int, ew_pow: int, k: int) -> Cell:
-    """Chain sum of deriv * dt**du_pow * a**a_pow * (e*dw)**ew_pow."""
+    """Chain sum of deriv * dt**du_pow * a**a_pow * (e*dw)**ew_pow at index
+    k, by ``_edge_sums`` step by step; an e of None is the unit slot."""
     p = deriv.p
     acc = ZERO_CELL
     for _level, j, jn, (d, exp) in deriv.chain_steps(k):
         av = a.values[j] if a_pow else None
-        ev = e.values[j] if ew_pow else None
+        ev = e.values[j] if ew_pow and e is not None else None
         dw = cell_sub(p, cell_of(w.values[jn]), cell_of(w.values[j])) \
             if ew_pow else None
         piece = (du_pow, a_pow, ew_pow, deriv.values[j], av, ev)
         acc, = _edge_sums(p, acc, (piece,), exp, (d,), (dw,))
     return acc
+
+
+def _check_indices(b, m, l) -> None:
+    """The one rule of a term's indices: integers, b >= 0, 0 <= l <= m."""
+    if not all(isinstance(i, int) for i in (b, m, l)) or b < 0 \
+            or not 0 <= l <= m:
+        raise ValueError("index")
 
 
 def antider_mixed(deriv: GridFunction, a, e, w, b: int, m: int, l: int,
@@ -253,12 +255,10 @@ def antider_mixed(deriv: GridFunction, a, e, w, b: int, m: int, l: int,
     ``deriv(t_j) * step**(b+m-l) * a(t_j)**(m-l) * (e(t_j)*dw_j)**l``.
 
     With (b, m, l) = (1, 0, 0) this is antider_u of deriv; with (0, 1, 1)
-    and a constant unit diffusion slot it is antider_w.
+    and a constant unit diffusion slot it is antider_w.  The indices obey
+    the one rule, ``_check_indices``: integers, b >= 0, 0 <= l <= m.
     """
-    if l > m:
-        raise ValueError("index")
-    if b < 0 or m < 0 or l < 0:
-        raise ValueError("index")
+    _check_indices(b, m, l)
     if m - l and a is None:
         raise ValueError("coefficient grid required for the a powers")
     if l and (e is None or w is None):
@@ -266,10 +266,9 @@ def antider_mixed(deriv: GridFunction, a, e, w, b: int, m: int, l: int,
     for g in (a, e, w):
         if g is not None:
             _check_same_grid(deriv, g)
-    k = _index_for(deriv, t)
-    return cell_round(deriv.p, deriv.n,
-                      antider_powers_cell(deriv, a, e, w, b + m - l, m - l,
-                                          l, k))
+    cell = antider_powers_cell(deriv, a, e, w, b + m - l, m - l, l,
+                               _index_for(deriv, t))
+    return cell_round(deriv.p, deriv.n, cell)
 
 
 # -- covariation and integration by parts ---------------------------------------
@@ -304,11 +303,11 @@ def by_parts_residual(x: GridFunction, y: GridFunction, t) -> PAdicValue:
     _check_same_grid(x, y)
     p = x.p
     k = _index_for(x, t)
-    lhs = antider_w_cell(y, x, k)
+    lhs = antider_powers_cell(y, None, None, x, 0, 0, 1, k)
     xt, yt = cell_of(x.values[k]), cell_of(y.values[k])
     x0, y0 = cell_of(x.values[0]), cell_of(y.values[0])
     rhs = cell_sub(p, cell_mul(xt, yt), cell_mul(x0, y0))
-    rhs = cell_sub(p, rhs, antider_w_cell(x, y, k))
+    rhs = cell_sub(p, rhs, antider_powers_cell(x, None, None, y, 0, 0, 1, k))
     rhs = cell_sub(p, rhs, covariation_cell(x, y, k))
     return cell_round(p, x.n, cell_sub(p, lhs, rhs))
 
@@ -321,7 +320,7 @@ def square_decomposition_residual(w: GridFunction, t) -> PAdicValue:
     quad = covariation_cell(w, w, k)
     wt2 = cell_mul(cell_of(w.values[k]), cell_of(w.values[k]))
     w02 = cell_mul(cell_of(w.values[0]), cell_of(w.values[0]))
-    cross = antider_w_cell(w, w, k)
+    cross = antider_powers_cell(w, None, None, w, 0, 0, 1, k)
     rhs = cell_sub(p, cell_sub(p, wt2, w02), cell_mul((2, 0), cross))
     return cell_round(p, w.n, cell_sub(p, quad, rhs))
 
@@ -348,10 +347,9 @@ def antider_w_grid(e: GridFunction, w: GridFunction) -> GridFunction:
     _check_same_grid(e, w)
     p, n = e.p, e.n
     wc = [cell_of(v) for v in w.values]
-    one = PAdicValue.one(p, n)
 
     def children(level, j, base, kids):
-        return _edge_sums(p, base, ((0, 0, 1, e.values[j], None, one),), 0,
+        return _edge_sums(p, base, ((0, 0, 1, e.values[j], None, None),), 0,
                           range(1, p),
                           [cell_sub(p, wc[jn], wc[j]) for jn in kids])
 

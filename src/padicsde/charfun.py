@@ -240,7 +240,6 @@ class ShellTable:
     """Norm-shell weights P(|x - gamma| = p**m) for m_lo <= m <= m_hi,
     plus the explicitly declared tail masses outside that range."""
 
-    spec: GaussianSpec
     m_lo: int
     m_hi: int
     weights: tuple[float, ...]
@@ -305,7 +304,7 @@ def shell_distribution(spec: GaussianSpec, m_lo: int | None = None,
             w = 0.0  # float noise only; genuine negativity stays visible
         weights.append(w)
         cdf_prev = cdf_m
-    return ShellTable(spec=spec, m_lo=lo, m_hi=hi, weights=tuple(weights),
+    return ShellTable(m_lo=lo, m_hi=hi, weights=tuple(weights),
                       lower_tail=lower, upper_tail=1.0 - cdf_prev)
 
 

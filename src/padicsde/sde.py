@@ -31,6 +31,7 @@ from typing import Callable
 from .antider import (
     ZERO_CELL,
     GridFunction,
+    _check_indices,
     _edge_sums,
     _tree_scan,
     cell_of,
@@ -115,7 +116,8 @@ class FamilyTerm:
 
     Slot programs default to the problem's drift/diffusion; the plain
     drift term is (b, m, l) = (1, 0, 0) and the plain diffusion term is
-    (0, 1, 1) with a constant-one diffusion slot.
+    (0, 1, 1) with a constant-one diffusion slot.  The indices obey
+    ``antider._check_indices``: integers, b >= 0, 0 <= l <= m.
     """
 
     b: int
@@ -126,8 +128,7 @@ class FamilyTerm:
     e_slot: Program | None = None
 
     def __post_init__(self):
-        if self.l > self.m or min(self.b, self.m, self.l) < 0:
-            raise ValueError("index")
+        _check_indices(self.b, self.m, self.l)
 
 
 @dataclass(frozen=True)

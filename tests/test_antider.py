@@ -117,14 +117,20 @@ def test_antider_w_telescoping_and_zero():
 
 
 def test_grid_transforms_match_pointwise():
-    p = 3
-    f = random_grid(p, 4, rng=2)
-    w = wiener_path("tree", unit_ball(p), 4, 1.0, seed=3)
-    gu = antider_u_grid(f)
-    gw = antider_w_grid(f, w)
-    for k in range(f.size):
-        assert gu.values[k] == antider_u(f, k)
-        assert gw.values[k] == antider_w(f, w, k)
+    # the grid route (one tree scan) against the point route (the chain
+    # sum of each index) of both terms, on a ball off the origin; at
+    # radius_exp 1 the first step has a negative exponent
+    depth = 4
+    for p, radius_exp in [(2, 0), (2, 1), (3, 0), (3, 1), (5, 0), (5, 1)]:
+        ball = BallSpec(PAdicValue.from_int(7, p, N), radius_exp)
+        f = GridFunction(ball, depth,
+                         random_grid(p, radius_exp + depth, rng=2).values)
+        w = wiener_path("tree", ball, depth, 1.0, seed=3)
+        gu = antider_u_grid(f)
+        gw = antider_w_grid(f, w)
+        for k in range(f.size):
+            assert gu.values[k] == antider_u(f, k), (p, radius_exp, k)
+            assert gw.values[k] == antider_w(f, w, k), (p, radius_exp, k)
 
 
 def test_antider_linear_in_integrand():
@@ -228,10 +234,13 @@ def test_mixed_quadratic_increment_sum():
 
 
 def test_mixed_index_error():
+    # l > m, and indices that are not integers: a float index would give
+    # a value with a float mantissa
     p = 3
     f = random_grid(p, 3, rng=0)
-    with pytest.raises(ValueError, match="index"):
-        antider_mixed(f, None, None, None, 0, 1, 2, 4)
+    for b, m, l in [(0, 1, 2), (1.5, 0, 0), (0, 1, 0.5)]:
+        with pytest.raises(ValueError, match="index"):
+            antider_mixed(f, None, None, None, b, m, l, 4)
 
 
 def test_covariation_examples():
@@ -253,11 +262,15 @@ def test_covariation_examples():
 
 
 def test_square_decomposition_exact():
+    # a sampled path starts at zero; the random grid does not, so the
+    # w_0**2 term is read too
     for p in (2, 3, 5):
         ball = unit_ball(p)
-        w = wiener_path("tree", ball, 4, 1.0, seed=17)
-        for k in range(0, ball.grid_size(4), 7):
-            assert square_decomposition_residual(w, k).is_zero
+        rough = random_grid(p, 4, rng=17)
+        assert not rough.values[0].is_zero
+        for w in (wiener_path("tree", ball, 4, 1.0, seed=17), rough):
+            for k in range(0, ball.grid_size(4), 7):
+                assert square_decomposition_residual(w, k).is_zero
 
 
 def test_by_parts_exact_zero():

@@ -99,6 +99,21 @@ def test_module_sites_are_every_site_of_that_module(tmp_path):
     assert len(got) == 15 and {s.path for s in got} == {"src/padicsde/m.py"}
 
 
+def test_all_sites_are_every_module_in_path_order(tmp_path):
+    _package(tmp_path, SOURCE)
+    pkg = tmp_path / mutants.PACKAGE
+    (pkg / "a.py").write_text("x = 1 + 1\n", encoding="utf-8")
+    (pkg / "notes.txt").write_text("y = 2 + 2\n", encoding="utf-8")
+    (tmp_path / "other.py").write_text("z = 3 + 3\n", encoding="utf-8")
+    got = mutants.all_sites(tmp_path)
+    assert got == mutants.module_sites("a", tmp_path) + \
+        mutants.module_sites("m", tmp_path)
+    assert [(s.path, s.line, s.old) for s in got[:3]] == [
+        ("src/padicsde/a.py", 1, "1"), ("src/padicsde/a.py", 1, "+"),
+        ("src/padicsde/a.py", 1, "1")]
+    assert len(got) == 3 + 15
+
+
 def test_a_name_that_is_no_package_module_is_refused(tmp_path):
     _package(tmp_path, SOURCE)
     (tmp_path / "tools").mkdir()
@@ -134,5 +149,17 @@ def test_a_run_mutates_the_changed_lines_or_one_module():
         "measure", None, 32, 15)
     assert mutants.parse_args(["--changed", "HEAD", *base]).changed == "HEAD"
     for where in ([], ["--module", "measure", "--changed", "HEAD"]):
+        with pytest.raises(SystemExit):
+            mutants.parse_args([*where, *base])
+
+
+def test_a_run_of_all_modules_excludes_the_other_selections():
+    base = ["--seed", "33", "--count", "15"]
+    args = mutants.parse_args(["--all", *base])
+    assert (args.all, args.module, args.changed, args.seed, args.count) == (
+        True, None, None, 33, 15)
+    assert not mutants.parse_args(["--module", "measure", *base]).all
+    for where in (["--all", "--module", "measure"],
+                  ["--all", "--changed", "HEAD"]):
         with pytest.raises(SystemExit):
             mutants.parse_args([*where, *base])

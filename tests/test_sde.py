@@ -246,10 +246,13 @@ def test_family_two_term_quadratic():
 
 
 def test_family_index_validation():
+    # l > m, a negative index, and an index that is not an integer: a
+    # float b would solve to values with float mantissas
     p = 3
     prog = constant_program(PAdicValue.one(p, N))
-    with pytest.raises(ValueError, match="index"):
-        FamilyTerm(0, 1, 2, prog)
+    for b, m, l in [(0, 1, 2), (-1, 0, 0), (0.5, 0, 0)]:
+        with pytest.raises(ValueError, match="index"):
+            FamilyTerm(b, m, l, prog)
 
 
 def test_moment_diagnostic_zero_problem():

@@ -1,13 +1,15 @@
 """A seeded mutation sample over the source lines changed since a revision,
-or over one module of the package.
+over one module of the package, or over the whole package.
 
     python tools/mutants.py --changed REV --seed S --count K > FILE
     python tools/mutants.py --module NAME --seed S --count K > FILE
+    python tools/mutants.py --all --seed S --count K > FILE
 
 Stdlib only.  The sites are the operators and integer literals of
 ``src/padicsde`` on the lines that ``git diff REV`` marks as added or
-changed in the working tree (``--changed``), or on every line of
-``src/padicsde/NAME.py`` (``--module``).  Each site has one mutant, from
+changed in the working tree (``--changed``), on every line of
+``src/padicsde/NAME.py`` (``--module``), or on every line of every module
+of the package, in path order (``--all``).  Each site has one mutant, from
 this list:
 ``+``/``-``, ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``and``/``or`` and
 ``//``/``%`` each swapped for the other (``+=``/``-=`` too), and an integer
@@ -252,6 +254,15 @@ def module_sites(name: str, root: Path = ROOT) -> list[Site]:
     return sites((root / path).read_text(encoding="utf-8"), path)
 
 
+def all_sites(root: Path = ROOT) -> list[Site]:
+    """Every site of every module of the package, module by module in
+    path order."""
+    out = []
+    for path in sorted((root / PACKAGE).glob("*.py")):
+        out += module_sites(path.stem, root)
+    return out
+
+
 def stale_entries(known, root: Path = ROOT) -> list:
     """The listed equivalents that do not name exactly one site of the
     source under ``root``: an entry whose line has changed would otherwise
@@ -312,6 +323,9 @@ def parse_args(argv=None) -> argparse.Namespace:
                        help="mutate the lines changed since REV")
     where.add_argument("--module", metavar="NAME",
                        help="mutate every line of src/padicsde/NAME.py")
+    where.add_argument("--all", action="store_true",
+                       help="mutate every line of every module of "
+                       "src/padicsde")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--count", type=int, required=True)
     return parser.parse_args(argv)
@@ -319,8 +333,12 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    every = changed_sites(args.changed) if args.module is None else \
-        module_sites(args.module)
+    if args.all:
+        every = all_sites()
+    elif args.module is not None:
+        every = module_sites(args.module)
+    else:
+        every = changed_sites(args.changed)
     chosen = random.Random(args.seed).sample(every,
                                              min(args.count, len(every)))
     known = json.loads(EQUIVALENT.read_text(encoding="utf-8"))
