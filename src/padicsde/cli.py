@@ -511,18 +511,27 @@ def run_solve(cfg: RunConfig, art: Artifacts):
     count, q = cfg.section["samples"], cfg.section["sampler_q"]
     _check_path_q(cfg, "tree", q, "config.solve.sampler_q")
     ball, depth = problem.ball, problem.depth
-    # serialized once per run; no full-grid GridFunction is cached
-    t_texts = [ball.point(k, depth).qp_str()
-               for k in range(ball.grid_size(depth))]
+    # serialized once per run, before the first solve, and held as one
+    # text per _CHUNK_ROWS points (a QP text holds no line break); each
+    # block is split again as a CSV chunk takes it.  No full-grid
+    # GridFunction is cached, and a solve keeps exact sums for its
+    # interior nodes only
+    size = ball.grid_size(depth)
+    t_blocks = ["\n".join([ball.point(k, depth).qp_str()
+                           for k in range(a, min(a + _CHUNK_ROWS, size))])
+                for a in range(0, size, _CHUNK_ROWS)]
     reports = []
     checks = []
     prior = None
     for i in range(count):
-        w = wiener_path("tree", ball, depth, q,
-                        seed=derive_seed(cfg.seed, i))
-        # a solve that read no path increment answers every later sample
-        sol = solve_picard(problem, w, prior=prior)
+        # the solve is the path's last reader, so the path is released
+        # before the CSV is written; a solve that read no path increment
+        # answers every later sample
+        sol = solve_picard(problem, wiener_path(
+            "tree", ball, depth, q, seed=derive_seed(cfg.seed, i)),
+            prior=prior)
         prior = None if sol.read_path else sol
+        t_texts = chain.from_iterable(b.split("\n") for b in t_blocks)
         rows = ((t, xi.qp_str()) for t, xi in zip(t_texts, sol.values.values))
         art.write_csv(f"solution_{i:04d}.csv", ["t", "xi"], rows)
         reports.append({
@@ -541,9 +550,9 @@ def run_solve(cfg: RunConfig, art: Artifacts):
             "value": max(sol.contraction.values(), default=0.0),
             "passed": all(c < 1.0 for c in sol.contraction.values()),
         })
-        # release this sample's grids before the next path is drawn; only
-        # a solution that read no path increment lives on, as the prior
-        del w, sol, rows
+        # release this sample's solution before the next path is drawn;
+        # only a solution that read no path increment lives on, as the prior
+        del sol, rows
     art.write_json("convergence.json", {"meta": meta, "solves": reports})
     return checks
 
@@ -586,13 +595,16 @@ def run_evolve(cfg: RunConfig, art: Artifacts):
                  for ru, re in zip(mat, e.matrix(ti, si))
                  for x, y in zip(ru, re))
 
-    rep = perturbation_check(gen, gen_b, ball, cfg.depth, pairs)
     gmat = generating_operator(u, 0)
     gen_ok = all(
         gmat[i][j].agrees_abs(PAdicValue.from_fraction(base[i][j], p, n),
                               n - scale_exp - 2)
         for i in range(dim) for j in range(dim))
     identity_ok = u.identity_holds()    # reads every inverse computed above
+    # u is read for the last time above: release it, so the two solves
+    # inside the perturbation check never overlap a third operator
+    del u, mats, e
+    rep = perturbation_check(gen, gen_b, ball, cfg.depth, pairs)
 
     checks = [
         {"name": "identity_at_equal_times", "passed": identity_ok},

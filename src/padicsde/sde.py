@@ -78,6 +78,11 @@ def constant_program(value: PAdicValue) -> Program:
     return Program(lambda t, x: value)
 
 
+# the unit slot: one at every node.  ``_node_terms`` passes it on to
+# ``_edge_sums`` as None, the kernel's unit, without calling it
+UNIT_SLOT = Program(lambda t, x: PAdicValue.one(t.p, t.n))
+
+
 def linear_state_program(alpha: PAdicValue) -> Program:
     return Program(lambda t, x: alpha * x)
 
@@ -116,7 +121,7 @@ class FamilyTerm:
 
     Slot programs default to the problem's drift/diffusion; the plain
     drift term is (b, m, l) = (1, 0, 0) and the plain diffusion term is
-    (0, 1, 1) with a constant-one diffusion slot.  The indices obey
+    (0, 1, 1) with the diffusion slot ``UNIT_SLOT``.  The indices obey
     ``antider._check_indices``: integers, b >= 0, 0 <= l <= m.
     """
 
@@ -170,14 +175,16 @@ def _node_terms(family, drift: Program, diffusion: Program, t: PAdicValue,
     """Evaluate the coefficient programs once at a node: the exponents
     (dt, a-slot, e*dw) and the program, a-slot and e-slot values of every
     family term with a nonzero program value.  A term whose program value
-    is zero is dropped before its slot programs are called."""
+    is zero is dropped before its slot programs are called, and the unit
+    slot is never called: its value is None."""
     pieces = []
     for ft in family:
         pv = ft.prog(t, x, state)
         if not pv.m:
             continue
         av = (ft.a_slot or drift)(t, x, state) if ft.m - ft.l else None
-        ev = (ft.e_slot or diffusion)(t, x, state) if ft.l else None
+        ev = (ft.e_slot or diffusion)(t, x, state) \
+            if ft.l and ft.e_slot is not UNIT_SLOT else None
         pieces.append((ft.b + ft.m - ft.l, ft.m - ft.l, ft.l, pv, av, ev))
     return pieces
 
@@ -222,13 +229,14 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     solution, so its defect, exactly zero, is the reported residual.
     Pointwise programs take two sweeps whatever the start; functional
     programs receive the previous sweep's iterate as their state and may
-    take more.  A node's exact sum, the cell of x0 plus its chain sum,
-    lives in two integer lists (numerators and p-exponents) indexed by
-    grid index; the tree scan carries only the rounded values.  The path
-    increments are built once per solve, when a term reads them.  Only the
-    interior nodes, those with children, read their grid point: they are
-    the indices below ``p**(radius_exp + depth - 1)``, exactly the grid one
-    level up, so the sweep reads its points from that coarser grid.
+    take more.  Only the interior nodes, those with children, are read
+    again: they are the indices below ``p**(radius_exp + depth - 1)``,
+    exactly the grid one level up, so the sweep reads its points from that
+    coarser grid, and an interior node's exact sum, the cell of x0 plus
+    its chain sum, lives in two integer lists (numerators and p-exponents)
+    of that grid's size.  A leaf's sum is rounded and dropped; the tree
+    scan carries only the rounded values.  The path increments are built
+    once per solve, when a term reads them.
 
     ``prior`` may be a solution of the same problem, start and sweep
     limit on another path of the same grid.  If it read no path increment
@@ -256,7 +264,10 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     root = cell_round(p, n, cell_of(problem.x0))
     cur = list(initial) if initial is not None else [problem.x0] * size
     cur[0] = root
-    nums, exps = [0] * size, [0] * size
+    # the exact sums of the interior nodes (of the root alone on a
+    # one-point grid); the root's is x0's cell
+    interior = len(points) or 1
+    nums, exps = [0] * interior, [0] * interior
     nums[0], exps[0] = cell_of(problem.x0)
     drift, diffusion = problem.drift, problem.diffusion
     digits, pn = range(1, p), _pow(p, n)
@@ -272,9 +283,11 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
                              [cell_sub(p, wc[k], wc[i]) for k in ks])
         sums = _edge_sums(p, (nums[j], exps[j]), pieces, level - r, digits,
                           dws and dws[kids.start:kids.stop:kids.step])
+        inner = kids.stop <= interior     # the kids have children too
         out = []
         for jn, (m, v) in zip(kids, sums):
-            nums[jn], exps[jn] = m, v  # exact; rounded below to (v, m)
+            if inner:
+                nums[jn], exps[jn] = m, v  # exact; rounded below to (v, m)
             if m:
                 while not m % p:
                     m //= p
@@ -309,12 +322,11 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
 
 def picard_as_family(problem: SDEProblem) -> SDEProblem:
     """The drift/diffusion problem rewritten as a two-term family; the
-    diffusion slot is the constant one so the diffusion term reduces to
-    the plain path antiderivation."""
-    one = constant_program(PAdicValue.one(problem.ball.p, problem.ball.n))
+    diffusion slot is ``UNIT_SLOT`` so the diffusion term reduces to the
+    plain path antiderivation."""
     fam = (
         FamilyTerm(1, 0, 0, problem.drift),
-        FamilyTerm(0, 1, 1, problem.diffusion, e_slot=one),
+        FamilyTerm(0, 1, 1, problem.diffusion, e_slot=UNIT_SLOT),
     )
     return SDEProblem(ball=problem.ball, depth=problem.depth, x0=problem.x0,
                       drift=problem.drift, diffusion=problem.diffusion,

@@ -87,6 +87,24 @@ def test_report_determinism():
     assert a == b
 
 
+def test_defect_is_the_larger_component_gap():
+    # the analytic product is real, so a report passes exactly when its
+    # defect, the larger of the real and imaginary gaps, is within the
+    # tolerance
+    rep = charexpect.CharExpectationReport(
+        t_index=1, samples=16, empirical=0.5 - 0.375j, stderr=0.1,
+        analytic=0.75 + 0j, tolerance=1.0, passed=True)
+    assert rep.defect == 0.375
+    p, depth = 3, 3
+    _, psi = setup_grid(p, depth)
+    for sampler in ("tree", "mahler"):
+        for samples in (16, 4000):
+            rep = character_product_check(
+                psi, PAdicValue.one(p, N), PAdicValue.one(p, N), t_index=4,
+                samples=samples, seed=11, sampler=sampler)
+            assert rep.passed == (rep.defect <= rep.tolerance)
+
+
 def test_mahler_report_passes():
     # the series report is judged by the same 4/sqrt(S) rule as the tree's
     p, depth = 3, 3

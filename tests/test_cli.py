@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +18,8 @@ from padicsde.antider import by_parts_residual
 from padicsde.cli import _CHUNK_ROWS, MAX_PERTURB_EXP, MAX_PRECISION, \
     MAX_SCALE_EXP, SECTIONS, TOLERANCES, TOP, Artifacts, ConfigError, \
     RunConfig, _csv_chunks, _exp_scale_floor, main
-from padicsde.padic import PRIME_LIMIT, PAdicValue
+from padicsde.measure import derive_seed, wiener_path
+from padicsde.padic import PRIME_LIMIT, BallSpec, PAdicValue
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -222,6 +224,66 @@ def test_solve_peak_memory_does_not_grow_with_samples(tmp_path, problem):
     finally:
         tracemalloc.stop()
     assert peaks[1] <= 1.02 * peaks[0], peaks
+
+
+def test_solve_peak_memory_in_path_units(tmp_path):
+    # a one-sample steep solve at p=5, N=6, depth 6 (15625 points), its
+    # traced peak in units of one sampled tree path's traced size, so the
+    # bound holds whatever a Python version's objects cost.  Alive at the
+    # peak: the path (1 unit); the solution, one value per point like the
+    # path (at most 1 unit); and everything else under 1 unit: the sweep's
+    # iterate lists, the t column as text, the exact cells of the interior
+    # nodes (a fifth of the grid) and a CSV chunk.  Holding the t column as
+    # one str per point, every node's cell, and the path while the CSV was
+    # written, as the solve once did, took the peak to 3.4 units
+    ball = BallSpec.unit(5, 6)
+    cfgfile = write_config(tmp_path, {
+        "prime": 5, "precision": 6, "depth": 6, "seed": 1,
+        "solve": {"problem": "steep", "samples": 1}})
+
+    def solve(name):
+        assert main(["solve", "--config", str(cfgfile),
+                     "--out", str(tmp_path / name)]) == 0
+
+    solve("warm")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        path = wiener_path("tree", ball, 6, 2.0, seed=derive_seed(1, 0))
+        unit = tracemalloc.get_traced_memory()[0] - base
+        del path
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve("run")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * unit, peak / unit
+
+
+def test_evolve_releases_its_operator_before_the_perturbation_check(
+        tmp_path, monkeypatch):
+    # every check that reads the CLI's operator runs first, so the two
+    # solves inside perturbation_check never overlap a third operator
+    solved, seen = [], []
+    solve, check = cli.solve_evolution, cli.perturbation_check
+
+    def recording_solve(*args):
+        u = solve(*args)
+        solved.append(weakref.ref(u))
+        return u
+
+    def spying_check(*args):
+        seen.append([ref() is None for ref in solved])
+        return check(*args)
+
+    monkeypatch.setattr(cli, "solve_evolution", recording_solve)
+    monkeypatch.setattr(cli, "perturbation_check", spying_check)
+    cfgfile = write_config(tmp_path, {
+        **BASE, "evolve": {"dim": 2, "triples": 12}})
+    assert main(["evolve", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "ev")]) == 0
+    assert seen == [[True]]
 
 
 def test_evolve_subcommand(tmp_path):

@@ -99,11 +99,14 @@ GAUSSIAN1D = {
 STEEP_P5 = "9fbde4a2b953b36d930834af739e0f9e99b9311337dd8e74beb79c550bac4f5a"
 
 # steep at p=5, N=6, depth 6, seed 1, two samples: the picard_steep bench
-# config
+# config.  Steep reads no path, so both samples share one solution, and the
+# second file, written again from the run's t column, equals the first
 STEEP_BENCH = {
     "convergence.json":
         "3def549252bf7e2d18b627c8777cc2b2d3d4a71f66ebe9a16f09a5a62e65a4de",
     "solution_0000.csv":
+        "d2edee10fc32ad8a29aa7a6d41ced98415a6b5812bc7c23ac46dea9a9aa78cba",
+    "solution_0001.csv":
         "d2edee10fc32ad8a29aa7a6d41ced98415a6b5812bc7c23ac46dea9a9aa78cba",
 }
 

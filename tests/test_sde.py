@@ -75,6 +75,7 @@ def test_pure_drift_solution_is_x0_plus_t():
     for k in range(sol.values.size):
         t = prob.ball.point(k, prob.depth)
         assert sol.values.values[k] == prob.x0 + t
+        assert sol[t] is sol.values.values[k]   # lookup by grid point
     assert sol.residual == 0.0
 
 
@@ -776,6 +777,40 @@ def test_zero_term_slots_are_never_called():
                                     family=base + (live,)), w)
     interior = (p**3 - 1) // (p - 1)
     assert calls["a"] == calls["e"] == sol.iterations * interior
+
+
+def test_the_unit_slot_is_never_called(monkeypatch):
+    # the drift/diffusion form's path term (0, 1, 1) reaches the kernel
+    # with the unit slot as None, so a linear solve calls its drift and
+    # its diffusion once per interior node per sweep and no third program
+    # (a constant-one slot program was once called there too)
+    p, depth = 5, 4
+    calls = [0]
+    call = sde.Program.__call__
+
+    def counting(self, *args):
+        calls[0] += 1
+        return call(self, *args)
+
+    prob = make_problem(p, depth, x0_int=1,
+                        drift=linear_state_program(PAdicValue.from_int(2, p, N)),
+                        diffusion=linear_state_program(
+                            PAdicValue.from_int(3, p, N)))
+    w = path_for(prob, 5)
+    monkeypatch.setattr(sde.Program, "__call__", counting)
+    sol = solve_picard(prob, w)
+    assert sol.read_path
+    interior = (p**depth - 1) // (p - 1)
+    assert calls[0] == 2 * interior * sol.iterations
+    monkeypatch.undo()
+    # the same bits as an explicit constant-one slot, which the unit slot
+    # answers when it is called
+    one = PAdicValue.one(p, N)
+    explicit = replace(prob, family=(
+        FamilyTerm(1, 0, 0, prob.drift),
+        FamilyTerm(0, 1, 1, prob.diffusion, e_slot=constant_program(one))))
+    assert solve_picard(explicit, w).values == sol.values
+    assert sde.UNIT_SLOT(prob.ball.center, prob.x0) == one
 
 
 def test_a_path_free_prior_answers_without_a_program_call():
