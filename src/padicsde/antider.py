@@ -7,11 +7,13 @@ the ball center; the antiderivation of an integrand f along the time
 variable is the finite ultrametric sum of f at the chain points weighted by
 the single-digit steps.  Each such sum is a mixed-power term (b, m, l),
 summed by one kernel, ``_edge_sums``, at a point and on the grid: time is
-(1, 0, 0), the path (0, 1, 1) with the unit diffusion slot.  All sums here
-are evaluated in exact integer cells ``(numerator, p-exponent)`` and
-rounded to working precision once, at delivery; identity checks are
-evaluated fully exactly, which is why the telescoping residuals below are
-exact zeros and not merely small.
+(1, 0, 0), the path (0, 1, 1) with the unit diffusion slot.  Both grid
+transforms are one tree pass, ``_grid_pass``, and the grid pass and the
+Picard sweep read a path's increments from one table, ``_increments``.
+All sums here are evaluated in exact integer cells ``(numerator,
+p-exponent)`` and rounded to working precision once, at delivery; identity
+checks are evaluated fully exactly, which is why the telescoping residuals
+below are exact zeros and not merely small.
 
 Sum conventions, frozen for the whole package: integrands are evaluated at
 the near end of a digit step, and in the by-parts identity
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .padic import BallSpec, PAdicValue, _pow
+from .padic import BallSpec, PAdicValue
 
 # exact value cells: (numerator, exponent) denoting numerator * p**exponent
 Cell = tuple[int, int]
@@ -44,8 +46,8 @@ def cell_add(p: int, a: Cell, b: Cell) -> Cell:
     if nb == 0:
         return a
     if ea <= eb:
-        return (na + nb * _pow(p, eb - ea), ea)
-    return (nb + na * _pow(p, ea - eb), eb)
+        return (na + nb * p ** (eb - ea), ea)
+    return (nb + na * p ** (ea - eb), eb)
 
 
 def cell_sub(p: int, a: Cell, b: Cell) -> Cell:
@@ -129,10 +131,10 @@ class GridFunction:
             raise ValueError("grid index out of range")
         p = self.p
         for level in range(self.levels):
-            j = k % _pow(p, level)
-            d = (k // _pow(p, level)) % p
+            j = k % p**level
+            d = (k // p**level) % p
             if d:
-                yield level, j, j + d * _pow(p, level), (d, self.step_exponent(level))
+                yield level, j, j + d * p**level, (d, self.step_exponent(level))
 
 
 def _tree_scan(p: int, levels: int, root, children) -> list:
@@ -146,9 +148,9 @@ def _tree_scan(p: int, levels: int, root, children) -> list:
     before its children are built, so a chain recursion that reads only
     proper prefixes is solved by this single pass.
     """
-    vals = [root] * _pow(p, levels)
+    vals = [root] * p**levels
     for level in range(levels):
-        width = _pow(p, level)
+        width = p**level
         stop = width * p
         for j in range(width):
             kids = range(j + width, stop, width)
@@ -218,9 +220,9 @@ def _edge_sums(p: int, acc: Cell, pieces, exp: int, digits, dws) -> list:
             if not sn:
                 sn, se = tn, te
             elif se <= te:
-                sn += tn * _pow(p, te - se)
+                sn += tn * p ** (te - se)
             else:
-                sn, se = tn + sn * _pow(p, se - te), te
+                sn, se = tn + sn * p ** (se - te), te
         out.append((sn, se))
     return out
 
@@ -328,31 +330,39 @@ def square_decomposition_residual(w: GridFunction, t) -> PAdicValue:
 # -- full-grid transforms --------------------------------------------------------
 
 
-def antider_u_grid(f: GridFunction) -> GridFunction:
-    """The time antiderivation evaluated at every grid point, by a single
-    level-order pass over the digit tree (prefix sums are shared)."""
+def _increments(w: GridFunction) -> list:
+    """The path increments ``w[jn] - w[j]`` as cells, indexed by the child
+    jn (the root holds the zero cell): the one table the grid pass and
+    the Picard sweep read."""
+    p = w.p
+    wc = [cell_of(v) for v in w.values]
+    return _tree_scan(p, w.levels, ZERO_CELL, lambda _l, j, _v, kids:
+                      [cell_sub(p, wc[k], wc[j]) for k in kids])
+
+
+def _grid_pass(f: GridFunction, piece: tuple, dws) -> GridFunction:
+    """The chain sum of f times the ``_edge_sums`` piece ``(du, 0, l)`` at
+    every grid point, by one level-order pass (prefix sums are shared);
+    ``dws`` is the path's ``_increments``, None when l = 0."""
     p, n = f.p, f.n
 
     def children(level, j, base, kids):
-        return _edge_sums(p, base, ((1, 0, 0, f.values[j], None, None),),
-                          f.step_exponent(level), range(1, p), None)
+        return _edge_sums(p, base, ((*piece, f.values[j], None, None),),
+                          f.step_exponent(level), range(1, p),
+                          dws and dws[kids.start:kids.stop:kids.step])
 
     acc = _tree_scan(p, f.levels, ZERO_CELL, children)
     return GridFunction(f.ball, f.depth,
                         tuple(cell_round(p, n, c) for c in acc))
 
 
+def antider_u_grid(f: GridFunction) -> GridFunction:
+    """The time antiderivation, the term (1, 0, 0), at every grid point."""
+    return _grid_pass(f, (1, 0, 0), None)
+
+
 def antider_w_grid(e: GridFunction, w: GridFunction) -> GridFunction:
-    """The path antiderivation at every grid point (level-order pass)."""
+    """The path antiderivation, (0, 1, 1) with the unit slot, at every
+    grid point."""
     _check_same_grid(e, w)
-    p, n = e.p, e.n
-    wc = [cell_of(v) for v in w.values]
-
-    def children(level, j, base, kids):
-        return _edge_sums(p, base, ((0, 0, 1, e.values[j], None, None),), 0,
-                          range(1, p),
-                          [cell_sub(p, wc[jn], wc[j]) for jn in kids])
-
-    acc = _tree_scan(p, e.levels, ZERO_CELL, children)
-    return GridFunction(e.ball, e.depth,
-                        tuple(cell_round(p, n, c) for c in acc))
+    return _grid_pass(e, (0, 0, 1), _increments(w))

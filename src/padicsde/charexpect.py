@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .antider import GridFunction
 from .charfun import AngleTally
 from .measure import MonteCarloEnsemble, path_laws
-from .padic import PAdicValue, _pow, _vp, mahler_basis
+from .padic import PAdicValue, _vp, mahler_basis
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ def character_product_check(psi: GridFunction, gamma: PAdicValue,
             continue
         n_c = min(c.n, n)
         n_run = min(n_run, n_c)
-        steps.append((law.draw_raw, -c.v, c.v, c.m, _pow(p, n_c),
-                      _pow(p, n_run)))
+        steps.append((law.draw_raw, -c.v, c.v, c.m, p**n_c,
+                      p**n_run))
 
     def chain_sum(stream, u1s):
         v = m = 0

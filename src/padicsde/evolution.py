@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .antider import GridFunction, _tree_scan, antider_powers_cell, cell_round
-from .padic import BallSpec, PAdicValue, _exp_series, _pow, _vp
+from .padic import BallSpec, PAdicValue, _exp_series, _vp
 from .sde import Program, SDEProblem, linear_state_program, solve_picard
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -298,8 +298,8 @@ def solve_evolution(a: GeneratorSpec, ball: BallSpec,
     def children(level, j, w, kids):
         wn, wd = w
         an, ad = _int_form(a(grid.values[j]))
-        un, ud = ((_pow(p, level - r), 1) if level >= r
-                  else (1, _pow(p, r - level)))
+        un, ud = ((p ** (level - r), 1) if level >= r
+                  else (1, p ** (r - level)))
         keep = ad * ud
         base = [[keep * x for x in row] for row in wn]
         aw = _int_mul(an, wn)
@@ -340,7 +340,7 @@ def _radial_limit(grid: GridFunction, ti: int, quotient, error: str):
     p, n, r = grid.p, grid.n, grid.ball.radius_exp
     prev = None
     for k in range(grid.levels):
-        tni = ti + _pow(p, r + k)
+        tni = ti + p ** (r + k)
         if tni >= grid.size:
             break
         quot = quotient(k, tni)

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from .antider import GridFunction, _tree_scan
 from .charfun import AngleTally, GaussianSpec, _lq_spreads, shell_distribution
-from .padic import BallSpec, PAdicValue, _pow, _vp, mahler_basis
+from .padic import BallSpec, PAdicValue, _vp, mahler_basis
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -232,7 +232,7 @@ class Gaussian1DSampler:
         for m in self.shells + self.shells[-1:]:
             k = n if cut is None else cut + m
             row.append((-m, p - 1 if k >= 1 else 0,
-                        _pow(p, min(k, n) - 1) if k >= 2 else 0, (-m, 1)))
+                        p ** (min(k, n) - 1) if k >= 2 else 0, (-m, 1)))
         self._rows[cut] = row
         return row
 
@@ -345,7 +345,7 @@ def empirical_char(spec: GaussianSpec, h_values, size: int,
             elif k <= 0:
                 tally.add_raw(0, 0, count)
             else:
-                tally.add_raw((hd[1] * mant) % _pow(p, k), k, count)
+                tally.add_raw((hd[1] * mant) % p**k, k, count)
     return {h: tally.mean() for h, tally in zip(hs, tallies)}
 
 
@@ -451,13 +451,13 @@ def sample_wiener_tree(laws, ball: BallSpec, depth: int,
     increments over disjoint subtrees independent by construction.
     """
     p, n = ball.p, ball.n
-    mod = _pow(p, n)
+    mod = p**n
     # blocks of about 512 draws, 1536 outputs: each block size's lane
     # constants stay cached, and a path's must not add to a solve's peak
     # memory.  A node draws p - 1 times, so a block of whole nodes' draws
     # ends where a node ends.
     block = max(512 // (p - 1), 1) * (p - 1)
-    left = _pow(p, len(laws)) - 1     # draws the path has yet to make
+    left = p**len(laws) - 1     # draws the path has yet to make
     u1s = u2s = u3s = ()              # the block's outputs, last first
 
     def children(level, j, base, kids):

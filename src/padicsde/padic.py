@@ -4,8 +4,9 @@ A value is stored as ``mant * p**val`` with a mantissa of at most N base-p
 digits (N is the working precision) whose lowest digit is nonzero.  Every
 stored value is therefore an *exact* rational number; arithmetic computes the
 exact result and then truncates the mantissa back to N significant digits, so
-each operation is correct modulo ``p**(val + N)``.  The ultrametric absolute
-value is ``|x| = p**(-val)`` and ``|0| = 0``.
+each operation is correct modulo ``p**(val + N)``; a sum and a difference
+share that one rule (``PAdicValue._sum``).  The ultrametric absolute value
+is ``|x| = p**(-val)`` and ``|0| = 0``.
 
 The module also provides digit truncations (the approximation chain used by
 the antiderivation operators), the exact p-adic fractional part, the binomial
@@ -21,11 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _pow(p: int, k: int) -> int:
-    return p**k
 
 
 def _vp(n: int, p: int) -> int:
@@ -52,7 +48,7 @@ def _digit_tables(p: int, n: int) -> tuple[tuple, tuple, int]:
     k = (n + 1) // 2
     if p**k > _TEXT_TABLE_SIZE:
         return (), (), 0
-    return _digit_texts(p, k), _digit_texts(p, n - k, " "), _pow(p, k)
+    return _digit_texts(p, k), _digit_texts(p, n - k, " "), p**k
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +151,9 @@ class PAdicValue:
             return cls.zero(p, n)
         vn = _vp(num, p)
         vd = _vp(den, p)
-        unum = num // _pow(p, vn)
-        uden = den // _pow(p, vd)
-        m = (unum * pow(uden, -1, _pow(p, n))) % _pow(p, n)
+        unum = num // p**vn
+        uden = den // p**vd
+        m = (unum * pow(uden, -1, p**n)) % p**n
         return cls(p, n, vn - vd, m)
 
     @classmethod
@@ -172,7 +168,7 @@ class PAdicValue:
         while num % p == 0:
             num //= p
             exp += 1
-        return cls(p, n, exp, num % _pow(p, n))
+        return cls(p, n, exp, num % p**n)
 
     # -- queries -----------------------------------------------------------
 
@@ -203,8 +199,8 @@ class PAdicValue:
         if self.m == 0:
             return Fraction(0)
         if self.v >= 0:
-            return Fraction(self.m * _pow(self.p, self.v))
-        return Fraction(self.m, _pow(self.p, -self.v))
+            return Fraction(self.m * self.p**self.v)
+        return Fraction(self.m, self.p ** (-self.v))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -213,48 +209,45 @@ class PAdicValue:
             raise ValueError("prime mismatch")
         return min(self.n, other.n)
 
-    def __add__(self, other: "PAdicValue") -> "PAdicValue":
+    def _sum(self, other: "PAdicValue", sign: int) -> "PAdicValue":
+        """``self + sign * other``, sign 1 or -1: the exact sum at the lower
+        precision, rounded once by ``_from_cell``; when ``other`` is zero,
+        or ``self`` is and sign is 1, the operand left is returned as it is
+        if it has the lower precision.  Not ``self + (-other)``: ``x + (-x)``
+        is ``p**(v+n)`` at fixed precision, and ``x - x`` the exact zero."""
         n = self._check(other)
-        if self.m == 0:
-            return other if other.n == n else \
-                PAdicValue._from_cell(self.p, n, other.m, other.v)
-        if other.m == 0:
-            return self if self.n == n else \
-                PAdicValue._from_cell(self.p, n, self.m, self.v)
+        same = self if not other.m else \
+            other if sign == 1 and not self.m else None
+        if same is not None and same.n == n:
+            return same
+        p = self.p
         v0 = min(self.v, other.v)
-        num = self.m * _pow(self.p, self.v - v0) + other.m * _pow(self.p, other.v - v0)
-        return PAdicValue._from_cell(self.p, n, num, v0)
+        num = self.m * p ** (self.v - v0) + sign * other.m * p ** (other.v - v0)
+        return PAdicValue._from_cell(p, n, num, v0)
+
+    def __add__(self, other: "PAdicValue") -> "PAdicValue":
+        return self._sum(other, 1)
 
     def __neg__(self) -> "PAdicValue":
         if self.m == 0:
             return self
-        return PAdicValue(self.p, self.n, self.v, _pow(self.p, self.n) - self.m)
+        return PAdicValue(self.p, self.n, self.v, self.p**self.n - self.m)
 
     def __sub__(self, other: "PAdicValue") -> "PAdicValue":
-        n = self._check(other)
-        if other.m == 0:
-            return self if self.n == n else \
-                PAdicValue._from_cell(self.p, n, self.m, self.v)
-        if self.m == 0:
-            neg = -other
-            return neg if neg.n == n else \
-                PAdicValue._from_cell(self.p, n, neg.m, neg.v)
-        v0 = min(self.v, other.v)
-        num = self.m * _pow(self.p, self.v - v0) - other.m * _pow(self.p, other.v - v0)
-        return PAdicValue._from_cell(self.p, n, num, v0)
+        return self._sum(other, -1)
 
     def __mul__(self, other: "PAdicValue") -> "PAdicValue":
         n = self._check(other)
         if self.m == 0 or other.m == 0:
             return PAdicValue.zero(self.p, n)
         return PAdicValue(self.p, n, self.v + other.v,
-                          (self.m * other.m) % _pow(self.p, n))
+                          (self.m * other.m) % self.p**n)
 
     def inv(self) -> "PAdicValue":
         if self.m == 0:
             raise ZeroDivisionError("zero inverse")
         return PAdicValue(self.p, self.n, -self.v,
-                          pow(self.m, -1, _pow(self.p, self.n)))
+                          pow(self.m, -1, self.p**self.n))
 
     def __truediv__(self, other: "PAdicValue") -> "PAdicValue":
         return self * other.inv()
@@ -328,7 +321,7 @@ class PAdicValue:
         for i, d in enumerate(digs):
             if not 0 <= d < p:
                 raise ValueError(f"digit out of range: {d}")
-            m += d * _pow(p, i)
+            m += d * p**i
         if m == 0:
             return cls.zero(p, n)
         if m % p == 0:
@@ -375,7 +368,7 @@ class BallSpec:
         if levels < 0:
             raise ValueError(f"depth {depth}: radius_exp + depth = {levels} "
                              "is negative")
-        return _pow(self.p, levels)
+        return self.p**levels
 
     def point(self, k: int, depth: int) -> PAdicValue:
         """Grid representative number k at the given depth."""
@@ -408,7 +401,7 @@ def digit_prefix(t: PAdicValue, j: int) -> PAdicValue:
         raise ValueError("beyond precision")
     if t.m == 0 or j == 0:
         return PAdicValue.zero(t.p, t.n)
-    m = t.m % _pow(t.p, j)
+    m = t.m % t.p**j
     return PAdicValue(t.p, t.n, t.v, m)
 
 
@@ -417,7 +410,7 @@ def frac_part(y: PAdicValue) -> Fraction:
     powers of p, a rational in [0, 1) with denominator a power of p."""
     if y.m == 0 or y.v >= 0:
         return Fraction(0)
-    den = _pow(y.p, -y.v)
+    den = y.p ** (-y.v)
     return Fraction(y.m % den, den)
 
 

@@ -29,17 +29,16 @@ from operator import sub
 from typing import Callable
 
 from .antider import (
-    ZERO_CELL,
     GridFunction,
     _check_indices,
     _edge_sums,
+    _increments,
     _tree_scan,
     cell_of,
     cell_round,
-    cell_sub,
 )
 from .measure import MonteCarloEnsemble, derive_seed, wiener_path
-from .padic import BallSpec, PAdicValue, _pow, _vp
+from .padic import BallSpec, PAdicValue, _vp
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     coarser grid, and an interior node's exact sum, the cell of x0 plus
     its chain sum, lives in two integer lists (numerators and p-exponents)
     of that grid's size.  A leaf's sum is rounded and dropped; the tree
-    scan carries only the rounded values.  The path increments are built
-    once per solve, when a term reads them.
+    scan carries only the rounded values.  The path's ``_increments``
+    table is built once per solve, when a term first reads it.
 
     ``prior`` may be a solution of the same problem, start and sweep
     limit on another path of the same grid.  If it read no path increment
@@ -270,17 +269,14 @@ def solve_picard(problem: SDEProblem, w: GridFunction,
     nums, exps = [0] * interior, [0] * interior
     nums[0], exps[0] = cell_of(problem.x0)
     drift, diffusion = problem.drift, problem.diffusion
-    digits, pn = range(1, p), _pow(p, n)
+    digits, pn = range(1, p), p**n
     dws = None
 
     def children(level, j, node, kids):
         nonlocal dws
         pieces = _node_terms(family, drift, diffusion, points[j], node, state)
         if dws is None and any(piece[2] for piece in pieces):
-            # w[jn] - w[j], indexed by the child jn
-            wc = [cell_of(v) for v in w.values]
-            dws = _tree_scan(p, r + depth, ZERO_CELL, lambda _l, i, _v, ks:
-                             [cell_sub(p, wc[k], wc[i]) for k in ks])
+            dws = _increments(w)
         sums = _edge_sums(p, (nums[j], exps[j]), pieces, level - r, digits,
                           dws and dws[kids.start:kids.stop:kids.step])
         inner = kids.stop <= interior     # the kids have children too

@@ -85,6 +85,16 @@ def test_the_equivalents_list_gives_each_entry_a_reason():
         assert entry["path"].startswith("src/padicsde/") and entry["reason"]
 
 
+def test_the_committed_equivalents_name_one_site_each():
+    # an entry whose line changed would match no site; tools/mutants.py
+    # runs the suite without this test, since a mutant at a listed site
+    # changes that line on purpose
+    known = json.loads(mutants.EQUIVALENT.read_text(encoding="utf-8"))
+    assert mutants.stale_entries(known) == []
+    assert mutants.STALE_TEST == "tests/test_mutants.py::" + \
+        test_the_committed_equivalents_name_one_site_each.__name__
+
+
 def _package(root, source):
     path = root / mutants.PACKAGE / "m.py"
     path.parent.mkdir(parents=True)

@@ -423,6 +423,40 @@ def test_invariant_kept_by_constructors_and_operators(data):
         assert_invariant(y**-2, p, n2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sum_and_difference_are_the_rounded_exact_rationals(data):
+    # one rule for + and -: the exact rational sum or difference, rounded
+    # to the lower precision of the operands
+    p = data.draw(st.sampled_from(PRIMES))
+    n1, n2 = data.draw(st.integers(1, N)), data.draw(st.integers(1, N))
+    x, y = data.draw(built_values(p, n1)), data.draw(built_values(p, n2))
+    n = min(n1, n2)
+    fx, fy = x.as_fraction(), y.as_fraction()
+    assert x + y == PAdicValue.from_fraction(fx + fy, p, n)
+    assert x - y == PAdicValue.from_fraction(fx - fy, p, n)
+    assert x - x == PAdicValue.zero(p, n1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sum_rule_at_zero_operands(p):
+    x = PAdicValue.from_rational(-7, 3 * p, p, 4)
+    fx = x.as_fraction()
+    for nz in (2, 4, 6):
+        z = PAdicValue.zero(p, nz)
+        n = min(4, nz)
+        for got, want in ((x + z, fx), (z + x, fx), (x - z, fx),
+                          (z - x, -fx)):
+            assert got == PAdicValue.from_fraction(want, p, n)
+        assert z + z == z - z == z
+        if nz >= 4:
+            # an operand that has the lower precision comes back as it is
+            assert x + z is x and z + x is x and x - z is x
+    # x - x is the exact zero; x + (-x) carries out of the mantissa
+    assert x - x == PAdicValue.zero(p, 4)
+    assert x + -x == PAdicValue(p, 4, x.v + 4, 1)
+
+
 def test_ball_membership_and_grid():
     p = 5
     ball = BallSpec.unit(p, N)

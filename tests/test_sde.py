@@ -813,6 +813,31 @@ def test_the_unit_slot_is_never_called(monkeypatch):
     assert sde.UNIT_SLOT(prob.ball.center, prob.x0) == one
 
 
+@pytest.mark.parametrize("name, builds", [("linear", 1), ("steep", 0)])
+def test_the_increment_table_is_built_once_and_only_when_read(
+        monkeypatch, name, builds):
+    # the path increments are one table per solve, built when a term
+    # first reads dw: a linear solve builds it in its first sweep and its
+    # verifying sweep reads the same table; the steep problem's diffusion
+    # is zero, so its path term is dropped and dw is never read
+    cfg = RunConfig({"prime": 5, "precision": N, "depth": 3,
+                     "solve": {"problem": name}}, "solve")
+    prob, _ = build_problem(cfg)
+    w = wiener_path("tree", prob.ball, prob.depth, 2.0, seed=7)
+    built = []
+    increments = sde._increments
+
+    def counting(path):
+        built.append(path)
+        return increments(path)
+
+    monkeypatch.setattr(sde, "_increments", counting)
+    sol = solve_picard(prob, w)
+    assert sol.iterations == 2
+    assert len(built) == builds and all(path is w for path in built)
+    assert sol.read_path == bool(builds)
+
+
 def test_a_path_free_prior_answers_without_a_program_call():
     # no term reads dw, so the second path's solve is the first one's: it
     # calls no program and returns the prior itself
